@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import ScenarioConfig, build_scenario, config_hash, draw_users
 from .geometry import Orientation
 from .multiuser import optimize_scenario
-from .placement import LinkModel, optimal_position, transverse_distance
+from .placement import (LinkModel, eq22_sum_rate, optimal_position,
+                        power_split, tdma_sum_rate)
 from .radiation import intensity_map
 from .waveguide import PaPlacement
 
@@ -82,7 +83,6 @@ def run_rate_vs_power(cfg: ScenarioConfig, power_grid_dbw, schemes=None,
 
 
 def _with_power(scenario, power):
-    from dataclasses import replace
     return replace(scenario, power=power)
 
 
@@ -103,55 +103,6 @@ def _golden_max(fun, lo, hi, iters: int = 60):
     return 0.5 * (a + b)
 
 
-class _PairEnsemble:
-    """Vectorized two-user link math over a batch of Monte Carlo
-    placements served by a single element on one waveguide.
-
-    Mirrors the placement module's objective (matched orientation and
-    polarization, per-x optimal splits) so the batched search lands on
-    the same positions as the scalar solver.
-    """
-
-    def __init__(self, scenario, u1, u2):
-        self.scn = scenario
-        wg = scenario.waveguides[0]
-        self.wg = wg
-        self.a1 = scenario.mode_amplitude(1)
-        self.a2 = scenario.mode_amplitude(min(2, scenario.num_modes))
-        self.x_u = np.stack([u1[:, 0], u2[:, 0]])
-        self.rho = np.stack([
-            np.hypot(u1[:, 1] - wg.axis_y, -wg.axis_z),
-            np.hypot(u2[:, 1] - wg.axis_y, -wg.axis_z)])
-
-    def gain(self, which: int, amp: float, x):
-        r = np.hypot(self.x_u[which] - x, self.rho[which])
-        return (amp ** 2 * np.exp(-self.wg.alpha_w * x)
-                * np.exp(-self.scn.alpha_a * r) / r ** 2)
-
-    def x_singles(self):
-        d = [self.wg.alpha_w * self.rho[i] ** 2
-             / (2.0 + self.scn.alpha_a * self.rho[i]) for i in (0, 1)]
-        x = [np.clip(self.x_u[i] - d[i], 0.0,
-                     np.minimum(self.x_u[i], self.wg.length)) for i in (0, 1)]
-        return x[0], x[1]
-
-    def mm_rates(self, x, power, noise):
-        g1 = self.gain(0, self.a1, x)
-        g2 = self.gain(1, self.a2, x)
-        w1 = np.clip(0.5 + noise / (2 * power * g2)
-                     - noise / (2 * power * g1), 0.0, 1.0)
-        r1 = 0.5 * np.log2(1.0 + power * w1 * g1 / noise)
-        r2 = 0.5 * np.log2(1.0 + power * (1.0 - w1) * g2 / noise)
-        return r1, r2
-
-    def sm_rates(self, x, power, noise):
-        g1 = self.gain(0, self.a1, x)
-        g2 = self.gain(1, self.a1, x)
-        r1 = 0.25 * np.log2(1.0 + power * g1 / noise)
-        r2 = 0.25 * np.log2(1.0 + power * g2 / noise)
-        return r1, r2
-
-
 def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
                trials: int = 10_000) -> ExperimentResult:
     """Outage probability (either user of a random pair below the rate
@@ -159,42 +110,44 @@ def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
     single-mode time-division baseline.
 
     Each trial drops two users uniformly in the region and serves them
-    from one element placed at the scheme's optimal position for the
+    from one element, the only element on its guide (so it takes the
+    whole guided power), placed at the scheme's optimal position for the
     configured nominal power; the power axis then sweeps the transmit
-    power at that deployment.
+    power at that deployment.  The link math is ``placement``'s, batched
+    over the trials.
     """
     if trials < 100:
         raise ValueError("outage needs at least 100 trials")
-    scn = build_scenario(cfg, users=np.zeros((2, 3)))
+    scn = build_scenario(replace(cfg, pas_per_waveguide=1),
+                         users=np.zeros((2, 3)))
+    link = LinkModel(scn)
     noise = float(scn.noise[0])
+    sigmas = (noise, noise)
     rng_xy = [np.random.default_rng((cfg.seed, t)) for t in range(trials)]
     pts = np.array([r.uniform([0, 0], [cfg.d_x, cfg.d_y], size=(2, 2))
                     for r in rng_xy])
-    u1 = np.column_stack([pts[:, 0], np.zeros(trials)])
-    u2 = np.column_stack([pts[:, 1], np.zeros(trials)])
-    ens = _PairEnsemble(scn, u1, u2)
-    x1, x2 = ens.x_singles()
+    u1, u2 = (np.column_stack([pts[:, i], np.zeros(trials)]) for i in (0, 1))
+    modes = (1, min(2, scn.num_modes))
+    x1, _ = optimal_position(u1, link.wg, scn.alpha_a)
+    x2, _ = optimal_position(u2, link.wg, scn.alpha_a)
     lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
     p_nom = scn.power
-
-    def mm_objective(x):
-        r1, r2 = ens.mm_rates(x, p_nom, noise)
-        return r1 + r2
-
-    def sm_objective(x):
-        r1, r2 = ens.sm_rates(x, p_nom, noise)
-        return r1 + r2
-
-    x_mm = _golden_max(mm_objective, lo, hi)
-    x_sm = _golden_max(sm_objective, lo, hi)
+    x_mm = _golden_max(lambda x: eq22_sum_rate(x, link, u1, u2, sigmas, p_nom,
+                                               modes), lo, hi)
+    x_sm = _golden_max(lambda x: tdma_sum_rate(x, link, u1, u2, sigmas, p_nom),
+                       lo, hi)
+    g_mm = (link.gain(modes[0], x_mm, u1), link.gain(modes[1], x_mm, u2))
+    g_sm = (link.gain(1, x_sm, u1), link.gain(1, x_sm, u2))
 
     rows = []
     for p_dbw in power_grid_dbw:
         power = 10.0 ** (p_dbw / 10.0)
-        r1, r2 = ens.mm_rates(x_mm, power, noise)
-        out_mm = float(np.mean(np.minimum(r1, r2) < threshold_rate))
-        r1, r2 = ens.sm_rates(x_sm, power, noise)
-        out_sm = float(np.mean(np.minimum(r1, r2) < threshold_rate))
+        w = power_split(g_mm[0], g_mm[1], noise, noise, power)
+        r_mm = [0.5 * np.log2(1.0 + power * w[i] * g_mm[i] / noise)
+                for i in (0, 1)]
+        r_sm = [0.25 * np.log2(1.0 + power * g / noise) for g in g_sm]
+        out_mm = float(np.mean(np.minimum(*r_mm) < threshold_rate))
+        out_sm = float(np.mean(np.minimum(*r_sm) < threshold_rate))
         rows.append((float(round(p_dbw, 4)), "MM", out_mm))
         rows.append((float(round(p_dbw, 4)), "SM-TDMA", out_sm))
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -300,12 +253,11 @@ def run_scaling(cfg: ScenarioConfig, m_grid=(2, 3, 4), n_grid=(1, 2, 3),
                 k_grid=(8, 16, 24), schemes=None) -> ExperimentResult:
     """Sum rate versus array sizes (M, N at fixed K) and versus the
     user count (at the config's M, N)."""
-    from dataclasses import replace as dc_replace
     schemes = tuple(schemes or cfg.schemes)
     rows = []
     for m in m_grid:
         for n in n_grid:
-            sub = dc_replace(cfg, num_waveguides=int(m),
+            sub = replace(cfg, num_waveguides=int(m),
                              pas_per_waveguide=int(n))
             scn = build_scenario(sub)
             for scheme in schemes:
@@ -315,7 +267,7 @@ def run_scaling(cfg: ScenarioConfig, m_grid=(2, 3, 4), n_grid=(1, 2, 3),
                 rows.append(("mn", int(m), int(n), cfg.num_users, res.scheme,
                              float(res.report.sum_rate)))
     for k in k_grid:
-        sub = dc_replace(cfg, num_users=int(k))
+        sub = replace(cfg, num_users=int(k))
         scn = build_scenario(sub)
         for scheme in schemes:
             with warnings.catch_warnings():

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radiation import (aperture_constant, pattern_factor,
-                        polarization_components, _local_angles)
-from .geometry import spherical_basis
+from .radiation import PortResponse
 from .scenario import Scenario
 from .waveguide import assemble_H_wp, wp_col, wp_row
 
@@ -84,32 +82,19 @@ def assemble(scenario: Scenario, rx_polarizations) -> ChannelMatrix:
     h_wp = assemble_H_wp(scenario)
     h_pu = np.zeros((n_users, n_wg * n_pas * n_modes), dtype=complex)
     lam = np.zeros((n_users, n_wg * n_pas * n_modes))
-    rho = scenario.med.k0
+    med = scenario.med
     for m, (wg, pas) in enumerate(zip(scenario.waveguides, scenario.placements)):
         for n, pa in enumerate(pas):
             center = pa.center(wg)
-            for q, mode in enumerate(scenario.modes):
-                orientation = pa.orientations[q]
+            for q, (mode, gain) in enumerate(zip(scenario.modes,
+                                                 scenario.port_gains)):
+                resp = PortResponse(med, mode, wg, center, pa.orientations[q],
+                                    scenario.users)
                 col = wp_row(m, n, q, n_pas, n_modes)
-                const = (scenario.gain_norm[q]
-                         * aperture_constant(scenario.med, wg, mode))
-                r, theta, phi = _local_angles(scenario.users, center, orientation)
-                s_q = pattern_factor(mode.index, theta, phi, wg.aperture_a,
-                                     wg.aperture_b, scenario.med.wavelength0)
-                psi_t, psi_p = polarization_components(
-                    mode.index, theta, phi, mode.propagation_constant, rho)
-                psi_norm = np.hypot(psi_t, psi_p)
-                # signed S keeps the physical pi phase flip on sidelobes
-                h_pu[:, col] = (const * s_q * psi_norm / r
-                                * np.exp(-0.5 * scenario.alpha_a * r)
-                                * np.exp(-1j * rho * r))
-                for k in range(n_users):
-                    if psi_norm[k] == 0.0 or s_q[k] == 0.0:
-                        continue
-                    basis = spherical_basis(theta[k], phi[k], orientation)
-                    e_dir = (psi_t[k] * basis.vartheta
-                             + psi_p[k] * basis.varphi) / psi_norm[k]
-                    lam[k, col] = abs(rx[k] @ e_dir)
+                h_pu[:, col] = (gain * resp.pattern
+                                * np.exp(-0.5 * scenario.alpha_a * resp.r)
+                                * np.exp(-1j * med.k0 * resp.r))
+                lam[:, col] = np.abs(np.sum(rx * resp.direction, axis=1))
     h = (lam * h_pu) @ h_wp
     return ChannelMatrix(h_wp=h_wp, h_pu=h_pu, lam=lam, h=h,
                          num_pas=n_pas, num_modes=n_modes)

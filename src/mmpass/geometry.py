@@ -14,8 +14,9 @@ toward +x, positive roll toward +y, and (0, 0) points straight down
 
 Directions seen from a port are described in a local spherical system
 (LSCS): polar angle theta from the boresight, azimuth phi from the
-local +x axis (four-quadrant).  ``spherical_basis`` returns the unit
-vectors of that system expressed back in the GCS.
+local +x axis (four-quadrant).  ``local_angles`` gives the distance
+and angles of GCS points in a port frame, and ``spherical_basis``
+returns the unit vectors of that system expressed back in the GCS.
 """
 
 from __future__ import annotations
@@ -81,41 +82,25 @@ class Orientation:
 IDENTITY = Orientation(0.0, 0.0)
 
 
-def gcs_to_lcs(point, pa_center, orientation: Orientation) -> np.ndarray:
-    """Express a GCS point in the port frame centered at ``pa_center``."""
-    p = np.asarray(point, dtype=float) - np.asarray(pa_center, dtype=float)
-    return orientation.lcs_from_gcs() @ p
+def local_angles(points, center, orientation: Orientation):
+    """Distance, polar angle and azimuth of GCS points in a port frame.
 
-
-def lcs_to_gcs(point_local, pa_center, orientation: Orientation) -> np.ndarray:
-    """Inverse of :func:`gcs_to_lcs`."""
-    p = np.asarray(point_local, dtype=float)
-    return orientation.gcs_from_lcs() @ p + np.asarray(pa_center, dtype=float)
-
-
-@dataclass(frozen=True)
-class SphericalCoords:
-    r: float
-    theta: float
-    phi: float
-
-
-def lcs_to_spherical(p_local) -> SphericalCoords:
-    """Radial distance, polar angle and azimuth of a local point.
-
-    Raises ValueError for the zero vector.  At the poles (theta = 0 or
-    pi) the azimuth is pinned to 0.
+    ``points`` is one point or a (P, 3) array; the three results have
+    one entry per point.  The polar angle comes from atan2, which stays
+    accurate next to the poles, and the azimuth is pinned to 0 where
+    sin(theta) < _POLE_TOL, the same scale-free rule as
+    :func:`spherical_basis`.  Raises ValueError if a point coincides
+    with the port center.
     """
-    x, y, z = np.asarray(p_local, dtype=float)
-    r = float(np.sqrt(x * x + y * y + z * z))
-    if r == 0.0:
-        raise ValueError("spherical coordinates undefined at the origin")
-    theta = float(np.arccos(np.clip(z / r, -1.0, 1.0)))
-    if np.hypot(x, y) < _POLE_TOL * r:
-        phi = 0.0
-    else:
-        phi = float(np.arctan2(y, x))
-    return SphericalCoords(r, theta, phi)
+    rel = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(center)
+    x, y, z = (rel @ orientation.lcs_from_gcs().T).T
+    rho = np.hypot(x, y)
+    r = np.hypot(rho, z)
+    if not r.all():
+        raise ValueError("observation point coincides with the port")
+    theta = np.arctan2(rho, z)
+    phi = np.where(np.sin(theta) < _POLE_TOL, 0.0, np.arctan2(y, x))
+    return r, theta, phi
 
 
 @dataclass(frozen=True)
@@ -127,9 +112,8 @@ class SphericalBasis:
     varphi: np.ndarray
 
 
-def spherical_basis(theta: float, phi: float,
-                    orientation: Orientation = IDENTITY,
-                    pa_center=None) -> SphericalBasis:
+def spherical_basis(theta, phi,
+                    orientation: Orientation = IDENTITY) -> SphericalBasis:
     """LSCS unit vectors for direction (theta, phi), expressed in GCS.
 
     In LCS components the triad is
@@ -138,23 +122,15 @@ def spherical_basis(theta: float, phi: float,
         vartheta = (cos t cos p, cos t sin p, -sin t)
         varphi   = (-sin p, cos p, 0)
 
-    and each row is mapped through the port frame.  ``pa_center`` is
-    accepted for interface symmetry; directions do not depend on it.
+    and each is mapped through the port frame.  Scalar angles give
+    3-vectors; arrays of P angles give (P, 3) arrays.
     """
-    if np.sin(theta) < _POLE_TOL:
-        phi = 0.0
     st, ct = np.sin(theta), np.cos(theta)
+    phi = np.where(st < _POLE_TOL, 0.0, phi)
     sp, cp = np.sin(phi), np.cos(phi)
-    rot = orientation.gcs_from_lcs()
-    upsilon = rot @ np.array([st * cp, st * sp, ct])
-    vartheta = rot @ np.array([ct * cp, ct * sp, -st])
-    varphi = rot @ np.array([-sp, cp, 0.0])
+    triad = np.array([[st * cp, st * sp, ct],
+                      [ct * cp, ct * sp, -st],
+                      [-sp, cp, np.zeros_like(sp)]])
+    upsilon, vartheta, varphi = (np.moveaxis(triad, 1, -1)
+                                 @ orientation.gcs_from_lcs().T)
     return SphericalBasis(upsilon, vartheta, varphi)
-
-
-def spherical_from_gcs(point, pa_center, orientation: Orientation):
-    """Convenience: GCS point -> (SphericalCoords, SphericalBasis) in one hop."""
-    local = gcs_to_lcs(point, pa_center, orientation)
-    coords = lcs_to_spherical(local)
-    basis = spherical_basis(coords.theta, coords.phi, orientation)
-    return coords, basis

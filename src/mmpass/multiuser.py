@@ -32,12 +32,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import channel
-from .geometry import Orientation, spherical_basis
-from .placement import (LinkModel, _split_from_gains, optimal_orientation,
+from .geometry import Orientation
+from .placement import (LinkModel, optimal_orientation, power_split,
                         solve_single_user, two_user_shared_position)
-from .polarization import codebook_angles, user_arrival_basis
-from .radiation import (_local_angles, aperture_constant, pattern_factor,
-                        polarization_components)
+from .polarization import receive_polarization
+from .radiation import PortResponse
 from .scenario import Scenario
 from .waveguide import PaPlacement, coupling_length
 
@@ -268,8 +267,9 @@ class Candidate:
 
 class _SlotSolver:
     """Shared machinery for the rate table, greedy fill and deployment
-    of one time slot.  Owns a candidate cache and a cross-gain cache;
-    all tie-breaks are lowest-index-first."""
+    of one time slot.  Owns a candidate cache and a cache of port
+    responses toward every slot user; all tie-breaks are
+    lowest-index-first."""
 
     def __init__(self, scenario: Scenario, groups):
         self.scenario = scenario
@@ -279,46 +279,7 @@ class _SlotSolver:
         self.num_pas = scenario.num_pas
         self.mn = scenario.num_waveguides * scenario.num_pas
         self._candidates: dict[tuple[int, int], Candidate] = {}
-        self._cross: dict = {}
-
-    # -- polarization policies ------------------------------------------
-
-    def _boresight_dir(self, orientation: Orientation, mode, user_pos,
-                       pa_pos) -> np.ndarray:
-        r, theta, phi = (v.item() for v in
-                         _local_angles(user_pos, pa_pos, orientation))
-        psi_t, psi_p = polarization_components(
-            mode.index, theta, phi, mode.propagation_constant,
-            self.scenario.med.k0)
-        basis = spherical_basis(theta, phi, orientation)
-        vec = psi_t * basis.vartheta + psi_p * basis.varphi
-        norm = np.linalg.norm(vec)
-        return vec / norm if norm > 0 else basis.vartheta
-
-    def _rx_vector(self, pa_pos, orientation, mode, user_pos,
-                   policy: str = "matched"):
-        """(unit rx vector, serving eta) under a polarization policy.
-
-        Deployment decisions always use the matched policy; the other
-        policies only shape the receive vectors handed to the channel
-        assembly, mirroring how polarization gains are measured on a
-        fixed topology.
-        """
-        e_dir = self._boresight_dir(orientation, mode, user_pos, pa_pos)
-        if policy == "matched":
-            p = e_dir if e_dir[np.argmax(np.abs(e_dir))] >= 0 else -e_dir
-            return p, 1.0
-        basis_u = user_arrival_basis(user_pos, pa_pos)
-        if policy == "fixed":
-            p = basis_u.vartheta
-            return p, float(abs(p @ e_dir))
-        angles = codebook_angles(18)
-        comps = np.array([e_dir @ basis_u.vartheta, e_dir @ basis_u.varphi])
-        etas = np.abs(np.cos(angles) * comps[0] + np.sin(angles) * comps[1])
-        best = int(np.argmax(etas))
-        p = (np.cos(angles[best]) * basis_u.vartheta
-             + np.sin(angles[best]) * basis_u.varphi)
-        return p, float(etas[best])
+        self._rows: dict = {}
 
     # -- candidates ------------------------------------------------------
 
@@ -351,6 +312,8 @@ class _SlotSolver:
         return best[1]
 
     def _finish_candidate(self, i, order, x, link) -> Candidate:
+        """Aim each port at its user and match the receive polarization;
+        deployment decisions always assume the matched policy."""
         m, n = _pa_coords(i, self.num_pas)
         wg = link.wg
         pa_pos = np.array([x, wg.axis_y, wg.axis_z])
@@ -358,8 +321,9 @@ class _SlotSolver:
         for slot, k in enumerate(order):
             user_pos = self.scenario.users[k]
             orient = optimal_orientation(pa_pos, user_pos)
-            mode = self.scenario.modes[slot]
-            p, eta = self._rx_vector(pa_pos, orient, mode, user_pos)
+            e_dir = PortResponse(self.scenario.med, self.scenario.modes[slot],
+                                 wg, pa_pos, orient, user_pos).direction[0]
+            p, eta = receive_polarization("matched", e_dir, user_pos, pa_pos)
             orientations.append(orient)
             rx.append(p)
             etas.append(eta)
@@ -374,47 +338,37 @@ class _SlotSolver:
 
     # -- interference and rates -------------------------------------------
 
+    def _port_rows(self, src: Candidate, src_i: int, q: int):
+        """|h_pu h_wp|^2 and the field direction of port q of a deployed
+        source element toward every slot user, evaluated once per
+        (element, group, port)."""
+        key = (src_i, src.users, q)
+        if key not in self._rows:
+            scn = self.scenario
+            m, _ = _pa_coords(src_i, self.num_pas)
+            wg = scn.waveguides[m]
+            resp = PortResponse(scn.med, scn.modes[q], wg,
+                                np.array([src.x, wg.axis_y, wg.axis_z]),
+                                src.orientations[q], scn.users)
+            h_pu = (scn.port_gains[q] * resp.pattern
+                    * np.exp(-0.5 * scn.alpha_a * resp.r))
+            h_wp_sq = np.exp(-wg.alpha_w * src.x) / wg.num_pas
+            self._rows[key] = (h_pu ** 2 * h_wp_sq, resp.direction)
+        return self._rows[key]
+
     def _cross_power(self, src: Candidate, src_i: int, q: int,
-                     user_k: int, rx_vec, rx_tag) -> float:
+                     user_k: int, rx_vec) -> float:
         """Effective |eta h_pu h_wp|^2 from port q of a deployed source
         element to user k with the given receive vector."""
-        key = (src_i, src.x, q, user_k, rx_tag)
-        if key in self._cross:
-            return self._cross[key]
-        m, _ = _pa_coords(src_i, self.num_pas)
-        wg = self.scenario.waveguides[m]
-        mode = self.scenario.modes[q]
-        pa_pos = np.array([src.x, wg.axis_y, wg.axis_z])
-        user_pos = self.scenario.users[user_k]
-        r, theta, phi = (v.item() for v in
-                         _local_angles(user_pos, pa_pos, src.orientations[q]))
-        s_q = pattern_factor(mode.index, theta, phi, wg.aperture_a,
-                             wg.aperture_b, self.scenario.med.wavelength0)
-        psi_t, psi_p = polarization_components(
-            mode.index, theta, phi, mode.propagation_constant,
-            self.scenario.med.k0)
-        psi_norm = np.hypot(psi_t, psi_p)
-        const = (self.scenario.gain_norm[q]
-                 * aperture_constant(self.scenario.med, wg, mode))
-        h_pu_mag = (const * abs(s_q) * psi_norm / r
-                    * np.exp(-0.5 * self.scenario.alpha_a * r))
-        if psi_norm > 0:
-            basis = spherical_basis(theta, phi, src.orientations[q])
-            e_dir = (psi_t * basis.vartheta + psi_p * basis.varphi) / psi_norm
-            lam = abs(float(rx_vec @ e_dir))
-        else:
-            lam = 0.0
-        h_wp_sq = np.exp(-wg.alpha_w * src.x) / wg.num_pas
-        value = (lam * h_pu_mag) ** 2 * h_wp_sq
-        self._cross[key] = value
-        return value
+        gains, dirs = self._port_rows(src, src_i, q)
+        return float((rx_vec @ dirs[user_k]) ** 2 * gains[user_k])
 
     def _splits(self, cand: Candidate, eff_noise) -> tuple[float, ...]:
         if len(cand.users) == 1:
             return (1.0,)
         g = [cand.gains[s] * cand.etas[s] ** 2 for s in range(2)]
-        w1, w2 = _split_from_gains(g[0], g[1], eff_noise[0], eff_noise[1],
-                                   self.scenario.power)
+        w1, w2 = power_split(g[0], g[1], eff_noise[0], eff_noise[1],
+                             self.scenario.power)
         return (float(w1), float(w2))
 
     def _rate_of(self, cand: Candidate, interference) -> float:
@@ -445,11 +399,10 @@ class _SlotSolver:
             src_eff_noise = [self.scenario.noise[k] for k in src.users]
             src_splits = self._splits(src, src_eff_noise)
             for s, k in enumerate(cand.users):
-                rx_tag = (i, k)
                 for q2 in range(len(src.users)):
                     totals[s] += (power * src_splits[q2]
                                   * self._cross_power(src, i2, q2, k,
-                                                      cand.rx_world[s], rx_tag))
+                                                      cand.rx_world[s]))
         return totals
 
     def rate_entry(self, i: int, j: int, assignment: AssignmentMatrix) -> float:
@@ -674,16 +627,26 @@ def _chunks(seq, size):
 
 
 def _enforce_min_spacing(positions: dict, min_gap: float, length: float) -> dict:
-    """Push same-guide elements apart to the half-wavelength minimum."""
+    """Push same-guide elements apart to the half-wavelength minimum.
+
+    A forward sweep pushes crowded elements toward +x; a backward sweep
+    then pulls the ones pushed past the guide end back from ``length``.
+    Positions already spaced and inside [0, length] are not moved.
+    """
     out = dict(positions)
     order = sorted(out, key=lambda n: (out[n], n))
     prev = None
     for n in order:
-        x = out[n]
-        if prev is not None and x - prev < min_gap:
-            x = prev + min_gap
-        out[n] = min(x, length)
+        if prev is not None and out[n] - prev < min_gap:
+            out[n] = prev + min_gap
         prev = out[n]
+    nxt = None
+    for n in reversed(order):
+        if nxt is None:
+            out[n] = min(out[n], length)
+        elif nxt - out[n] < min_gap:
+            out[n] = nxt - min_gap
+        nxt = out[n]
     return out
 
 
@@ -742,10 +705,11 @@ def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
             m, _ = _pa_coords(i, num_pas)
             wg = slot_scn.waveguides[m]
             pa_pos = np.array([cand.x, wg.axis_y, wg.axis_z])
-            rx[k_local], _ = solver._rx_vector(
-                pa_pos, cand.orientations[slot_idx],
-                slot_scn.modes[slot_idx], slot_scn.users[k_local],
-                policy=scheme.rx_policy)
+            # the matched vector is the serving field direction up to a
+            # sign, and no policy depends on that sign
+            rx[k_local], _ = receive_polarization(
+                scheme.rx_policy, cand.rx_world[slot_idx],
+                slot_scn.users[k_local], pa_pos)
         else:
             # unserved this slot: any unit vector; no stream is mapped
             rx[k_local] = np.array([0.0, 0.0, 1.0])

@@ -50,24 +50,35 @@ def optimal_orientation(pa_pos, user_pos) -> Orientation:
     return Orientation(pitch=pitch, roll=roll)
 
 
-def transverse_distance(user_pos, wg) -> float:
-    """Distance from the user to the waveguide axis in the (y, z) plane."""
-    u = np.asarray(user_pos, dtype=float)
-    return float(np.hypot(u[1] - wg.axis_y, u[2] - wg.axis_z))
+def _scalar(value):
+    """A numpy scalar result as a float; arrays pass through."""
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
-def optimal_position(user_pos, wg, alpha_a: float) -> tuple[float, float]:
-    """(x*, d*) for a single user on waveguide ``wg``.
+def transverse_distance(user_pos, wg):
+    """Distance from the user to the waveguide axis in the (y, z) plane.
+
+    ``user_pos`` is one position or a (K, 3) array of them.
+    """
+    _, y, z = np.asarray(user_pos, dtype=float).T
+    return _scalar(np.hypot(y - wg.axis_y, z - wg.axis_z))
+
+
+def optimal_position(user_pos, wg, alpha_a: float):
+    """(x*, d*) for a single user on waveguide ``wg``, or arrays of
+    them for a (K, 3) array of users.
 
     x* is clamped to [0, min(x_user, guide length)]; the element never
     overshoots the user because any position beyond it pays the same
     free-space path at strictly more guided attenuation.
     """
     u = np.asarray(user_pos, dtype=float)
-    rho = transverse_distance(user_pos, wg)
+    rho = transverse_distance(u, wg)
     d_star = wg.alpha_w * rho ** 2 / (2.0 + alpha_a * rho)
-    x_star = float(np.clip(u[0] - d_star, 0.0, min(u[0], wg.length)))
-    return x_star, float(d_star)
+    x_u = u.T[0]
+    x_star = np.minimum(np.maximum(x_u - d_star, 0.0),
+                        np.minimum(x_u, wg.length))
+    return _scalar(x_star), _scalar(d_star)
 
 
 def gain_log_derivative(x_pa: float, user_pos, wg, alpha_a: float) -> float:
@@ -105,16 +116,19 @@ class LinkModel:
         return self.scenario.mode_amplitude(q)
 
     def gain(self, q: int, x, user_pos):
-        """|h_q(x)|^2 = A_q^2 e^(-aw x) e^(-aa r) / (N r^2); x may be an array."""
+        """|h_q(x)|^2 = A_q^2 e^(-aw x) e^(-aa r) / (N r^2).
+
+        ``x`` and the users (one position or a (K, 3) array)
+        broadcast against each other.
+        """
         x = np.asarray(x, dtype=float)
         u = np.asarray(user_pos, dtype=float)
-        rho = transverse_distance(user_pos, self.wg)
-        r = np.hypot(u[0] - x, rho)
+        rho = transverse_distance(u, self.wg)
+        r = np.hypot(u.T[0] - x, rho)
         a_q = self.amplitude(q)
-        g = (a_q ** 2 * np.exp(-self.wg.alpha_w * x)
-             * np.exp(-self.scenario.alpha_a * r)
-             / (self.wg.num_pas * r ** 2))
-        return g if g.shape else float(g)
+        return _scalar(a_q ** 2 * np.exp(-self.wg.alpha_w * x)
+                       * np.exp(-self.scenario.alpha_a * r)
+                       / (self.wg.num_pas * r ** 2))
 
 
 def two_user_power_split(h1: complex, h2: complex, sigma1_sq: float,
@@ -125,12 +139,18 @@ def two_user_power_split(h1: complex, h2: complex, sigma1_sq: float,
     g1, g2 = abs(h1) ** 2, abs(h2) ** 2
     if g1 == 0.0 or g2 == 0.0:
         raise ValueError("two-user split needs two nonzero channels")
-    w1 = 0.5 + sigma2_sq / (2 * power * g2) - sigma1_sq / (2 * power * g1)
-    w1 = float(np.clip(w1, 0.0, 1.0))
-    return w1, 1.0 - w1
+    w1, w2 = power_split(g1, g2, sigma1_sq, sigma2_sq, power)
+    return float(w1), float(w2)
 
 
-def _split_from_gains(g1, g2, s1, s2, power):
+def power_split(g1, g2, s1, s2, power):
+    """Power shares (w1, 1 - w1) of two users with power gains g1, g2
+    and noise powers s1, s2:
+
+        w1 = clip(1/2 + s2 / (2 P g2) - s1 / (2 P g1), 0, 1).
+
+    The gains may be arrays.
+    """
     w1 = 0.5 + s2 / (2 * power * g2) - s1 / (2 * power * g1)
     w1 = np.clip(w1, 0.0, 1.0)
     return w1, 1.0 - w1
@@ -142,7 +162,7 @@ def eq22_sum_rate(x, link: LinkModel, user1, user2, sigmas, power,
     per-x optimal split.  Vectorized over x."""
     g1 = link.gain(modes[0], x, user1)
     g2 = link.gain(modes[1], x, user2)
-    w1, w2 = _split_from_gains(g1, g2, sigmas[0], sigmas[1], power)
+    w1, w2 = power_split(g1, g2, sigmas[0], sigmas[1], power)
     return (0.5 * np.log2(1.0 + power * w1 * g1 / sigmas[0])
             + 0.5 * np.log2(1.0 + power * w2 * g2 / sigmas[1]))
 
@@ -206,7 +226,7 @@ def _taylor_terms(link, x_q, user_q, user_qp, mode_q, mode_qp,
     """
     g_q = link.gain(mode_q, x_q, user_q)
     g_qp = link.gain(mode_qp, x_q, user_qp)
-    w_q, _ = _split_from_gains(g_q, g_qp, sigma_q, sigma_qp, power)
+    w_q, _ = power_split(g_q, g_qp, sigma_q, sigma_qp, power)
     lp_qp = gain_log_derivative(x_q, user_qp, link.wg, link.scenario.alpha_a)
     r_p = (-(sigma_qp / (2 * LN2)) * (lp_qp / g_qp)
            / (sigma_q / g_q + power * w_q))
@@ -265,7 +285,7 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
 
     g1 = link.gain(modes[0], x_star, users[0])
     g2 = link.gain(modes[1], x_star, users[1])
-    w1, w2 = _split_from_gains(g1, g2, sigmas[0], sigmas[1], power)
+    w1, w2 = power_split(g1, g2, sigmas[0], sigmas[1], power)
     pa_pos = np.array([x_star, link.wg.axis_y, link.wg.axis_z])
     orientations = tuple(optimal_orientation(pa_pos, u) for u in users)
     med_k0 = link.scenario.med.k0

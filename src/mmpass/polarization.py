@@ -53,13 +53,6 @@ class JonesVector:
         return vec
 
 
-@dataclass(frozen=True)
-class MatchingResult:
-    eta: float
-    source: tuple = ()
-    user: int = -1
-
-
 def flipped_user_basis(basis: SphericalBasis) -> SphericalBasis:
     """Port basis re-anchored at the user: radial and azimuthal axes
     reverse, the polar axis is shared."""
@@ -162,3 +155,31 @@ def user_arrival_basis(user_pos, source_pos) -> SphericalBasis:
         vartheta = vartheta / norm
     varphi = np.cross(u, vartheta)
     return SphericalBasis(upsilon=u, vartheta=vartheta, varphi=varphi)
+
+
+def receive_polarization(policy: str, field_dir, user_pos,
+                         source_pos) -> tuple[np.ndarray, float]:
+    """Unit receive vector in the GCS and the matching efficiency it
+    achieves on the serving link, for a real unit field direction
+    arriving at the user from ``source_pos``.
+
+    "matched" returns the field direction itself, signed so that its
+    largest component is positive (eta = 1).  "fixed" takes the
+    near-vertical axis of :func:`user_arrival_basis`.  "codebook" takes
+    the best of 18 codewords in that basis
+    (:func:`discrete_rx_polarization`).
+    """
+    field_dir = np.asarray(field_dir, dtype=float)
+    if policy == "matched":
+        if field_dir[np.argmax(np.abs(field_dir))] < 0:
+            field_dir = -field_dir
+        return field_dir, 1.0
+    basis = user_arrival_basis(user_pos, source_pos)
+    if policy == "fixed":
+        return basis.vartheta, float(abs(basis.vartheta @ field_dir))
+    if policy == "codebook":
+        incident = JonesVector.normalized(field_dir @ basis.vartheta,
+                                          field_dir @ basis.varphi, basis)
+        rx = discrete_rx_polarization(incident)
+        return rx.to_gcs(), matching_efficiency(rx, incident)
+    raise ValueError(f"unknown receive policy {policy!r}")

@@ -18,20 +18,32 @@ dense core.
 The removable singularities of S (sinc at 0, the cosine taper at
 |argument| = 1 where it tends to pi/4) are evaluated through exact
 sinc reformulations, so the factors are continuous everywhere.
+
+Every channel gain and field direction in the package comes from one
+kernel, :class:`PortResponse`.  For one port and P observation points
+it holds the distance r, the signed pattern S_q |Psi_q| / r and the
+unit GCS direction of the radiated field.  Each caller multiplies in
+its own constants: the per-mode gain normalization times the aperture
+constant, absorption, guide attenuation or the raw-field amplitude.
+S_q keeps its sign everywhere, so a gain on a sidelobe where S_q < 0
+carries the physical pi phase flip.  The pattern and the direction are
+computed the first time they are read: a field map never evaluates
+directions, and a polarization lookup never evaluates S_q.
+:func:`radiated_field` is a separate scalar evaluation of the same
+formulas that the tests compare the kernel against.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import Orientation, SphericalBasis, spherical_basis
+from .geometry import Orientation, SphericalBasis, local_angles, spherical_basis
 from .waveguide import (MediumConstants, ModeSpec, PaPlacement, WaveguideSpec,
                         axis_pattern_norm)
-
-_POLE_TOL = 1e-12
 
 
 def _sinc(x):
@@ -80,32 +92,6 @@ def polarization_components(q: int, theta, phi, beta: float, rho_free: float):
 
 
 @dataclass(frozen=True)
-class PolarizationVector:
-    """Transverse polarization state of a radiated mode."""
-
-    theta_component: float
-    phi_component: float
-    basis: SphericalBasis | None = None
-
-    @property
-    def norm(self) -> float:
-        return float(np.hypot(self.theta_component, self.phi_component))
-
-    def to_gcs(self) -> np.ndarray:
-        if self.basis is None:
-            raise ValueError("polarization vector carries no basis")
-        return (self.theta_component * self.basis.vartheta
-                + self.phi_component * self.basis.varphi)
-
-
-def polarization_vector(q: int, theta: float, phi: float, beta: float,
-                        rho_free: float,
-                        basis: SphericalBasis | None = None) -> PolarizationVector:
-    c_t, c_p = polarization_components(q, theta, phi, beta, rho_free)
-    return PolarizationVector(float(c_t), float(c_p), basis)
-
-
-@dataclass(frozen=True)
 class FieldSample:
     """Complex far-field sample in the source port's spherical basis."""
 
@@ -138,17 +124,44 @@ def far_field_bound(wg: WaveguideSpec, med: MediumConstants) -> float:
     return max(10 * d_cross ** 2 / lam, 2 * d_ap ** 2 / lam)
 
 
-def _local_angles(points, center, orientation: Orientation):
-    """Vectorized (r, theta, phi) of GCS points in a port frame."""
-    rel = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(center)
-    loc = rel @ orientation.lcs_from_gcs().T
-    r = np.linalg.norm(loc, axis=-1)
-    with np.errstate(invalid="ignore"):
-        theta = np.arccos(np.clip(loc[..., 2] / np.where(r > 0, r, 1.0), -1, 1))
-    phi = np.arctan2(loc[..., 1], loc[..., 0])
-    phi = np.where(np.hypot(loc[..., 0], loc[..., 1]) < _POLE_TOL * np.maximum(r, 1.0),
-                   0.0, phi)
-    return r, theta, phi
+class PortResponse:
+    """Response of one port at P observation points.
+
+    ``r`` is computed on construction.  ``pattern``, the signed
+    S_q |Psi_q| / r, and ``direction``, the (P, 3) unit field direction
+    in the GCS, are computed on first read.
+    """
+
+    def __init__(self, med: MediumConstants, mode: ModeSpec,
+                 wg: WaveguideSpec, center, orientation: Orientation, points):
+        self.med, self.mode, self.wg = med, mode, wg
+        self.orientation = orientation
+        self.r, self.theta, self.phi = local_angles(points, center, orientation)
+
+    @cached_property
+    def _psi(self):
+        psi_t, psi_p = polarization_components(
+            self.mode.index, self.theta, self.phi,
+            self.mode.propagation_constant, self.med.k0)
+        return psi_t, psi_p, np.hypot(psi_t, psi_p)
+
+    @cached_property
+    def pattern(self) -> np.ndarray:
+        s_q = pattern_factor(self.mode.index, self.theta, self.phi,
+                             self.wg.aperture_a, self.wg.aperture_b,
+                             self.med.wavelength0)
+        return s_q * self._psi[2] / self.r
+
+    @cached_property
+    def direction(self) -> np.ndarray:
+        """Unit field direction; the polar unit vector where Psi_q
+        vanishes."""
+        psi_t, psi_p, norm = self._psi
+        basis = spherical_basis(self.theta, self.phi, self.orientation)
+        live = (norm > 0)[:, None]
+        vec = ((psi_t[:, None] * basis.vartheta + psi_p[:, None] * basis.varphi)
+               / np.where(live, norm[:, None], 1.0))
+        return np.where(live, vec, basis.vartheta)
 
 
 def radiated_field(med: MediumConstants, wg: WaveguideSpec, mode: ModeSpec,
@@ -168,9 +181,7 @@ def radiated_field(med: MediumConstants, wg: WaveguideSpec, mode: ModeSpec,
     basis at the observation direction.
     """
     center = pa.center(wg)
-    r, theta, phi = (v.item() for v in _local_angles(obs_point, center, orientation))
-    if r == 0.0:
-        raise ValueError("observation point coincides with the port")
+    r, theta, phi = (v.item() for v in local_angles(obs_point, center, orientation))
     if warn_near_field and r < far_field_bound(wg, med):
         warnings.warn(f"observation at r = {r:.3g} m is inside the far-field "
                       f"bound {far_field_bound(wg, med):.3g} m", stacklevel=2)
@@ -204,29 +215,18 @@ def aperture_constant(med: MediumConstants, wg: WaveguideSpec,
 
 def h_pa_to_user(med: MediumConstants, wg: WaveguideSpec, mode: ModeSpec,
                  pa: PaPlacement, orientation: Orientation, user_pos,
-                 alpha_a: float = 0.0,
-                 warn_near_field: bool = False) -> complex:
+                 alpha_a: float = 0.0) -> complex:
     """Port-to-user channel gain: the radiated-to-aperture field ratio
-    with free-space phase.
+    with free-space phase and the sign of S_q.
 
     Excitation-free by construction; the guided attenuation and phase
     live in the guide-to-port factor, so the product of the two factors
     reproduces the full radiated field over the feed-normalized drive.
     """
-    center = pa.center(wg)
-    r, theta, phi = (v.item() for v in _local_angles(user_pos, center, orientation))
-    if r == 0.0:
-        raise ValueError("user position coincides with the port")
-    if warn_near_field and r < far_field_bound(wg, med):
-        warnings.warn(f"user at r = {r:.3g} m is inside the far-field bound",
-                      stacklevel=2)
-    s_q = pattern_factor(mode.index, theta, phi, wg.aperture_a, wg.aperture_b,
-                         med.wavelength0)
-    psi_t, psi_p = polarization_components(mode.index, theta, phi,
-                                           mode.propagation_constant, med.k0)
-    mag = (aperture_constant(med, wg, mode) / r
-           * abs(s_q) * np.hypot(psi_t, psi_p) * np.exp(-0.5 * alpha_a * r))
-    return complex(mag * np.exp(-1j * med.k0 * r))
+    resp = PortResponse(med, mode, wg, pa.center(wg), orientation, user_pos)
+    r = resp.r[0]
+    return complex(aperture_constant(med, wg, mode) * resp.pattern[0]
+                   * np.exp(-0.5 * alpha_a * r) * np.exp(-1j * med.k0 * r))
 
 
 def intensity_map(med: MediumConstants, wg: WaveguideSpec, modes, pa: PaPlacement,
@@ -247,20 +247,16 @@ def intensity_map(med: MediumConstants, wg: WaveguideSpec, modes, pa: PaPlacemen
     points = np.column_stack([gx.ravel(), gy.ravel(),
                               np.full(gx.size, z)])
     center = pa.center(wg)
-    rho = med.k0
     maps = []
     for mode, orientation in zip(modes, pa.orientations):
-        r, theta, phi = _local_angles(points, center, orientation)
-        amp = (rho * wg.aperture_a * wg.aperture_b * med.omega * med.permeability
+        resp = PortResponse(med, mode, wg, center, orientation, points)
+        amp = (med.k0 * wg.aperture_a * wg.aperture_b * med.omega
+               * med.permeability
                / (2 * mode.cutoff_wavenumber ** 2 * np.pi
-                  * np.sqrt(wg.num_pas) * r))
-        amp *= np.exp(-0.5 * (wg.alpha_w * pa.x_position + alpha_a * r))
-        s_q = pattern_factor(mode.index, theta, phi, wg.aperture_a,
-                             wg.aperture_b, med.wavelength0)
-        psi_t, psi_p = polarization_components(mode.index, theta, phi,
-                                               mode.propagation_constant, rho)
-        intensity = (amp * s_q) ** 2 * (psi_t ** 2 + psi_p ** 2)
-        maps.append(intensity.reshape(gy.shape))
+                  * np.sqrt(wg.num_pas)))
+        field = amp * resp.pattern * np.exp(
+            -0.5 * (wg.alpha_w * pa.x_position + alpha_a * resp.r))
+        maps.append((field ** 2).reshape(gy.shape))
     if combine:
         total = np.sum(maps, axis=0)
         return 10 * np.log10(total / total.max())

@@ -19,6 +19,7 @@ the literal field-ratio gains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -68,16 +69,26 @@ class Scenario:
     def num_users(self) -> int:
         return self.users.shape[0]
 
+    @cached_property
+    def aperture_constants(self) -> np.ndarray:
+        """aperture_constant of each mode, computed once; every guide
+        shares the cross section of the first."""
+        return np.array([aperture_constant(self.med, self.waveguides[0], mode)
+                         for mode in self.modes])
+
+    @property
+    def port_gains(self) -> np.ndarray:
+        """Distance- and angle-free port-to-user gain of each mode: the
+        gain normalization times the aperture constant."""
+        return self.gain_norm * self.aperture_constants
+
     def mode_amplitude(self, q: int) -> float:
         """Normalized boresight gain constant of mode q at 1 m: the
         distance-free magnitude of the port-to-user gain times the
         on-axis polarization norm."""
         mode = self.modes[q - 1]
-        wg = self.waveguides[0]
         psi0 = 1.0 + mode.propagation_constant / self.med.k0
-        return float(self.gain_norm[q - 1]
-                     * aperture_constant(self.med, wg, mode) * psi0
-                     / REFERENCE_DISTANCE)
+        return float(self.port_gains[q - 1] * psi0 / REFERENCE_DISTANCE)
 
     def with_placements(self, placements) -> "Scenario":
         return replace(self, placements=placements)

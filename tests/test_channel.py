@@ -4,9 +4,10 @@ import pytest
 from mmpass import channel
 from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.geometry import Orientation
-from mmpass.multiuser import _SlotSolver, parse_scheme
 from mmpass.placement import (LinkModel, eq22_sum_rate, optimal_orientation,
                               two_user_shared_position)
+from mmpass.polarization import receive_polarization
+from mmpass.radiation import PortResponse, h_pa_to_user
 from mmpass.waveguide import PaPlacement, h_wg_to_pa
 
 
@@ -25,12 +26,12 @@ def _aim_and_place(scn, x, user):
     return scn
 
 
-def _matched_rx(scn, user):
-    solver = _SlotSolver(scn, [(0,)])
+def _matched_rx(scn, user, q=0):
     pa = scn.placements[0][0]
     wg = scn.waveguides[0]
-    p, eta = solver._rx_vector(pa.center(wg), pa.orientations[0],
-                               scn.modes[0], user)
+    e_dir = PortResponse(scn.med, scn.modes[q], wg, pa.center(wg),
+                         pa.orientations[q], user).direction[0]
+    p, _ = receive_polarization("matched", e_dir, user, pa.center(wg))
     return p
 
 
@@ -92,6 +93,29 @@ def test_assembly_superposition():
     assert np.allclose(delta, expected, atol=1e-15)
 
 
+def test_h_pa_to_user_matches_assembled_column_with_sign():
+    # along x under a downward port the pattern passes through negative
+    # sidelobes; the scalar gain and the assembled column agree in
+    # magnitude and phase everywhere, pi flip included
+    xs = np.linspace(2.0, 8.0, 301)
+    users = np.column_stack([xs, np.full_like(xs, 3.0), np.zeros_like(xs)])
+    cfg = ScenarioConfig(num_waveguides=1, pas_per_waveguide=1,
+                         num_users=len(xs))
+    scn = build_scenario(cfg, users=users)
+    scn.placements[0][0] = PaPlacement(0, 1, 5.0, (Orientation(),) * 2)
+    pa, wg = scn.placements[0][0], scn.waveguides[0]
+    cm = channel.assemble(scn, np.tile([1.0, 0.0, 0.0], (len(xs), 1)))
+    for q, mode in enumerate(scn.modes):
+        col = cm.port_column(0, 0, q)
+        scalar = np.array([scn.gain_norm[q] * h_pa_to_user(
+            scn.med, wg, mode, pa, pa.orientations[q], u, alpha_a=scn.alpha_a)
+            for u in users])
+        assert np.allclose(scalar, cm.h_pu[:, col], rtol=1e-12, atol=0.0)
+    resp = PortResponse(scn.med, scn.modes[0], wg, pa.center(wg),
+                        pa.orientations[0], users)
+    assert np.any(resp.pattern < 0)  # the cut does reach negative lobes
+
+
 def test_rx_polarization_norm_enforced():
     cfg, scn = _single_link_scenario()
     with pytest.raises(ValueError):
@@ -123,12 +147,7 @@ def test_rate_matches_pair_evaluator_interference_free():
     sol = two_user_shared_position(u1, u2, link, scn.power, sig)
     wg = scn.waveguides[0]
     scn.placements[0][0] = PaPlacement(0, 1, sol.x_star, sol.orientations)
-    solver = _SlotSolver(scn, [(0, 1)])
-    pa = scn.placements[0][0]
-    rx = np.stack([
-        solver._rx_vector(pa.center(wg), sol.orientations[i],
-                          scn.modes[i], scn.users[i])[0]
-        for i in (0, 1)])
+    rx = np.stack([_matched_rx(scn, scn.users[i], q=i) for i in (0, 1)])
     cm = channel.assemble(scn, rx)
     w_p = np.zeros((2, 2))
     w_p[0, 0] = np.sqrt(sol.w1_sq)

@@ -1,0 +1,68 @@
+"""Smoke tests of every CLI subcommand on a tiny configuration."""
+
+import numpy as np
+import pytest
+
+from mmpass import cli
+
+TINY = """\
+array:
+  num_waveguides: 1
+  pas_per_waveguide: 2
+  num_users: 4
+"""
+
+POWERS = ["0", "10"]
+
+
+@pytest.fixture
+def tiny(tmp_path):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(TINY)
+    return ["--config", str(path), "--out-dir", str(tmp_path)]
+
+
+def _csv_rows(path):
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# experiment=")
+    return lines[2:]
+
+
+def test_rate_vs_power(tiny, tmp_path):
+    assert cli.main(["rate-vs-power", *tiny, "--powers", *POWERS]) == 0
+    assert len(_csv_rows(tmp_path / "rate_vs_power.csv")) == 2 * 5
+
+
+def test_outage(tiny, tmp_path):
+    assert cli.main(["outage", *tiny, "--powers", *POWERS,
+                     "--trials", "100"]) == 0
+    rows = _csv_rows(tmp_path / "outage.csv")
+    assert len(rows) == 2 * 2
+    assert {r.split(",")[1] for r in rows} == {"MM", "SM-TDMA"}
+
+
+def test_convergence(tiny, tmp_path, capsys):
+    assert cli.main(["convergence", *tiny, "--scheme", "pa-mm",
+                     "--scheme", "pi-sm"]) == 0
+    rows = _csv_rows(tmp_path / "convergence.csv")
+    assert f"({len(rows)} rows)" in capsys.readouterr().out
+    assert {r.split(",")[1] for r in rows} == {"PA-MM", "PI-SM"}
+
+
+def test_field_map(tiny, tmp_path):
+    assert cli.main(["field-map", *tiny, "--grid-res", "0.5"]) == 0
+    xs = np.arange(0.0, 10.0 + 1e-9, 0.5)
+    ys = np.arange(0.0, 6.0 + 1e-9, 0.5)
+    assert len(_csv_rows(tmp_path / "field_map.csv")) == xs.size * ys.size
+
+
+def test_scaling(tiny, tmp_path):
+    assert cli.main(["scaling", *tiny, "--scheme", "pa-mm"]) == 0
+    # 3 x 3 array sizes plus 3 user counts, one scheme
+    assert len(_csv_rows(tmp_path / "scaling.csv")) == 9 + 3
+
+
+@pytest.mark.parametrize("command", ["validate", "oracle"])
+def test_self_checks(tiny, command, capsys):
+    assert cli.main([command, *tiny]) == 0
+    assert "FAIL" not in capsys.readouterr().out

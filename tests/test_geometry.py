@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from mmpass.geometry import (Orientation, gcs_to_lcs, lcs_to_gcs,
-                             lcs_to_spherical, rotation_x, rotation_y,
-                             spherical_basis)
+from mmpass.geometry import (Orientation, local_angles, rotation_x,
+                             rotation_y, spherical_basis)
+
+
+def _angles_of_local(p_local):
+    """(r, theta, phi) of a point given in the frame of an unrotated
+    port at the origin."""
+    p_gcs = Orientation().gcs_from_lcs() @ np.asarray(p_local, dtype=float)
+    return tuple(v.item() for v in local_angles(p_gcs, np.zeros(3),
+                                                Orientation()))
 
 
 def test_rotation_x_identity():
@@ -49,26 +56,19 @@ def test_boresight_convention():
 
 def test_gcs_to_lcs_pure_translation():
     # point above an unrotated port lands on the local -z (anti-boresight)
-    out = gcs_to_lcs([1.0, 2.0, 3.0], [1.0, 2.0, 0.0], Orientation())
-    assert np.allclose(out, [0.0, 0.0, -3.0], atol=1e-12)
+    r, theta, phi = local_angles([1.0, 2.0, 3.0], [1.0, 2.0, 0.0],
+                                 Orientation())
+    assert r[0] == pytest.approx(3.0)
+    assert theta[0] == pytest.approx(np.pi)
+    assert phi[0] == 0.0
 
 
 def test_gcs_to_lcs_quarter_pitch():
     # pitch 90 deg points the boresight at +x: a +x offset is on-axis
-    out = gcs_to_lcs([1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
-                     Orientation(pitch=np.pi / 2))
-    assert np.allclose(out, [0.0, 0.0, 1.0], atol=1e-12)
-
-
-def test_round_trip_many_random_frames():
-    rng = np.random.default_rng(42)
-    for _ in range(1000):
-        o = Orientation(rng.uniform(-np.pi / 2, np.pi / 2),
-                        rng.uniform(-np.pi / 2, np.pi / 2))
-        center = rng.normal(size=3)
-        p = rng.normal(size=3) * 5
-        back = lcs_to_gcs(gcs_to_lcs(p, center, o), center, o)
-        assert np.allclose(back, p, atol=1e-12)
+    r, theta, _ = local_angles([1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                               Orientation(pitch=np.pi / 2))
+    assert r[0] == pytest.approx(1.0)
+    assert theta[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_frame_matrix_orthonormal():
@@ -82,42 +82,59 @@ def test_frame_matrix_orthonormal():
 
 
 def test_lcs_to_spherical_negative_pole():
-    c = lcs_to_spherical([0.0, 0.0, -1.0])
-    assert c.r == pytest.approx(1.0)
-    assert c.theta == pytest.approx(np.pi)
-    assert c.phi == 0.0  # pinned at the pole
+    r, theta, phi = _angles_of_local([0.0, 0.0, -1.0])
+    assert r == pytest.approx(1.0)
+    assert theta == pytest.approx(np.pi)
+    assert phi == 0.0  # pinned at the pole
 
 
 def test_lcs_to_spherical_diagonal():
-    c = lcs_to_spherical([1.0, 1.0, 0.0])
-    assert c.r == pytest.approx(np.sqrt(2))
-    assert c.theta == pytest.approx(np.pi / 2)
-    assert c.phi == pytest.approx(np.pi / 4)
+    r, theta, phi = _angles_of_local([1.0, 1.0, 0.0])
+    assert r == pytest.approx(np.sqrt(2))
+    assert theta == pytest.approx(np.pi / 2)
+    assert phi == pytest.approx(np.pi / 4)
 
 
 def test_lcs_to_spherical_345_triangle():
-    c = lcs_to_spherical([3.0, 4.0, 0.0])
-    assert c.r == pytest.approx(5.0)
-    assert c.theta == pytest.approx(np.pi / 2)
-    assert c.phi == pytest.approx(np.arctan2(4, 3))
+    r, theta, phi = _angles_of_local([3.0, 4.0, 0.0])
+    assert r == pytest.approx(5.0)
+    assert theta == pytest.approx(np.pi / 2)
+    assert phi == pytest.approx(np.arctan2(4, 3))
 
 
 def test_lcs_to_spherical_zero_rejected():
     with pytest.raises(ValueError):
-        lcs_to_spherical([0.0, 0.0, 0.0])
+        _angles_of_local([0.0, 0.0, 0.0])
 
 
 def test_spherical_reconstruction():
     rng = np.random.default_rng(7)
-    for _ in range(1000):
-        p = rng.normal(size=3)
-        if np.linalg.norm(p) < 1e-3:
-            continue
-        c = lcs_to_spherical(p)
-        rebuilt = c.r * np.array([np.sin(c.theta) * np.cos(c.phi),
-                                  np.sin(c.theta) * np.sin(c.phi),
-                                  np.cos(c.theta)])
-        assert np.allclose(rebuilt, p, atol=1e-12)
+    o = Orientation(0.4, -0.2)
+    center = np.array([1.0, 2.0, 3.0])
+    points = center + rng.normal(size=(1000, 3))
+    r, theta, phi = local_angles(points, center, o)
+    local = r[:, None] * np.column_stack([np.sin(theta) * np.cos(phi),
+                                          np.sin(theta) * np.sin(phi),
+                                          np.cos(theta)])
+    rebuilt = center + local @ o.gcs_from_lcs().T
+    assert np.allclose(rebuilt, points, atol=1e-12)
+
+
+def test_pole_rule_is_scale_free():
+    # 0.5 m below a port and 0.7e-12 m off axis: sin(theta) = 1.4e-12
+    # is above the pole tolerance, so the azimuth is the true one (the
+    # offset is along -y, the local +y axis of an unrotated port)
+    r, theta, phi = local_angles([5.0, 3.0 - 0.7e-12, 2.5], [5.0, 3.0, 3.0],
+                                 Orientation())
+    assert r[0] == pytest.approx(0.5)
+    assert phi[0] == pytest.approx(np.pi / 2)
+    basis = spherical_basis(theta, phi, Orientation())
+    assert np.allclose(basis.varphi[0], [-1.0, 0.0, 0.0], atol=1e-9)
+    # well inside the tolerance the azimuth is pinned, at any distance
+    for height in (0.5, 3.0, 300.0):
+        _, _, phi = local_angles([5.0, 3.0 - 1e-14, 3.0 - height],
+                                 [5.0, 3.0, 3.0], Orientation())
+        assert phi[0] == 0.0
 
 
 def test_spherical_basis_equator():
@@ -139,6 +156,19 @@ def test_spherical_basis_orthonormal_grid():
             # right-handed: upsilon = vartheta x varphi
             assert np.allclose(np.cross(b.vartheta, b.varphi), b.upsilon,
                                atol=1e-12)
+
+
+def test_spherical_basis_vectorized_matches_scalar():
+    o = Orientation(0.4, -0.2)
+    rng = np.random.default_rng(11)
+    thetas = rng.uniform(0, np.pi, 20)
+    phis = rng.uniform(-np.pi, np.pi, 20)
+    batch = spherical_basis(thetas, phis, o)
+    for i, (t, p) in enumerate(zip(thetas, phis)):
+        one = spherical_basis(t, p, o)
+        for name in ("upsilon", "vartheta", "varphi"):
+            assert np.allclose(getattr(batch, name)[i], getattr(one, name),
+                               atol=1e-15)
 
 
 def test_spherical_basis_poles_deterministic():

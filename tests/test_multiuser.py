@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mmpass.config import ScenarioConfig, build_scenario
-from mmpass.multiuser import (AssignmentMatrix, _SlotSolver, fp_precoding,
+from mmpass.multiuser import (AssignmentMatrix, _SlotSolver,
+                              _enforce_min_spacing, fp_precoding,
                               group_users, grouping_cost, hungarian_assign,
                               optimize_scenario, pairwise_rate_table,
                               parse_scheme)
@@ -295,3 +296,39 @@ def test_parse_scheme_variants():
     assert parse_scheme("pi_sm").name == "PI-SM"
     with pytest.raises(ValueError):
         parse_scheme("xx-yy")
+
+
+# ---------------------------------------------------------------------------
+# element spacing
+
+LAMBDA_HALF = 1.5e-3
+
+
+def test_min_spacing_at_guide_end():
+    out = _enforce_min_spacing({0: 9.9995, 1: 9.9999, 2: 10.0},
+                               LAMBDA_HALF, 10.0)
+    xs = sorted(out.values())
+    assert xs[-1] <= 10.0
+    assert min(np.diff(xs)) >= LAMBDA_HALF - 1e-12
+
+
+def test_min_spacing_properties():
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        length = rng.uniform(0.005, 10.0)
+        n = int(rng.integers(1, min(8, int(length // LAMBDA_HALF)) + 1))
+        # crowd the elements, often against either end of the guide
+        anchor = rng.choice([0.0, length, rng.uniform(0.0, length)])
+        xs = np.clip(anchor + rng.normal(0.0, 2 * LAMBDA_HALF, n), 0.0, length)
+        out = _enforce_min_spacing(dict(enumerate(xs)), LAMBDA_HALF, length)
+        placed = np.array(sorted(out.values()))
+        assert placed[0] >= 0.0 and placed[-1] <= length
+        assert np.all(np.diff(placed) >= LAMBDA_HALF - 1e-12)
+        # an already valid layout comes back unchanged (1 nm of margin
+        # keeps rounding from making it invalid)
+        pitch = LAMBDA_HALF + 1e-9
+        spare = length - (n - 1) * pitch - 1e-9
+        steps = np.diff(np.sort(rng.uniform(0.0, spare, n + 1)))
+        valid = np.cumsum(steps) + pitch * np.arange(n)
+        valid = dict(enumerate(rng.permutation(valid)))
+        assert _enforce_min_spacing(valid, LAMBDA_HALF, length) == valid

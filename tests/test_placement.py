@@ -345,3 +345,22 @@ def test_single_user_solution_fields():
     assert sol.achieved_gain > 0
     assert np.hypot(abs(sol.rx_polarization.c_theta),
                     abs(sol.rx_polarization.c_phi)) == pytest.approx(1.0)
+
+
+def test_link_math_batched_over_users():
+    # a (K, 3) array of users gives the per-user results of the scalar
+    # calls, element by element
+    scn = _scenario()
+    link, wg = LinkModel(scn), scn.waveguides[0]
+    rng = np.random.default_rng(17)
+    users = np.column_stack([rng.uniform(0, 10, 50), rng.uniform(0, 6, 50),
+                             np.zeros(50)])
+    xs = rng.uniform(0, 10, 50)
+    x_batch, d_batch = optimal_position(users, wg, scn.alpha_a)
+    gains = {q: link.gain(q, xs, users) for q in (1, 2)}
+    for k, user in enumerate(users):
+        assert (x_batch[k], d_batch[k]) == optimal_position(user, wg,
+                                                             scn.alpha_a)
+        for q in (1, 2):
+            assert gains[q][k] == pytest.approx(link.gain(q, xs[k], user),
+                                                rel=1e-14)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from mmpass.geometry import Orientation, spherical_basis
+from mmpass.geometry import Orientation, local_angles, spherical_basis
 from mmpass.polarization import (JonesVector, discrete_rx_polarization,
                                  incident_jones, matching_efficiency,
-                                 optimal_rx_polarization, user_arrival_basis)
-from mmpass.radiation import FieldSample, radiated_field
+                                 optimal_rx_polarization, receive_polarization,
+                                 user_arrival_basis)
+from mmpass.radiation import FieldSample, PortResponse, radiated_field
 from mmpass.waveguide import MediumConstants, PaPlacement, WaveguideSpec, te_modes
 
 
@@ -114,9 +115,8 @@ def test_optimal_rx_achieves_unit_efficiency():
         if field.magnitude == 0.0:
             continue
         inc = incident_jones(field)
-        from mmpass.radiation import _local_angles
         r, theta, phi = (v.item() for v in
-                         _local_angles(user, pa.center(wg), pa.orientations[0]))
+                         local_angles(user, pa.center(wg), pa.orientations[0]))
         rx = optimal_rx_polarization(q, theta, phi,
                                      mode.propagation_constant, med.k0)
         assert matching_efficiency(rx, inc) == pytest.approx(1.0, abs=1e-9)
@@ -135,9 +135,8 @@ def test_optimal_rx_dominates_codebook():
         inc = incident_jones(field)
         best_codeword = np.max(np.abs(np.cos(angles) * inc.c_theta
                                       + np.sin(angles) * inc.c_phi))
-        from mmpass.radiation import _local_angles
         r, theta, phi = (v.item() for v in
-                         _local_angles(user, pa.center(wg), pa.orientations[0]))
+                         local_angles(user, pa.center(wg), pa.orientations[0]))
         rx = optimal_rx_polarization(1, theta, phi,
                                      mode.propagation_constant, med.k0)
         assert matching_efficiency(rx, inc) >= best_codeword - 1e-12
@@ -213,3 +212,30 @@ def test_user_arrival_basis_orthonormal_and_vertical():
 def test_user_arrival_basis_overhead_fallback():
     b = user_arrival_basis([2.0, 3.0, 0.0], [2.0, 3.0, 3.0])
     assert np.allclose(b.vartheta, [1, 0, 0], atol=1e-12)
+
+
+def test_receive_policies():
+    med, wg, modes = _setup()
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        pa = PaPlacement(0, 1, rng.uniform(1, 9),
+                         (Orientation(rng.uniform(-1, 1), rng.uniform(-1, 1)),))
+        user = np.array([rng.uniform(0, 10), rng.uniform(0, 6), 0.0])
+        src = pa.center(wg)
+        e_dir = PortResponse(med, modes[int(rng.integers(0, 2))], wg, src,
+                             pa.orientations[0], user).direction[0]
+        p, eta = receive_polarization("matched", e_dir, user, src)
+        assert eta == 1.0
+        assert abs(p @ e_dir) == pytest.approx(1.0, abs=1e-12)
+        assert p[np.argmax(np.abs(p))] > 0
+        p_fixed, eta_fixed = receive_polarization("fixed", e_dir, user, src)
+        assert np.allclose(p_fixed, user_arrival_basis(user, src).vartheta)
+        assert eta_fixed == pytest.approx(abs(p_fixed @ e_dir), abs=1e-12)
+        # the field is transverse at the user, so the codebook efficiency
+        # is the plain projection; codeword 0 is the fixed axis
+        p_code, eta_code = receive_polarization("codebook", e_dir, user, src)
+        assert np.linalg.norm(p_code) == pytest.approx(1.0, abs=1e-12)
+        assert eta_code == pytest.approx(abs(p_code @ e_dir), abs=1e-12)
+        assert eta_code >= max(eta_fixed, np.cos(np.pi / 18)) - 1e-12
+    with pytest.raises(ValueError):
+        receive_polarization("adaptive", e_dir, user, src)
