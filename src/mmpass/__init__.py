@@ -17,8 +17,8 @@ from .placement import (LinkModel, SingleUserSolution, TwoUserSolution,
                         optimal_position, sum_rate_profile,
                         two_user_power_split, two_user_shared_position)
 from .multiuser import (AssignmentMatrix, PrecoderFactorization, SchemeResult,
-                        UserGrouping, fp_precoding, greedy_fill, group_users,
-                        hungarian_assign, optimize_scenario, pairwise_rate_table)
+                        UserGrouping, fp_precoding, group_users,
+                        hungarian_assign, optimize_scenario)
 from .config import ScenarioConfig, build_scenario, config_hash, load_config
 
 __version__ = "0.1.0"

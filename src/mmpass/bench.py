@@ -202,11 +202,10 @@ def run_field_map(cfg: ScenarioConfig, grid_res: float = 0.01,
     ys = np.arange(0.0, cfg.d_y + 1e-9, max(grid_res, 0.05))
     grid_db = intensity_map(scn.med, wg, scn.modes, pa, xs, ys,
                             alpha_a=scn.alpha_a)
-    rows = []
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            rows.append((float(round(x, 6)), float(round(y, 6)),
-                         float(round(grid_db[iy, ix], 4))))
+    xs_r = np.round(xs, 6).tolist()
+    rows = [(x, y, v) for y, line in zip(np.round(ys, 6).tolist(),
+                                         np.round(grid_db, 4).tolist())
+            for x, v in zip(xs_r, line)]
     meta = _metadata(cfg, grid_res=grid_res, pitch=round(port_pitch, 6))
     result = ExperimentResult("field_map", ("x", "y", "intensity_db"),
                               rows, meta)

@@ -118,15 +118,7 @@ def cmd_validate(args) -> int:
                 users=scn.users[slot.user_indices],
                 noise=scn.noise[slot.user_indices],
                 placements=slot.placements)
-            rx = np.zeros((len(slot.user_indices), 3))
-            for k_local in range(len(slot.user_indices)):
-                for cand in slot.candidates.values():
-                    if k_local in cand.users:
-                        rx[k_local] = cand.rx_world[cand.users.index(k_local)]
-                        break
-                else:
-                    rx[k_local] = [0.0, 0.0, 1.0]
-            cm = assemble(deployed, rx)
+            cm = assemble(deployed, slot.rx)
             if cm.lam.min() < 0 or cm.lam.max() > 1 + 1e-9:
                 lam_ok = False
     _check(failures, "polarization mask entries within [0, 1]", lam_ok)

@@ -9,7 +9,9 @@
    rectangular assignment problem (Hungarian via
    scipy.optimize.linear_sum_assignment on a zero-padded square
    matrix); spare elements join groups one at a time by exact marginal
-   gain, with interference recomputed after every placement.
+   gain.  Interference is additive (sources keep their noise-only
+   splits, victims their matched receive vectors), so it is tabulated
+   once per slot and the fill keeps a running sum of it.
 3. Precoding: with the sparse per-element splits W_p frozen, the
    mode-domain mixer G is optimized by fractional programming
    (quadratic transform, closed-form auxiliary updates, a KKT linear
@@ -261,15 +263,42 @@ class Candidate:
     x: float
     orientations: tuple[Orientation, ...]
     rx_world: tuple[np.ndarray, ...]
-    etas: tuple[float, ...]       # serving-link matching efficiencies
     gains: tuple[float, ...]      # matched boresight power gains at x
 
 
+def _splits(gains, noise, pair, power):
+    """Power shares of a candidate's two slots for the given (effective)
+    noise; arrays [..., slot].  A singleton (pair False) takes the whole
+    power on slot 0."""
+    w1, _ = power_split(gains[..., 0], np.where(pair, gains[..., 1], 1.0),
+                        noise[..., 0], noise[..., 1], power)
+    return np.stack([np.where(pair, w1, 1.0), np.where(pair, 1.0 - w1, 0.0)],
+                    axis=-1)
+
+
+def _rates(gains, noise, pair, power):
+    """Candidate rates with the splits re-optimized for the noise."""
+    w = _splits(gains, noise, pair, power)
+    return np.sum(0.5 * np.log2(1.0 + power * w * gains / noise), axis=-1)
+
+
 class _SlotSolver:
-    """Shared machinery for the rate table, greedy fill and deployment
-    of one time slot.  Owns a candidate cache and a cache of port
-    responses toward every slot user; all tie-breaks are
-    lowest-index-first."""
+    """Rate table, greedy fill and deployment of one time slot.
+
+    Every (element, group) candidate is solved once on construction and
+    kept in per-candidate arrays indexed [i, j, slot]: the users (in the
+    candidate's own mode order, which may reverse the group's), the
+    serving gains, the noise and the noise-only power splits.  A
+    singleton fills slot 0 only.  Deployment decisions assume the
+    matched receive policy, so every serving link has eta = 1.
+
+    Interference is additive: sources transmit with their noise-only
+    splits and each victim's receive vector is fixed by its candidate.
+    ``cross[i2, j2, i, j, s]`` is the power that element i2 serving
+    group j2 puts on slot s of candidate (i, j), zero for i2 == i; the
+    greedy fill keeps a running sum of it.  All tie-breaks are
+    lowest-index-first.
+    """
 
     def __init__(self, scenario: Scenario, groups):
         self.scenario = scenario
@@ -278,16 +307,25 @@ class _SlotSolver:
                       for m in range(scenario.num_waveguides)]
         self.num_pas = scenario.num_pas
         self.mn = scenario.num_waveguides * scenario.num_pas
-        self._candidates: dict[tuple[int, int], Candidate] = {}
-        self._rows: dict = {}
+        n_grp = len(self.groups)
+        self.candidates = [[self._solve_candidate(i, j) for j in range(n_grp)]
+                           for i in range(self.mn)]
+        self.pair = np.array([len(g) == 2 for g in self.groups])
+        self.users = np.zeros((self.mn, n_grp, 2), dtype=int)
+        self.gains = np.zeros((self.mn, n_grp, 2))
+        self.noise = np.ones((self.mn, n_grp, 2))
+        self.rx = np.zeros((self.mn, n_grp, 2, 3))
+        for i, row in enumerate(self.candidates):
+            for j, cand in enumerate(row):
+                for s, k in enumerate(cand.users):
+                    self.users[i, j, s] = k
+                    self.gains[i, j, s] = cand.gains[s]
+                    self.noise[i, j, s] = scenario.noise[k]
+                    self.rx[i, j, s] = cand.rx_world[s]
+        self.splits = _splits(self.gains, self.noise, self.pair,
+                              scenario.power)
 
     # -- candidates ------------------------------------------------------
-
-    def candidate(self, i: int, j: int) -> Candidate:
-        key = (i, j)
-        if key not in self._candidates:
-            self._candidates[key] = self._solve_candidate(i, j)
-        return self._candidates[key]
 
     def _solve_candidate(self, i: int, j: int) -> Candidate:
         m, n = _pa_coords(i, self.num_pas)
@@ -306,161 +344,105 @@ class _SlotSolver:
                 users[order[0]], users[order[1]], link, power,
                 (noise[order[0]], noise[order[1]]))
             cand = self._finish_candidate(i, order, sol.x_star, link)
-            rate = self._rate_of(cand, (0.0, 0.0))
+            rate = float(_rates(np.array(cand.gains), noise[list(order)],
+                                True, power))
             if best is None or rate > best[0] + 1e-12:
                 best = (rate, cand)
         return best[1]
 
     def _finish_candidate(self, i, order, x, link) -> Candidate:
-        """Aim each port at its user and match the receive polarization;
-        deployment decisions always assume the matched policy."""
+        """Aim each port at its user and match the receive polarization."""
         m, n = _pa_coords(i, self.num_pas)
         wg = link.wg
         pa_pos = np.array([x, wg.axis_y, wg.axis_z])
-        orientations, rx, etas, gains = [], [], [], []
+        orientations, rx, gains = [], [], []
         for slot, k in enumerate(order):
             user_pos = self.scenario.users[k]
             orient = optimal_orientation(pa_pos, user_pos)
             e_dir = PortResponse(self.scenario.med, self.scenario.modes[slot],
                                  wg, pa_pos, orient, user_pos).direction[0]
-            p, eta = receive_polarization("matched", e_dir, user_pos, pa_pos)
+            p, _ = receive_polarization("matched", e_dir, user_pos, pa_pos)
             orientations.append(orient)
             rx.append(p)
-            etas.append(eta)
             gains.append(link.gain(slot + 1, x, user_pos))
         # idle ports of a singleton group point straight down
         while len(orientations) < self.scenario.num_modes:
             orientations.append(Orientation())
         return Candidate(pa=(m, n), users=tuple(order), x=float(x),
                          orientations=tuple(orientations),
-                         rx_world=tuple(rx), etas=tuple(etas),
-                         gains=tuple(gains))
+                         rx_world=tuple(rx), gains=tuple(gains))
 
     # -- interference and rates -------------------------------------------
 
-    def _port_rows(self, src: Candidate, src_i: int, q: int):
-        """|h_pu h_wp|^2 and the field direction of port q of a deployed
-        source element toward every slot user, evaluated once per
-        (element, group, port)."""
-        key = (src_i, src.users, q)
-        if key not in self._rows:
-            scn = self.scenario
-            m, _ = _pa_coords(src_i, self.num_pas)
-            wg = scn.waveguides[m]
-            resp = PortResponse(scn.med, scn.modes[q], wg,
-                                np.array([src.x, wg.axis_y, wg.axis_z]),
-                                src.orientations[q], scn.users)
-            h_pu = (scn.port_gains[q] * resp.pattern
-                    * np.exp(-0.5 * scn.alpha_a * resp.r))
-            h_wp_sq = np.exp(-wg.alpha_w * src.x) / wg.num_pas
-            self._rows[key] = (h_pu ** 2 * h_wp_sq, resp.direction)
-        return self._rows[key]
+    def _rate(self, i, j, interference=0.0):
+        """Rates of candidates (i, j) with per-slot interference added
+        to their noise; i, j index the candidate arrays."""
+        return _rates(self.gains[i, j], self.noise[i, j] + interference,
+                      self.pair[j], self.scenario.power)
 
-    def _cross_power(self, src: Candidate, src_i: int, q: int,
-                     user_k: int, rx_vec) -> float:
-        """Effective |eta h_pu h_wp|^2 from port q of a deployed source
-        element to user k with the given receive vector."""
-        gains, dirs = self._port_rows(src, src_i, q)
-        return float((rx_vec @ dirs[user_k]) ** 2 * gains[user_k])
+    def cross_table(self) -> np.ndarray:
+        """cross[i2, j2, i, j, s]: interference power of element i2
+        serving group j2 on slot s of candidate (i, j), summed over the
+        source's ports; zero for i2 == i and on a singleton's empty
+        slot."""
+        scn = self.scenario
+        n_grp = len(self.groups)
+        cross = np.zeros((self.mn, n_grp, self.mn, n_grp, 2))
+        for i2, row in enumerate(self.candidates):
+            wg = scn.waveguides[_pa_coords(i2, self.num_pas)[0]]
+            for j2, src in enumerate(row):
+                h_wp_sq = np.exp(-wg.alpha_w * src.x) / wg.num_pas
+                for q in range(len(src.users)):
+                    resp = PortResponse(scn.med, scn.modes[q], wg,
+                                        np.array([src.x, wg.axis_y, wg.axis_z]),
+                                        src.orientations[q], scn.users)
+                    h_pu = (scn.port_gains[q] * resp.pattern
+                            * np.exp(-0.5 * scn.alpha_a * resp.r))
+                    proj = np.einsum("ijsd,ijsd->ijs", self.rx,
+                                     resp.direction[self.users])
+                    cross[i2, j2] += (scn.power * self.splits[i2, j2, q]
+                                      * (proj ** 2
+                                         * (h_pu ** 2 * h_wp_sq)[self.users]))
+            cross[i2, :, i2] = 0.0
+        return cross
 
-    def _splits(self, cand: Candidate, eff_noise) -> tuple[float, ...]:
-        if len(cand.users) == 1:
-            return (1.0,)
-        g = [cand.gains[s] * cand.etas[s] ** 2 for s in range(2)]
-        w1, w2 = power_split(g[0], g[1], eff_noise[0], eff_noise[1],
-                             self.scenario.power)
-        return (float(w1), float(w2))
-
-    def _rate_of(self, cand: Candidate, interference) -> float:
-        """Pair rate of a candidate with per-user interference powers
-        added to the noise; splits re-optimized for the effective noise."""
-        noise = self.scenario.noise
-        power = self.scenario.power
-        eff = [noise[k] + interference[s] for s, k in enumerate(cand.users)]
-        splits = self._splits(cand, eff)
-        wg_x = cand.x
-        rate = 0.0
-        for s, k in enumerate(cand.users):
-            g_eff = cand.gains[s] * cand.etas[s] ** 2
-            rate += 0.5 * np.log2(1.0 + power * splits[s] * g_eff / eff[s])
-        return float(rate)
-
-    def _interference_at(self, cand: Candidate, i: int,
-                         assignment: AssignmentMatrix) -> list[float]:
-        """Interference power seen by each user of candidate (i, .) from
-        every other assigned element under the given assignment."""
-        totals = [0.0 for _ in cand.users]
-        power = self.scenario.power
-        for i2 in assignment.assigned_rows:
-            if i2 == i:
-                continue
-            j2 = assignment.group_of(i2)
-            src = self.candidate(i2, j2)
-            src_eff_noise = [self.scenario.noise[k] for k in src.users]
-            src_splits = self._splits(src, src_eff_noise)
-            for s, k in enumerate(cand.users):
-                for q2 in range(len(src.users)):
-                    totals[s] += (power * src_splits[q2]
-                                  * self._cross_power(src, i2, q2, k,
-                                                      cand.rx_world[s]))
-        return totals
-
-    def rate_entry(self, i: int, j: int, assignment: AssignmentMatrix) -> float:
-        cand = self.candidate(i, j)
-        interference = self._interference_at(cand, i, assignment)
-        return self._rate_of(cand, interference)
-
-    def rate_table(self, assignment: AssignmentMatrix | None = None) -> np.ndarray:
-        if assignment is None:
-            assignment = AssignmentMatrix(
-                np.zeros((self.mn, len(self.groups)), dtype=np.int8))
-        table = np.zeros((self.mn, len(self.groups)))
-        for i in range(self.mn):
-            for j in range(len(self.groups)):
-                table[i, j] = self.rate_entry(i, j, assignment)
-        return table
-
-    def objective(self, assignment: AssignmentMatrix) -> float:
-        total = 0.0
-        for i in assignment.assigned_rows:
-            total += self.rate_entry(i, assignment.group_of(i), assignment)
-        return total
+    def rate_table(self) -> np.ndarray:
+        """MN x J candidate rates at zero interference."""
+        return self._rate(np.s_[:], np.s_[:])
 
     def greedy_fill(self, assignment: AssignmentMatrix) -> AssignmentMatrix:
-        """Assign leftover elements by exact marginal objective gain,
-        best gain first, recomputing interference after each placement."""
+        """Assign leftover elements one at a time by exact marginal gain
+        of the sum of assigned candidate rates, best gain first.
+
+        A trial's gain is its own rate under the running interference
+        plus the change its interference causes to every assigned
+        candidate's rate.
+        """
         x = assignment.x.copy()
-        leftovers = [i for i in range(self.mn) if x[i].sum() == 0]
+        leftovers = [i for i in range(self.mn) if not x[i].any()]
+        if not leftovers:
+            return AssignmentMatrix(x)
+        cross = self.cross_table()
+        cols = np.arange(len(self.groups))
+        rows, groups = np.nonzero(x)
+        interference = cross[rows, groups].sum(axis=0)
         while leftovers:
-            base = AssignmentMatrix(x)
-            base_obj = self.objective(base)
+            left = np.array(leftovers)
+            held = interference[rows, groups]
+            hit = cross[left[:, None, None], cols[None, :, None], rows, groups]
+            gain = (self._rate(left, np.s_[:], interference[left])
+                    + (self._rate(rows, groups, held + hit)
+                       - self._rate(rows, groups, held)).sum(axis=-1))
             best = None
-            for i in leftovers:
-                for j in range(len(self.groups)):
-                    trial = x.copy()
-                    trial[i, j] = 1
-                    gain = self.objective(AssignmentMatrix(trial)) - base_obj
-                    if best is None or gain > best[0] + 1e-12:
-                        best = (gain, i, j)
+            for (li, j), value in np.ndenumerate(gain):
+                if best is None or value > best[0] + 1e-12:
+                    best = (value, leftovers[li], j)
             _, i_star, j_star = best
             x[i_star, j_star] = 1
+            interference += cross[i_star, j_star]
+            rows, groups = np.nonzero(x)
             leftovers.remove(i_star)
         return AssignmentMatrix(x)
-
-
-def pairwise_rate_table(scenario: Scenario, grouping: UserGrouping,
-                        assignment: AssignmentMatrix | None = None) -> np.ndarray:
-    """MN x J matrix of achievable pair rates, each entry evaluated at
-    the candidate's closed-form position/split with the interference
-    implied by the (possibly empty) current assignment."""
-    solver = _SlotSolver(scenario, grouping.groups)
-    return solver.rate_table(assignment)
-
-
-def greedy_fill(assignment: AssignmentMatrix, scenario: Scenario,
-                grouping: UserGrouping) -> AssignmentMatrix:
-    solver = _SlotSolver(scenario, grouping.groups)
-    return solver.greedy_fill(assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +589,9 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
 class SlotSolution:
     user_indices: np.ndarray           # global user ids served this slot
     assignment: AssignmentMatrix
-    candidates: dict
+    candidates: dict                   # element index -> Candidate
     placements: list
+    rx: np.ndarray                     # (K_slot, 3) receive vectors
     report: channel.RateReport
     trace: np.ndarray
 
@@ -664,16 +647,13 @@ def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
     lam_half = slot_scn.med.wavelength0 / 2
     serving: dict[int, tuple[int, Candidate]] = {}
     per_wg_positions: list[dict[int, float]] = [dict() for _ in slot_scn.waveguides]
-    cands = {}
-    for i in assignment.assigned_rows:
-        j = assignment.group_of(i)
-        cand = solver.candidate(i, int(j))
-        cands[int(i)] = cand
+    cands = {int(i): solver.candidates[i][assignment.group_of(i)]
+             for i in assignment.assigned_rows}
+    for i, cand in cands.items():
         m, n = cand.pa
         per_wg_positions[m][n] = cand.x
-        for slot_idx, k_local in enumerate(cand.users):
-            if k_local not in serving or i < serving[k_local][0]:
-                serving[k_local] = (int(i), cand)
+        for k_local in cand.users:
+            serving.setdefault(k_local, (i, cand))  # lowest element first
 
     placements = []
     for m, wg in enumerate(slot_scn.waveguides):
@@ -716,9 +696,8 @@ def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
 
     n_modes = slot_scn.num_modes
     w_p = np.zeros((solver.mn * n_modes, len(slot_users)))
-    for i in assignment.assigned_rows:
-        cand = cands[int(i)]
-        splits = solver._splits(cand, [slot_scn.noise[k] for k in cand.users])
+    for i, cand in cands.items():
+        splits = solver.splits[i, assignment.group_of(i)]
         for slot_idx, k_local in enumerate(cand.users):
             w_p[i * n_modes + slot_idx, k_local] = np.sqrt(splits[slot_idx])
 
@@ -729,7 +708,8 @@ def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
                                  slot_scn.noise)
     return SlotSolution(user_indices=np.asarray(slot_users),
                         assignment=assignment, candidates=cands,
-                        placements=placements, report=report, trace=trace)
+                        placements=placements, rx=rx, report=report,
+                        trace=trace)
 
 
 def optimize_scenario(scenario: Scenario, scheme_name: str) -> SchemeResult:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SphericalBasis
-from .radiation import FieldSample
+from .radiation import FieldSample, polarization_components
 
 
 @dataclass(frozen=True)
@@ -97,16 +97,8 @@ def optimal_rx_polarization(q: int, theta: float, phi: float, beta: float,
         q = 1:  ((1 + beta/rho cos t) cos p, -(beta/rho + cos t) sin p) / V
         q = 2:  ((1 + beta/rho cos t) sin p, -(beta/rho + cos t) cos p) / V
     """
-    ratio = beta / rho_free
-    a_fac = 1.0 + ratio * np.cos(theta)
-    b_fac = ratio + np.cos(theta)
-    if q == 1:
-        c_t, c_p = a_fac * np.cos(phi), -b_fac * np.sin(phi)
-    elif q == 2:
-        c_t, c_p = a_fac * np.sin(phi), -b_fac * np.cos(phi)
-    else:
-        raise ValueError(f"unsupported mode index {q}")
-    return JonesVector.normalized(c_t, c_p, basis)
+    c_t, c_p = polarization_components(q, theta, phi, beta, rho_free)
+    return JonesVector.normalized(c_t, -c_p, basis)
 
 
 def codebook_angles(size: int) -> np.ndarray:

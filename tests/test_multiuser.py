@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.multiuser import (AssignmentMatrix, _SlotSolver,
                               _enforce_min_spacing, fp_precoding,
                               group_users, grouping_cost, hungarian_assign,
-                              optimize_scenario, pairwise_rate_table,
-                              parse_scheme)
+                              optimize_scenario, parse_scheme)
+from mmpass.placement import power_split
+from mmpass.radiation import PortResponse
 
 SIGMA = 10.0 ** -2.6
 
@@ -128,14 +130,100 @@ def _pair_scenario(users, m=1, n=1):
     return build_scenario(cfg, users=np.asarray(users, float))
 
 
+def _oracle_cross(solver, i2, j2, i, j):
+    """Interference power of element i2 serving group j2 on each slot of
+    candidate (i, j), recomputed port by port from the source's
+    noise-only splits."""
+    scn = solver.scenario
+    src, cand = solver.candidates[i2][j2], solver.candidates[i][j]
+    if i2 == i:
+        return [0.0 for _ in cand.users]
+    wg = scn.waveguides[src.pa[0]]
+    splits = _oracle_splits(scn, src, [scn.noise[k] for k in src.users])
+    totals = [0.0 for _ in cand.users]
+    for q in range(len(src.users)):
+        resp = PortResponse(scn.med, scn.modes[q], wg,
+                            np.array([src.x, wg.axis_y, wg.axis_z]),
+                            src.orientations[q], scn.users)
+        h_pu = (scn.port_gains[q] * resp.pattern
+                * np.exp(-0.5 * scn.alpha_a * resp.r))
+        h_wp_sq = np.exp(-wg.alpha_w * src.x) / wg.num_pas
+        for s, k in enumerate(cand.users):
+            totals[s] += (scn.power * splits[q]
+                          * (cand.rx_world[s] @ resp.direction[k]) ** 2
+                          * h_pu[k] ** 2 * h_wp_sq)
+    return totals
+
+
+def _oracle_splits(scn, cand, eff_noise):
+    if len(cand.users) == 1:
+        return (1.0,)
+    return power_split(cand.gains[0], cand.gains[1], eff_noise[0],
+                       eff_noise[1], scn.power)
+
+
+def _oracle_objective(solver, x):
+    """Sum of the assigned candidates' rates, each with the interference
+    of every other assigned element added to its users' noise and its
+    splits re-optimized for that effective noise."""
+    scn = solver.scenario
+    assigned = [(i, int(np.argmax(x[i]))) for i in range(x.shape[0])
+                if x[i].any()]
+    total = 0.0
+    for i, j in assigned:
+        cand = solver.candidates[i][j]
+        eff = [scn.noise[k] for k in cand.users]
+        for i2, j2 in assigned:
+            for s, p in enumerate(_oracle_cross(solver, i2, j2, i, j)):
+                eff[s] += p
+        splits = _oracle_splits(scn, cand, eff)
+        for s in range(len(cand.users)):
+            total += 0.5 * np.log2(1.0 + scn.power * splits[s]
+                                   * cand.gains[s] / eff[s])
+    return total
+
+
+def _oracle_greedy(solver, assignment):
+    """Greedy fill by from-scratch objective: best exact gain first,
+    lowest index on ties."""
+    x = assignment.x.copy()
+    leftovers = [i for i in range(x.shape[0]) if not x[i].any()]
+    while leftovers:
+        base = _oracle_objective(solver, x)
+        best = None
+        for i in leftovers:
+            for j in range(x.shape[1]):
+                trial = x.copy()
+                trial[i, j] = 1
+                gain = _oracle_objective(solver, trial) - base
+                if best is None or gain > best[0] + 1e-12:
+                    best = (gain, i, j)
+        x[best[1], best[2]] = 1
+        leftovers.remove(best[1])
+    return x
+
+
+def _random_solver(seed, m, n, k):
+    rng = np.random.default_rng(seed)
+    cfg = ScenarioConfig(num_waveguides=m, pas_per_waveguide=n, num_users=k)
+    users = np.column_stack([rng.uniform(0, cfg.d_x, k),
+                             rng.uniform(0, cfg.d_y, k), np.zeros(k)])
+    scn = build_scenario(cfg, users=users)
+    g = group_users(scn.users, [wg.axis_y for wg in scn.waveguides])
+    with warnings.catch_warnings():
+        # close pairs warn that cross-mode interference is neglected
+        warnings.simplefilter("ignore")
+        return _SlotSolver(scn, g.groups)
+
+
 def test_rate_table_single_entry_matches_pair_solver():
     scn = _pair_scenario([[4.0, 3.0, 0.0], [6.5, 3.0, 0.0]])
     g = group_users(scn.users, [3.0])
-    table = pairwise_rate_table(scn, g)
-    assert table.shape == (1, 1)
     solver = _SlotSolver(scn, g.groups)
-    cand = solver.candidate(0, 0)
-    assert table[0, 0] == pytest.approx(solver._rate_of(cand, (0.0, 0.0)))
+    table = solver.rate_table()
+    assert table.shape == (1, 1)
+    assert table[0, 0] == pytest.approx(
+        _oracle_objective(solver, np.ones((1, 1), dtype=np.int8)), rel=1e-12)
     from mmpass.placement import LinkModel, two_user_shared_position
     link = LinkModel(scn)
     sol = two_user_shared_position(scn.users[0], scn.users[1], link,
@@ -149,13 +237,42 @@ def test_rate_table_interference_lowers_entries():
                           [6.5, 4.0, 0.0], [8.0, 4.0, 0.0]],
                          m=2, n=1)
     g = group_users(scn.users, [wg.axis_y for wg in scn.waveguides])
-    empty = pairwise_rate_table(scn, g)
-    x = np.zeros((2, 2), dtype=np.int8)
-    x[1, 1] = 1  # second element actively serving the far pair
-    loaded = pairwise_rate_table(scn, g, AssignmentMatrix(x))
+    solver = _SlotSolver(scn, g.groups)
+    empty = solver.rate_table()
+    cross = solver.cross_table()
+    # second element actively serving the far pair
+    loaded = solver._rate(np.s_[:], np.s_[:], cross[1, 1])
     assert loaded[0, 0] < empty[0, 0]
-    # the untouched column is evaluated without self-interference
-    assert loaded[1, 1] == pytest.approx(empty[1, 1])
+    # an element does not interfere with its own candidates
+    assert np.all(cross[1, :, 1] == 0.0)
+    assert np.array_equal(loaded[1], empty[1])
+    both = solver._rate(np.s_[:], np.s_[:], cross[0, 0] + cross[1, 1])
+    x = np.array([[1, 0], [0, 1]], dtype=np.int8)
+    assert both[0, 0] + both[1, 1] == pytest.approx(
+        _oracle_objective(solver, x), rel=1e-12)
+
+
+def test_cross_table_matches_oracle():
+    # every entry, self-exclusion and singleton slots included, and
+    # victims indexed in the candidate's own (possibly reversed) order
+    reversed_seen = 0
+    for seed in range(4):
+        solver = _random_solver(seed, m=2, n=2, k=5)
+        cross = solver.cross_table()
+        mn, n_grp = solver.mn, len(solver.groups)
+        for i in range(mn):
+            for j in range(n_grp):
+                cand = solver.candidates[i][j]
+                reversed_seen += cand.users != solver.groups[j]
+                assert list(solver.users[i, j, :len(cand.users)]) == list(
+                    cand.users)
+                for i2 in range(mn):
+                    for j2 in range(n_grp):
+                        want = _oracle_cross(solver, i2, j2, i, j)
+                        want += [0.0] * (2 - len(want))
+                        np.testing.assert_allclose(cross[i2, j2, i, j], want,
+                                                   rtol=1e-12, atol=0.0)
+    assert reversed_seen > 0
 
 
 def test_greedy_fill_assigns_all_elements():
@@ -170,7 +287,7 @@ def test_greedy_fill_assigns_all_elements():
 
 def test_greedy_fill_prefers_larger_exact_gain():
     # one spare element, two pair candidates: the filled choice must
-    # realize the larger recomputed objective increment
+    # realize the larger from-scratch objective increment
     scn = _pair_scenario([[1.5, 2.8, 0.0], [2.5, 2.8, 0.0],
                           [7.0, 3.2, 0.0], [8.5, 3.2, 0.0]],
                          m=1, n=3)
@@ -181,13 +298,35 @@ def test_greedy_fill_prefers_larger_exact_gain():
     spare = [i for i in range(3) if a0.x[i].sum() == 0]
     assert len(spare) == 1
     chosen = filled.group_of(spare[0])
-    base = solver.objective(a0)
+    base = _oracle_objective(solver, a0.x)
     gains = []
     for j in range(2):
         trial = a0.x.copy()
         trial[spare[0], j] = 1
-        gains.append(solver.objective(AssignmentMatrix(trial)) - base)
+        gains.append(_oracle_objective(solver, trial) - base)
     assert chosen == int(np.argmax(gains))
+
+
+def test_greedy_fill_matches_oracle_greedy():
+    # multi-guide slots with spare elements, odd user counts included
+    for seed, (m, n, k) in enumerate([(2, 3, 6), (2, 3, 5), (3, 2, 4),
+                                      (2, 4, 7), (3, 3, 8), (2, 3, 4)]):
+        solver = _random_solver(100 + seed, m, n, k)
+        a0 = hungarian_assign(solver.rate_table())
+        assert a0.x.sum() < solver.mn  # there are spares to place
+        filled = solver.greedy_fill(a0)
+        assert np.array_equal(filled.x, _oracle_greedy(solver, a0)), seed
+
+
+def test_greedy_fill_without_spares_builds_no_table(monkeypatch):
+    solver = _random_solver(7, m=2, n=1, k=4)
+    a0 = hungarian_assign(solver.rate_table())
+
+    def fail():
+        raise AssertionError("interference table built with no spares")
+
+    monkeypatch.setattr(solver, "cross_table", fail)
+    assert np.array_equal(solver.greedy_fill(a0).x, a0.x)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +383,6 @@ def nominal_results():
                          num_users=8, seed=9)
     scn = build_scenario(cfg)
     out = {}
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for scheme in ("pa-mm", "pi-mm", "dp-mm", "pa-sm", "pi-sm"):
