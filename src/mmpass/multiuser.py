@@ -15,7 +15,8 @@
 3. Precoding: with the sparse per-element splits W_p frozen, the
    mode-domain mixer G is optimized by fractional programming
    (quadratic transform, closed-form auxiliary updates, a KKT linear
-   solve and bisection on the power multiplier).
+   solve and a bracketed Newton solve of the power multiplier's
+   secular equation).
 
 Single-mode ("-SM") schemes reuse the pair structure but serve one
 user per element per time slot on the fundamental mode, with rates
@@ -256,9 +257,9 @@ def _pa_coords(i: int, num_pas: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Candidate:
-    """Interference-free deployment of element i serving one group."""
+    """Interference-free deployment of any element of one guide serving
+    one group."""
 
-    pa: tuple[int, int]
     users: tuple[int, ...]        # user index per mode slot
     x: float
     orientations: tuple[Orientation, ...]
@@ -285,11 +286,15 @@ def _rates(gains, noise, pair, power):
 class _SlotSolver:
     """Rate table, greedy fill and deployment of one time slot.
 
-    Every (element, group) candidate is solved once on construction and
-    kept in per-candidate arrays indexed [i, j, slot]: the users (in the
-    candidate's own mode order, which may reverse the group's), the
-    serving gains, the noise and the noise-only power splits.  A
-    singleton fills slot 0 only.  Deployment decisions assume the
+    A candidate depends on the guide and the group, not on which of the
+    guide's elements serves it: the pair solve, the boresight gains and
+    the receive vectors never read the element index.  So every (guide,
+    group) candidate is solved once on construction, and ``candidates``
+    and the per-candidate arrays indexed [i, j, slot] repeat each
+    guide's rows over its N elements: the users (in the candidate's own
+    mode order, which may reverse the group's), the serving gains, the
+    noise, the matched receive vectors and the noise-only power splits.
+    A singleton fills slot 0 only.  Deployment decisions assume the
     matched receive policy, so every serving link has eta = 1.
 
     Interference is additive: sources transmit with their noise-only
@@ -306,29 +311,33 @@ class _SlotSolver:
         self.links = [LinkModel(scenario, m)
                       for m in range(scenario.num_waveguides)]
         self.num_pas = scenario.num_pas
-        self.mn = scenario.num_waveguides * scenario.num_pas
+        n_wg = scenario.num_waveguides
+        self.mn = n_wg * self.num_pas
         n_grp = len(self.groups)
-        self.candidates = [[self._solve_candidate(i, j) for j in range(n_grp)]
-                           for i in range(self.mn)]
+        per_guide = [[self._solve_candidate(m, j) for j in range(n_grp)]
+                     for m in range(n_wg)]
+        self.candidates = [per_guide[m] for m in range(n_wg)
+                           for _ in range(self.num_pas)]
         self.pair = np.array([len(g) == 2 for g in self.groups])
-        self.users = np.zeros((self.mn, n_grp, 2), dtype=int)
-        self.gains = np.zeros((self.mn, n_grp, 2))
-        self.noise = np.ones((self.mn, n_grp, 2))
-        self.rx = np.zeros((self.mn, n_grp, 2, 3))
-        for i, row in enumerate(self.candidates):
+        users = np.zeros((n_wg, n_grp, 2), dtype=int)
+        gains = np.zeros((n_wg, n_grp, 2))
+        noise = np.ones((n_wg, n_grp, 2))
+        rx = np.zeros((n_wg, n_grp, 2, 3))
+        for m, row in enumerate(per_guide):
             for j, cand in enumerate(row):
                 for s, k in enumerate(cand.users):
-                    self.users[i, j, s] = k
-                    self.gains[i, j, s] = cand.gains[s]
-                    self.noise[i, j, s] = scenario.noise[k]
-                    self.rx[i, j, s] = cand.rx_world[s]
-        self.splits = _splits(self.gains, self.noise, self.pair,
-                              scenario.power)
+                    users[m, j, s] = k
+                    gains[m, j, s] = cand.gains[s]
+                    noise[m, j, s] = scenario.noise[k]
+                    rx[m, j, s] = cand.rx_world[s]
+        splits = _splits(gains, noise, self.pair, scenario.power)
+        self.users, self.gains, self.noise, self.rx, self.splits = (
+            np.repeat(a, self.num_pas, axis=0)
+            for a in (users, gains, noise, rx, splits))
 
     # -- candidates ------------------------------------------------------
 
-    def _solve_candidate(self, i: int, j: int) -> Candidate:
-        m, n = _pa_coords(i, self.num_pas)
+    def _solve_candidate(self, m: int, j: int) -> Candidate:
         link = self.links[m]
         group = self.groups[j]
         users = self.scenario.users
@@ -336,23 +345,22 @@ class _SlotSolver:
         power = self.scenario.power
         if len(group) == 1:
             sol = solve_single_user(users[group[0]], link, q=1)
-            return self._finish_candidate(i, (group[0],), sol.x_star, link)
+            return self._finish_candidate((group[0],), sol.x_star, link)
         orders = [tuple(group), tuple(reversed(group))]
         best = None
         for order in orders:
             sol = two_user_shared_position(
                 users[order[0]], users[order[1]], link, power,
                 (noise[order[0]], noise[order[1]]))
-            cand = self._finish_candidate(i, order, sol.x_star, link)
+            cand = self._finish_candidate(order, sol.x_star, link)
             rate = float(_rates(np.array(cand.gains), noise[list(order)],
                                 True, power))
             if best is None or rate > best[0] + 1e-12:
                 best = (rate, cand)
         return best[1]
 
-    def _finish_candidate(self, i, order, x, link) -> Candidate:
+    def _finish_candidate(self, order, x, link) -> Candidate:
         """Aim each port at its user and match the receive polarization."""
-        m, n = _pa_coords(i, self.num_pas)
         wg = link.wg
         pa_pos = np.array([x, wg.axis_y, wg.axis_z])
         orientations, rx, gains = [], [], []
@@ -368,7 +376,7 @@ class _SlotSolver:
         # idle ports of a singleton group point straight down
         while len(orientations) < self.scenario.num_modes:
             orientations.append(Orientation())
-        return Candidate(pa=(m, n), users=tuple(order), x=float(x),
+        return Candidate(users=tuple(order), x=float(x),
                          orientations=tuple(orientations),
                          rx_world=tuple(rx), gains=tuple(gains))
 
@@ -384,13 +392,14 @@ class _SlotSolver:
         """cross[i2, j2, i, j, s]: interference power of element i2
         serving group j2 on slot s of candidate (i, j), summed over the
         source's ports; zero for i2 == i and on a singleton's empty
-        slot."""
+        slot.  All elements of a guide deploy the same candidate, so
+        each (guide, group) source is computed once."""
         scn = self.scenario
         n_grp = len(self.groups)
+        n = self.num_pas
         cross = np.zeros((self.mn, n_grp, self.mn, n_grp, 2))
-        for i2, row in enumerate(self.candidates):
-            wg = scn.waveguides[_pa_coords(i2, self.num_pas)[0]]
-            for j2, src in enumerate(row):
+        for m, wg in enumerate(scn.waveguides):
+            for j2, src in enumerate(self.candidates[m * n]):
                 h_wp_sq = np.exp(-wg.alpha_w * src.x) / wg.num_pas
                 for q in range(len(src.users)):
                     resp = PortResponse(scn.med, scn.modes[q], wg,
@@ -400,10 +409,11 @@ class _SlotSolver:
                             * np.exp(-0.5 * scn.alpha_a * resp.r))
                     proj = np.einsum("ijsd,ijsd->ijs", self.rx,
                                      resp.direction[self.users])
-                    cross[i2, j2] += (scn.power * self.splits[i2, j2, q]
-                                      * (proj ** 2
-                                         * (h_pu ** 2 * h_wp_sq)[self.users]))
-            cross[i2, :, i2] = 0.0
+                    cross[m * n:(m + 1) * n, j2] += (
+                        scn.power * self.splits[m * n, j2, q]
+                        * (proj ** 2 * (h_pu ** 2 * h_wp_sq)[self.users]))
+        own = np.arange(self.mn)
+        cross[own, :, own] = 0.0
         return cross
 
     def rate_table(self) -> np.ndarray:
@@ -468,6 +478,51 @@ class PrecoderFactorization:
     c2: np.ndarray
     chi: float
     power_trace: float
+    iterations: int               # FP iterations run
+    converged: bool               # the tol rule stopped the loop
+
+
+def _secular(lam, d, chi):
+    """f(chi) = sum_i d_i / (lam_i + chi)^2 and -f'(chi) / 2."""
+    inv = 1.0 / (lam + chi)
+    terms = d * inv ** 2
+    return float(terms.sum()), float((terms * inv).sum())
+
+
+def _power_multiplier(lam, d):
+    """Multiplier chi >= 0 of the unit power budget: the root of the
+    secular equation f(chi) = sum_i d_i / (lam_i + chi)^2 = 1, or 0
+    when f(0) <= 1 (terms with lam_i = 0 are left out of f(0)).
+
+    f is decreasing and lies between D / (lam_max + chi)^2 and
+    D / (lam_min + chi)^2 with D = sum_i d_i (extremes over d_i > 0),
+    which brackets the root in [max(sqrt(D) - lam_max, 0),
+    sqrt(D) - lam_min].  Newton's method runs on f^(-1/2) - 1, which is
+    linear for a single term, from the upper end; a step that leaves
+    the bracket is replaced by bisection.  Returns the first chi with
+    |f(chi) - 1| <= 1e-10, or the bracket's feasible end if rounding
+    keeps every iterate from getting there.
+    """
+    d = np.maximum(d, 0.0)  # quadratic forms of a PSD matrix
+    live = lam > 0
+    if np.sum(d[live] / lam[live] ** 2) <= 1.0 + 1e-12:
+        return 0.0
+    lam = lam[d > 0]
+    d = d[d > 0]
+    root_d = np.sqrt(d.sum())
+    lo = max(root_d - lam.max(), 0.0)
+    hi = chi = root_d - lam.min()
+    for _ in range(100):
+        f, slope = _secular(lam, d, chi)
+        if abs(f - 1.0) <= 1e-10:
+            return chi
+        if f > 1.0:
+            lo = chi
+        else:
+            hi = chi
+        step = chi + f * (np.sqrt(f) - 1.0) / slope
+        chi = step if lo < step < hi else 0.5 * (lo + hi)
+    return hi
 
 
 def _fp_rates(h, g, w_p, power, noise):
@@ -487,11 +542,14 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
 
         (sum_k mu_k h_k^H h_k + chi I) G (W_p W_p^H) = sqrt(P) RHS
 
-    using the pseudo-inverse of W_p W_p^H and bisection on chi until
-    tr(G W_p W_p^H G^H) meets the unit budget.  Returns the
-    factorization and the per-iteration sum-rate trace (1/2 log2
-    convention).  With ``track_tightness`` the trace of the transformed
-    objective minus sum ln(1 + SINR) is returned as a third element.
+    using the pseudo-inverse of W_p W_p^H; chi makes
+    tr(G W_p W_p^H G^H) meet the unit budget (``_power_multiplier``).
+    The loop stops when the sum rate gains less than ``tol`` in one
+    iteration (``converged``) or after ``max_iter`` iterations.
+    Returns the factorization and the per-iteration sum-rate trace (1/2
+    log2 convention).  With ``track_tightness`` the trace of the
+    transformed objective minus sum ln(1 + SINR) is returned as a third
+    element.
     """
     h = np.asarray(h, dtype=complex)
     k_users, qm = h.shape
@@ -518,6 +576,7 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
     chi = 0.0
     c1 = np.zeros(k_users)
     c2 = np.zeros(k_users, dtype=complex)
+    converged = False
     for _ in range(max_iter):
         sinr, v = _fp_rates(h, g, w_p, power, noise)
         c1 = sinr
@@ -538,31 +597,7 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
         m1 = u_eig.conj().T @ rhs @ b_pinv
         d_diag = np.real(np.einsum("ij,jk,ik->i", m1, b, m1.conj()))
 
-        def power_trace(chi_val):
-            denom = lam + chi_val
-            safe = np.where(denom > 0, denom, np.inf)
-            return float(np.sum(d_diag / safe ** 2))
-
-        if power_trace(0.0) <= 1.0 + 1e-12:
-            chi = 0.0
-        else:
-            hi = 1.0
-            doublings = 0
-            while power_trace(hi) > 1.0:
-                hi *= 2.0
-                doublings += 1
-                if doublings > 200:
-                    raise RuntimeError("power bisection bracket diverged")
-            lo = 0.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if power_trace(mid) > 1.0:
-                    lo = mid
-                else:
-                    hi = mid
-                if abs(power_trace(hi) - 1.0) <= 1e-10:
-                    break
-            chi = hi
+        chi = _power_multiplier(lam, d_diag)
         denom = lam + chi
         safe = np.where(denom > 0, denom, np.inf)
         g = u_eig @ (m1 / safe[:, None])
@@ -571,12 +606,14 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
         sum_rate = float(np.sum(0.5 * np.log2(1.0 + sinr)))
         trace.append(sum_rate)
         if abs(sum_rate - sum_rate_prev) < tol:
+            converged = True
             break
         sum_rate_prev = sum_rate
 
     final = PrecoderFactorization(
         g=g, w_p=w_p, w=g @ w_p, c1=c1, c2=c2, chi=float(chi),
-        power_trace=float(np.trace(g @ b @ g.conj().T).real))
+        power_trace=float(np.trace(g @ b @ g.conj().T).real),
+        iterations=len(trace), converged=converged)
     if track_tightness:
         return final, np.asarray(trace), np.asarray(gaps)
     return final, np.asarray(trace)
@@ -650,7 +687,7 @@ def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
     cands = {int(i): solver.candidates[i][assignment.group_of(i)]
              for i in assignment.assigned_rows}
     for i, cand in cands.items():
-        m, n = cand.pa
+        m, n = _pa_coords(i, num_pas)
         per_wg_positions[m][n] = cand.x
         for k_local in cand.users:
             serving.setdefault(k_local, (i, cand))  # lowest element first

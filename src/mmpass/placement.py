@@ -41,7 +41,7 @@ def optimal_orientation(pa_pos, user_pos) -> Orientation:
     with d = user - element in GCS.  Requires the user below the port.
     """
     d = np.asarray(user_pos, dtype=float) - np.asarray(pa_pos, dtype=float)
-    if np.allclose(d, 0.0):
+    if np.abs(d).max() <= 1e-8:
         raise ValueError("user coincides with the element position")
     if d[2] >= 0:
         raise ValueError("user must lie below the element")
@@ -244,7 +244,8 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
     quadratic model loses concavity or fails to beat an endpoint.
     """
     users = (np.asarray(user1, float), np.asarray(user2, float))
-    if np.allclose(users[0], users[1]):
+    if np.all(np.abs(users[0] - users[1])
+              <= 1e-8 + 1e-5 * np.abs(users[1])):
         raise ValueError("two-user placement needs distinct users")
     separation = np.linalg.norm(users[0][:2] - users[1][:2])
     if separation < MIN_PAIR_SEPARATION:

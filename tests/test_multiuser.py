@@ -3,12 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from mmpass import multiuser
 from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.multiuser import (AssignmentMatrix, _SlotSolver,
-                              _enforce_min_spacing, fp_precoding,
-                              group_users, grouping_cost, hungarian_assign,
-                              optimize_scenario, parse_scheme)
+                              _enforce_min_spacing, _power_multiplier,
+                              fp_precoding, group_users, grouping_cost,
+                              hungarian_assign, optimize_scenario,
+                              parse_scheme)
 from mmpass.placement import power_split
 from mmpass.radiation import PortResponse
 
@@ -138,7 +141,7 @@ def _oracle_cross(solver, i2, j2, i, j):
     src, cand = solver.candidates[i2][j2], solver.candidates[i][j]
     if i2 == i:
         return [0.0 for _ in cand.users]
-    wg = scn.waveguides[src.pa[0]]
+    wg = scn.waveguides[i2 // solver.num_pas]
     splits = _oracle_splits(scn, src, [scn.noise[k] for k in src.users])
     totals = [0.0 for _ in cand.users]
     for q in range(len(src.users)):
@@ -214,6 +217,29 @@ def _random_solver(seed, m, n, k):
         # close pairs warn that cross-mode interference is neglected
         warnings.simplefilter("ignore")
         return _SlotSolver(scn, g.groups)
+
+
+def test_slot_solver_solves_each_guide_group_once(monkeypatch):
+    calls = []
+    solve = multiuser.two_user_shared_position
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(multiuser, "two_user_shared_position", counting)
+    solver = _random_solver(11, m=2, n=3, k=7)
+    pairs = sum(len(g) == 2 for g in solver.groups)
+    assert pairs == 3
+    # both mode orders of every pair, once per guide
+    assert len(calls) == 2 * 2 * pairs
+    for i in range(solver.mn):
+        first = i - i % solver.num_pas
+        for j in range(len(solver.groups)):
+            assert solver.candidates[i][j] is solver.candidates[first][j]
+        for table in (solver.users, solver.gains, solver.noise, solver.rx,
+                      solver.splits):
+            assert np.array_equal(table[i], table[first])
 
 
 def test_rate_table_single_entry_matches_pair_solver():
@@ -356,6 +382,100 @@ def test_fp_monotone_tight_and_feasible():
             assert fact.power_trace >= 1.0 - 1e-6
         w = fact.g @ fact.w_p
         assert np.trace(w @ w.conj().T).real <= 1.0 + 1e-9
+
+
+def _secular_oracle(lam, d, chi):
+    """sum_i d_i / (lam_i + chi)^2 over the terms with lam_i + chi > 0."""
+    live = lam + chi > 0
+    return float(np.sum(d[live] / (lam[live] + chi) ** 2))
+
+
+def _random_spectrum(rng):
+    n = int(rng.integers(1, 25))
+    lam = rng.exponential(1.0, n) * 10.0 ** rng.uniform(-3, 3)
+    lam[rng.random(n) < 0.3] = 0.0
+    d = rng.exponential(1.0, n) * 10.0 ** rng.uniform(-4, 4, n)
+    d[rng.random(n) < 0.2] = 0.0
+    return lam, d
+
+
+def test_power_multiplier_matches_brentq(monkeypatch):
+    evaluations = []
+    secular = multiuser._secular
+
+    def counting(*args):
+        evaluations.append(args)
+        return secular(*args)
+
+    monkeypatch.setattr(multiuser, "_secular", counting)
+    solved = 0
+    for seed in range(300):
+        lam, d = _random_spectrum(np.random.default_rng(seed))
+        chi = _power_multiplier(lam, d)
+        if _secular_oracle(lam, d, 0.0) <= 1.0 + 1e-12:
+            assert chi == 0.0, seed
+            continue
+        hi = 1.0
+        while _secular_oracle(lam, d, hi) > 1.0:
+            hi *= 2.0
+        root = brentq(lambda c: _secular_oracle(lam, d, c) - 1.0, 0.0, hi,
+                      xtol=1e-300, rtol=1e-15)
+        slope = 2.0 * np.sum(d / (lam + root) ** 3)
+        assert chi > 0.0, seed
+        assert abs(_secular_oracle(lam, d, chi) - 1.0) <= 1e-10, seed
+        assert abs(chi - root) <= 1.1e-10 / slope + 1e-14 * root, seed
+        solved += 1
+    assert solved > 100
+    # Newton on f^(-1/2) takes a few evaluations of f per root (2.6 on
+    # these spectra); Newton on f itself would take about 25
+    assert len(evaluations) <= 4 * solved
+
+
+def test_power_multiplier_zero_eigenvalues():
+    # f(0) leaves out the lam = 0 terms (the pseudo-inverse solution);
+    # for chi > 0 they count, so d = 5 on lam = 0 sets the root
+    assert _power_multiplier(np.array([0.0, 2.0]), np.array([5.0, 1.0])) == 0.0
+    lam, d = np.array([0.0, 0.0, 0.5]), np.array([0.3, 0.0, 4.0])
+    chi = _power_multiplier(lam, d)
+    assert _secular_oracle(lam, d, chi) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_power_multiplier_below_budget_at_zero():
+    lam = np.array([3.0, 4.0, 10.0])
+    assert _power_multiplier(lam, np.array([1.0, 2.0, 50.0])) == 0.0
+    assert _power_multiplier(lam, np.zeros(3)) == 0.0
+
+
+def test_power_multiplier_single_term_in_one_step(monkeypatch):
+    calls = []
+    secular = multiuser._secular
+
+    def counting(*args):
+        calls.append(args)
+        return secular(*args)
+
+    monkeypatch.setattr(multiuser, "_secular", counting)
+    for lam0, d0 in ((1e-3, 4.0), (0.5, 9.0), (2.0, 1e4)):
+        # the other terms carry no power
+        lam = np.array([lam0, 0.1, 7.0])
+        d = np.array([d0, 0.0, 0.0])
+        calls.clear()
+        chi = _power_multiplier(lam, d)
+        assert chi == pytest.approx(np.sqrt(d0) - lam0, rel=1e-14)
+        assert len(calls) <= 2  # at most one Newton step
+
+
+def test_fp_reports_iterations_and_convergence():
+    rng = np.random.default_rng(33)
+    h = rng.normal(size=(1, 5)) + 1j * rng.normal(size=(1, 5))
+    fact, trace = fp_precoding(h, np.array([[1.0], [0.0]]), 10.0, 1e-2)
+    assert fact.iterations == len(trace) < 200
+    assert fact.converged
+    h, w_p = _random_fp_instance(np.random.default_rng(0))
+    capped, trace = fp_precoding(h, w_p, 10.0, 1e-2, max_iter=5)
+    assert capped.iterations == len(trace) == 5
+    assert not capped.converged
+    assert abs(trace[-1] - trace[-2]) >= 1e-6
 
 
 def test_fp_single_user_matched_filter():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,21 @@ def test_orientation_rejects_degenerate_user():
         optimal_orientation([5, 3, 3], [5, 3, 3])
     with pytest.raises(ValueError):
         optimal_orientation([5, 3, 3], [5, 3, 4])  # above the element
+
+
+def test_orientation_coincidence_boundary():
+    # a user within 1e-8 m of the element in every coordinate coincides
+    # with it, as np.allclose(d, 0) decides
+    for offset in (1e-8, 1.01e-8, 0.99e-8, 2e-8):
+        d = np.array([0.3 * offset, -0.5 * offset, -offset])
+        if np.allclose(d, 0.0):
+            with pytest.raises(ValueError, match="coincides"):
+                optimal_orientation([0.0, 0.0, 0.0], d)
+        else:
+            assert optimal_orientation([0.0, 0.0, 0.0], d).pitch == \
+                pytest.approx(np.arctan2(d[0], np.hypot(d[1], d[2])))
+    assert np.allclose([0, 0, -1e-8], 0.0)
+    assert not np.allclose([0, 0, -1.01e-8], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +308,33 @@ def test_shared_position_rejects_coincident_users():
     with pytest.raises(ValueError):
         two_user_shared_position([5, 3, 0], [5, 3, 0], link, 10.0,
                                  (SIGMA, SIGMA))
+
+
+def test_shared_position_coincidence_boundary():
+    # np.allclose(user1, user2): |u1 - u2| <= 1e-8 + 1e-5 |u2| in every
+    # coordinate; the x term scales with the second user's x, not the
+    # first's (x = 0 and 1.000005e-8 m are close only under the latter)
+    link = LinkModel(_scenario())
+    outcomes = set()
+    for x, shift in ((4.0, [4.0e-5, 0, 0]), (4.0, [4.0009e-5, 0, 0]),
+                     (4.0, [4.0011e-5, 0, 0]), (4.0, [4.1e-5, 0, 0]),
+                     (4.0, [0, 0, -1e-8]), (4.0, [0, 0, -1.01e-8]),
+                     (4.0, [-4.0009e-5, 0, 0]), (4.0, [-4.0011e-5, 0, 0]),
+                     (0.0, [1e-8, 0, 0]), (0.0, [1.000005e-8, 0, 0])):
+        second = np.array([x, 3.0, 0.0])
+        first = second + np.array(shift)
+        same = np.allclose(first, second)
+        outcomes.add(same)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # users under 1 m apart
+            if same:
+                with pytest.raises(ValueError, match="distinct"):
+                    two_user_shared_position(first, second, link, 10.0,
+                                             (SIGMA, SIGMA))
+            else:
+                two_user_shared_position(first, second, link, 10.0,
+                                         (SIGMA, SIGMA))
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
