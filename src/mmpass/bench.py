@@ -19,8 +19,8 @@ import numpy as np
 from .config import ScenarioConfig, build_scenario, config_hash, draw_users
 from .geometry import Orientation
 from .multiuser import optimize_scenario
-from .placement import (LinkModel, eq22_sum_rate, optimal_position,
-                        power_split, tdma_sum_rate)
+from .placement import (LinkModel, bounded_minimize, eq22_sum_rate,
+                        optimal_position, power_split, tdma_sum_rate)
 from .radiation import intensity_map
 from .waveguide import PaPlacement
 
@@ -89,18 +89,12 @@ def _with_power(scenario, power):
 # ---------------------------------------------------------------------------
 # outage Monte Carlo
 
-def _golden_max(fun, lo, hi, iters: int = 60):
-    """Vectorized golden-section maximizer over per-element brackets."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    for _ in range(iters):
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        keep_low = fun(c) >= fun(d)
-        b = np.where(keep_low, d, b)
-        a = np.where(keep_low, a, c)
-    return 0.5 * (a + b)
+def _trial_pairs(cfg: ScenarioConfig, trials: int) -> np.ndarray:
+    """(trials, 2, 2) floor (x, y) of the two users of every outage
+    trial, uniform over the region; trial t draws from its own
+    generator seeded with (seed, t)."""
+    return np.array([np.random.default_rng((cfg.seed, t)).random((2, 2))
+                     for t in range(trials)]) * [cfg.d_x, cfg.d_y]
 
 
 def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
@@ -113,8 +107,9 @@ def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
     from one element, the only element on its guide (so it takes the
     whole guided power), placed at the scheme's optimal position for the
     configured nominal power; the power axis then sweeps the transmit
-    power at that deployment.  The link math is ``placement``'s, batched
-    over the trials.
+    power at that deployment.  The link math and the position search
+    (``bounded_minimize`` of each scheme's pair rate between the two
+    single-user optima) are ``placement``'s, batched over the trials.
     """
     if trials < 100:
         raise ValueError("outage needs at least 100 trials")
@@ -123,19 +118,19 @@ def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
     link = LinkModel(scn)
     noise = float(scn.noise[0])
     sigmas = (noise, noise)
-    rng_xy = [np.random.default_rng((cfg.seed, t)) for t in range(trials)]
-    pts = np.array([r.uniform([0, 0], [cfg.d_x, cfg.d_y], size=(2, 2))
-                    for r in rng_xy])
+    pts = _trial_pairs(cfg, trials)
     u1, u2 = (np.column_stack([pts[:, i], np.zeros(trials)]) for i in (0, 1))
     modes = (1, min(2, scn.num_modes))
     x1, _ = optimal_position(u1, link.wg, scn.alpha_a)
     x2, _ = optimal_position(u2, link.wg, scn.alpha_a)
     lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
     p_nom = scn.power
-    x_mm = _golden_max(lambda x: eq22_sum_rate(x, link, u1, u2, sigmas, p_nom,
-                                               modes), lo, hi)
-    x_sm = _golden_max(lambda x: tdma_sum_rate(x, link, u1, u2, sigmas, p_nom),
-                       lo, hi)
+    x_mm = bounded_minimize(
+        lambda x, i: -eq22_sum_rate(x, link, u1[i], u2[i], sigmas, p_nom,
+                                    modes), lo, hi)
+    x_sm = bounded_minimize(
+        lambda x, i: -tdma_sum_rate(x, link, u1[i], u2[i], sigmas, p_nom),
+        lo, hi)
     g_mm = (link.gain(modes[0], x_mm, u1), link.gain(modes[1], x_mm, u2))
     g_sm = (link.gain(1, x_sm, u1), link.gain(1, x_sm, u2))
 

@@ -11,6 +11,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import warnings
@@ -151,7 +152,8 @@ def cmd_oracle(args) -> int:
     cfg = _load(args)
     failures = []
     scn = build_scenario(cfg, users=np.zeros((2, 3)))
-    from .placement import LinkModel, optimal_position
+    from .placement import (MIN_PAIR_SEPARATION, LinkModel, eq22_sum_rate,
+                            optimal_position, two_user_shared_position)
     link = LinkModel(scn)
     wg = scn.waveguides[0]
     rng = np.random.default_rng(cfg.seed)
@@ -166,18 +168,40 @@ def cmd_oracle(args) -> int:
     _check(failures, f"position rule vs 1 mm search (worst {worst*100:.2f} cm)",
            worst < 0.02)
 
-    from scipy.optimize import linear_sum_assignment
-    import itertools
+    pairs = []
+    while len(pairs) < 12:
+        u1, u2 = (np.array([rng.uniform(0, wg.length), rng.uniform(0, cfg.d_y),
+                            0.0]) for _ in range(2))
+        if np.hypot(*(u1 - u2)[:2]) >= MIN_PAIR_SEPARATION:
+            pairs.append((u1, u2))
+    u1, u2 = (np.array(u) for u in zip(*pairs))
+    noise = float(scn.noise[0])
+    sol = two_user_shared_position(u1, u2, link, scn.power, (noise, noise))
+    xs = np.arange(0.0, wg.length + 1e-9, 0.001)
+    worst = max(eq22_sum_rate(xs, link, a, b, (noise, noise), scn.power).max()
+                - rate for a, b, rate in zip(u1, u2, sol.sum_rate))
+    _check(failures, f"pair rule vs 1 mm search (grid best minus rule, "
+           f"worst {worst:.1e} bit/s/Hz)", worst <= 1e-9)
+
+    from .multiuser import hungarian_assign
     ok = True
-    for trial in range(20):
+    for trial, shape in enumerate([(s, s) for s in range(1, 6)]
+                                  + [(5, 3), (4, 2), (6, 1)]
+                                  + [(3, 5), (2, 4), (1, 6)]):
         t_rng = np.random.default_rng((cfg.seed, trial))
-        size = int(t_rng.integers(2, 6))
-        table = t_rng.uniform(0, 10, size=(size, size))
-        rows, cols = linear_sum_assignment(table, maximize=True)
-        best = max(sum(table[i, p[i]] for i in range(size))
-                   for p in itertools.permutations(range(size)))
-        ok &= bool(abs(table[rows, cols].sum() - best) < 1e-9)
-    _check(failures, "assignment equals exhaustive search", ok)
+        table = t_rng.uniform(0, 10, size=shape)
+        x = hungarian_assign(table).x
+        # every injective map of the shorter side into the longer one
+        short = table if shape[0] <= shape[1] else table.T
+        n_match = short.shape[0]
+        best = max(sum(short[i, p[i]] for i in range(n_match))
+                   for p in itertools.permutations(range(short.shape[1]),
+                                                   n_match))
+        ok &= bool(x.sum() == n_match and x.sum(axis=0).max() <= 1
+                   and x.sum(axis=1).max() <= 1
+                   and abs((table * x).sum() - best) < 1e-9)
+    _check(failures, "padded Hungarian equals exhaustive search on square, "
+           "tall and wide tables", ok)
 
     for line in failures:
         print("FAIL:", line)

@@ -289,7 +289,8 @@ class _SlotSolver:
     A candidate depends on the guide and the group, not on which of the
     guide's elements serves it: the pair solve, the boresight gains and
     the receive vectors never read the element index.  So every (guide,
-    group) candidate is solved once on construction, and ``candidates``
+    group) candidate is solved once on construction (the pairs of a
+    guide in one batched pair solve), and ``candidates``
     and the per-candidate arrays indexed [i, j, slot] repeat each
     guide's rows over its N elements: the users (in the candidate's own
     mode order, which may reverse the group's), the serving gains, the
@@ -314,8 +315,7 @@ class _SlotSolver:
         n_wg = scenario.num_waveguides
         self.mn = n_wg * self.num_pas
         n_grp = len(self.groups)
-        per_guide = [[self._solve_candidate(m, j) for j in range(n_grp)]
-                     for m in range(n_wg)]
+        per_guide = [self._solve_guide(m) for m in range(n_wg)]
         self.candidates = [per_guide[m] for m in range(n_wg)
                            for _ in range(self.num_pas)]
         self.pair = np.array([len(g) == 2 for g in self.groups])
@@ -337,27 +337,37 @@ class _SlotSolver:
 
     # -- candidates ------------------------------------------------------
 
-    def _solve_candidate(self, m: int, j: int) -> Candidate:
+    def _solve_guide(self, m: int) -> list[Candidate]:
+        """Candidates of every group on guide m.  Both mode orders of
+        every pair go through one batched pair solve; a pair keeps the
+        order with the higher rate, the group's own on a tie."""
         link = self.links[m]
-        group = self.groups[j]
         users = self.scenario.users
         noise = self.scenario.noise
         power = self.scenario.power
-        if len(group) == 1:
-            sol = solve_single_user(users[group[0]], link, q=1)
-            return self._finish_candidate((group[0],), sol.x_star, link)
-        orders = [tuple(group), tuple(reversed(group))]
-        best = None
-        for order in orders:
-            sol = two_user_shared_position(
-                users[order[0]], users[order[1]], link, power,
-                (noise[order[0]], noise[order[1]]))
-            cand = self._finish_candidate(order, sol.x_star, link)
-            rate = float(_rates(np.array(cand.gains), noise[list(order)],
-                                True, power))
-            if best is None or rate > best[0] + 1e-12:
-                best = (rate, cand)
-        return best[1]
+        pairs = [g for g in self.groups if len(g) == 2]
+        orders = pairs + [tuple(reversed(g)) for g in pairs]
+        x_of = {}
+        if orders:
+            first, second = np.array(orders).T
+            sol = two_user_shared_position(users[first], users[second], link,
+                                           power, (noise[first], noise[second]))
+            x_of = dict(zip(orders, sol.x_star.tolist()))
+        row = []
+        for group in self.groups:
+            if len(group) == 1:
+                sol = solve_single_user(users[group[0]], link, q=1)
+                row.append(self._finish_candidate(group, sol.x_star, link))
+                continue
+            best = None
+            for order in (group, tuple(reversed(group))):
+                cand = self._finish_candidate(order, x_of[order], link)
+                rate = float(_rates(np.array(cand.gains), noise[list(order)],
+                                    True, power))
+                if best is None or rate > best[0] + 1e-12:
+                    best = (rate, cand)
+            row.append(best[1])
+        return row
 
     def _finish_candidate(self, order, x, link) -> Candidate:
         """Aim each port at its user and match the receive polarization."""
@@ -577,8 +587,8 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
     c1 = np.zeros(k_users)
     c2 = np.zeros(k_users, dtype=complex)
     converged = False
+    sinr, v = _fp_rates(h, g, w_p, power, noise)
     for _ in range(max_iter):
-        sinr, v = _fp_rates(h, g, w_p, power, noise)
         c1 = sinr
         denom_full = power * np.sum(np.abs(v) ** 2, axis=1) + noise
         c2 = np.sqrt(power) * np.diag(v) / denom_full
@@ -602,7 +612,8 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
         safe = np.where(denom > 0, denom, np.inf)
         g = u_eig @ (m1 / safe[:, None])
 
-        sinr, _ = _fp_rates(h, g, w_p, power, noise)
+        # the next iteration starts from this g, so it reuses sinr and v
+        sinr, v = _fp_rates(h, g, w_p, power, noise)
         sum_rate = float(np.sum(0.5 * np.log2(1.0 + sinr)))
         trace.append(sum_rate)
         if abs(sum_rate - sum_rate_prev) < tol:

@@ -15,15 +15,19 @@ the water-filling-like split, and the shared position comes from a
 curvature-weighted blend of the two single-user optima, falling back
 to a bounded 1-D search of the explicit two-user sum rate whenever the
 quadratic model degenerates or fails to beat the interval endpoints.
+The pair solve takes one pair or a batch of P pairs on one guide and
+runs every step on all of them at once; the search is
+``bounded_minimize``, Brent's bounded method advanced lane by lane,
+which the outage driver shares.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .geometry import Orientation
 from .polarization import JonesVector, optimal_rx_polarization
@@ -32,6 +36,10 @@ from .scenario import Scenario
 LN2 = np.log(2.0)
 MIN_PAIR_SEPARATION = 1.0  # m, below this the omitted cross-mode
                            # interference is no longer negligible
+# the constants of scipy's bounded search, so that bounded_minimize
+# takes the same steps
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def optimal_orientation(pa_pos, user_pos) -> Orientation:
@@ -40,14 +48,20 @@ def optimal_orientation(pa_pos, user_pos) -> Orientation:
     pitch* = arctan(dx / sqrt(dy^2 + dz^2)), roll* = arctan(-dy / dz),
     with d = user - element in GCS.  Requires the user below the port.
     """
-    d = np.asarray(user_pos, dtype=float) - np.asarray(pa_pos, dtype=float)
-    if np.abs(d).max() <= 1e-8:
+    pitch, roll = _aim_angles(pa_pos, user_pos)
+    return Orientation(pitch=float(pitch), roll=float(roll))
+
+
+def _aim_angles(pa_pos, user_pos):
+    """``optimal_orientation``'s (pitch, roll) for element and user
+    positions or (P, 3) arrays of them, as arrays."""
+    d = (np.asarray(user_pos, dtype=float)
+         - np.asarray(pa_pos, dtype=float)).T
+    if np.any(np.abs(d).max(axis=0) <= 1e-8):
         raise ValueError("user coincides with the element position")
-    if d[2] >= 0:
+    if np.any(d[2] >= 0):
         raise ValueError("user must lie below the element")
-    pitch = float(np.arctan2(d[0], np.hypot(d[1], d[2])))
-    roll = float(np.arctan(-d[1] / d[2]))
-    return Orientation(pitch=pitch, roll=roll)
+    return np.arctan2(d[0], np.hypot(d[1], d[2])), np.arctan(-d[1] / d[2])
 
 
 def _scalar(value):
@@ -81,18 +95,19 @@ def optimal_position(user_pos, wg, alpha_a: float):
     return _scalar(x_star), _scalar(d_star)
 
 
-def gain_log_derivative(x_pa: float, user_pos, wg, alpha_a: float) -> float:
-    """d ln|H|^2 / dx at element position x, boresight-tracked.
+def gain_log_derivative(x_pa, user_pos, wg, alpha_a: float):
+    """d ln|H|^2 / dx at element position x, boresight-tracked; arrays
+    of positions and (K, 3) users broadcast.
 
     Valid for any sign of d = x_user - x; for d < 0 both free-space
     terms turn against moving further, so the derivative is below
     -alpha_w there.
     """
     u = np.asarray(user_pos, dtype=float)
-    d = u[0] - x_pa
-    rho = transverse_distance(user_pos, wg)
+    d = u.T[0] - x_pa
+    rho = transverse_distance(u, wg)
     r = np.hypot(d, rho)
-    return float(-wg.alpha_w + alpha_a * d / r + 2.0 * d / r ** 2)
+    return _scalar(-wg.alpha_w + alpha_a * d / r + 2.0 * d / r ** 2)
 
 
 @dataclass
@@ -204,13 +219,20 @@ def solve_single_user(user_pos, link: LinkModel, q: int = 1) -> SingleUserSoluti
 
 @dataclass
 class TwoUserSolution:
+    """One pair's solution, or a batch's with a trailing lane axis:
+    the scalars become (P,) arrays, ``orientations[s]`` a tuple of P
+    orientations for slot s, and ``x_singles`` two (P,) arrays.  The
+    receive polarizations depend on the modes only and are shared by
+    every lane.  ``used_fallback`` is True if any lane fell back to the
+    search."""
+
     x_star: float
     w1_sq: float
     w2_sq: float
-    orientations: tuple[Orientation, Orientation]
+    orientations: tuple
     rx_polarizations: tuple[JonesVector, JonesVector]
     sum_rate: float
-    x_singles: tuple[float, float]
+    x_singles: tuple
     used_fallback: bool = False
 
 
@@ -218,7 +240,8 @@ def _taylor_terms(link, x_q, user_q, user_qp, mode_q, mode_qp,
                   sigma_q, sigma_qp, power):
     """R'_q and R''_q of the quadratic rate model at the single-user
     optimum x_q, in the paper-unit convention (log2, no 1/2 prefactor);
-    the blended x* is invariant to that overall scale.
+    the blended x* is invariant to that overall scale.  Arrays of pairs
+    broadcast.
 
     At x_q the own-gain slope vanishes, so the first derivative comes
     entirely from the power share reacting to the partner's log-gain
@@ -234,72 +257,161 @@ def _taylor_terms(link, x_q, user_q, user_qp, mode_q, mode_qp,
     return r_p, r_pp
 
 
+def bounded_minimize(fun, lo, hi, xatol: float = 1e-9, maxfun: int = 500):
+    """Minimizers of L independent 1-D problems over [lo, hi].
+
+    Brent's bounded method (Brent 1973, ch. 5) taken step for step from
+    scipy's bounded scalar search (``method="bounded"``): every lane
+    makes the same parabolic and golden-section steps and stops by the
+    same tolerance test as a scalar run with this ``xatol``, so it
+    returns the same x.  ``lo`` and ``hi`` are (L,) arrays; ``fun(x, lanes)``
+    returns the objectives of lanes ``lanes`` (an index array) at the
+    (L',) positions x.  Lanes that meet the tolerance drop out, and
+    after ``maxfun`` evaluations every lane stops where it is.
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    lanes = np.arange(a.size)
+    x_min = np.empty_like(a)
+    xf = a + _GOLDEN_MEAN * (b - a)
+    fx = fun(xf, lanes)
+    nfc, fnfc, fulc, ffulc = xf, fx, xf, fx
+    rat = e = np.zeros_like(xf)
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        go = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
+        if num >= maxfun:
+            go[:] = False
+        x_min[lanes[~go]] = xf[~go]
+        if not go.any():
+            return x_min
+        if not go.all():
+            (lanes, a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, xm, tol1,
+             tol2) = (v[go] for v in (lanes, a, b, xf, fx, nfc, fnfc, fulc,
+                                      ffulc, rat, e, xm, tol1, tol2))
+        # parabola through the three best points, taken where the step
+        # before last was long enough and the vertex lies well inside
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                     & (p > q * (a - xf)) & (p < q * (b - xf)))
+        rat_p = np.divide(p + 0.0, q, out=np.zeros_like(p), where=parabolic)
+        x_p = xf + rat_p
+        toward_mid = np.sign(xm - xf) + ((xm - xf) == 0)
+        rat_p = np.where((x_p - a < tol2) | (b - x_p < tol2),
+                         tol1 * toward_mid, rat_p)
+        e_golden = np.where(xf >= xm, a - xf, b - xf)
+        e = np.where(parabolic, rat, e_golden)
+        rat = np.where(parabolic, rat_p, _GOLDEN_MEAN * e_golden)
+
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = fun(x, lanes)
+        num += 1
+
+        down = fu <= fx
+        right = x >= xf
+        a, b = (np.where(right & down, xf, np.where(~right & ~down, x, a)),
+                np.where(right & ~down, x, np.where(~right & down, xf, b)))
+        shift = down | (fu <= fnfc) | (nfc == xf)
+        third = ~shift & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        fulc, ffulc = (np.where(shift, nfc, np.where(third, x, fulc)),
+                       np.where(shift, fnfc, np.where(third, fu, ffulc)))
+        nfc, fnfc = (np.where(down, xf, np.where(shift, x, nfc)),
+                     np.where(down, fx, np.where(shift, fu, fnfc)))
+        xf, fx = np.where(down, x, xf), np.where(down, fu, fx)
+
+
 def two_user_shared_position(user1, user2, link: LinkModel, power: float,
                              sigmas, modes=(1, 2)) -> TwoUserSolution:
-    """Shared element position and split for two users on one element.
+    """Shared element position and split for two users on one element,
+    or for a batch of P pairs on the guide of ``link``.
 
-    Taylor-blends the single-user optima through the rate curvatures,
-    clamps to the interval they span, and falls back to a bounded
-    golden-section search of the explicit sum rate whenever the
-    quadratic model loses concavity or fails to beat an endpoint.
+    The users are positions or (P, 3) arrays, the two noise powers in
+    ``sigmas`` floats or (P,) arrays; ``modes`` serve user 1 and user 2
+    in every lane.  Taylor-blends the single-user optima through the
+    rate curvatures, clamps to the interval they span, and falls back
+    to ``bounded_minimize`` of the explicit sum rate on that interval
+    whenever the quadratic model loses concavity or fails to beat an
+    endpoint; a fallback lane keeps the best of the search and the two
+    endpoints.  One pair gives floats, a batch the per-lane arrays
+    described on ``TwoUserSolution``.  Coincident users in any lane
+    raise; each lane closer than MIN_PAIR_SEPARATION warns once.
     """
-    users = (np.asarray(user1, float), np.asarray(user2, float))
-    if np.all(np.abs(users[0] - users[1])
-              <= 1e-8 + 1e-5 * np.abs(users[1])):
-        raise ValueError("two-user placement needs distinct users")
-    separation = np.linalg.norm(users[0][:2] - users[1][:2])
-    if separation < MIN_PAIR_SEPARATION:
-        warnings.warn(f"users {separation:.2f} m apart; the neglected "
+    single = np.ndim(user1) == 1
+    u1 = np.atleast_2d(np.asarray(user1, dtype=float))
+    u2 = np.atleast_2d(np.asarray(user2, dtype=float))
+    s1, s2 = (np.broadcast_to(np.asarray(s, dtype=float), u1.shape[:1])
+              for s in sigmas)
+    same = np.all(np.abs(u1 - u2) <= 1e-8 + 1e-5 * np.abs(u2), axis=1)
+    if same.any():
+        raise ValueError("two-user placement needs distinct users (pair "
+                         f"{int(np.argmax(same))} of {same.size})")
+    separation = np.hypot(*(u1[:, :2] - u2[:, :2]).T)
+    for sep in separation[separation < MIN_PAIR_SEPARATION]:
+        warnings.warn(f"users {sep:.2f} m apart; the neglected "
                       "cross-mode interference may not be small", stacklevel=2)
-    sigmas = tuple(float(s) for s in sigmas)
-    x1, _ = optimal_position(users[0], link.wg, link.scenario.alpha_a)
-    x2, _ = optimal_position(users[1], link.wg, link.scenario.alpha_a)
-    lo, hi = min(x1, x2), max(x1, x2)
+    x1, _ = optimal_position(u1, link.wg, link.scenario.alpha_a)
+    x2, _ = optimal_position(u2, link.wg, link.scenario.alpha_a)
+    lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
 
-    def objective(x):
-        return eq22_sum_rate(x, link, users[0], users[1], sigmas, power, modes)
+    def objective(x, lanes=slice(None)):
+        return eq22_sum_rate(x, link, u1[lanes], u2[lanes],
+                             (s1[lanes], s2[lanes]), power, modes)
 
-    used_fallback = False
-    r1p, r1pp = _taylor_terms(link, x1, users[0], users[1], modes[0], modes[1],
-                              sigmas[0], sigmas[1], power)
-    r2p, r2pp = _taylor_terms(link, x2, users[1], users[0], modes[1], modes[0],
-                              sigmas[1], sigmas[0], power)
+    r1p, r1pp = _taylor_terms(link, x1, u1, u2, modes[0], modes[1],
+                              s1, s2, power)
+    r2p, r2pp = _taylor_terms(link, x2, u2, u1, modes[1], modes[0],
+                              s2, s1, power)
     curvature = r1pp + r2pp
-    if np.isfinite(curvature) and curvature < 0:
-        x_star = (r1pp * x1 + r2pp * x2 - (r1p + r2p)) / curvature
-        x_star = float(np.clip(x_star, lo, hi))
-    else:
-        # the curvature approximation loses concavity outside its
-        # weak-coupling regime; the explicit search takes over
-        x_star, used_fallback = lo, True
-    best_end = max(objective(x1), objective(x2))
-    if objective(x_star) < best_end - 1e-12 or used_fallback:
-        used_fallback = True
-        if hi - lo > 1e-9:
-            res = minimize_scalar(lambda x: -objective(x), bounds=(lo, hi),
-                                  method="bounded",
-                                  options={"xatol": 1e-9})
-            candidates = [float(res.x), x1, x2]
-        else:
-            candidates = [x1, x2]
-        x_star = max(candidates, key=objective)
+    # the curvature approximation loses concavity outside its
+    # weak-coupling regime; the explicit search takes over there
+    concave = np.isfinite(curvature) & (curvature < 0)
+    x_star = np.clip(np.divide(r1pp * x1 + r2pp * x2 - (r1p + r2p),
+                               curvature, out=lo.copy(), where=concave),
+                     lo, hi)
+    ends = np.stack([objective(x1), objective(x2)])
+    fallback = ~concave | (objective(x_star) < ends.max(axis=0) - 1e-12)
+    if fallback.any():
+        search = np.nonzero(fallback & (hi - lo > 1e-9))[0]
+        x_search = x1.copy()  # lanes too narrow to search keep x1 or x2
+        x_search[search] = bounded_minimize(
+            lambda x, lanes: -objective(x, search[lanes]),
+            lo[search], hi[search])
+        tried = np.stack([x_search, x1, x2])
+        rates = np.concatenate([objective(x_search)[None], ends])
+        best = tried[np.argmax(rates, axis=0), np.arange(x1.size)]
+        x_star = np.where(fallback, best, x_star)
 
-    g1 = link.gain(modes[0], x_star, users[0])
-    g2 = link.gain(modes[1], x_star, users[1])
-    w1, w2 = power_split(g1, g2, sigmas[0], sigmas[1], power)
-    pa_pos = np.array([x_star, link.wg.axis_y, link.wg.axis_z])
-    orientations = tuple(optimal_orientation(pa_pos, u) for u in users)
+    g1 = link.gain(modes[0], x_star, u1)
+    g2 = link.gain(modes[1], x_star, u2)
+    w1, w2 = power_split(g1, g2, s1, s2, power)
+    wg = link.wg
+    pa_pos = np.column_stack([x_star, np.broadcast_to([wg.axis_y, wg.axis_z],
+                                                      (x_star.size, 2))])
+    orientations = tuple(
+        tuple(Orientation(pitch=p, roll=r)
+              for p, r in zip(*(a.tolist() for a in _aim_angles(pa_pos, u))))
+        for u in (u1, u2))
     med_k0 = link.scenario.med.k0
     rx = tuple(
-        optimal_rx_polarization(modes[i], 0.0, 0.0,
-                                link.scenario.modes[modes[i] - 1].propagation_constant,
+        optimal_rx_polarization(q, 0.0, 0.0,
+                                link.scenario.modes[q - 1].propagation_constant,
                                 med_k0)
-        for i in range(2))
+        for q in modes)
+    out = (lambda v: float(v[0])) if single else (lambda v: v)
     return TwoUserSolution(
-        x_star=float(x_star), w1_sq=float(w1), w2_sq=float(w2),
-        orientations=orientations, rx_polarizations=rx,
-        sum_rate=float(objective(x_star)),
-        x_singles=(x1, x2), used_fallback=used_fallback)
+        x_star=out(x_star), w1_sq=out(w1), w2_sq=out(w2),
+        orientations=tuple(o[0] for o in orientations) if single
+        else orientations,
+        rx_polarizations=rx, sum_rate=out(objective(x_star)),
+        x_singles=(out(x1), out(x2)), used_fallback=bool(fallback.any()))
 
 
 def sum_rate_profile(user1, user2, link: LinkModel, x_grid, power, sigmas,

@@ -1,4 +1,7 @@
-"""Experiment drivers: exported rows."""
+"""Experiment drivers: exported rows and outage drops."""
+
+import numpy as np
+import pytest
 
 from mmpass import bench
 from mmpass.config import ScenarioConfig
@@ -13,3 +16,14 @@ def test_field_map_rows_match_per_point_rounding():
             for ix, x in enumerate(result.xs)]
     assert result.rows == want
     assert all(type(v) is float for row in result.rows[:5] for v in row)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2 ** 31 - 1])
+def test_outage_drops_equal_uniform_draws(seed):
+    # random() scaled by the region is the uniform draw of the same
+    # generator, bit for bit
+    cfg = ScenarioConfig(seed=seed)
+    pts = bench._trial_pairs(cfg, 300)
+    want = np.array([np.random.default_rng((seed, t)).uniform(
+        [0, 0], [cfg.d_x, cfg.d_y], size=(2, 2)) for t in range(300)])
+    assert np.array_equal(pts, want)

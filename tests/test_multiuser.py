@@ -231,8 +231,14 @@ def test_slot_solver_solves_each_guide_group_once(monkeypatch):
     solver = _random_solver(11, m=2, n=3, k=7)
     pairs = sum(len(g) == 2 for g in solver.groups)
     assert pairs == 3
-    # both mode orders of every pair, once per guide
-    assert len(calls) == 2 * 2 * pairs
+    # one batched call per guide, with both mode orders of every pair
+    assert len(calls) == 2
+    for m, (user1, user2, link, _, sigmas) in enumerate(calls):
+        assert link.wg_index == m
+        assert user1.shape == user2.shape == (2 * pairs, 3)
+        assert sigmas[0].shape == sigmas[1].shape == (2 * pairs,)
+        assert np.array_equal(user1[:pairs], user2[pairs:])
+        assert np.array_equal(user2[:pairs], user1[pairs:])
     for i in range(solver.mn):
         first = i - i % solver.num_pas
         for j in range(len(solver.groups)):

@@ -2,13 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from mmpass.config import ScenarioConfig, build_scenario
-from mmpass.placement import (LinkModel, eq22_sum_rate, gain_log_derivative,
-                              optimal_orientation, optimal_position,
-                              solve_single_user, sum_rate_profile,
-                              tdma_sum_rate, two_user_power_split,
-                              two_user_shared_position, transverse_distance)
+from mmpass.placement import (LinkModel, bounded_minimize, eq22_sum_rate,
+                              gain_log_derivative, optimal_orientation,
+                              optimal_position, solve_single_user,
+                              sum_rate_profile, tdma_sum_rate,
+                              two_user_power_split, two_user_shared_position,
+                              transverse_distance)
 from mmpass.radiation import h_pa_to_user
 from mmpass.waveguide import PaPlacement
 
@@ -335,6 +337,121 @@ def test_shared_position_coincidence_boundary():
                 two_user_shared_position(first, second, link, 10.0,
                                          (SIGMA, SIGMA))
     assert outcomes == {True, False}
+
+
+def _random_pairs(rng, n, d_x=10.0, d_y=6.0):
+    return [np.column_stack([rng.uniform(0, d_x, n), rng.uniform(0, d_y, n),
+                             np.zeros(n)]) for _ in range(2)]
+
+
+def test_bounded_search_matches_scipy_bounded():
+    # the lane-wise search takes scipy's steps: the same x, bit for bit,
+    # on 1000 pairs over every guide of the default config.  The oracle
+    # evaluates its lane with the same array kernel, because scalar and
+    # array evaluations of the rate may differ in the last bit
+    cfg = ScenarioConfig()
+    scn = build_scenario(cfg)
+    rng = np.random.default_rng(23)
+    sigmas = (scn.noise[0], scn.noise[0])
+    searched = 0
+    for m in range(scn.num_waveguides):
+        link = LinkModel(scn, m)
+        u1, u2 = _random_pairs(rng, 250, cfg.d_x, cfg.d_y)
+        x1, _ = optimal_position(u1, link.wg, scn.alpha_a)
+        x2, _ = optimal_position(u2, link.wg, scn.alpha_a)
+        lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
+        x = bounded_minimize(
+            lambda x, i: -eq22_sum_rate(x, link, u1[i], u2[i], sigmas,
+                                        scn.power), lo, hi)
+        for p in range(len(lo)):
+            res = minimize_scalar(
+                lambda x: -eq22_sum_rate(np.array([x]), link, u1[p:p + 1],
+                                         u2[p:p + 1], sigmas, scn.power)[0],
+                bounds=(lo[p], hi[p]), method="bounded",
+                options={"xatol": 1e-9})
+            assert float(res.x) == x[p], (m, p)
+            searched += hi[p] - lo[p] > 1e-9
+    assert searched >= 990
+
+
+def test_bounded_search_lanes_are_independent():
+    # a quadratic per lane: the minimizer (clamped to the bracket) to
+    # the search tolerance, whichever other lanes share the call;
+    # maxfun stops every lane
+    rng = np.random.default_rng(2)
+    centre = rng.uniform(-1, 2, 40)
+    lo, hi = np.zeros(40), np.ones(40)
+    calls = []
+
+    def fun(x, lanes):
+        calls.append(lanes.size)
+        return (x - centre[lanes]) ** 2
+
+    x = bounded_minimize(fun, lo, hi, xatol=1e-9)
+    assert np.allclose(x, np.clip(centre, 0, 1), atol=1e-7)
+    assert calls[0] == 40 and calls[-1] < 40
+    for k in (0, 7, 39):
+        alone = bounded_minimize(lambda x, i: fun(x, i + k), lo[k:k + 1],
+                                 hi[k:k + 1])
+        assert alone[0] == x[k]
+    calls.clear()
+    bounded_minimize(fun, lo, hi, maxfun=5)
+    assert len(calls) == 5
+
+
+def test_shared_position_batch_matches_single_calls():
+    link = LinkModel(_scenario())
+    rng = np.random.default_rng(31)
+    u1, u2 = _random_pairs(rng, 24)
+    keep = np.hypot(*(u1 - u2)[:, :2].T) >= 1.0
+    # lane 0 is too narrow to search: both optima clamp to the feed
+    u1 = np.vstack([[0.01, 1.0, 0.0], u1[keep]])
+    u2 = np.vstack([[0.02, 5.0, 0.0], u2[keep]])
+    sig2 = SIGMA * rng.uniform(0.5, 2.0, len(u1))
+    batch = two_user_shared_position(u1, u2, link, 10.0, (SIGMA, sig2))
+    assert batch.x_star.shape == (len(u1),)
+    assert batch.x_singles[0][0] == batch.x_singles[1][0] == 0.0
+    fallbacks = []
+    for p in range(len(u1)):
+        one = two_user_shared_position(u1[p], u2[p], link, 10.0,
+                                       (SIGMA, sig2[p]))
+        assert type(one.x_star) is float and type(one.sum_rate) is float
+        assert one.x_star == batch.x_star[p]
+        assert one.w1_sq == batch.w1_sq[p] and one.w2_sq == batch.w2_sq[p]
+        assert one.sum_rate == batch.sum_rate[p]
+        assert one.x_singles == (batch.x_singles[0][p], batch.x_singles[1][p])
+        assert one.orientations == (batch.orientations[0][p],
+                                    batch.orientations[1][p])
+        assert one.rx_polarizations == batch.rx_polarizations
+        fallbacks.append(one.used_fallback)
+    assert batch.used_fallback is any(fallbacks)
+
+
+def test_shared_position_keeps_a_winning_endpoint():
+    # at low power a quiet partner takes the whole budget and the rate
+    # peaks at or beyond its own optimum: the search only comes within
+    # its tolerance of that endpoint, so the endpoint itself is kept
+    link = LinkModel(_scenario())
+    far, near = [6.4, 5.7, 0.0], [0.5, 4.2, 0.0]
+    for users, sigmas, end in (((far, near), (SIGMA, 0.003 * SIGMA), 1),
+                               ((near, far), (0.003 * SIGMA, SIGMA), 0)):
+        sol = two_user_shared_position(*users, link, 0.01, sigmas)
+        assert sol.used_fallback
+        assert sol.x_star == sol.x_singles[end]
+
+
+def test_shared_position_batch_rejects_and_warns_per_lane():
+    link = LinkModel(_scenario())
+    u1 = np.array([[2.0, 3, 0], [5.0, 3, 0], [7.0, 1, 0], [8.0, 3, 0]])
+    u2 = np.array([[4.0, 3, 0], [5.5, 3, 0], [7.2, 1, 0], [2.0, 3, 0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        two_user_shared_position(u1, u2, link, 10.0, (SIGMA, SIGMA))
+    assert [str(w.message)[:15] for w in caught] == ["users 0.50 m ap",
+                                                     "users 0.20 m ap"]
+    u2[2] = u1[2]
+    with pytest.raises(ValueError, match="distinct users.*pair 2 of 4"):
+        two_user_shared_position(u1, u2, link, 10.0, (SIGMA, SIGMA))
 
 
 # ---------------------------------------------------------------------------

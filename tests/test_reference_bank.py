@@ -1,5 +1,6 @@
-"""Drop 0 of the paper-s and spare-4x4 benchmark banks against their
-committed reference sum rates.
+"""Drop 0 of the paper-s, spare-4x4 and figures benchmark banks
+against their committed references (sum rates; lobe metrics and the
+outage curve).
 
 The benchmark in ``perfbench/`` checks every op of these banks, but a
 run takes minutes; one drop here catches a fingerprint break in the
@@ -40,3 +41,12 @@ def test_drop_zero_matches_reference(workloads, name):
             warnings.simplefilter("ignore")
             result = workload.run(op, scenario, None)
         assert workload.check(op, scenario, result, reference) == [], op.key
+
+
+def test_figures_drop_zero_matches_reference(workloads, tmp_path):
+    workload = workloads.WORKLOADS["figures"]()
+    reference = workloads.load_reference("figures")
+    (op,) = workload.drop_ops(0)
+    params = workload.prepare(op)
+    result = workload.run(op, params, tmp_path)
+    assert workload.check(op, params, result, reference) == []
