@@ -36,8 +36,8 @@ from scipy.optimize import linear_sum_assignment
 
 from . import channel
 from .geometry import Orientation
-from .placement import (LinkModel, optimal_orientation, power_split,
-                        solve_single_user, two_user_shared_position)
+from .placement import (LinkModel, power_split, solve_single_user,
+                        two_user_shared_position)
 from .polarization import receive_polarization
 from .radiation import PortResponse
 from .scenario import Scenario
@@ -347,21 +347,23 @@ class _SlotSolver:
         power = self.scenario.power
         pairs = [g for g in self.groups if len(g) == 2]
         orders = pairs + [tuple(reversed(g)) for g in pairs]
-        x_of = {}
+        solved = {}
         if orders:
             first, second = np.array(orders).T
             sol = two_user_shared_position(users[first], users[second], link,
                                            power, (noise[first], noise[second]))
-            x_of = dict(zip(orders, sol.x_star.tolist()))
+            solved = dict(zip(orders, zip(sol.x_star.tolist(),
+                                          zip(*sol.orientations))))
         row = []
         for group in self.groups:
             if len(group) == 1:
                 sol = solve_single_user(users[group[0]], link, q=1)
-                row.append(self._finish_candidate(group, sol.x_star, link))
+                aim = (Orientation(pitch=sol.pitch, roll=sol.roll),)
+                row.append(self._finish_candidate(group, sol.x_star, aim, link))
                 continue
             best = None
             for order in (group, tuple(reversed(group))):
-                cand = self._finish_candidate(order, x_of[order], link)
+                cand = self._finish_candidate(order, *solved[order], link)
                 rate = float(_rates(np.array(cand.gains), noise[list(order)],
                                     True, power))
                 if best is None or rate > best[0] + 1e-12:
@@ -369,25 +371,25 @@ class _SlotSolver:
             row.append(best[1])
         return row
 
-    def _finish_candidate(self, order, x, link) -> Candidate:
-        """Aim each port at its user and match the receive polarization."""
+    def _finish_candidate(self, order, x, orientations, link) -> Candidate:
+        """Match each port's receive polarization to the field it
+        radiates at its user; ``orientations`` aim the ports, one per
+        user of ``order``."""
         wg = link.wg
         pa_pos = np.array([x, wg.axis_y, wg.axis_z])
-        orientations, rx, gains = [], [], []
-        for slot, k in enumerate(order):
+        rx, gains = [], []
+        for slot, (k, orient) in enumerate(zip(order, orientations)):
             user_pos = self.scenario.users[k]
-            orient = optimal_orientation(pa_pos, user_pos)
             e_dir = PortResponse(self.scenario.med, self.scenario.modes[slot],
                                  wg, pa_pos, orient, user_pos).direction[0]
             p, _ = receive_polarization("matched", e_dir, user_pos, pa_pos)
-            orientations.append(orient)
             rx.append(p)
             gains.append(link.gain(slot + 1, x, user_pos))
         # idle ports of a singleton group point straight down
-        while len(orientations) < self.scenario.num_modes:
-            orientations.append(Orientation())
+        orientations = tuple(orientations) + (Orientation(),) * (
+            self.scenario.num_modes - len(orientations))
         return Candidate(users=tuple(order), x=float(x),
-                         orientations=tuple(orientations),
+                         orientations=orientations,
                          rx_world=tuple(rx), gains=tuple(gains))
 
     # -- interference and rates -------------------------------------------

@@ -36,10 +36,13 @@ from .scenario import Scenario
 LN2 = np.log(2.0)
 MIN_PAIR_SEPARATION = 1.0  # m, below this the omitted cross-mode
                            # interference is no longer negligible
-# the constants of scipy's bounded search, so that bounded_minimize
-# takes the same steps
+# the constants of scipy's bounded search with options={"xatol": 1e-9}
+# and its default evaluation cap, so that bounded_minimize takes the
+# same steps and returns the same x
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_XATOL = 1e-9
+_MAXFUN = 500
 
 
 def optimal_orientation(pa_pos, user_pos) -> Orientation:
@@ -226,12 +229,12 @@ class TwoUserSolution:
     every lane.  ``used_fallback`` is True if any lane fell back to the
     search."""
 
-    x_star: float
-    w1_sq: float
-    w2_sq: float
+    x_star: float | np.ndarray
+    w1_sq: float | np.ndarray
+    w2_sq: float | np.ndarray
     orientations: tuple
     rx_polarizations: tuple[JonesVector, JonesVector]
-    sum_rate: float
+    sum_rate: float | np.ndarray
     x_singles: tuple
     used_fallback: bool = False
 
@@ -257,17 +260,17 @@ def _taylor_terms(link, x_q, user_q, user_qp, mode_q, mode_qp,
     return r_p, r_pp
 
 
-def bounded_minimize(fun, lo, hi, xatol: float = 1e-9, maxfun: int = 500):
+def bounded_minimize(fun, lo, hi):
     """Minimizers of L independent 1-D problems over [lo, hi].
 
     Brent's bounded method (Brent 1973, ch. 5) taken step for step from
-    scipy's bounded scalar search (``method="bounded"``): every lane
-    makes the same parabolic and golden-section steps and stops by the
-    same tolerance test as a scalar run with this ``xatol``, so it
-    returns the same x.  ``lo`` and ``hi`` are (L,) arrays; ``fun(x, lanes)``
+    scipy's bounded scalar search (``method="bounded"``, xatol 1e-9):
+    every lane makes the same parabolic and golden-section steps and
+    stops by the same tolerance test as a scalar run, so it returns the
+    same x.  ``lo`` and ``hi`` are (L,) arrays; ``fun(x, lanes)``
     returns the objectives of lanes ``lanes`` (an index array) at the
     (L',) positions x.  Lanes that meet the tolerance drop out, and
-    after ``maxfun`` evaluations every lane stops where it is.
+    after ``_MAXFUN`` evaluations every lane stops where it is.
     """
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
@@ -280,10 +283,10 @@ def bounded_minimize(fun, lo, hi, xatol: float = 1e-9, maxfun: int = 500):
     num = 1
     while True:
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol1 = _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
         tol2 = 2.0 * tol1
         go = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
-        if num >= maxfun:
+        if num >= _MAXFUN:
             go[:] = False
         x_min[lanes[~go]] = xf[~go]
         if not go.any():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from mmpass import placement
 from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.placement import (LinkModel, bounded_minimize, eq22_sum_rate,
                               gain_log_derivative, optimal_orientation,
@@ -346,7 +347,8 @@ def _random_pairs(rng, n, d_x=10.0, d_y=6.0):
 
 def test_bounded_search_matches_scipy_bounded():
     # the lane-wise search takes scipy's steps: the same x, bit for bit,
-    # on 1000 pairs over every guide of the default config.  The oracle
+    # on 1000 pairs over every guide of the default config, for the
+    # dual-mode and the time-division pair rate.  The oracle
     # evaluates its lane with the same array kernel, because scalar and
     # array evaluations of the rate may differ in the last bit
     cfg = ScenarioConfig()
@@ -360,21 +362,22 @@ def test_bounded_search_matches_scipy_bounded():
         x1, _ = optimal_position(u1, link.wg, scn.alpha_a)
         x2, _ = optimal_position(u2, link.wg, scn.alpha_a)
         lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
-        x = bounded_minimize(
-            lambda x, i: -eq22_sum_rate(x, link, u1[i], u2[i], sigmas,
-                                        scn.power), lo, hi)
-        for p in range(len(lo)):
-            res = minimize_scalar(
-                lambda x: -eq22_sum_rate(np.array([x]), link, u1[p:p + 1],
-                                         u2[p:p + 1], sigmas, scn.power)[0],
-                bounds=(lo[p], hi[p]), method="bounded",
-                options={"xatol": 1e-9})
-            assert float(res.x) == x[p], (m, p)
-            searched += hi[p] - lo[p] > 1e-9
+        for rate in (eq22_sum_rate, tdma_sum_rate):
+            x = bounded_minimize(
+                lambda x, i: -rate(x, link, u1[i], u2[i], sigmas, scn.power),
+                lo, hi)
+            for p in range(len(lo)):
+                res = minimize_scalar(
+                    lambda x: -rate(np.array([x]), link, u1[p:p + 1],
+                                    u2[p:p + 1], sigmas, scn.power)[0],
+                    bounds=(lo[p], hi[p]), method="bounded",
+                    options={"xatol": 1e-9})
+                assert float(res.x) == x[p], (rate.__name__, m, p)
+        searched += np.count_nonzero(hi - lo > 1e-9)
     assert searched >= 990
 
 
-def test_bounded_search_lanes_are_independent():
+def test_bounded_search_lanes_are_independent(monkeypatch):
     # a quadratic per lane: the minimizer (clamped to the bracket) to
     # the search tolerance, whichever other lanes share the call;
     # maxfun stops every lane
@@ -387,7 +390,7 @@ def test_bounded_search_lanes_are_independent():
         calls.append(lanes.size)
         return (x - centre[lanes]) ** 2
 
-    x = bounded_minimize(fun, lo, hi, xatol=1e-9)
+    x = bounded_minimize(fun, lo, hi)
     assert np.allclose(x, np.clip(centre, 0, 1), atol=1e-7)
     assert calls[0] == 40 and calls[-1] < 40
     for k in (0, 7, 39):
@@ -395,8 +398,32 @@ def test_bounded_search_lanes_are_independent():
                                  hi[k:k + 1])
         assert alone[0] == x[k]
     calls.clear()
-    bounded_minimize(fun, lo, hi, maxfun=5)
+    monkeypatch.setattr(placement, "_MAXFUN", 5)
+    bounded_minimize(fun, lo, hi)
     assert len(calls) == 5
+
+
+def test_bounded_search_matches_scipy_on_flat_and_kinked_objectives():
+    # plateaus, steps and kinks make ties between function values and
+    # points exactly at the bracket middle, which smooth rates rarely do
+    objectives = [
+        lambda x: 0.0 * x, lambda x: np.floor(4 * x),
+        lambda x: -np.floor(4 * x),
+        lambda x: np.maximum(np.abs(x - 0.3) - 0.2, 0.0),
+        lambda x: np.round(x - 0.4, 2) ** 2,
+        lambda x: np.abs(np.round(8 * x) - 3), lambda x: np.minimum(x, 0.5),
+        lambda x: (x - 1.0) ** 2, lambda x: np.abs(x - 0.25),
+        lambda x: np.sin(30 * x) + x]
+
+    def fun(x, lanes):
+        return np.array([objectives[k](v) for v, k in zip(x, lanes)])
+
+    n = len(objectives)
+    x = bounded_minimize(fun, np.zeros(n), np.ones(n))
+    for k in range(n):
+        res = minimize_scalar(lambda v: fun([v], [k])[0], bounds=(0.0, 1.0),
+                              method="bounded", options={"xatol": 1e-9})
+        assert float(res.x) == x[k], k
 
 
 def test_shared_position_batch_matches_single_calls():
