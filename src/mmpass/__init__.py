@@ -3,19 +3,15 @@ pinching-antenna systems."""
 
 from .geometry import Orientation, SphericalBasis
 from .waveguide import (MediumConstants, ModeSpec, PaPlacement, WaveguideSpec,
-                        coupling_length, h_wg_to_pa, mode_spec, modal_field,
-                        te_modes)
-from .radiation import (FieldSample, PortResponse, h_pa_to_user,
-                        intensity_map, pattern_factor, radiated_field)
+                        coupling_length, h_wg_to_pa, mode_spec, te_modes)
+from .radiation import PortResponse, intensity_map, pattern_factor
 from .polarization import (JonesVector, discrete_rx_polarization,
-                           incident_jones, matching_efficiency,
-                           optimal_rx_polarization, receive_polarization)
+                           matching_efficiency, receive_polarization)
 from .scenario import Scenario, make_scenario
-from .channel import ChannelMatrix, RateReport, assemble, rate_report, sum_rate, user_rate
+from .channel import ChannelMatrix, RateReport, assemble, rate_report
 from .placement import (LinkModel, SingleUserSolution, TwoUserSolution,
                         gain_log_derivative, optimal_orientation,
-                        optimal_position, sum_rate_profile,
-                        two_user_power_split, two_user_shared_position)
+                        optimal_position, two_user_shared_position)
 from .multiuser import (AssignmentMatrix, PrecoderFactorization, SchemeResult,
                         UserGrouping, fp_precoding, group_users,
                         hungarian_assign, optimize_scenario)

@@ -69,7 +69,7 @@ def run_rate_vs_power(cfg: ScenarioConfig, power_grid_dbw, schemes=None,
     rows = []
     for p_dbw in power_grid_dbw:
         power = 10.0 ** (p_dbw / 10.0)
-        scn = _with_power(base, power)
+        scn = replace(base, power=power)
         for scheme in schemes:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -80,10 +80,6 @@ def run_rate_vs_power(cfg: ScenarioConfig, power_grid_dbw, schemes=None,
     return ExperimentResult("rate_vs_power",
                             ("power_dbw", "scheme", "sum_rate"),
                             rows, _metadata(cfg))
-
-
-def _with_power(scenario, power):
-    return replace(scenario, power=power)
 
 
 # ---------------------------------------------------------------------------

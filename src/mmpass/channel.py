@@ -13,14 +13,13 @@ numbers share one convention.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .radiation import PortResponse
 from .scenario import Scenario
-from .waveguide import assemble_H_wp, wp_col, wp_row
+from .waveguide import assemble_H_wp, wp_row
 
 
 @dataclass
@@ -31,37 +30,17 @@ class ChannelMatrix:
     h_pu: np.ndarray    # K x QMN complex
     lam: np.ndarray     # K x QMN real in [0, 1]
     h: np.ndarray       # K x QM complex
-    num_pas: int
-    num_modes: int
-
-    def port_column(self, m: int, n: int, q: int) -> int:
-        """0-based H_pu column of port (m, n, q), all 0-based."""
-        return wp_row(m, n, q, self.num_pas, self.num_modes)
-
-    def mode_column(self, m: int, q: int) -> int:
-        return wp_col(m, q, self.num_modes)
-
-    def write_csv(self, path):
-        """Flat (row, col, re, im) dump of H for debugging."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "col", "re", "im"])
-            for i in range(self.h.shape[0]):
-                for j in range(self.h.shape[1]):
-                    writer.writerow([i, j, f"{self.h[i, j].real:.12e}",
-                                     f"{self.h[i, j].imag:.12e}"])
 
 
 def rx_world_vectors(scenario: Scenario, rx_polarizations) -> np.ndarray:
-    """Normalize rx polarization input to a (K, 3) array of unit vectors.
-
-    Accepts an array of 3-vectors or a list of JonesVector objects that
-    carry their basis.
-    """
-    if isinstance(rx_polarizations, np.ndarray) and rx_polarizations.ndim == 2:
-        vecs = rx_polarizations.astype(float)
-    else:
-        vecs = np.stack([np.real(j.to_gcs()) for j in rx_polarizations])
+    """The receive vectors as a (K, 3) float array of unit vectors, one
+    row per user of the scenario; any other shape or a row off unit
+    norm raises ValueError."""
+    vecs = np.asarray(rx_polarizations, dtype=float)
+    expected = (scenario.num_users, 3)
+    if vecs.shape != expected:
+        raise ValueError(f"rx polarizations have shape {vecs.shape}, "
+                         f"expected {expected}")
     norms = np.linalg.norm(vecs, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise ValueError("rx polarizations must be unit-norm")
@@ -71,10 +50,10 @@ def rx_world_vectors(scenario: Scenario, rx_polarizations) -> np.ndarray:
 def assemble(scenario: Scenario, rx_polarizations) -> ChannelMatrix:
     """Build H_wp, H_pu and Lambda for a scenario and compose them.
 
-    ``rx_polarizations`` holds one unit polarization vector per user
-    (3-vectors in GCS, or Jones vectors with a basis).  Lambda entries
-    are |p_k . unit(E)| for every port, so the mask is exact on each
-    user's matched plane and projects physically for all other ports.
+    ``rx_polarizations`` is a (K, 3) array of unit receive vectors in
+    the GCS, one row per user.  Lambda entries are |p_k . unit(E)| for
+    every port, so the mask is exact on each user's matched plane and
+    projects physically for all other ports.
     """
     rx = rx_world_vectors(scenario, rx_polarizations)
     n_wg, n_pas = scenario.num_waveguides, scenario.num_pas
@@ -96,8 +75,7 @@ def assemble(scenario: Scenario, rx_polarizations) -> ChannelMatrix:
                                 * np.exp(-1j * med.k0 * resp.r))
                 lam[:, col] = np.abs(np.sum(rx * resp.direction, axis=1))
     h = (lam * h_pu) @ h_wp
-    return ChannelMatrix(h_wp=h_wp, h_pu=h_pu, lam=lam, h=h,
-                         num_pas=n_pas, num_modes=n_modes)
+    return ChannelMatrix(h_wp=h_wp, h_pu=h_pu, lam=lam, h=h)
 
 
 def _check_power(w: np.ndarray):
@@ -115,17 +93,6 @@ def sinr(h: np.ndarray, w: np.ndarray, power: float, noise) -> np.ndarray:
     signal = np.diag(gains)
     interference = gains.sum(axis=1) - signal
     return power * signal / (power * interference + noise)
-
-
-def user_rate(h: np.ndarray, w: np.ndarray, k: int, power: float, noise) -> float:
-    """(1/2) log2(1 + SINR_k)."""
-    _check_power(w)
-    return float(0.5 * np.log2(1.0 + sinr(h, w, power, noise)[k]))
-
-
-def sum_rate(h: np.ndarray, w: np.ndarray, power: float, noise) -> float:
-    _check_power(w)
-    return float(np.sum(0.5 * np.log2(1.0 + sinr(h, w, power, noise))))
 
 
 @dataclass

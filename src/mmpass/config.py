@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 import yaml
 
+from .multiuser import parse_scheme
 from .scenario import Scenario, make_scenario
 from .waveguide import MediumConstants
 
@@ -80,10 +81,6 @@ class ScenarioConfig:
     def noise_w(self) -> float:
         return dbw_to_watt(self.noise_dbw)
 
-    @property
-    def power_dbw(self) -> float:
-        return 10.0 * np.log10(self.power_w)
-
     def validate(self) -> "ScenarioConfig":
         positive = ("d_x", "d_y", "d_z", "frequency_hz", "a", "b", "n_core",
                     "kappa", "power_w", "aperture_scale")
@@ -109,6 +106,8 @@ class ScenarioConfig:
         if self.user_mode == "explicit" and not self.user_positions:
             raise ValueError("config field 'user_positions' is required "
                              "when user_mode is 'explicit'")
+        for scheme in self.schemes:
+            parse_scheme(scheme)
         return self
 
 

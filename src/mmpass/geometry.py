@@ -74,10 +74,6 @@ class Orientation:
     def lcs_from_gcs(self) -> np.ndarray:
         return _REST_AXES @ rotation_y(self.pitch) @ rotation_x(self.roll).T
 
-    def boresight(self) -> np.ndarray:
-        """Port pointing direction (+z of the LCS) in GCS coordinates."""
-        return self.gcs_from_lcs()[:, 2]
-
 
 IDENTITY = Orientation(0.0, 0.0)
 

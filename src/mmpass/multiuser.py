@@ -251,10 +251,6 @@ def hungarian_assign(rate_table: np.ndarray) -> AssignmentMatrix:
     return AssignmentMatrix(x)
 
 
-def _pa_coords(i: int, num_pas: int) -> tuple[int, int]:
-    return divmod(i, num_pas)
-
-
 @dataclass(frozen=True)
 class Candidate:
     """Interference-free deployment of any element of one guide serving
@@ -340,20 +336,25 @@ class _SlotSolver:
     def _solve_guide(self, m: int) -> list[Candidate]:
         """Candidates of every group on guide m.  Both mode orders of
         every pair go through one batched pair solve; a pair keeps the
-        order with the higher rate, the group's own on a tie."""
+        order with the higher sum rate, the group's own on a tie, and
+        only that order is finished."""
         link = self.links[m]
         users = self.scenario.users
         noise = self.scenario.noise
-        power = self.scenario.power
         pairs = [g for g in self.groups if len(g) == 2]
         orders = pairs + [tuple(reversed(g)) for g in pairs]
         solved = {}
         if orders:
             first, second = np.array(orders).T
             sol = two_user_shared_position(users[first], users[second], link,
-                                           power, (noise[first], noise[second]))
-            solved = dict(zip(orders, zip(sol.x_star.tolist(),
-                                          zip(*sol.orientations))))
+                                           self.scenario.power,
+                                           (noise[first], noise[second]))
+            own, flipped = np.split(sol.sum_rate, 2)
+            xs = sol.x_star.tolist()
+            aims = list(zip(*sol.orientations))
+            for p, pair in enumerate(pairs):
+                lane = p + len(pairs) if flipped[p] > own[p] + 1e-12 else p
+                solved[pair] = (orders[lane], xs[lane], aims[lane])
         row = []
         for group in self.groups:
             if len(group) == 1:
@@ -361,14 +362,7 @@ class _SlotSolver:
                 aim = (Orientation(pitch=sol.pitch, roll=sol.roll),)
                 row.append(self._finish_candidate(group, sol.x_star, aim, link))
                 continue
-            best = None
-            for order in (group, tuple(reversed(group))):
-                cand = self._finish_candidate(order, *solved[order], link)
-                rate = float(_rates(np.array(cand.gains), noise[list(order)],
-                                    True, power))
-                if best is None or rate > best[0] + 1e-12:
-                    best = (rate, cand)
-            row.append(best[1])
+            row.append(self._finish_candidate(*solved[group], link))
         return row
 
     def _finish_candidate(self, order, x, orientations, link) -> Candidate:
@@ -700,7 +694,7 @@ def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
     cands = {int(i): solver.candidates[i][assignment.group_of(i)]
              for i in assignment.assigned_rows}
     for i, cand in cands.items():
-        m, n = _pa_coords(i, num_pas)
+        m, n = divmod(i, num_pas)
         per_wg_positions[m][n] = cand.x
         for k_local in cand.users:
             serving.setdefault(k_local, (i, cand))  # lowest element first
@@ -732,7 +726,7 @@ def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
         if k_local in serving:
             i, cand = serving[k_local]
             slot_idx = cand.users.index(k_local)
-            m, _ = _pa_coords(i, num_pas)
+            m, _ = divmod(i, num_pas)
             wg = slot_scn.waveguides[m]
             pa_pos = np.array([cand.x, wg.axis_y, wg.axis_z])
             # the matched vector is the serving field direction up to a

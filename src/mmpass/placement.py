@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Orientation
-from .polarization import JonesVector, optimal_rx_polarization
 from .scenario import Scenario
 
 LN2 = np.log(2.0)
@@ -117,10 +116,11 @@ def gain_log_derivative(x_pa, user_pos, wg, alpha_a: float):
 class LinkModel:
     """Fast boresight link-gain evaluator for one scenario's guides.
 
-    amplitude(q) is the mode-q gain constant at 1 m including the
-    per-mode normalization; |h_q(x)|^2 then follows from the guided and
-    atmospheric attenuations and spherical spreading, with the port
-    aimed at the user and the receive polarization matched.
+    The scenario's ``mode_amplitude(q)`` is the mode-q gain constant at
+    1 m including the per-mode normalization; |h_q(x)|^2 then follows
+    from the guided and atmospheric attenuations and spherical
+    spreading, with the port aimed at the user and the receive
+    polarization matched.
     """
 
     scenario: Scenario
@@ -129,9 +129,6 @@ class LinkModel:
     @property
     def wg(self):
         return self.scenario.waveguides[self.wg_index]
-
-    def amplitude(self, q: int) -> float:
-        return self.scenario.mode_amplitude(q)
 
     def gain(self, q: int, x, user_pos):
         """|h_q(x)|^2 = A_q^2 e^(-aw x) e^(-aa r) / (N r^2).
@@ -143,22 +140,10 @@ class LinkModel:
         u = np.asarray(user_pos, dtype=float)
         rho = transverse_distance(u, self.wg)
         r = np.hypot(u.T[0] - x, rho)
-        a_q = self.amplitude(q)
+        a_q = self.scenario.mode_amplitude(q)
         return _scalar(a_q ** 2 * np.exp(-self.wg.alpha_w * x)
                        * np.exp(-self.scenario.alpha_a * r)
                        / (self.wg.num_pas * r ** 2))
-
-
-def two_user_power_split(h1: complex, h2: complex, sigma1_sq: float,
-                         sigma2_sq: float, power: float) -> tuple[float, float]:
-    """Per-mode power shares maximizing the interference-free two-user
-    sum rate, clamped to [0, 1] (a binding clamp hands the full budget
-    to the stronger interior solution)."""
-    g1, g2 = abs(h1) ** 2, abs(h2) ** 2
-    if g1 == 0.0 or g2 == 0.0:
-        raise ValueError("two-user split needs two nonzero channels")
-    w1, w2 = power_split(g1, g2, sigma1_sq, sigma2_sq, power)
-    return float(w1), float(w2)
 
 
 def power_split(g1, g2, s1, s2, power):
@@ -201,22 +186,18 @@ class SingleUserSolution:
     roll: float
     x_star: float
     d_star: float
-    rx_polarization: JonesVector
     achieved_gain: float
 
 
 def solve_single_user(user_pos, link: LinkModel, q: int = 1) -> SingleUserSolution:
-    """Closed-form orientation, position and matched polarization for
-    one user served by mode q."""
+    """Closed-form orientation and position for one user served by
+    mode q."""
     x_star, d_star = optimal_position(user_pos, link.wg, link.scenario.alpha_a)
     pa_pos = np.array([x_star, link.wg.axis_y, link.wg.axis_z])
     orientation = optimal_orientation(pa_pos, user_pos)
-    mode = link.scenario.modes[q - 1]
-    rx = optimal_rx_polarization(q, 0.0, 0.0, mode.propagation_constant,
-                                 link.scenario.med.k0)
     return SingleUserSolution(
         pitch=orientation.pitch, roll=orientation.roll,
-        x_star=x_star, d_star=d_star, rx_polarization=rx,
+        x_star=x_star, d_star=d_star,
         achieved_gain=link.gain(q, x_star, user_pos))
 
 
@@ -224,16 +205,13 @@ def solve_single_user(user_pos, link: LinkModel, q: int = 1) -> SingleUserSoluti
 class TwoUserSolution:
     """One pair's solution, or a batch's with a trailing lane axis:
     the scalars become (P,) arrays, ``orientations[s]`` a tuple of P
-    orientations for slot s, and ``x_singles`` two (P,) arrays.  The
-    receive polarizations depend on the modes only and are shared by
-    every lane.  ``used_fallback`` is True if any lane fell back to the
-    search."""
+    orientations for slot s, and ``x_singles`` two (P,) arrays.
+    ``used_fallback`` is True if any lane fell back to the search."""
 
     x_star: float | np.ndarray
     w1_sq: float | np.ndarray
     w2_sq: float | np.ndarray
     orientations: tuple
-    rx_polarizations: tuple[JonesVector, JonesVector]
     sum_rate: float | np.ndarray
     x_singles: tuple
     used_fallback: bool = False
@@ -402,33 +380,11 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
         tuple(Orientation(pitch=p, roll=r)
               for p, r in zip(*(a.tolist() for a in _aim_angles(pa_pos, u))))
         for u in (u1, u2))
-    med_k0 = link.scenario.med.k0
-    rx = tuple(
-        optimal_rx_polarization(q, 0.0, 0.0,
-                                link.scenario.modes[q - 1].propagation_constant,
-                                med_k0)
-        for q in modes)
     out = (lambda v: float(v[0])) if single else (lambda v: v)
     return TwoUserSolution(
         x_star=out(x_star), w1_sq=out(w1), w2_sq=out(w2),
         orientations=tuple(o[0] for o in orientations) if single
         else orientations,
-        rx_polarizations=rx, sum_rate=out(objective(x_star)),
+        sum_rate=out(objective(x_star)),
         x_singles=(out(x1), out(x2)), used_fallback=bool(fallback.any()))
 
-
-def sum_rate_profile(user1, user2, link: LinkModel, x_grid, power, sigmas,
-                     scheme: str = "mm"):
-    """Sum-rate profile over candidate shared positions.
-
-    ``scheme`` selects the dual-mode rate ("mm") or the single-mode
-    time-division baseline ("sm").  Returns (x_grid, rates).
-    """
-    x_grid = np.asarray(x_grid, dtype=float)
-    if scheme == "mm":
-        rates = eq22_sum_rate(x_grid, link, user1, user2, sigmas, power)
-    elif scheme == "sm":
-        rates = tdma_sum_rate(x_grid, link, user1, user2, sigmas, power)
-    else:
-        raise ValueError(f"unknown profile scheme {scheme!r}")
-    return x_grid, np.asarray(rates)

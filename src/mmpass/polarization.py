@@ -6,10 +6,10 @@ matching efficiency against an incident field is the magnitude of the
 plain transpose product of the two unit vectors (amplitude level; the
 captured power scales as its square through the channel composition).
 
-Incident fields arrive expressed in the source port's spherical basis;
-seen from the user the radial direction reverses, which flips the sign
-of the azimuthal component.  All Jones vectors here live in
-user-centered bases.
+Receive vectors are real unit 3-vectors in the GCS.  The "matched"
+policy takes the incident field direction itself; the fixed axis and
+the codebook live in the user-centered basis of
+:func:`user_arrival_basis`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SphericalBasis
-from .radiation import FieldSample, polarization_components
 
 
 @dataclass(frozen=True)
@@ -53,52 +52,10 @@ class JonesVector:
         return vec
 
 
-def flipped_user_basis(basis: SphericalBasis) -> SphericalBasis:
-    """Port basis re-anchored at the user: radial and azimuthal axes
-    reverse, the polar axis is shared."""
-    return SphericalBasis(-basis.upsilon, basis.vartheta, -basis.varphi)
-
-
-def incident_jones(field: FieldSample,
-                   user_basis: SphericalBasis | None = None) -> JonesVector:
-    """Normalized Jones vector of an incident field at the user.
-
-    Without an explicit basis the components are (e_theta, -e_phi)
-    normalized, expressed in the port-aligned user basis (the sign flip
-    comes from reversing the propagation axis).  With ``user_basis``
-    the 3-D field is projected onto that basis instead.
-    """
-    if field.magnitude == 0.0:
-        raise ValueError("incident field is zero; polarization undefined")
-    if user_basis is None:
-        return JonesVector.normalized(field.e_theta, -field.e_phi,
-                                      flipped_user_basis(field.basis))
-    vec = field.to_gcs()
-    return JonesVector.normalized(vec @ user_basis.vartheta.astype(complex),
-                                  vec @ user_basis.varphi.astype(complex),
-                                  user_basis)
-
-
 def matching_efficiency(rx: JonesVector, incident: JonesVector) -> float:
     """|n_rx^T n_inc|: amplitude fraction captured by the antenna."""
     return float(abs(rx.c_theta * incident.c_theta
                      + rx.c_phi * incident.c_phi))
-
-
-def optimal_rx_polarization(q: int, theta: float, phi: float, beta: float,
-                            rho_free: float,
-                            basis: SphericalBasis | None = None) -> JonesVector:
-    """Closed-form receive polarization that perfectly matches mode q
-    arriving from direction (theta, phi).
-
-    The components are the mode's transverse polarization normalized,
-    with the azimuthal sign flipped into the user's plane:
-
-        q = 1:  ((1 + beta/rho cos t) cos p, -(beta/rho + cos t) sin p) / V
-        q = 2:  ((1 + beta/rho cos t) sin p, -(beta/rho + cos t) cos p) / V
-    """
-    c_t, c_p = polarization_components(q, theta, phi, beta, rho_free)
-    return JonesVector.normalized(c_t, -c_p, basis)
 
 
 def codebook_angles(size: int) -> np.ndarray:

@@ -29,19 +29,15 @@ S_q keeps its sign everywhere, so a gain on a sidelobe where S_q < 0
 carries the physical pi phase flip.  The pattern and the direction are
 computed the first time they are read: a field map never evaluates
 directions, and a polarization lookup never evaluates S_q.
-:func:`radiated_field` is a separate scalar evaluation of the same
-formulas that the tests compare the kernel against.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import Orientation, SphericalBasis, local_angles, spherical_basis
+from .geometry import Orientation, local_angles, spherical_basis
 from .waveguide import (MediumConstants, ModeSpec, PaPlacement, WaveguideSpec,
                         axis_pattern_norm)
 
@@ -91,39 +87,6 @@ def polarization_components(q: int, theta, phi, beta: float, rho_free: float):
     raise ValueError(f"unsupported mode index {q}")
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Complex far-field sample in the source port's spherical basis."""
-
-    e_theta: complex
-    e_phi: complex
-    position: np.ndarray
-    basis: SphericalBasis
-    source: tuple = ()
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.hypot(abs(self.e_theta), abs(self.e_phi)))
-
-    def to_gcs(self) -> np.ndarray:
-        """Complex 3-vector of the field in global coordinates."""
-        return (self.e_theta * self.basis.vartheta.astype(complex)
-                + self.e_phi * self.basis.varphi.astype(complex))
-
-
-def far_field_bound(wg: WaveguideSpec, med: MediumConstants) -> float:
-    """Distance below which far-field formulas are flagged.
-
-    Ten times D^2/lambda for the guide cross section, or the standard
-    Fraunhofer bound 2 D^2/lambda of the (possibly larger) radiating
-    aperture, whichever is greater.
-    """
-    lam = med.wavelength0
-    d_cross = max(wg.a, wg.b)
-    d_ap = max(wg.aperture_a, wg.aperture_b)
-    return max(10 * d_cross ** 2 / lam, 2 * d_ap ** 2 / lam)
-
-
 class PortResponse:
     """Response of one port at P observation points.
 
@@ -164,46 +127,6 @@ class PortResponse:
         return np.where(live, vec, basis.vartheta)
 
 
-def radiated_field(med: MediumConstants, wg: WaveguideSpec, mode: ModeSpec,
-                   pa: PaPlacement, orientation: Orientation, obs_point,
-                   alpha_a: float = 0.0, excitation: complex = 1.0,
-                   warn_near_field: bool = True) -> FieldSample:
-    """Electric field radiated by one port at an observation point.
-
-    The amplitude is
-
-        rho a b omega mu |s| / (2 rho_q^2 pi sqrt(N) r)
-        * exp(-(alpha_w x + alpha_a r) / 2) * S_q * Psi_q
-
-    and the phase -(beta_q x + rho r) + arg(s) + pi/2, with rho the
-    free-space wavenumber, x the pinch position and r the distance from
-    the port.  Components are returned in the port's (vartheta, varphi)
-    basis at the observation direction.
-    """
-    center = pa.center(wg)
-    r, theta, phi = (v.item() for v in local_angles(obs_point, center, orientation))
-    if warn_near_field and r < far_field_bound(wg, med):
-        warnings.warn(f"observation at r = {r:.3g} m is inside the far-field "
-                      f"bound {far_field_bound(wg, med):.3g} m", stacklevel=2)
-    a_ap, b_ap = wg.aperture_a, wg.aperture_b
-    rho = med.k0
-    amp = (rho * a_ap * b_ap * med.omega * med.permeability
-           / (2 * mode.cutoff_wavenumber ** 2 * np.pi
-              * np.sqrt(wg.num_pas) * r))
-    amp *= np.exp(-0.5 * (wg.alpha_w * pa.x_position + alpha_a * r))
-    s_q = pattern_factor(mode.index, theta, phi, a_ap, b_ap, med.wavelength0)
-    psi_t, psi_p = polarization_components(mode.index, theta, phi,
-                                           mode.propagation_constant, rho)
-    phase = 1j * excitation * np.exp(
-        -1j * (mode.propagation_constant * pa.x_position + rho * r))
-    basis = spherical_basis(theta, phi, orientation)
-    return FieldSample(e_theta=complex(amp * s_q * psi_t * phase),
-                       e_phi=complex(amp * s_q * psi_p * phase),
-                       position=np.asarray(obs_point, dtype=float),
-                       basis=basis,
-                       source=(pa.waveguide_index, pa.pa_index, mode.index))
-
-
 def aperture_constant(med: MediumConstants, wg: WaveguideSpec,
                       mode: ModeSpec) -> float:
     """Distance- and angle-free part of the port-to-user gain magnitude:
@@ -213,31 +136,14 @@ def aperture_constant(med: MediumConstants, wg: WaveguideSpec,
                * axis_pattern_norm(mode, wg, med)))
 
 
-def h_pa_to_user(med: MediumConstants, wg: WaveguideSpec, mode: ModeSpec,
-                 pa: PaPlacement, orientation: Orientation, user_pos,
-                 alpha_a: float = 0.0) -> complex:
-    """Port-to-user channel gain: the radiated-to-aperture field ratio
-    with free-space phase and the sign of S_q.
-
-    Excitation-free by construction; the guided attenuation and phase
-    live in the guide-to-port factor, so the product of the two factors
-    reproduces the full radiated field over the feed-normalized drive.
-    """
-    resp = PortResponse(med, mode, wg, pa.center(wg), orientation, user_pos)
-    r = resp.r[0]
-    return complex(aperture_constant(med, wg, mode) * resp.pattern[0]
-                   * np.exp(-0.5 * alpha_a * r) * np.exp(-1j * med.k0 * r))
-
-
 def intensity_map(med: MediumConstants, wg: WaveguideSpec, modes, pa: PaPlacement,
-                  xs, ys, z: float = 0.0, alpha_a: float = 0.0,
-                  combine: bool = True):
+                  xs, ys, z: float = 0.0, alpha_a: float = 0.0):
     """|E|^2 of the radiated field over a horizontal grid, in dB
     relative to the grid maximum.
 
     ``xs`` and ``ys`` are 1-D axes; the result is indexed [iy, ix].
-    With ``combine`` the per-port intensities are summed before
-    normalization, otherwise a list of per-port dB maps is returned.
+    The intensities of the ports, one per mode, are summed before
+    normalization.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -257,7 +163,5 @@ def intensity_map(med: MediumConstants, wg: WaveguideSpec, modes, pa: PaPlacemen
         field = amp * resp.pattern * np.exp(
             -0.5 * (wg.alpha_w * pa.x_position + alpha_a * resp.r))
         maps.append((field ** 2).reshape(gy.shape))
-    if combine:
-        total = np.sum(maps, axis=0)
-        return 10 * np.log10(total / total.max())
-    return [10 * np.log10(m / m.max()) for m in maps]
+    total = np.sum(maps, axis=0)
+    return 10 * np.log10(total / total.max())

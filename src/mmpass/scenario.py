@@ -18,7 +18,7 @@ the literal field-ratio gains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -89,9 +89,6 @@ class Scenario:
         mode = self.modes[q - 1]
         psi0 = 1.0 + mode.propagation_constant / self.med.k0
         return float(self.port_gains[q - 1] * psi0 / REFERENCE_DISTANCE)
-
-    def with_placements(self, placements) -> "Scenario":
-        return replace(self, placements=placements)
 
     def with_modes(self, count: int) -> "Scenario":
         return replace(self, modes=self.modes[:count],

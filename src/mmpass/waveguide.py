@@ -16,7 +16,7 @@ per waveguide, zero across guides and across modes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import epsilon_0, mu_0, speed_of_light
@@ -159,10 +159,6 @@ class PaPlacement:
     orientations: tuple[Orientation, ...]
     coupling_len: float = 0.0
 
-    @property
-    def num_ports(self) -> int:
-        return len(self.orientations)
-
     def center(self, wg: WaveguideSpec) -> np.ndarray:
         return np.array([self.x_position, wg.axis_y, wg.axis_z])
 
@@ -198,31 +194,6 @@ def axis_pattern_norm(mode: ModeSpec, wg: WaveguideSpec,
     return abs(pattern_prefactor(mode, med)) * norm
 
 
-def modal_field(mode: ModeSpec, wg: WaveguideSpec, med: MediumConstants,
-                point, excitation: complex = 1.0) -> np.ndarray:
-    """Transverse electric field of one guided mode at a point inside
-    the guide, as a complex GCS vector (the x component of a TE mode is
-    identically zero).
-
-    Amplitude decays as sqrt(exp(-alpha_w x)) and the phase advances as
-    exp(-1j beta x) from the feed at x = 0.
-    """
-    p = np.asarray(point, dtype=float)
-    x = p[0] - wg.feed_point[0]
-    y_off = p[1] - wg.axis_y
-    z_off = p[2] - wg.axis_z
-    tol = 1e-12
-    if abs(y_off) > wg.a / 2 + tol or abs(z_off) > wg.b / 2 + tol:
-        raise ValueError(f"point {point} outside the waveguide cross section")
-    if x < -tol or x > wg.length + tol:
-        raise ValueError(f"x = {x} outside the waveguide span [0, {wg.length}]")
-    e_j, e_k = transverse_pattern(mode, wg, y_off, z_off)
-    scale = (pattern_prefactor(mode, med) * excitation
-             * np.sqrt(np.exp(-wg.alpha_w * x))
-             * np.exp(-1j * mode.propagation_constant * x))
-    return scale * np.array([0.0, e_j, e_k])
-
-
 def coupling_length(n: int, n_total: int, kappa: float) -> float:
     """Equal-quota coupling length of the n-th element in a cascade of
     n_total: sin^2(kappa tau) = 1/(n_total + 1 - n)."""
@@ -231,18 +202,6 @@ def coupling_length(n: int, n_total: int, kappa: float) -> float:
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     return float(np.arcsin(np.sqrt(1.0 / (n_total + 1 - n))) / kappa)
-
-
-def cascade_amplitude(n: int, n_total: int, kappa: float) -> float:
-    """Amplitude fraction delivered to element n through the coupling
-    cascade, computed the long way (residual product times the local
-    coupled fraction).  Equals sqrt(1/N) for the equal-quota schedule."""
-    residual = 1.0
-    for i in range(1, n):
-        tau_i = coupling_length(i, n_total, kappa)
-        residual *= np.sqrt(1.0 - np.sin(kappa * tau_i) ** 2)
-    tau_n = coupling_length(n, n_total, kappa)
-    return float(residual * np.sin(kappa * tau_n))
 
 
 def h_wg_to_pa(mode: ModeSpec, wg: WaveguideSpec, pa: PaPlacement) -> complex:

@@ -7,8 +7,10 @@ from mmpass.geometry import Orientation
 from mmpass.placement import (LinkModel, eq22_sum_rate, optimal_orientation,
                               two_user_shared_position)
 from mmpass.polarization import receive_polarization
-from mmpass.radiation import PortResponse, h_pa_to_user
-from mmpass.waveguide import PaPlacement, h_wg_to_pa
+from mmpass.radiation import PortResponse
+from mmpass.waveguide import (PaPlacement, axis_pattern_norm, h_wg_to_pa,
+                              wp_col, wp_row)
+from oracles import radiated_field
 
 
 def _single_link_scenario(user=(5.5, 3.0, 0.0)):
@@ -62,11 +64,8 @@ def test_zero_mask_annihilates():
 
 def test_port_column_index_map():
     # (m=2, n=1, q=2) with N=3, Q=2 lands in 1-based column 8
-    cm = channel.ChannelMatrix(h_wp=np.zeros((12, 4)), h_pu=np.zeros((1, 12)),
-                               lam=np.zeros((1, 12)), h=np.zeros((1, 4)),
-                               num_pas=3, num_modes=2)
-    assert cm.port_column(1, 0, 1) == 7  # 0-based
-    assert cm.mode_column(1, 1) == 3
+    assert wp_row(1, 0, 1, 3, 2) == 7  # 0-based
+    assert wp_col(1, 1, 2) == 3
 
 
 def test_assembly_consistency_invariant():
@@ -95,8 +94,9 @@ def test_assembly_superposition():
 
 def test_h_pa_to_user_matches_assembled_column_with_sign():
     # along x under a downward port the pattern passes through negative
-    # sidelobes; the scalar gain and the assembled column agree in
-    # magnitude and phase everywhere, pi flip included
+    # sidelobes; the assembled column, composed with the guide-to-port
+    # gain along the field direction, is the scalar oracle's radiated
+    # field in magnitude and phase everywhere, pi flip included
     xs = np.linspace(2.0, 8.0, 301)
     users = np.column_stack([xs, np.full_like(xs, 3.0), np.zeros_like(xs)])
     cfg = ScenarioConfig(num_waveguides=1, pas_per_waveguide=1,
@@ -106,11 +106,18 @@ def test_h_pa_to_user_matches_assembled_column_with_sign():
     pa, wg = scn.placements[0][0], scn.waveguides[0]
     cm = channel.assemble(scn, np.tile([1.0, 0.0, 0.0], (len(xs), 1)))
     for q, mode in enumerate(scn.modes):
-        col = cm.port_column(0, 0, q)
-        scalar = np.array([scn.gain_norm[q] * h_pa_to_user(
-            scn.med, wg, mode, pa, pa.orientations[q], u, alpha_a=scn.alpha_a)
-            for u in users])
-        assert np.allclose(scalar, cm.h_pu[:, col], rtol=1e-12, atol=0.0)
+        col = wp_row(0, 0, q, 1, 2)
+        resp = PortResponse(scn.med, mode, wg, pa.center(wg),
+                            pa.orientations[q], users)
+        scale = (1j * h_wg_to_pa(mode, wg, pa)
+                 * axis_pattern_norm(mode, wg, scn.med) / scn.gain_norm[q])
+        assembled = (scale * cm.h_pu[:, col])[:, None] * resp.direction
+        fields = [radiated_field(scn.med, wg, mode, pa, pa.orientations[q],
+                                 u, alpha_a=scn.alpha_a,
+                                 warn_near_field=False) for u in users]
+        oracle = np.array([f.to_gcs() for f in fields])
+        tol = 1e-12 * max(f.magnitude for f in fields)
+        assert np.allclose(assembled, oracle, rtol=1e-12, atol=tol)
     resp = PortResponse(scn.med, scn.modes[0], wg, pa.center(wg),
                         pa.orientations[0], users)
     assert np.any(resp.pattern < 0)  # the cut does reach negative lobes
@@ -122,10 +129,21 @@ def test_rx_polarization_norm_enforced():
         channel.assemble(scn, np.array([[0.0, 0.0, 2.0]]))
 
 
+def test_rx_polarization_shape_enforced():
+    # one receive vector for the 24 users of the default scenario must
+    # not broadcast to all of them, and every row needs three components
+    scn = build_scenario(ScenarioConfig())
+    down = np.array([0.0, 0.0, 1.0])
+    for rx in (down[None, :], down, np.tile(down, (25, 1)),
+               np.tile([1.0, 0.0], (24, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            channel.assemble(scn, rx)
+
+
 def test_user_rate_zero_column():
     h = np.array([[1.0 + 0j, 0.5j]])
     w = np.zeros((2, 1), dtype=complex)
-    assert channel.user_rate(h, w, 0, 10.0, 1e-3) == 0.0
+    assert channel.rate_report(h, w, 10.0, 1e-3).per_user_rate[0] == 0.0
 
 
 def test_user_rate_unit_snr():
@@ -133,7 +151,8 @@ def test_user_rate_unit_snr():
     sigma = 0.25
     power = 4.0
     w = np.array([[np.sqrt(sigma / power)]], dtype=complex)
-    assert channel.user_rate(h, w, 0, power, sigma) == pytest.approx(0.5)
+    report = channel.rate_report(h, w, power, sigma)
+    assert report.per_user_rate[0] == pytest.approx(0.5)
 
 
 def test_rate_matches_pair_evaluator_interference_free():
@@ -164,10 +183,10 @@ def test_sum_rate_user_permutation_invariant():
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     w = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     w /= np.sqrt(np.trace(w @ w.conj().T).real)
-    base = channel.sum_rate(h, w, 5.0, 1e-2)
+    base = channel.rate_report(h, w, 5.0, 1e-2).sum_rate
     perm = rng.permutation(4)
-    assert channel.sum_rate(h[perm], w[:, perm], 5.0, 1e-2) == pytest.approx(
-        base, rel=1e-12)
+    permuted = channel.rate_report(h[perm], w[:, perm], 5.0, 1e-2).sum_rate
+    assert permuted == pytest.approx(base, rel=1e-12)
 
 
 def test_sum_rate_decreases_with_uniform_scaling():
@@ -175,10 +194,9 @@ def test_sum_rate_decreases_with_uniform_scaling():
     h = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     w = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
     w /= np.sqrt(np.trace(w @ w.conj().T).real)
-    base = channel.sum_rate(h, w, 5.0, 1e-2)
-    previous = base
+    previous = channel.rate_report(h, w, 5.0, 1e-2).sum_rate
     for c in (0.75, 0.5, 0.25):
-        scaled = channel.sum_rate(h, c * w, 5.0, 1e-2)
+        scaled = channel.rate_report(h, c * w, 5.0, 1e-2).sum_rate
         assert scaled < previous
         previous = scaled
 
@@ -197,24 +215,12 @@ def test_power_budget_enforced():
     h = np.ones((1, 2), dtype=complex)
     w = np.ones((2, 1), dtype=complex)  # power 2 > 1
     with pytest.raises(ValueError):
-        channel.sum_rate(h, w, 1.0, 1e-2)
+        channel.rate_report(h, w, 1.0, 1e-2)
 
 
 def test_noise_must_be_positive():
     h = np.ones((1, 1), dtype=complex)
     w = np.full((1, 1), 0.5 + 0j)
     with pytest.raises(ValueError):
-        channel.user_rate(h, w, 0, 1.0, 0.0)
+        channel.rate_report(h, w, 1.0, 0.0)
 
-
-def test_channel_csv_export(tmp_path):
-    cfg, scn = _single_link_scenario()
-    user = scn.users[0]
-    scn = _aim_and_place(scn, 5.0, user)
-    rx = _matched_rx(scn, user)[None, :]
-    cm = channel.assemble(scn, rx)
-    path = tmp_path / "h.csv"
-    cm.write_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 1 + cm.h.size

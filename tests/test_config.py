@@ -1,0 +1,111 @@
+"""Config ingestion: aliases, unknown and duplicate keys, the root
+mapping, unit conversion, type coercion, scheme names and the config
+hash."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from mmpass.config import (ScenarioConfig, build_scenario, config_hash,
+                           load_config)
+
+
+@pytest.fixture
+def write(tmp_path):
+    def _write(text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        return path
+    return _write
+
+
+def test_sections_merge_into_one_namespace(write):
+    cfg = load_config(write("array:\n  num_waveguides: 2\n"
+                            "users:\n  num_users: 6\n"
+                            "seed: 9\n"))
+    assert (cfg.num_waveguides, cfg.num_users, cfg.seed) == (2, 6, 9)
+
+
+def test_frequency_and_power_aliases(write):
+    cfg = load_config(write("medium:\n  frequency_ghz: 120\n"
+                            "power:\n  power_dbw: 20\n"))
+    assert cfg.frequency_hz == pytest.approx(120e9, rel=1e-15)
+    assert cfg.power_w == pytest.approx(100.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("text", [
+    "frequency_ghz: 100\nfrequency_hz: 1.0e11\n",
+    "a:\n  power_dbw: 10\nb:\n  power_w: 10\n",
+])
+def test_alias_conflicting_with_its_target(write, text):
+    with pytest.raises(ValueError, match="conflicts with"):
+        load_config(write(text))
+
+
+def test_unknown_key(write):
+    with pytest.raises(ValueError, match="unknown config field 'num_guides'"):
+        load_config(write("array:\n  num_guides: 3\n"))
+
+
+def test_same_key_in_two_sections(write):
+    with pytest.raises(ValueError, match="duplicate config field 'seed'"):
+        load_config(write("a:\n  seed: 1\nb:\n  seed: 2\n"))
+
+
+@pytest.mark.parametrize("text", ["- 1\n- 2\n", "just a string\n", "42\n"])
+def test_root_must_be_a_mapping(write, text):
+    with pytest.raises(ValueError, match="root must be a mapping"):
+        load_config(write(text))
+
+
+def test_empty_file_gives_defaults(write):
+    assert load_config(write("")) == ScenarioConfig()
+    assert load_config(write("# comments only\n")) == ScenarioConfig()
+    assert load_config(None) == ScenarioConfig()
+
+
+def test_attenuation_db_to_np(write):
+    cfg = load_config(write("alpha_w_db: 0.5\nalpha_a_db: 2.0\n"))
+    # 1 dB of power is ln(10) / 10 Np
+    assert cfg.alpha_w_np == pytest.approx(0.5 * math.log(10) / 10, rel=1e-15)
+    assert cfg.alpha_a_np == pytest.approx(2.0 * math.log(10) / 10, rel=1e-15)
+    scn = build_scenario(replace(cfg, num_users=2))
+    assert scn.waveguides[0].alpha_w == cfg.alpha_w_np
+    assert scn.alpha_a == cfg.alpha_a_np
+    # a guide 10 dB down in power keeps a tenth of it
+    assert np.exp(-load_config(write("alpha_w_db: 10\n")).alpha_w_np) == \
+        pytest.approx(0.1, rel=1e-12)
+
+
+def test_integer_fields_coerced(write):
+    cfg = load_config(write("num_waveguides: 2.0\npas_per_waveguide: '3'\n"
+                            "num_modes: 1.0\nnum_users: 8.0\nseed: 7.0\n"))
+    values = (cfg.num_waveguides, cfg.pas_per_waveguide, cfg.num_modes,
+              cfg.num_users, cfg.seed)
+    assert values == (2, 3, 1, 8, 7)
+    assert all(type(v) is int for v in values)
+
+
+def test_unknown_scheme_rejected_at_load(write):
+    with pytest.raises(ValueError, match="unknown scheme 'nope'"):
+        load_config(write("schemes: [pa-mm, nope]\n"))
+    with pytest.raises(ValueError, match="unknown scheme"):
+        ScenarioConfig(schemes=("pa-mm", "pa-xx")).validate()
+
+
+def test_scheme_spellings_accepted(write):
+    cfg = load_config(write("schemes: [PA-MMPASS, pi_sm, DP-MM]\n"))
+    assert cfg.schemes == ("PA-MMPASS", "pi_sm", "DP-MM")
+
+
+def test_config_hash_stable_and_field_sensitive(write):
+    path = write("array:\n  num_users: 6\nseed: 4\n")
+    first = config_hash(load_config(path))
+    assert first == config_hash(load_config(path))
+    assert len(first) == 12
+    base = load_config(path)
+    for change in ({"seed": 5}, {"num_users": 7}, {"noise_dbw": -27.0},
+                   {"schemes": ("pa-mm",)}):
+        assert config_hash(replace(base, **change)) != first, change

@@ -47,11 +47,15 @@ def test_orientation_range_checks():
 
 
 def test_boresight_convention():
-    # unrotated port looks straight down
-    assert np.allclose(Orientation().boresight(), [0, 0, -1], atol=1e-15)
+    # the boresight is the local +z axis; an unrotated port looks
+    # straight down
+    def boresight(o):
+        return o.gcs_from_lcs()[:, 2]
+
+    assert np.allclose(boresight(Orientation()), [0, 0, -1], atol=1e-15)
     # positive pitch steers toward +x, positive roll toward +y
-    assert Orientation(pitch=0.3).boresight()[0] > 0
-    assert Orientation(roll=0.3).boresight()[1] > 0
+    assert boresight(Orientation(pitch=0.3))[0] > 0
+    assert boresight(Orientation(roll=0.3))[1] > 0
 
 
 def test_gcs_to_lcs_pure_translation():

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from mmpass.geometry import Orientation, local_angles, spherical_basis
+from mmpass.geometry import (Orientation, SphericalBasis, local_angles,
+                             spherical_basis)
 from mmpass.polarization import (JonesVector, discrete_rx_polarization,
-                                 incident_jones, matching_efficiency,
-                                 optimal_rx_polarization, receive_polarization,
+                                 matching_efficiency, receive_polarization,
                                  user_arrival_basis)
-from mmpass.radiation import FieldSample, PortResponse, radiated_field
+from mmpass.radiation import PortResponse
 from mmpass.waveguide import MediumConstants, PaPlacement, WaveguideSpec, te_modes
+from oracles import (FieldSample, incident_jones, optimal_rx_polarization,
+                     radiated_field)
 
 
 def _sample(e_theta, e_phi, theta=0.7, phi=0.3):
@@ -120,6 +122,32 @@ def test_optimal_rx_achieves_unit_efficiency():
         rx = optimal_rx_polarization(q, theta, phi,
                                      mode.propagation_constant, med.k0)
         assert matching_efficiency(rx, inc) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_matched_receive_vector_is_the_closed_form():
+    # the pipeline's matched receive vector (the kernel's field
+    # direction at the user) is the closed-form optimal polarization
+    # expressed in the GCS, and it captures the whole oracle field
+    med, wg, modes = _setup()
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        orient = Orientation(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        pa = PaPlacement(0, 1, rng.uniform(1, 9), (orient,))
+        user = np.array([rng.uniform(0, 10), rng.uniform(0, 6), 0.0])
+        q = int(rng.integers(1, 3))
+        mode = modes[q - 1]
+        src = pa.center(wg)
+        e_dir = PortResponse(med, mode, wg, src, orient, user).direction[0]
+        p, eta = receive_polarization("matched", e_dir, user, src)
+        r, theta, phi = (v.item() for v in local_angles(user, src, orient))
+        port = spherical_basis(theta, phi, orient)
+        rx = optimal_rx_polarization(
+            q, theta, phi, mode.propagation_constant, med.k0,
+            SphericalBasis(-port.upsilon, port.vartheta, -port.varphi))
+        assert abs(p @ rx.to_gcs()) == pytest.approx(1.0, abs=1e-12)
+        field = _field_for(mode, med, wg, pa, orient, user)
+        assert matching_efficiency(rx, incident_jones(field)) == \
+            pytest.approx(eta, abs=1e-9)
 
 
 def test_optimal_rx_dominates_codebook():

@@ -3,12 +3,12 @@ import pytest
 
 from mmpass.geometry import Orientation
 from mmpass.placement import optimal_orientation
-from mmpass.radiation import (FieldSample, PortResponse, aperture_constant,
-                              h_pa_to_user, intensity_map, pattern_factor,
-                              polarization_components, radiated_field)
+from mmpass.radiation import (PortResponse, aperture_constant, intensity_map,
+                              pattern_factor, polarization_components)
 from mmpass.waveguide import (MediumConstants, PaPlacement, WaveguideSpec,
                               axis_pattern_norm, h_wg_to_pa, mode_spec,
                               te_modes)
+from oracles import radiated_field
 
 A, B = 3e-3, 2e-3
 ALPHA_A = 0.011512925464970228  # 0.05 dB/m
@@ -126,7 +126,7 @@ def test_polarization_mode_symmetry_forced_equal_beta():
 
 
 # ---------------------------------------------------------------------------
-# radiated field
+# radiated field (the scalar oracle the kernel is checked against)
 
 def _port(x=5.0, pitch=0.0, roll=0.0, num_modes=1):
     return PaPlacement(0, 1, x, tuple(Orientation(pitch, roll)
@@ -202,8 +202,11 @@ def test_field_rejects_source_point():
 # port-to-user gain
 
 def test_end_to_end_field_ratio_oracle():
-    # |h_wg->pa x h_pa->user| must equal the radiated field magnitude
-    # over the attenuation-stripped aperture pattern at the feed drive
+    # the guide-to-port gain times the kernel's port-to-user gain (the
+    # aperture constant times the signed pattern, absorption and
+    # free-space phase) along the kernel's field direction is the
+    # radiated field over the attenuation-stripped aperture pattern at
+    # the feed drive, up to the radiation phase j
     med = _medium()
     wg = _guide(alpha_w=0.018420680743952365, num_pas=2)
     rng = np.random.default_rng(11)
@@ -213,14 +216,20 @@ def test_end_to_end_field_ratio_oracle():
                        roll=rng.uniform(-0.8, 0.8))
             pa = PaPlacement(0, 1, pa.x_position, pa.orientations)
             user = np.array([rng.uniform(0, 10), rng.uniform(0, 6), 0.0])
+            resp = PortResponse(med, mode, wg, pa.center(wg),
+                                pa.orientations[0], user)
             h1 = h_wg_to_pa(mode, wg, pa)
-            h2 = h_pa_to_user(med, wg, mode, pa, pa.orientations[0], user,
-                              alpha_a=ALPHA_A)
+            h2 = (aperture_constant(med, wg, mode) * resp.pattern[0]
+                  * np.exp(-0.5 * ALPHA_A * resp.r[0])
+                  * np.exp(-1j * med.k0 * resp.r[0]))
             f = radiated_field(med, wg, mode, pa, pa.orientations[0], user,
                                alpha_a=ALPHA_A, warn_near_field=False)
             feed_norm = axis_pattern_norm(mode, wg, med)
             assert abs(h1 * h2) == pytest.approx(f.magnitude / feed_norm,
                                                  rel=1e-9)
+            assert np.allclose(1j * h1 * h2 * feed_norm * resp.direction[0],
+                               f.to_gcs(), rtol=0.0,
+                               atol=1e-9 * f.magnitude)
 
 
 def test_gain_decreases_off_boresight():
@@ -228,25 +237,22 @@ def test_gain_decreases_off_boresight():
     mode = mode_spec(1, 0, wg, med)
     pa = _port(x=5.0)
     r = 3.0
-    values = []
-    for theta in np.linspace(0.0, 0.3, 30):
-        # swing the user along the theta arc at constant distance
-        user = pa.center(wg) + r * np.array([np.sin(theta), 0.0,
-                                             -np.cos(theta)])
-        h = h_pa_to_user(med, wg, mode, pa, pa.orientations[0], user)
-        values.append(abs(h))
-    assert np.all(np.diff(values) < 0)
+    # swing the user along the theta arc at constant distance
+    thetas = np.linspace(0.0, 0.3, 30)
+    users = pa.center(wg) + r * np.column_stack(
+        [np.sin(thetas), np.zeros_like(thetas), -np.cos(thetas)])
+    resp = PortResponse(med, mode, wg, pa.center(wg), pa.orientations[0],
+                        users)
+    assert np.all(np.diff(np.abs(resp.pattern)) < 0)
 
 
 def test_gain_spreading_law():
     med, wg = _medium(), _guide()
     mode = mode_spec(1, 0, wg, med)
     pa = _port(x=5.0)
-    mags = []
-    for r in (2.0, 4.0, 8.0):
-        user = pa.center(wg) + np.array([0.0, 0.0, -r])
-        mags.append(abs(h_pa_to_user(med, wg, mode, pa, pa.orientations[0],
-                                     user)))
+    users = pa.center(wg) + np.outer([2.0, 4.0, 8.0], [0.0, 0.0, -1.0])
+    mags = np.abs(PortResponse(med, mode, wg, pa.center(wg),
+                               pa.orientations[0], users).pattern)
     assert mags[0] / mags[1] == pytest.approx(2.0, rel=1e-12)
     assert mags[1] / mags[2] == pytest.approx(2.0, rel=1e-12)
 
@@ -286,7 +292,9 @@ def test_intensity_map_two_lobes():
     pa = _dual_port_pa(np.pi / 4)
     xs = np.linspace(0, 10, 1001)
     ys = np.linspace(2.5, 3.5, 11)
-    per_port = intensity_map(med, wg, modes, pa, xs, ys, combine=False)
+    per_port = [intensity_map(med, wg, [mode], PaPlacement(0, 1, 5.0, (o,)),
+                              xs, ys)
+                for mode, o in zip(modes, pa.orientations)]
     iy = 5
     peak1 = xs[np.argmax(per_port[0][iy])]
     peak2 = xs[np.argmax(per_port[1][iy])]
