@@ -59,18 +59,17 @@ def _metadata(cfg: ScenarioConfig, **extra) -> dict:
 # ---------------------------------------------------------------------------
 # sum rate vs transmit power
 
-def run_rate_vs_power(cfg: ScenarioConfig, power_grid_dbw, schemes=None,
+def run_rate_vs_power(cfg: ScenarioConfig, power_grid_dbw,
                       users=None) -> ExperimentResult:
     """Per-scheme sum-rate curves over a transmit-power grid, with the
     full grouping/assignment/placement/precoding pipeline re-run at
     every power point."""
-    schemes = tuple(schemes or cfg.schemes)
     base = build_scenario(cfg, users=users)
     rows = []
     for p_dbw in power_grid_dbw:
         power = 10.0 ** (p_dbw / 10.0)
         scn = replace(base, power=power)
-        for scheme in schemes:
+        for scheme in cfg.schemes:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 res = optimize_scenario(scn, scheme)
@@ -161,12 +160,10 @@ def power_at_outage(result: ExperimentResult, scheme: str,
 # ---------------------------------------------------------------------------
 # convergence traces
 
-def run_convergence(cfg: ScenarioConfig, schemes=None,
-                    users=None) -> ExperimentResult:
-    schemes = tuple(schemes or cfg.schemes)
+def run_convergence(cfg: ScenarioConfig, users=None) -> ExperimentResult:
     scn = build_scenario(cfg, users=users)
     rows = []
-    for scheme in schemes:
+    for scheme in cfg.schemes:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = optimize_scenario(scn, scheme)
@@ -240,17 +237,16 @@ def xcut_lobe_metrics(xs, cut_db) -> LobeMetrics:
 # scaling studies
 
 def run_scaling(cfg: ScenarioConfig, m_grid=(2, 3, 4), n_grid=(1, 2, 3),
-                k_grid=(8, 16, 24), schemes=None) -> ExperimentResult:
+                k_grid=(8, 16, 24)) -> ExperimentResult:
     """Sum rate versus array sizes (M, N at fixed K) and versus the
     user count (at the config's M, N)."""
-    schemes = tuple(schemes or cfg.schemes)
     rows = []
     for m in m_grid:
         for n in n_grid:
             sub = replace(cfg, num_waveguides=int(m),
                              pas_per_waveguide=int(n))
             scn = build_scenario(sub)
-            for scheme in schemes:
+            for scheme in cfg.schemes:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     res = optimize_scenario(scn, scheme)
@@ -259,7 +255,7 @@ def run_scaling(cfg: ScenarioConfig, m_grid=(2, 3, 4), n_grid=(1, 2, 3),
     for k in k_grid:
         sub = replace(cfg, num_users=int(k))
         scn = build_scenario(sub)
-        for scheme in schemes:
+        for scheme in cfg.schemes:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 res = optimize_scenario(scn, scheme)

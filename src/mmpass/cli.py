@@ -31,6 +31,8 @@ def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=int(args.seed))
+    if args.schemes:
+        cfg = replace(cfg, schemes=tuple(args.schemes))
     return cfg.validate()
 
 
@@ -49,7 +51,7 @@ def add_common(p):
 def cmd_rate_vs_power(args) -> int:
     cfg = _load(args)
     powers = _parse_powers(args.powers or ["0", "5", "10", "15", "20"])
-    result = bench.run_rate_vs_power(cfg, powers, schemes=args.schemes)
+    result = bench.run_rate_vs_power(cfg, powers)
     path = result.write_csv(_out_dir(args))
     print(f"wrote {path} ({len(result.rows)} rows)")
     return 0
@@ -75,7 +77,7 @@ def cmd_outage(args) -> int:
 
 def cmd_convergence(args) -> int:
     cfg = _load(args)
-    result = bench.run_convergence(cfg, schemes=args.schemes)
+    result = bench.run_convergence(cfg)
     path = result.write_csv(_out_dir(args))
     print(f"wrote {path} ({len(result.rows)} rows)")
     return 0
@@ -95,7 +97,7 @@ def cmd_field_map(args) -> int:
 
 def cmd_scaling(args) -> int:
     cfg = _load(args)
-    result = bench.run_scaling(cfg, schemes=args.schemes)
+    result = bench.run_scaling(cfg)
     path = result.write_csv(_out_dir(args))
     print(f"wrote {path} ({len(result.rows)} rows)")
     return 0

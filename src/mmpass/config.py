@@ -155,6 +155,9 @@ def load_config(path=None) -> ScenarioConfig:
         else:
             raise ValueError(f"unknown config field '{key}'")
     if "schemes" in kwargs:
+        if not isinstance(kwargs["schemes"], list):
+            raise ValueError("config field 'schemes' must be a list of "
+                             f"scheme names, e.g. [{kwargs['schemes']}]")
         kwargs["schemes"] = tuple(str(s) for s in kwargs["schemes"])
     if "user_positions" in kwargs:
         kwargs["user_positions"] = tuple(tuple(float(c) for c in p)

@@ -9,9 +9,12 @@
    rectangular assignment problem (Hungarian via
    scipy.optimize.linear_sum_assignment on a zero-padded square
    matrix); spare elements join groups one at a time by exact marginal
-   gain.  Interference is additive (sources keep their noise-only
-   splits, victims their matched receive vectors), so it is tabulated
-   once per slot and the fill keeps a running sum of it.
+   gain.  A candidate deployment depends on the guide and the group,
+   not on the element, so candidates and their interference are
+   solved and tabulated per guide (M x J x M x J), and each element
+   reads its guide's rows.  Interference is additive (sources keep
+   their noise-only splits, victims their matched receive vectors), so
+   the fill keeps a running sum of it per element.
 3. Precoding: with the sparse per-element splits W_p frozen, the
    mode-domain mixer G is optimized by fractional programming
    (quadratic transform, closed-form auxiliary updates, a KKT linear
@@ -28,8 +31,7 @@ spaced codebook angles.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -40,8 +42,7 @@ from .placement import (LinkModel, power_split, solve_single_user,
                         two_user_shared_position)
 from .polarization import receive_polarization
 from .radiation import PortResponse
-from .scenario import Scenario
-from .waveguide import PaPlacement, coupling_length
+from .scenario import Scenario, default_placements
 
 
 @dataclass(frozen=True)
@@ -78,32 +79,47 @@ class UserGrouping:
     cost: float
 
 
-def grouping_cost(users: np.ndarray, groups) -> float:
-    """Sum of pairwise squared (x, y) distances inside each group."""
+def _cost(d2, groups) -> float:
+    """Sum of the pairwise squared (x, y) distances ``d2[a][b]`` inside
+    each group, accumulated in group order."""
     total = 0.0
     for g in groups:
-        for a, b in itertools.combinations(g, 2):
-            total += float(np.sum((users[a, :2] - users[b, :2]) ** 2))
+        if len(g) == 2:
+            total += d2[g[0]][g[1]]
     return total
 
 
-def _pool_pairings(pool):
-    """All perfect matchings of an even pool (small by construction)."""
-    pool = list(pool)
-    if not pool:
+def _pairings(ids):
+    """All perfect matchings of an even id list (small by construction)."""
+    if not ids:
         yield []
         return
-    first, rest = pool[0], pool[1:]
+    first, rest = ids[0], ids[1:]
     for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1:]
-        for tail in _pool_pairings(remaining):
+        for tail in _pairings(rest[:i] + rest[i + 1:]):
             yield [(first, partner)] + tail
 
 
-def _two_opt(users, pairs, singles):
+def _exact_matching(d2, ids):
+    """Cheapest pairs of ``ids`` by enumeration, as (pairs, singles): an
+    odd count leaves out each id in turn.  Of costs within 1e-12 the
+    first enumerated wins."""
+    if len(ids) % 2:
+        options = ((pairs, [left]) for n, left in enumerate(ids)
+                   for pairs in _pairings(ids[:n] + ids[n + 1:]))
+    else:
+        options = ((pairs, []) for pairs in _pairings(ids))
+    best = None
+    for pairs, singles in options:
+        cost = _cost(d2, pairs)
+        if best is None or cost < best[0] - 1e-12:
+            best = (cost, pairs, singles)
+    return best[1], best[2]
+
+
+def _two_opt(d2, pairs, singles):
     """Deterministic local improvement: re-pair across group pairs and
     swap pair members with singletons while the metric decreases."""
-    pairs = [tuple(p) for p in pairs]
     improved = True
     sweeps = 0
     while improved and sweeps < 50:
@@ -112,10 +128,9 @@ def _two_opt(users, pairs, singles):
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):
                 (a1, b1), (a2, b2) = pairs[i], pairs[j]
-                current = (grouping_cost(users, [pairs[i]])
-                           + grouping_cost(users, [pairs[j]]))
+                current = _cost(d2, [pairs[i]]) + _cost(d2, [pairs[j]])
                 for alt in (((a1, a2), (b1, b2)), ((a1, b2), (b1, a2))):
-                    cost = grouping_cost(users, list(alt))
+                    cost = _cost(d2, alt)
                     if cost < current - 1e-12:
                         pairs[i], pairs[j] = alt
                         current = cost
@@ -123,21 +138,15 @@ def _two_opt(users, pairs, singles):
         for i in range(len(pairs)):
             for s in range(len(singles)):
                 a, b = pairs[i]
-                current = grouping_cost(users, [pairs[i]])
+                current = _cost(d2, [pairs[i]])
                 for alt_pair, alt_single in (((a, singles[s]), b),
                                              ((b, singles[s]), a)):
-                    cost = grouping_cost(users, [alt_pair])
+                    cost = _cost(d2, [alt_pair])
                     if cost < current - 1e-12:
                         pairs[i], singles[s] = alt_pair, alt_single
                         current = cost
                         improved = True
     return pairs, singles
-
-
-def _exact_pairing(users, ids):
-    """Minimum-cost perfect matching by enumeration (small id sets)."""
-    best = min(_pool_pairings(ids), key=lambda m: grouping_cost(users, m))
-    return [tuple(int(v) for v in p) for p in best]
 
 
 def group_users(users, waveguide_ys, q: int = 2) -> UserGrouping:
@@ -148,63 +157,31 @@ def group_users(users, waveguide_ys, q: int = 2) -> UserGrouping:
     leftovers are pooled and matched exhaustively, and one user stays
     single when K is odd.  Up to eight users the pairing is solved
     exactly (pairwise swap refinement cannot realize the three-cycle
-    exchanges that small instances sometimes need).
+    exchanges that small instances sometimes need).  Every pairing is
+    priced from one table of squared (x, y) distances.
     """
     users = np.atleast_2d(np.asarray(users, dtype=float))
     ys = np.asarray(waveguide_ys, dtype=float)
     if q not in (1, 2):
         raise ValueError("group size must be 1 or 2")
     nearest = np.argmin(np.abs(users[:, 1][:, None] - ys[None, :]), axis=1)
-    clusters = [sorted(np.nonzero(nearest == m)[0],
+    clusters = [sorted(np.nonzero(nearest == m)[0].tolist(),
                        key=lambda k: (users[k, 0], k))
                 for m in range(len(ys))]
     if q == 1:
-        groups = [(int(k),) for cl in clusters for k in cl]
+        groups = [(k,) for cl in clusters for k in cl]
         return UserGrouping(groups=groups, cost=0.0)
-    k_total = users.shape[0]
-    if k_total <= 8:
-        ids = list(range(k_total))
-        singles = []
-        if k_total % 2:
-            best = None
-            for leftover in ids:
-                rest = [i for i in ids if i != leftover]
-                pairs = _exact_pairing(users, rest)
-                cost = grouping_cost(users, pairs)
-                if best is None or cost < best[0] - 1e-12:
-                    best = (cost, pairs, [leftover])
-            pairs, singles = best[1], best[2]
-        else:
-            pairs = _exact_pairing(users, ids)
-        groups = pairs + [(int(s),) for s in singles]
-        return UserGrouping(groups=groups, cost=grouping_cost(users, groups))
-    pairs, pool = [], []
-    for cl in clusters:
-        for a, b in zip(cl[0::2], cl[1::2]):
-            pairs.append((int(a), int(b)))
-        if len(cl) % 2:
-            pool.append(int(cl[-1]))
-    best_pool, singles = [], []
-    if pool:
-        if len(pool) % 2:
-            # leave out each candidate in turn, keep the cheapest matching
-            best = None
-            for leftover in pool:
-                rest = [k for k in pool if k != leftover]
-                for matching in _pool_pairings(rest):
-                    cost = grouping_cost(users, matching)
-                    if best is None or cost < best[0] - 1e-12:
-                        best = (cost, matching, [leftover])
-            best_pool, singles = best[1], best[2]
-        else:
-            best = min(_pool_pairings(pool),
-                       key=lambda m: grouping_cost(users, m))
-            best_pool = best
-    pairs = pairs + [tuple(p) for p in best_pool]
-    pairs, singles = _two_opt(users, pairs, singles)
-    groups = [tuple(int(v) for v in p) for p in pairs]
-    groups += [(int(s),) for s in singles]
-    return UserGrouping(groups=groups, cost=grouping_cost(users, groups))
+    xy = users[:, :2]
+    d2 = ((xy[:, None] - xy[None]) ** 2).sum(axis=-1).tolist()
+    if users.shape[0] <= 8:
+        pairs, singles = _exact_matching(d2, list(range(users.shape[0])))
+    else:
+        pairs = [(a, b) for cl in clusters for a, b in zip(cl[0::2], cl[1::2])]
+        pool = [cl[-1] for cl in clusters if len(cl) % 2]
+        pool_pairs, singles = _exact_matching(d2, pool)
+        pairs, singles = _two_opt(d2, pairs + pool_pairs, singles)
+    groups = pairs + [(s,) for s in singles]
+    return UserGrouping(groups=groups, cost=_cost(d2, groups))
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +197,6 @@ class AssignmentMatrix:
         self.x = np.asarray(self.x, dtype=np.int8)
         if self.x.ndim != 2 or not np.isin(self.x, (0, 1)).all():
             raise ValueError("assignment must be a binary matrix")
-
-    @property
-    def assigned_rows(self):
-        return np.nonzero(self.x.sum(axis=1) > 0)[0]
-
-    def group_of(self, i: int) -> int:
-        cols = np.nonzero(self.x[i])[0]
-        return int(cols[0]) if cols.size else -1
 
 
 def hungarian_assign(rate_table: np.ndarray) -> AssignmentMatrix:
@@ -249,18 +218,6 @@ def hungarian_assign(rate_table: np.ndarray) -> AssignmentMatrix:
         if i < n_pa and j < n_grp:
             x[i, j] = 1
     return AssignmentMatrix(x)
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """Interference-free deployment of any element of one guide serving
-    one group."""
-
-    users: tuple[int, ...]        # user index per mode slot
-    x: float
-    orientations: tuple[Orientation, ...]
-    rx_world: tuple[np.ndarray, ...]
-    gains: tuple[float, ...]      # matched boresight power gains at x
 
 
 def _splits(gains, noise, pair, power):
@@ -286,65 +243,55 @@ class _SlotSolver:
     guide's elements serves it: the pair solve, the boresight gains and
     the receive vectors never read the element index.  So every (guide,
     group) candidate is solved once on construction (the pairs of a
-    guide in one batched pair solve), and ``candidates``
-    and the per-candidate arrays indexed [i, j, slot] repeat each
-    guide's rows over its N elements: the users (in the candidate's own
-    mode order, which may reverse the group's), the serving gains, the
-    noise, the matched receive vectors and the noise-only power splits.
-    A singleton fills slot 0 only.  Deployment decisions assume the
-    matched receive policy, so every serving link has eta = 1.
+    guide in one batched pair solve) into arrays indexed [m, j, slot]:
+    the users (in the candidate's own mode order, which may reverse the
+    group's), the serving gains, the noise, the matched receive vectors
+    and the noise-only power splits; ``x[m, j]`` and ``aims[m][j]`` are
+    the element position and its port orientations.  Element i lies on
+    guide ``guide[i]``.  A singleton fills slot 0 only.  Deployment
+    decisions assume the matched receive policy, so every serving link
+    has eta = 1.
 
     Interference is additive: sources transmit with their noise-only
     splits and each victim's receive vector is fixed by its candidate.
-    ``cross[i2, j2, i, j, s]`` is the power that element i2 serving
-    group j2 puts on slot s of candidate (i, j), zero for i2 == i; the
-    greedy fill keeps a running sum of it.  All tie-breaks are
+    ``cross[m2, j2, m, j, s]`` is the power that an element of guide m2
+    serving group j2 puts on slot s of candidate (m, j); the greedy
+    fill keeps a running sum of it per element, in which an element
+    does not interfere with itself.  All tie-breaks are
     lowest-index-first.
     """
 
     def __init__(self, scenario: Scenario, groups):
         self.scenario = scenario
         self.groups = [tuple(g) for g in groups]
-        self.links = [LinkModel(scenario, m)
-                      for m in range(scenario.num_waveguides)]
-        self.num_pas = scenario.num_pas
-        n_wg = scenario.num_waveguides
-        self.mn = n_wg * self.num_pas
-        n_grp = len(self.groups)
-        per_guide = [self._solve_guide(m) for m in range(n_wg)]
-        self.candidates = [per_guide[m] for m in range(n_wg)
-                           for _ in range(self.num_pas)]
+        n_wg, n_grp = scenario.num_waveguides, len(self.groups)
+        self.guide = np.arange(n_wg * scenario.num_pas) // scenario.num_pas
         self.pair = np.array([len(g) == 2 for g in self.groups])
-        users = np.zeros((n_wg, n_grp, 2), dtype=int)
-        gains = np.zeros((n_wg, n_grp, 2))
-        noise = np.ones((n_wg, n_grp, 2))
-        rx = np.zeros((n_wg, n_grp, 2, 3))
-        for m, row in enumerate(per_guide):
-            for j, cand in enumerate(row):
-                for s, k in enumerate(cand.users):
-                    users[m, j, s] = k
-                    gains[m, j, s] = cand.gains[s]
-                    noise[m, j, s] = scenario.noise[k]
-                    rx[m, j, s] = cand.rx_world[s]
-        splits = _splits(gains, noise, self.pair, scenario.power)
-        self.users, self.gains, self.noise, self.rx, self.splits = (
-            np.repeat(a, self.num_pas, axis=0)
-            for a in (users, gains, noise, rx, splits))
+        self.users = np.zeros((n_wg, n_grp, 2), dtype=int)
+        self.gains = np.zeros((n_wg, n_grp, 2))
+        self.noise = np.ones((n_wg, n_grp, 2))
+        self.rx = np.zeros((n_wg, n_grp, 2, 3))
+        self.x = np.zeros((n_wg, n_grp))
+        self.aims = [[()] * n_grp for _ in range(n_wg)]
+        for m in range(n_wg):
+            self._solve_guide(m)
+        self.splits = _splits(self.gains, self.noise, self.pair,
+                              scenario.power)
 
     # -- candidates ------------------------------------------------------
 
-    def _solve_guide(self, m: int) -> list[Candidate]:
-        """Candidates of every group on guide m.  Both mode orders of
-        every pair go through one batched pair solve; a pair keeps the
-        order with the higher sum rate, the group's own on a tie, and
-        only that order is finished."""
-        link = self.links[m]
+    def _solve_guide(self, m: int):
+        """Solve the candidates of every group on guide m into the
+        arrays.  Both mode orders of every pair go through one batched
+        pair solve; a pair keeps the order with the higher sum rate, the
+        group's own on a tie, and only that order is finished."""
+        link = LinkModel(self.scenario, m)
         users = self.scenario.users
         noise = self.scenario.noise
-        pairs = [g for g in self.groups if len(g) == 2]
-        orders = pairs + [tuple(reversed(g)) for g in pairs]
-        solved = {}
-        if orders:
+        pairs = [j for j, g in enumerate(self.groups) if len(g) == 2]
+        if pairs:
+            orders = [self.groups[j] for j in pairs]
+            orders += [g[::-1] for g in orders]
             first, second = np.array(orders).T
             sol = two_user_shared_position(users[first], users[second], link,
                                            self.scenario.power,
@@ -352,79 +299,75 @@ class _SlotSolver:
             own, flipped = np.split(sol.sum_rate, 2)
             xs = sol.x_star.tolist()
             aims = list(zip(*sol.orientations))
-            for p, pair in enumerate(pairs):
+            for p, j in enumerate(pairs):
                 lane = p + len(pairs) if flipped[p] > own[p] + 1e-12 else p
-                solved[pair] = (orders[lane], xs[lane], aims[lane])
-        row = []
-        for group in self.groups:
+                self._finish_candidate(m, j, orders[lane], xs[lane],
+                                       aims[lane], link)
+        for j, group in enumerate(self.groups):
             if len(group) == 1:
-                sol = solve_single_user(users[group[0]], link, q=1)
-                aim = (Orientation(pitch=sol.pitch, roll=sol.roll),)
-                row.append(self._finish_candidate(group, sol.x_star, aim, link))
-                continue
-            row.append(self._finish_candidate(*solved[group], link))
-        return row
+                sol = solve_single_user(users[group[0]], link)
+                self._finish_candidate(
+                    m, j, group, sol.x_star,
+                    (Orientation(pitch=sol.pitch, roll=sol.roll),), link)
 
-    def _finish_candidate(self, order, x, orientations, link) -> Candidate:
+    def _finish_candidate(self, m, j, order, x, orientations, link):
         """Match each port's receive polarization to the field it
         radiates at its user; ``orientations`` aim the ports, one per
         user of ``order``."""
+        scn = self.scenario
         wg = link.wg
         pa_pos = np.array([x, wg.axis_y, wg.axis_z])
-        rx, gains = [], []
         for slot, (k, orient) in enumerate(zip(order, orientations)):
-            user_pos = self.scenario.users[k]
-            e_dir = PortResponse(self.scenario.med, self.scenario.modes[slot],
-                                 wg, pa_pos, orient, user_pos).direction[0]
-            p, _ = receive_polarization("matched", e_dir, user_pos, pa_pos)
-            rx.append(p)
-            gains.append(link.gain(slot + 1, x, user_pos))
+            user_pos = scn.users[k]
+            e_dir = PortResponse(scn.med, scn.modes[slot], wg, pa_pos, orient,
+                                 user_pos).direction[0]
+            self.rx[m, j, slot], _ = receive_polarization(
+                "matched", e_dir, user_pos, pa_pos)
+            self.gains[m, j, slot] = link.gain(slot + 1, x, user_pos)
+            self.users[m, j, slot] = k
+            self.noise[m, j, slot] = scn.noise[k]
+        self.x[m, j] = x
         # idle ports of a singleton group point straight down
-        orientations = tuple(orientations) + (Orientation(),) * (
-            self.scenario.num_modes - len(orientations))
-        return Candidate(users=tuple(order), x=float(x),
-                         orientations=orientations,
-                         rx_world=tuple(rx), gains=tuple(gains))
+        self.aims[m][j] = tuple(orientations) + (Orientation(),) * (
+            scn.num_modes - len(orientations))
 
     # -- interference and rates -------------------------------------------
 
-    def _rate(self, i, j, interference=0.0):
-        """Rates of candidates (i, j) with per-slot interference added
-        to their noise; i, j index the candidate arrays."""
-        return _rates(self.gains[i, j], self.noise[i, j] + interference,
+    def _rate(self, m, j, interference=0.0):
+        """Rates of candidates (m, j) with per-slot interference added
+        to their noise; m, j index the candidate arrays."""
+        return _rates(self.gains[m, j], self.noise[m, j] + interference,
                       self.pair[j], self.scenario.power)
 
     def cross_table(self) -> np.ndarray:
-        """cross[i2, j2, i, j, s]: interference power of element i2
-        serving group j2 on slot s of candidate (i, j), summed over the
-        source's ports; zero for i2 == i and on a singleton's empty
-        slot.  All elements of a guide deploy the same candidate, so
-        each (guide, group) source is computed once."""
+        """cross[m2, j2, m, j, s]: interference power of an element of
+        guide m2 serving group j2 on slot s of candidate (m, j), summed
+        over the source's ports; zero on a singleton's empty slot.  The
+        entries of m2 == m are those of a different element of the same
+        guide."""
         scn = self.scenario
-        n_grp = len(self.groups)
-        n = self.num_pas
-        cross = np.zeros((self.mn, n_grp, self.mn, n_grp, 2))
+        n_wg, n_grp = self.x.shape
+        cross = np.zeros((n_wg, n_grp, n_wg, n_grp, 2))
         for m, wg in enumerate(scn.waveguides):
-            for j2, src in enumerate(self.candidates[m * n]):
-                h_wp_sq = np.exp(-wg.alpha_w * src.x) / wg.num_pas
-                for q in range(len(src.users)):
+            for j2, group in enumerate(self.groups):
+                x = self.x[m, j2]
+                h_wp_sq = np.exp(-wg.alpha_w * x) / wg.num_pas
+                for q in range(len(group)):
                     resp = PortResponse(scn.med, scn.modes[q], wg,
-                                        np.array([src.x, wg.axis_y, wg.axis_z]),
-                                        src.orientations[q], scn.users)
+                                        np.array([x, wg.axis_y, wg.axis_z]),
+                                        self.aims[m][j2][q], scn.users)
                     h_pu = (scn.port_gains[q] * resp.pattern
                             * np.exp(-0.5 * scn.alpha_a * resp.r))
-                    proj = np.einsum("ijsd,ijsd->ijs", self.rx,
+                    proj = np.einsum("mjsd,mjsd->mjs", self.rx,
                                      resp.direction[self.users])
-                    cross[m * n:(m + 1) * n, j2] += (
-                        scn.power * self.splits[m * n, j2, q]
+                    cross[m, j2] += (
+                        scn.power * self.splits[m, j2, q]
                         * (proj ** 2 * (h_pu ** 2 * h_wp_sq)[self.users]))
-        own = np.arange(self.mn)
-        cross[own, :, own] = 0.0
         return cross
 
     def rate_table(self) -> np.ndarray:
         """MN x J candidate rates at zero interference."""
-        return self._rate(np.s_[:], np.s_[:])
+        return self._rate(self.guide, np.s_[:])
 
     def greedy_fill(self, assignment: AssignmentMatrix) -> AssignmentMatrix:
         """Assign leftover elements one at a time by exact marginal gain
@@ -435,27 +378,40 @@ class _SlotSolver:
         candidate's rate.
         """
         x = assignment.x.copy()
-        leftovers = [i for i in range(self.mn) if not x[i].any()]
+        leftovers = [i for i in range(x.shape[0]) if not x[i].any()]
         if not leftovers:
             return AssignmentMatrix(x)
         cross = self.cross_table()
+        guide = self.guide
         cols = np.arange(len(self.groups))
+        # interference[i, j, s]: what the assigned elements put on slot
+        # s of element i serving group j
+        interference = np.zeros(x.shape + (2,))
+
+        def add(i, j):
+            row = cross[guide[i], j][guide]
+            row[i] = 0.0
+            interference[...] += row
+
         rows, groups = np.nonzero(x)
-        interference = cross[rows, groups].sum(axis=0)
+        for i, j in zip(rows, groups):
+            add(i, j)
         while leftovers:
             left = np.array(leftovers)
             held = interference[rows, groups]
-            hit = cross[left[:, None, None], cols[None, :, None], rows, groups]
-            gain = (self._rate(left, np.s_[:], interference[left])
-                    + (self._rate(rows, groups, held + hit)
-                       - self._rate(rows, groups, held)).sum(axis=-1))
+            # no leftover is an assigned element, so no row is its own
+            hit = cross[guide[left][:, None, None], cols[None, :, None],
+                        guide[rows], groups]
+            gain = (self._rate(guide[left], np.s_[:], interference[left])
+                    + (self._rate(guide[rows], groups, held + hit)
+                       - self._rate(guide[rows], groups, held)).sum(axis=-1))
             best = None
             for (li, j), value in np.ndenumerate(gain):
                 if best is None or value > best[0] + 1e-12:
                     best = (value, leftovers[li], j)
             _, i_star, j_star = best
             x[i_star, j_star] = 1
-            interference += cross[i_star, j_star]
+            add(i_star, j_star)
             rows, groups = np.nonzero(x)
             leftovers.remove(i_star)
         return AssignmentMatrix(x)
@@ -466,8 +422,8 @@ class _SlotSolver:
 
 @dataclass
 class PrecoderFactorization:
-    """G (mode mixer), the frozen sparse splits W_p, their product and
-    the auxiliary state of the final FP iteration.
+    """G (mode mixer), the frozen sparse splits W_p, their product, the
+    power multiplier chi of the final FP iteration and the loop's stop.
 
     W_p is port-resolved: row (i, q) carries the amplitude share of the
     user served by element i's mode-q port (two nonzero rows per
@@ -480,8 +436,6 @@ class PrecoderFactorization:
     g: np.ndarray
     w_p: np.ndarray
     w: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
     chi: float
     power_trace: float
     iterations: int               # FP iterations run
@@ -580,8 +534,6 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
     trace, gaps = [], []
     sum_rate_prev = -np.inf
     chi = 0.0
-    c1 = np.zeros(k_users)
-    c2 = np.zeros(k_users, dtype=complex)
     converged = False
     sinr, v = _fp_rates(h, g, w_p, power, noise)
     for _ in range(max_iter):
@@ -618,7 +570,7 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
         sum_rate_prev = sum_rate
 
     final = PrecoderFactorization(
-        g=g, w_p=w_p, w=g @ w_p, c1=c1, c2=c2, chi=float(chi),
+        g=g, w_p=w_p, w=g @ w_p, chi=float(chi),
         power_trace=float(np.trace(g @ b @ g.conj().T).real),
         iterations=len(trace), converged=converged)
     if track_tightness:
@@ -633,7 +585,6 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
 class SlotSolution:
     user_indices: np.ndarray           # global user ids served this slot
     assignment: AssignmentMatrix
-    candidates: dict                   # element index -> Candidate
     placements: list
     rx: np.ndarray                     # (K_slot, 3) receive vectors
     report: channel.RateReport
@@ -684,66 +635,40 @@ def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
     slot_scn = replace(scenario, users=scenario.users[slot_users],
                        noise=scenario.noise[slot_users])
     solver = _SlotSolver(slot_scn, groups_local)
-    table = solver.rate_table()
-    assignment = solver.greedy_fill(hungarian_assign(table))
+    assignment = solver.greedy_fill(hungarian_assign(solver.rate_table()))
+    # (element, guide, group) of every assigned element, lowest first
+    served = [(int(i), int(solver.guide[i]), int(j))
+              for i, j in zip(*np.nonzero(assignment.x))]
 
-    num_pas = slot_scn.num_pas
+    num_pas, n_modes = slot_scn.num_pas, slot_scn.num_modes
+    placements = default_placements(slot_scn.waveguides, num_pas, n_modes,
+                                    slot_scn.region[0])
     lam_half = slot_scn.med.wavelength0 / 2
-    serving: dict[int, tuple[int, Candidate]] = {}
-    per_wg_positions: list[dict[int, float]] = [dict() for _ in slot_scn.waveguides]
-    cands = {int(i): solver.candidates[i][assignment.group_of(i)]
-             for i in assignment.assigned_rows}
-    for i, cand in cands.items():
-        m, n = divmod(i, num_pas)
-        per_wg_positions[m][n] = cand.x
-        for k_local in cand.users:
-            serving.setdefault(k_local, (i, cand))  # lowest element first
-
-    placements = []
     for m, wg in enumerate(slot_scn.waveguides):
-        spaced = _enforce_min_spacing(per_wg_positions[m], lam_half, wg.length)
-        row = []
-        for n in range(num_pas):
-            i = m * num_pas + n
-            if i in cands:
-                cand = cands[i]
-                row.append(PaPlacement(
-                    waveguide_index=m, pa_index=n + 1,
-                    x_position=spaced[n],
-                    orientations=cand.orientations,
-                    coupling_len=coupling_length(n + 1, num_pas, wg.kappa)))
-            else:
-                row.append(PaPlacement(
-                    waveguide_index=m, pa_index=n + 1,
-                    x_position=wg.length * (n + 1) / (num_pas + 1),
-                    orientations=tuple(Orientation()
-                                       for _ in range(slot_scn.num_modes)),
-                    coupling_len=coupling_length(n + 1, num_pas, wg.kappa)))
-        placements.append(row)
+        on_guide = {i % num_pas: j for i, g, j in served if g == m}
+        spaced = _enforce_min_spacing(
+            {n: solver.x[m, j] for n, j in on_guide.items()}, lam_half,
+            wg.length)
+        for n, j in on_guide.items():
+            placements[m][n] = replace(placements[m][n], x_position=spaced[n],
+                                       orientations=solver.aims[m][j])
 
-    rx = np.zeros((len(slot_users), 3))
-    for k_local in range(len(slot_users)):
-        if k_local in serving:
-            i, cand = serving[k_local]
-            slot_idx = cand.users.index(k_local)
-            m, _ = divmod(i, num_pas)
-            wg = slot_scn.waveguides[m]
-            pa_pos = np.array([cand.x, wg.axis_y, wg.axis_z])
-            # the matched vector is the serving field direction up to a
-            # sign, and no policy depends on that sign
-            rx[k_local], _ = receive_polarization(
-                scheme.rx_policy, cand.rx_world[slot_idx],
-                slot_scn.users[k_local], pa_pos)
-        else:
-            # unserved this slot: any unit vector; no stream is mapped
-            rx[k_local] = np.array([0.0, 0.0, 1.0])
-
-    n_modes = slot_scn.num_modes
-    w_p = np.zeros((solver.mn * n_modes, len(slot_users)))
-    for i, cand in cands.items():
-        splits = solver.splits[i, assignment.group_of(i)]
-        for slot_idx, k_local in enumerate(cand.users):
-            w_p[i * n_modes + slot_idx, k_local] = np.sqrt(splits[slot_idx])
+    # unserved users keep any unit vector; no stream is mapped to them
+    rx = np.tile([0.0, 0.0, 1.0], (len(slot_users), 1))
+    w_p = np.zeros((solver.guide.size * n_modes, len(slot_users)))
+    serving = {}
+    for i, m, j in served:
+        for s in range(len(groups_local[j])):
+            k = int(solver.users[m, j, s])
+            w_p[i * n_modes + s, k] = np.sqrt(solver.splits[m, j, s])
+            serving.setdefault(k, (m, j, s))  # lowest element first
+    for k, (m, j, s) in serving.items():
+        wg = slot_scn.waveguides[m]
+        pa_pos = np.array([solver.x[m, j], wg.axis_y, wg.axis_z])
+        # the matched vector is the serving field direction up to a
+        # sign, and no policy depends on that sign
+        rx[k], _ = receive_polarization(scheme.rx_policy, solver.rx[m, j, s],
+                                        slot_scn.users[k], pa_pos)
 
     deployed = replace(slot_scn, placements=placements)
     matrices = channel.assemble(deployed, rx)
@@ -751,9 +676,8 @@ def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
     report = channel.rate_report(matrices.h, fact.w, slot_scn.power,
                                  slot_scn.noise)
     return SlotSolution(user_indices=np.asarray(slot_users),
-                        assignment=assignment, candidates=cands,
-                        placements=placements, rx=rx, report=report,
-                        trace=trace)
+                        assignment=assignment, placements=placements, rx=rx,
+                        report=report, trace=trace)
 
 
 def optimize_scenario(scenario: Scenario, scheme_name: str) -> SchemeResult:

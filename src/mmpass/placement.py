@@ -185,35 +185,31 @@ class SingleUserSolution:
     pitch: float
     roll: float
     x_star: float
-    d_star: float
-    achieved_gain: float
 
 
-def solve_single_user(user_pos, link: LinkModel, q: int = 1) -> SingleUserSolution:
-    """Closed-form orientation and position for one user served by
-    mode q."""
-    x_star, d_star = optimal_position(user_pos, link.wg, link.scenario.alpha_a)
+def solve_single_user(user_pos, link: LinkModel) -> SingleUserSolution:
+    """Closed-form orientation and position for one user: the position
+    rule and the boresight aim hold for every mode."""
+    x_star, _ = optimal_position(user_pos, link.wg, link.scenario.alpha_a)
     pa_pos = np.array([x_star, link.wg.axis_y, link.wg.axis_z])
     orientation = optimal_orientation(pa_pos, user_pos)
-    return SingleUserSolution(
-        pitch=orientation.pitch, roll=orientation.roll,
-        x_star=x_star, d_star=d_star,
-        achieved_gain=link.gain(q, x_star, user_pos))
+    return SingleUserSolution(pitch=orientation.pitch, roll=orientation.roll,
+                              x_star=x_star)
 
 
 @dataclass
 class TwoUserSolution:
-    """One pair's solution, or a batch's with a trailing lane axis:
-    the scalars become (P,) arrays, ``orientations[s]`` a tuple of P
-    orientations for slot s, and ``x_singles`` two (P,) arrays.
-    ``used_fallback`` is True if any lane fell back to the search."""
+    """One pair's shared position, the orientations that aim its two
+    ports at their users (``orientations[s]`` serves user s + 1) and the
+    interference-free sum rate there with the optimal ``power_split``.
+    A batch's has a trailing lane axis: ``x_star`` and ``sum_rate``
+    become (P,) arrays and ``orientations[s]`` a tuple of P
+    orientations.  ``used_fallback`` is True if any lane fell back to
+    the search."""
 
     x_star: float | np.ndarray
-    w1_sq: float | np.ndarray
-    w2_sq: float | np.ndarray
     orientations: tuple
     sum_rate: float | np.ndarray
-    x_singles: tuple
     used_fallback: bool = False
 
 
@@ -311,8 +307,8 @@ def bounded_minimize(fun, lo, hi):
 
 def two_user_shared_position(user1, user2, link: LinkModel, power: float,
                              sigmas, modes=(1, 2)) -> TwoUserSolution:
-    """Shared element position and split for two users on one element,
-    or for a batch of P pairs on the guide of ``link``.
+    """Shared element position and port aims for two users on one
+    element, or for a batch of P pairs on the guide of ``link``.
 
     The users are positions or (P, 3) arrays, the two noise powers in
     ``sigmas`` floats or (P,) arrays; ``modes`` serve user 1 and user 2
@@ -321,7 +317,8 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
     to ``bounded_minimize`` of the explicit sum rate on that interval
     whenever the quadratic model loses concavity or fails to beat an
     endpoint; a fallback lane keeps the best of the search and the two
-    endpoints.  One pair gives floats, a batch the per-lane arrays
+    endpoints.  The power split at x* is ``power_split`` of the two
+    gains there.  One pair gives floats, a batch the per-lane arrays
     described on ``TwoUserSolution``.  Coincident users in any lane
     raise; each lane closer than MIN_PAIR_SEPARATION warns once.
     """
@@ -370,9 +367,6 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
         best = tried[np.argmax(rates, axis=0), np.arange(x1.size)]
         x_star = np.where(fallback, best, x_star)
 
-    g1 = link.gain(modes[0], x_star, u1)
-    g2 = link.gain(modes[1], x_star, u2)
-    w1, w2 = power_split(g1, g2, s1, s2, power)
     wg = link.wg
     pa_pos = np.column_stack([x_star, np.broadcast_to([wg.axis_y, wg.axis_z],
                                                       (x_star.size, 2))])
@@ -382,9 +376,8 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
         for u in (u1, u2))
     out = (lambda v: float(v[0])) if single else (lambda v: v)
     return TwoUserSolution(
-        x_star=out(x_star), w1_sq=out(w1), w2_sq=out(w2),
+        x_star=out(x_star),
         orientations=tuple(o[0] for o in orientations) if single
         else orientations,
-        sum_rate=out(objective(x_star)),
-        x_singles=(out(x1), out(x2)), used_fallback=bool(fallback.any()))
+        sum_rate=out(objective(x_star)), used_fallback=bool(fallback.any()))
 

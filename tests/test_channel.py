@@ -5,7 +5,7 @@ from mmpass import channel
 from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.geometry import Orientation
 from mmpass.placement import (LinkModel, eq22_sum_rate, optimal_orientation,
-                              two_user_shared_position)
+                              power_split, two_user_shared_position)
 from mmpass.polarization import receive_polarization
 from mmpass.radiation import PortResponse
 from mmpass.waveguide import (PaPlacement, axis_pattern_norm, h_wg_to_pa,
@@ -169,8 +169,9 @@ def test_rate_matches_pair_evaluator_interference_free():
     rx = np.stack([_matched_rx(scn, scn.users[i], q=i) for i in (0, 1)])
     cm = channel.assemble(scn, rx)
     w_p = np.zeros((2, 2))
-    w_p[0, 0] = np.sqrt(sol.w1_sq)
-    w_p[1, 1] = np.sqrt(sol.w2_sq)
+    w_p[[0, 1], [0, 1]] = np.sqrt(power_split(
+        link.gain(1, sol.x_star, u1), link.gain(2, sol.x_star, u2), *sig,
+        scn.power))
     # mode inputs map straight to the two ports here (single element)
     w = w_p.astype(complex)
     report = channel.rate_report(cm.h, w, scn.power, scn.noise)

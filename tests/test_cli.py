@@ -66,3 +66,15 @@ def test_scaling(tiny, tmp_path):
 def test_self_checks(tiny, command, capsys):
     assert cli.main([command, *tiny]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_unknown_scheme_flag_fails_before_any_run(tiny, tmp_path, monkeypatch,
+                                                  capsys):
+    runs = []
+    monkeypatch.setattr(cli.bench, "optimize_scenario",
+                        lambda scn, scheme: runs.append(scheme))
+    assert cli.main(["rate-vs-power", *tiny, "--powers", *POWERS,
+                     "--scheme", "pa-mm", "--scheme", "nope"]) == 2
+    assert "unknown scheme 'nope'" in capsys.readouterr().err
+    assert runs == []
+    assert not (tmp_path / "rate_vs_power.csv").exists()

@@ -95,6 +95,13 @@ def test_unknown_scheme_rejected_at_load(write):
         ScenarioConfig(schemes=("pa-mm", "pa-xx")).validate()
 
 
+@pytest.mark.parametrize("value", ["pa-mm", "7"])
+def test_scalar_schemes_asks_for_a_list(write, value):
+    # a bare string would otherwise be read as a list of characters
+    with pytest.raises(ValueError, match="'schemes' must be a list"):
+        load_config(write(f"schemes: {value}\n"))
+
+
 def test_scheme_spellings_accepted(write):
     cfg = load_config(write("schemes: [PA-MMPASS, pi_sm, DP-MM]\n"))
     assert cfg.schemes == ("PA-MMPASS", "pi_sm", "DP-MM")

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from mmpass import multiuser
 from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.multiuser import (AssignmentMatrix, _SlotSolver,
                               _enforce_min_spacing, _power_multiplier,
-                              fp_precoding, group_users, grouping_cost,
-                              hungarian_assign, optimize_scenario,
-                              parse_scheme)
+                              fp_precoding, group_users, hungarian_assign,
+                              optimize_scenario, parse_scheme)
 from mmpass.placement import power_split
 from mmpass.radiation import PortResponse
 
@@ -50,12 +50,17 @@ def test_grouping_singletons_mode():
     assert [p[0] for p in g.groups] == [1, 0, 2]
 
 
+def _pairing_cost(users, pairing):
+    return sum(float(np.sum((users[a, :2] - users[b, :2]) ** 2))
+               for a, b in pairing)
+
+
 def _exhaustive_pairing_cost(users):
     k = len(users)
     ids = list(range(k))
     best = np.inf
     for pairing in _pairings(ids):
-        best = min(best, grouping_cost(users, pairing))
+        best = min(best, _pairing_cost(users, pairing))
     return best
 
 
@@ -133,15 +138,25 @@ def _pair_scenario(users, m=1, n=1):
     return build_scenario(cfg, users=np.asarray(users, float))
 
 
+def _candidate(solver, i, j):
+    """Element i's deployment for group j: its guide's row of the
+    solver's arrays."""
+    m, size = solver.guide[i], len(solver.groups[j])
+    return SimpleNamespace(users=tuple(solver.users[m, j, :size].tolist()),
+                           x=solver.x[m, j], orientations=solver.aims[m][j],
+                           rx_world=solver.rx[m, j, :size],
+                           gains=solver.gains[m, j, :size])
+
+
 def _oracle_cross(solver, i2, j2, i, j):
     """Interference power of element i2 serving group j2 on each slot of
     candidate (i, j), recomputed port by port from the source's
     noise-only splits."""
     scn = solver.scenario
-    src, cand = solver.candidates[i2][j2], solver.candidates[i][j]
+    src, cand = _candidate(solver, i2, j2), _candidate(solver, i, j)
     if i2 == i:
         return [0.0 for _ in cand.users]
-    wg = scn.waveguides[i2 // solver.num_pas]
+    wg = scn.waveguides[solver.guide[i2]]
     splits = _oracle_splits(scn, src, [scn.noise[k] for k in src.users])
     totals = [0.0 for _ in cand.users]
     for q in range(len(src.users)):
@@ -174,7 +189,7 @@ def _oracle_objective(solver, x):
                 if x[i].any()]
     total = 0.0
     for i, j in assigned:
-        cand = solver.candidates[i][j]
+        cand = _candidate(solver, i, j)
         eff = [scn.noise[k] for k in cand.users]
         for i2, j2 in assigned:
             for s, p in enumerate(_oracle_cross(solver, i2, j2, i, j)):
@@ -239,13 +254,14 @@ def test_slot_solver_solves_each_guide_group_once(monkeypatch):
         assert sigmas[0].shape == sigmas[1].shape == (2 * pairs,)
         assert np.array_equal(user1[:pairs], user2[pairs:])
         assert np.array_equal(user2[:pairs], user1[pairs:])
-    for i in range(solver.mn):
-        first = i - i % solver.num_pas
-        for j in range(len(solver.groups)):
-            assert solver.candidates[i][j] is solver.candidates[first][j]
-        for table in (solver.users, solver.gains, solver.noise, solver.rx,
-                      solver.splits):
-            assert np.array_equal(table[i], table[first])
+    # one row per (guide, group), which every element of the guide reads
+    assert np.array_equal(solver.guide, [0, 0, 0, 1, 1, 1])
+    for table in (solver.users, solver.gains, solver.noise, solver.rx,
+                  solver.splits, solver.x):
+        assert table.shape[:2] == (2, len(solver.groups))
+    table = solver.rate_table()
+    assert table.shape == (6, len(solver.groups))
+    assert np.array_equal(table, table[::3][solver.guide])
 
 
 def test_rate_table_single_entry_matches_pair_solver():
@@ -264,6 +280,14 @@ def test_rate_table_single_entry_matches_pair_solver():
     assert table[0, 0] >= sol.sum_rate - 1e-9
 
 
+def _element_row(solver, cross, i, j):
+    """Interference of element i serving group j on every (element,
+    group) candidate: its guide's row, zero on its own candidates."""
+    row = cross[solver.guide[i], j][solver.guide]
+    row[i] = 0.0
+    return row
+
+
 def test_rate_table_interference_lowers_entries():
     scn = _pair_scenario([[2.0, 2.0, 0.0], [3.5, 2.0, 0.0],
                           [6.5, 4.0, 0.0], [8.0, 4.0, 0.0]],
@@ -273,37 +297,42 @@ def test_rate_table_interference_lowers_entries():
     empty = solver.rate_table()
     cross = solver.cross_table()
     # second element actively serving the far pair
-    loaded = solver._rate(np.s_[:], np.s_[:], cross[1, 1])
+    loaded = solver._rate(solver.guide, np.s_[:],
+                          _element_row(solver, cross, 1, 1))
     assert loaded[0, 0] < empty[0, 0]
     # an element does not interfere with its own candidates
-    assert np.all(cross[1, :, 1] == 0.0)
     assert np.array_equal(loaded[1], empty[1])
-    both = solver._rate(np.s_[:], np.s_[:], cross[0, 0] + cross[1, 1])
+    both = solver._rate(solver.guide, np.s_[:],
+                        _element_row(solver, cross, 0, 0)
+                        + _element_row(solver, cross, 1, 1))
     x = np.array([[1, 0], [0, 1]], dtype=np.int8)
     assert both[0, 0] + both[1, 1] == pytest.approx(
         _oracle_objective(solver, x), rel=1e-12)
 
 
 def test_cross_table_matches_oracle():
-    # every entry, self-exclusion and singleton slots included, and
-    # victims indexed in the candidate's own (possibly reversed) order
+    # every pair of distinct elements, same guide and singleton slots
+    # included, victims indexed in the candidate's own (possibly
+    # reversed) order; the table holds one row per guide
     reversed_seen = 0
     for seed in range(4):
         solver = _random_solver(seed, m=2, n=2, k=5)
         cross = solver.cross_table()
-        mn, n_grp = solver.mn, len(solver.groups)
-        for i in range(mn):
+        guide, n_grp = solver.guide, len(solver.groups)
+        assert cross.shape == (2, n_grp, 2, n_grp, 2)
+        for i in range(guide.size):
             for j in range(n_grp):
-                cand = solver.candidates[i][j]
+                cand = _candidate(solver, i, j)
                 reversed_seen += cand.users != solver.groups[j]
-                assert list(solver.users[i, j, :len(cand.users)]) == list(
-                    cand.users)
-                for i2 in range(mn):
+                for i2 in range(guide.size):
+                    if i2 == i:
+                        continue
                     for j2 in range(n_grp):
                         want = _oracle_cross(solver, i2, j2, i, j)
                         want += [0.0] * (2 - len(want))
-                        np.testing.assert_allclose(cross[i2, j2, i, j], want,
-                                                   rtol=1e-12, atol=0.0)
+                        np.testing.assert_allclose(
+                            cross[guide[i2], j2, guide[i], j], want,
+                            rtol=1e-12, atol=0.0)
     assert reversed_seen > 0
 
 
@@ -329,7 +358,7 @@ def test_greedy_fill_prefers_larger_exact_gain():
     filled = solver.greedy_fill(a0)
     spare = [i for i in range(3) if a0.x[i].sum() == 0]
     assert len(spare) == 1
-    chosen = filled.group_of(spare[0])
+    chosen = int(np.argmax(filled.x[spare[0]]))
     base = _oracle_objective(solver, a0.x)
     gains = []
     for j in range(2):
@@ -345,7 +374,7 @@ def test_greedy_fill_matches_oracle_greedy():
                                       (2, 4, 7), (3, 3, 8), (2, 3, 4)]):
         solver = _random_solver(100 + seed, m, n, k)
         a0 = hungarian_assign(solver.rate_table())
-        assert a0.x.sum() < solver.mn  # there are spares to place
+        assert a0.x.sum() < solver.guide.size  # there are spares to place
         filled = solver.greedy_fill(a0)
         assert np.array_equal(filled.x, _oracle_greedy(solver, a0)), seed
 

@@ -274,7 +274,10 @@ def test_shared_position_symmetric_midpoint():
     sol = two_user_shared_position([4.5, 3, 0], [5.5, 3, 0], link, 10.0,
                                    (SIGMA, SIGMA))
     assert sol.x_star == pytest.approx(5.0, abs=1e-6)
-    assert sol.w1_sq == pytest.approx(0.5, abs=1e-9)
+    w1, _ = power_split(link.gain(1, sol.x_star, [4.5, 3, 0]),
+                        link.gain(2, sol.x_star, [5.5, 3, 0]), SIGMA, SIGMA,
+                        10.0)
+    assert w1 == pytest.approx(0.5, abs=1e-9)
 
 
 def test_shared_position_stays_in_bracket():
@@ -287,9 +290,9 @@ def test_shared_position_stays_in_bracket():
         if np.linalg.norm((u1 - u2)[:2]) < 1.2:
             continue
         sol = two_user_shared_position(u1, u2, link, 10.0, (SIGMA, SIGMA))
-        lo, hi = min(sol.x_singles), max(sol.x_singles)
-        assert lo - 1e-12 <= sol.x_star <= hi + 1e-12
-        assert sol.w1_sq + sol.w2_sq == pytest.approx(1.0)
+        singles = [optimal_position(u, link.wg, scn.alpha_a)[0]
+                   for u in (u1, u2)]
+        assert min(singles) - 1e-12 <= sol.x_star <= max(singles) + 1e-12
 
 
 def test_shared_position_close_pair_warns():
@@ -432,16 +435,16 @@ def test_shared_position_batch_matches_single_calls():
     sig2 = SIGMA * rng.uniform(0.5, 2.0, len(u1))
     batch = two_user_shared_position(u1, u2, link, 10.0, (SIGMA, sig2))
     assert batch.x_star.shape == (len(u1),)
-    assert batch.x_singles[0][0] == batch.x_singles[1][0] == 0.0
+    alpha_a = link.scenario.alpha_a
+    assert (optimal_position(u1[0], link.wg, alpha_a)[0]
+            == optimal_position(u2[0], link.wg, alpha_a)[0] == 0.0)
     fallbacks = []
     for p in range(len(u1)):
         one = two_user_shared_position(u1[p], u2[p], link, 10.0,
                                        (SIGMA, sig2[p]))
         assert type(one.x_star) is float and type(one.sum_rate) is float
         assert one.x_star == batch.x_star[p]
-        assert one.w1_sq == batch.w1_sq[p] and one.w2_sq == batch.w2_sq[p]
         assert one.sum_rate == batch.sum_rate[p]
-        assert one.x_singles == (batch.x_singles[0][p], batch.x_singles[1][p])
         assert one.orientations == (batch.orientations[0][p],
                                     batch.orientations[1][p])
         fallbacks.append(one.used_fallback)
@@ -458,7 +461,8 @@ def test_shared_position_keeps_a_winning_endpoint():
                                ((near, far), (0.003 * SIGMA, SIGMA), 0)):
         sol = two_user_shared_position(*users, link, 0.01, sigmas)
         assert sol.used_fallback
-        assert sol.x_star == sol.x_singles[end]
+        assert sol.x_star == optimal_position(users[end], link.wg,
+                                              link.scenario.alpha_a)[0]
 
 
 def test_shared_position_batch_rejects_and_warns_per_lane():
@@ -518,10 +522,13 @@ def test_profile_narrow_pair_beats_wide_pair():
 def test_single_user_solution_fields():
     scn = _scenario()
     link = LinkModel(scn)
-    sol = solve_single_user(np.array([6.0, 2.0, 0.0]), link)
-    assert 0 <= sol.x_star <= 6.0
-    assert sol.d_star >= 0
-    assert sol.achieved_gain > 0
+    user = np.array([6.0, 2.0, 0.0])
+    sol = solve_single_user(user, link)
+    x_star, d_star = optimal_position(user, link.wg, scn.alpha_a)
+    assert sol.x_star == x_star and 0 <= sol.x_star <= 6.0
+    assert d_star >= 0
+    aim = optimal_orientation([x_star, link.wg.axis_y, link.wg.axis_z], user)
+    assert (sol.pitch, sol.roll) == (aim.pitch, aim.roll)
 
 
 def test_link_math_batched_over_users():
