@@ -3,8 +3,9 @@
 1. Geometry-guided grouping: users attach to their nearest waveguide,
    are sorted along it and paired with their neighbor; leftovers are
    pooled and matched exhaustively under the pairwise squared-distance
-   metric, then a deterministic 2-opt sweep removes any crossing pairs
-   the greedy construction left behind.
+   metric (x-adjacently when more than eight are left), then a
+   deterministic 2-opt sweep removes any crossing pairs the greedy
+   construction left behind.
 2. Element-to-group assignment: interference-free pair rates feed a
    rectangular assignment problem (Hungarian via
    scipy.optimize.linear_sum_assignment on a zero-padded square
@@ -17,9 +18,12 @@
    the fill keeps a running sum of it per element.
 3. Precoding: with the sparse per-element splits W_p frozen, the
    mode-domain mixer G is optimized by fractional programming
-   (quadratic transform, closed-form auxiliary updates, a KKT linear
-   solve and a bracketed Newton solve of the power multiplier's
-   secular equation).
+   (quadratic transform, closed-form auxiliary updates, a KKT solve and
+   a bracketed Newton solve of the power multiplier's secular equation,
+   started from the previous iteration's multiplier).  The rates and
+   the power budget read G only through the precoder W = G W_p
+   (QM x K), so the loop iterates on W, held in the row space of W_p by
+   a projection computed once per call.
 
 Single-mode ("-SM") schemes reuse the pair structure but serve one
 user per element per time slot on the fundamental mode, with rates
@@ -31,6 +35,7 @@ spaced codebook angles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,6 +92,10 @@ def _cost(d2, groups) -> float:
         if len(g) == 2:
             total += d2[g[0]][g[1]]
     return total
+
+
+# largest id list whose pairings are enumerated
+_EXACT_USERS = 8
 
 
 def _pairings(ids):
@@ -154,31 +163,40 @@ def group_users(users, waveguide_ys, q: int = 2) -> UserGrouping:
 
     q = 1 returns singletons ordered waveguide-major along x.  q = 2
     pairs x-adjacent users within each waveguide cluster; odd cluster
-    leftovers are pooled and matched exhaustively, and one user stays
-    single when K is odd.  Up to eight users the pairing is solved
-    exactly (pairwise swap refinement cannot realize the three-cycle
-    exchanges that small instances sometimes need).  Every pairing is
-    priced from one table of squared (x, y) distances.
+    leftovers are pooled and paired the same way along x, and one user
+    stays single when K is odd.  Up to eight users, the whole set or
+    the pool, the pairing is solved exactly by enumeration (pairwise
+    swap refinement cannot realize the three-cycle exchanges that small
+    instances sometimes need; a pool of P has (P - 1)!! matchings).
+    Every pairing is priced from one table of squared (x, y) distances.
     """
     users = np.atleast_2d(np.asarray(users, dtype=float))
     ys = np.asarray(waveguide_ys, dtype=float)
     if q not in (1, 2):
         raise ValueError("group size must be 1 or 2")
+
+    def along_x(ids):
+        return sorted(ids, key=lambda k: (users[k, 0], k))
+
     nearest = np.argmin(np.abs(users[:, 1][:, None] - ys[None, :]), axis=1)
-    clusters = [sorted(np.nonzero(nearest == m)[0].tolist(),
-                       key=lambda k: (users[k, 0], k))
+    clusters = [along_x(np.nonzero(nearest == m)[0].tolist())
                 for m in range(len(ys))]
     if q == 1:
         groups = [(k,) for cl in clusters for k in cl]
         return UserGrouping(groups=groups, cost=0.0)
     xy = users[:, :2]
     d2 = ((xy[:, None] - xy[None]) ** 2).sum(axis=-1).tolist()
-    if users.shape[0] <= 8:
+    if users.shape[0] <= _EXACT_USERS:
         pairs, singles = _exact_matching(d2, list(range(users.shape[0])))
     else:
         pairs = [(a, b) for cl in clusters for a, b in zip(cl[0::2], cl[1::2])]
         pool = [cl[-1] for cl in clusters if len(cl) % 2]
-        pool_pairs, singles = _exact_matching(d2, pool)
+        if len(pool) <= _EXACT_USERS:
+            pool_pairs, singles = _exact_matching(d2, pool)
+        else:
+            pool = along_x(pool)
+            pool_pairs = list(zip(pool[0::2], pool[1::2]))
+            singles = pool[2 * len(pool_pairs):]
         pairs, singles = _two_opt(d2, pairs + pool_pairs, singles)
     groups = pairs + [(s,) for s in singles]
     return UserGrouping(groups=groups, cost=_cost(d2, groups))
@@ -422,34 +440,36 @@ class _SlotSolver:
 
 @dataclass
 class PrecoderFactorization:
-    """G (mode mixer), the frozen sparse splits W_p, their product, the
-    power multiplier chi of the final FP iteration and the loop's stop.
+    """The precoder W = G W_p of the final FP iteration, its power
+    multiplier chi and the loop's stop.
 
     W_p is port-resolved: row (i, q) carries the amplitude share of the
     user served by element i's mode-q port (two nonzero rows per
     element, one per row).  Aggregating the two ports of an element
     into a single row would make the pair's precoding vectors colinear
-    and void the mode-multiplexing gain, so G mixes the QM mode inputs
-    over all MNQ ports instead.
+    and void the mode-multiplexing gain, so the mode mixer G mixes the
+    QM mode inputs over all MNQ ports.  The rates and the power budget
+    read G only through W (QM x K), which is all that is kept.
     """
 
-    g: np.ndarray
-    w_p: np.ndarray
     w: np.ndarray
     chi: float
-    power_trace: float
     iterations: int               # FP iterations run
     converged: bool               # the tol rule stopped the loop
 
 
 def _secular(lam, d, chi):
     """f(chi) = sum_i d_i / (lam_i + chi)^2 and -f'(chi) / 2."""
-    inv = 1.0 / (lam + chi)
-    terms = d * inv ** 2
-    return float(terms.sum()), float((terms * inv).sum())
+    f = slope = 0.0
+    for lam_i, d_i in zip(lam, d):
+        inv = 1.0 / (lam_i + chi)
+        term = d_i * inv * inv
+        f += term
+        slope += term * inv
+    return f, slope
 
 
-def _power_multiplier(lam, d):
+def _power_multiplier(lam, d, start=0.0):
     """Multiplier chi >= 0 of the unit power budget: the root of the
     secular equation f(chi) = sum_i d_i / (lam_i + chi)^2 = 1, or 0
     when f(0) <= 1 (terms with lam_i = 0 are left out of f(0)).
@@ -458,20 +478,24 @@ def _power_multiplier(lam, d):
     D / (lam_min + chi)^2 with D = sum_i d_i (extremes over d_i > 0),
     which brackets the root in [max(sqrt(D) - lam_max, 0),
     sqrt(D) - lam_min].  Newton's method runs on f^(-1/2) - 1, which is
-    linear for a single term, from the upper end; a step that leaves
-    the bracket is replaced by bisection.  Returns the first chi with
-    |f(chi) - 1| <= 1e-10, or the bracket's feasible end if rounding
-    keeps every iterate from getting there.
+    linear for a single term, from ``start`` when it lies strictly
+    inside the bracket (a previous root) and from the upper end
+    otherwise; a step that leaves the bracket is replaced by bisection.
+    Returns the first chi with |f(chi) - 1| <= 1e-10, or the bracket's
+    feasible end if rounding keeps every iterate from getting there.
+    The spectrum has QM terms, few enough that the solve runs on Python
+    floats faster than on arrays.
     """
-    d = np.maximum(d, 0.0)  # quadratic forms of a PSD matrix
-    live = lam > 0
-    if np.sum(d[live] / lam[live] ** 2) <= 1.0 + 1e-12:
+    terms = [(lam_i, d_i) for lam_i, d_i in zip(lam.tolist(), d.tolist())
+             if d_i > 0]
+    f_zero = sum(d_i / lam_i ** 2 for lam_i, d_i in terms if lam_i > 0)
+    if f_zero <= 1.0 + 1e-12:
         return 0.0
-    lam = lam[d > 0]
-    d = d[d > 0]
-    root_d = np.sqrt(d.sum())
-    lo = max(root_d - lam.max(), 0.0)
-    hi = chi = root_d - lam.min()
+    lam, d = zip(*terms)
+    root_d = math.sqrt(sum(d))
+    lo = max(root_d - max(lam), 0.0)
+    hi = root_d - min(lam)
+    chi = start if lo < start < hi else hi
     for _ in range(100):
         f, slope = _secular(lam, d, chi)
         if abs(f - 1.0) <= 1e-10:
@@ -480,17 +504,19 @@ def _power_multiplier(lam, d):
             lo = chi
         else:
             hi = chi
-        step = chi + f * (np.sqrt(f) - 1.0) / slope
+        step = chi + f * (math.sqrt(f) - 1.0) / slope
         chi = step if lo < step < hi else 0.5 * (lo + hi)
     return hi
 
 
-def _fp_rates(h, g, w_p, power, noise):
-    v = h @ g @ w_p  # (K, K) received stream amplitudes
-    gains = np.abs(v) ** 2
-    signal = np.diag(gains)
-    denom = power * (gains.sum(axis=1) - signal) + noise
-    return power * signal / denom, v
+def _fp_rates(h, w, power, noise):
+    """SINRs, received stream amplitudes v = h W (K x K) and the total
+    received power plus noise of every user."""
+    v = h @ w
+    gains = (v * v.conj()).real
+    total = power * gains.sum(axis=1) + noise
+    signal = power * gains.diagonal()
+    return signal / (total - signal), v, total
 
 
 def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
@@ -498,12 +524,18 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
                  track_tightness: bool = False):
     """Maximize the sum rate over the mode mixer G for fixed splits W_p.
 
-    Alternates closed-form auxiliary updates with the KKT solve
+    The loop runs on the precoder W = G W_p (QM x K): the rates read G
+    only through W and the budget tr(G W_p W_p^H G^H) is ||W||_F^2.  It
+    alternates closed-form auxiliary updates with the KKT solution
 
-        (sum_k mu_k h_k^H h_k + chi I) G (W_p W_p^H) = sqrt(P) RHS
+        W = U diag(1 / (lam + chi)) U^H R Pi,
 
-    using the pseudo-inverse of W_p W_p^H; chi makes
-    tr(G W_p W_p^H G^H) meet the unit budget (``_power_multiplier``).
+    where U diag(lam) U^H = sum_k mu_k h_k^H h_k,
+    R = sqrt(P) h^H diag((1 + c1) c2) and Pi = pinv(W_p) W_p projects
+    onto the row space of W_p (fixed per call), so that W stays of the
+    form G W_p.  chi makes ||W||_F^2 meet the unit budget: the root of
+    the secular equation with weights d_i = ||(U^H R Pi)_i||^2
+    (``_power_multiplier``, started from the previous iteration's chi).
     The loop stops when the sum rate gains less than ``tol`` in one
     iteration (``converged``) or after ``max_iter`` iterations.
     Returns the factorization and the per-iteration sum-rate trace (1/2
@@ -512,67 +544,61 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
     element.
     """
     h = np.asarray(h, dtype=complex)
-    k_users, qm = h.shape
+    k_users = h.shape[0]
     w_p = np.asarray(w_p, dtype=complex)
     noise = np.broadcast_to(np.asarray(noise, dtype=float), (k_users,)).copy()
     if np.any(noise <= 0):
         raise ValueError("noise power must be positive")
-    b = w_p @ w_p.conj().T
-    b_pinv = np.linalg.pinv(b, hermitian=True)
+    proj = np.linalg.pinv(w_p) @ w_p
+    h_adj = h.conj().T
 
-    # matched-filter warm start: strongest served row per element
-    g = np.zeros((qm, w_p.shape[0]), dtype=complex)
-    for i in range(w_p.shape[0]):
-        served = np.nonzero(np.abs(w_p[i]) > 0)[0]
-        if served.size:
-            k_best = served[np.argmax(np.linalg.norm(h[served], axis=1))]
-            g[:, i] = h[k_best].conj()
-    start_trace = float(np.trace(g @ b @ g.conj().T).real)
-    if start_trace > 0:
-        g /= np.sqrt(start_trace)
+    # matched-filter warm start: G feeds each port the conjugate channel
+    # of the strongest user it serves (a port serving no one is zero)
+    strength = np.where(np.abs(w_p) > 0, np.linalg.norm(h, axis=1), -np.inf)
+    w = h_adj[:, np.argmax(strength, axis=1)] @ w_p
+    start_norm = np.linalg.norm(w)
+    if start_norm > 0:
+        w /= start_norm
 
     trace, gaps = [], []
     sum_rate_prev = -np.inf
     chi = 0.0
     converged = False
-    sinr, v = _fp_rates(h, g, w_p, power, noise)
+    sqrt_p = math.sqrt(power)
+    sinr, v, total = _fp_rates(h, w, power, noise)
     for _ in range(max_iter):
         c1 = sinr
-        denom_full = power * np.sum(np.abs(v) ** 2, axis=1) + noise
-        c2 = np.sqrt(power) * np.diag(v) / denom_full
+        c2 = sqrt_p * v.diagonal() / total
         if track_tightness:
             transformed = float(np.sum(
-                (1 + c1) * (2 * np.sqrt(power) * (c2.conj() * np.diag(v)).real
-                            - np.abs(c2) ** 2 * denom_full)
+                (1 + c1) * (2 * sqrt_p * (c2.conj() * v.diagonal()).real
+                            - np.abs(c2) ** 2 * total)
                 + np.log(1 + c1) - c1))
             gaps.append(abs(transformed - float(np.sum(np.log(1 + c1)))))
 
-        mu = power * (1 + c1) * np.abs(c2) ** 2
-        a0 = (h.conj().T * mu) @ h
-        rhs = np.sqrt(power) * (h.conj().T * ((1 + c1) * c2)) @ w_p.conj().T
-        lam, u_eig = np.linalg.eigh(a0)
-        lam = np.clip(lam.real, 0.0, None)
-        m1 = u_eig.conj().T @ rhs @ b_pinv
-        d_diag = np.real(np.einsum("ij,jk,ik->i", m1, b, m1.conj()))
+        weight = (1 + c1) * c2
+        mu = power * (weight * c2.conj()).real
+        lam, u_eig = np.linalg.eigh((h_adj * mu) @ h)
+        lam = np.maximum(lam, 0.0)
+        m1 = ((u_eig.conj().T @ h_adj) * (sqrt_p * weight)) @ proj
+        d_diag = (m1 * m1.conj()).real.sum(axis=1)
 
-        chi = _power_multiplier(lam, d_diag)
+        chi = _power_multiplier(lam, d_diag, chi)
         denom = lam + chi
         safe = np.where(denom > 0, denom, np.inf)
-        g = u_eig @ (m1 / safe[:, None])
+        w = u_eig @ (m1 / safe[:, None])
 
-        # the next iteration starts from this g, so it reuses sinr and v
-        sinr, v = _fp_rates(h, g, w_p, power, noise)
-        sum_rate = float(np.sum(0.5 * np.log2(1.0 + sinr)))
+        # the next iteration starts from this w, so it reuses its rates
+        sinr, v, total = _fp_rates(h, w, power, noise)
+        sum_rate = 0.5 * float(np.log2(1.0 + sinr).sum())
         trace.append(sum_rate)
         if abs(sum_rate - sum_rate_prev) < tol:
             converged = True
             break
         sum_rate_prev = sum_rate
 
-    final = PrecoderFactorization(
-        g=g, w_p=w_p, w=g @ w_p, chi=float(chi),
-        power_trace=float(np.trace(g @ b @ g.conj().T).real),
-        iterations=len(trace), converged=converged)
+    final = PrecoderFactorization(w=w, chi=float(chi), iterations=len(trace),
+                                  converged=converged)
     if track_tightness:
         return final, np.asarray(trace), np.asarray(gaps)
     return final, np.asarray(trace)

@@ -6,6 +6,8 @@ point, with every constant written out, independently of
 ``radiation.PortResponse``.  ``optimal_rx_polarization`` is the closed
 form of the perfectly matched receive polarization, the reference for
 ``receive_polarization("matched", PortResponse.direction)``.
+``fp_precoding_g`` is the fractional-programming loop written on the
+mode mixer G itself, the reference for ``multiuser.fp_precoding``.
 """
 
 import warnings
@@ -15,6 +17,7 @@ import numpy as np
 
 from mmpass.geometry import (Orientation, SphericalBasis, local_angles,
                              spherical_basis)
+from mmpass.multiuser import _power_multiplier
 from mmpass.polarization import JonesVector
 from mmpass.radiation import pattern_factor, polarization_components
 from mmpass.waveguide import (MediumConstants, ModeSpec, PaPlacement,
@@ -119,3 +122,63 @@ def optimal_rx_polarization(q: int, theta: float, phi: float, beta: float,
     """
     c_t, c_p = polarization_components(q, theta, phi, beta, rho_free)
     return JonesVector.normalized(c_t, -c_p, basis)
+
+
+def _fp_rates_g(h, g, w_p, power, noise):
+    v = h @ g @ w_p  # (K, K) received stream amplitudes
+    gains = np.abs(v) ** 2
+    signal = np.diag(gains)
+    denom = power * (gains.sum(axis=1) - signal) + noise
+    return power * signal / denom, v
+
+
+def fp_precoding_g(h, w_p, power, noise, tol=1e-6, max_iter=200):
+    """FP precoding iterated on G (QM x MNQ) with B = W_p W_p^H: the KKT
+    solve (sum_k mu_k h_k^H h_k + chi I) G B = sqrt(P) RHS through the
+    pseudo-inverse of B, and the power multiplier's Newton solve
+    started from the upper end of its bracket in every iteration.
+    Returns G, the final chi and the per-iteration sum-rate trace."""
+    h = np.asarray(h, dtype=complex)
+    k_users, qm = h.shape
+    w_p = np.asarray(w_p, dtype=complex)
+    noise = np.broadcast_to(np.asarray(noise, dtype=float), (k_users,))
+    b = w_p @ w_p.conj().T
+    b_pinv = np.linalg.pinv(b, hermitian=True)
+
+    # matched-filter warm start: strongest served row per element
+    g = np.zeros((qm, w_p.shape[0]), dtype=complex)
+    for i in range(w_p.shape[0]):
+        served = np.nonzero(np.abs(w_p[i]) > 0)[0]
+        if served.size:
+            k_best = served[np.argmax(np.linalg.norm(h[served], axis=1))]
+            g[:, i] = h[k_best].conj()
+    start_trace = float(np.trace(g @ b @ g.conj().T).real)
+    if start_trace > 0:
+        g /= np.sqrt(start_trace)
+
+    trace = []
+    sum_rate_prev = -np.inf
+    chi = 0.0
+    for _ in range(max_iter):
+        c1, v = _fp_rates_g(h, g, w_p, power, noise)
+        denom_full = power * np.sum(np.abs(v) ** 2, axis=1) + noise
+        c2 = np.sqrt(power) * np.diag(v) / denom_full
+        mu = power * (1 + c1) * np.abs(c2) ** 2
+        a0 = (h.conj().T * mu) @ h
+        rhs = np.sqrt(power) * (h.conj().T * ((1 + c1) * c2)) @ w_p.conj().T
+        lam, u_eig = np.linalg.eigh(a0)
+        lam = np.clip(lam.real, 0.0, None)
+        m1 = u_eig.conj().T @ rhs @ b_pinv
+        d_diag = np.real(np.einsum("ij,jk,ik->i", m1, b, m1.conj()))
+        chi = _power_multiplier(lam, d_diag)
+        denom = lam + chi
+        safe = np.where(denom > 0, denom, np.inf)
+        g = u_eig @ (m1 / safe[:, None])
+
+        sinr, _ = _fp_rates_g(h, g, w_p, power, noise)
+        sum_rate = float(np.sum(0.5 * np.log2(1.0 + sinr)))
+        trace.append(sum_rate)
+        if abs(sum_rate - sum_rate_prev) < tol:
+            break
+        sum_rate_prev = sum_rate
+    return g, chi, np.asarray(trace)

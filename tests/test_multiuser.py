@@ -14,6 +14,7 @@ from mmpass.multiuser import (AssignmentMatrix, _SlotSolver,
                               optimize_scenario, parse_scheme)
 from mmpass.placement import power_split
 from mmpass.radiation import PortResponse
+from oracles import fp_precoding_g
 
 SIGMA = 10.0 ** -2.6
 
@@ -85,6 +86,35 @@ def test_grouping_near_optimal_cost():
         g = group_users(users, ys)
         best = _exhaustive_pairing_cost(users)
         assert g.cost <= 1.25 * best + 1e-9, f"seed {seed}"
+
+
+def test_grouping_large_pool_is_not_enumerated(monkeypatch):
+    # one user under each guide pools every user; past eight the pool is
+    # paired along x and refined by 2-opt instead of enumerated
+    sizes = []
+    pairings = multiuser._pairings
+
+    def counting(ids):
+        sizes.append(len(ids))
+        assert len(ids) <= 8, f"{len(ids)} ids enumerated"
+        return pairings(ids)
+
+    monkeypatch.setattr(multiuser, "_pairings", counting)
+    rng = np.random.default_rng(4)
+    for n_guides, n_pairs in ((16, 8), (15, 7)):
+        ys = 6.0 * (np.arange(n_guides) + 0.5) / n_guides
+        users = np.column_stack([rng.uniform(0, 10, n_guides), ys,
+                                 np.zeros(n_guides)])
+        g = group_users(users, ys)
+        assert sorted(k for p in g.groups for k in p) == list(range(n_guides))
+        assert sum(len(p) == 2 for p in g.groups) == n_pairs
+        assert len(g.groups) == n_guides - n_pairs
+    # a pool of eight (two guides hold a pair each) is still enumerated
+    ys = 6.0 * (np.arange(10) + 0.5) / 10
+    users = np.column_stack([rng.uniform(0, 10, 12),
+                             np.concatenate([ys, ys[:2]]), np.zeros(12)])
+    group_users(users, ys)
+    assert max(sizes) == 8
 
 
 def test_grouping_partitions_everyone():
@@ -412,11 +442,42 @@ def test_fp_monotone_tight_and_feasible():
                                          max_iter=60, track_tightness=True)
         assert np.all(np.diff(trace) >= -1e-9), f"seed {seed}"
         assert max(gaps) < 1e-9, f"seed {seed}"
-        assert fact.power_trace <= 1.0 + 1e-9
+        power_used = np.linalg.norm(fact.w) ** 2
+        assert power_used <= 1.0 + 1e-9
         if fact.chi > 0:  # constraint active
-            assert fact.power_trace >= 1.0 - 1e-6
-        w = fact.g @ fact.w_p
-        assert np.trace(w @ w.conj().T).real <= 1.0 + 1e-9
+            assert power_used >= 1.0 - 1e-6
+
+
+def _fp_oracle_instance(rng):
+    """A random FP instance with an unserved user (a zero column of
+    W_p), a port whose split is clipped to 0 (a zero row) and a port
+    serving several users."""
+    h, w_p = _random_fp_instance(rng, k=int(rng.integers(3, 7)),
+                                 qm=int(rng.integers(2, 9)))
+    w_p[:, 0] = 0.0
+    w_p[1] = 0.0
+    w_p[2, 1:] = rng.uniform(0.3, 1.0, w_p.shape[1] - 1)
+    return h, w_p
+
+
+def test_fp_matches_g_space_oracle():
+    # the loop on W = G W_p is the G-space iteration: the same stop and
+    # the same trace up to the multiplier's root tolerance, which the
+    # warm start resolves to a different point within it
+    converged = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        h, w_p = _fp_oracle_instance(rng)
+        noise = 10.0 ** rng.uniform(-3, -1)
+        fact, trace = fp_precoding(h, w_p, 10.0, noise)
+        g, _, want = fp_precoding_g(h, w_p, 10.0, noise)
+        assert fact.iterations == len(trace) == len(want), seed
+        np.testing.assert_allclose(trace, want, rtol=1e-9, atol=0.0,
+                                   err_msg=f"seed {seed}")
+        np.testing.assert_allclose(fact.w, g @ w_p, rtol=0.0, atol=1e-8,
+                                   err_msg=f"seed {seed}")
+        converged += fact.converged
+    assert converged  # the tol rule, not only the cap, is compared
 
 
 def _secular_oracle(lam, d, chi):
@@ -445,10 +506,10 @@ def test_power_multiplier_matches_brentq(monkeypatch):
     monkeypatch.setattr(multiuser, "_secular", counting)
     solved = 0
     for seed in range(300):
-        lam, d = _random_spectrum(np.random.default_rng(seed))
-        chi = _power_multiplier(lam, d)
+        rng = np.random.default_rng(seed)
+        lam, d = _random_spectrum(rng)
         if _secular_oracle(lam, d, 0.0) <= 1.0 + 1e-12:
-            assert chi == 0.0, seed
+            assert _power_multiplier(lam, d) == 0.0, seed
             continue
         hi = 1.0
         while _secular_oracle(lam, d, hi) > 1.0:
@@ -456,13 +517,28 @@ def test_power_multiplier_matches_brentq(monkeypatch):
         root = brentq(lambda c: _secular_oracle(lam, d, c) - 1.0, 0.0, hi,
                       xtol=1e-300, rtol=1e-15)
         slope = 2.0 * np.sum(d / (lam + root) ** 3)
-        assert chi > 0.0, seed
-        assert abs(_secular_oracle(lam, d, chi) - 1.0) <= 1e-10, seed
-        assert abs(chi - root) <= 1.1e-10 / slope + 1e-14 * root, seed
-        solved += 1
-    assert solved > 100
+        live = d > 0
+        lo_b = max(np.sqrt(d.sum()) - lam[live].max(), 0.0)
+        hi_b = np.sqrt(d.sum()) - lam[live].min()
+        # Newton from the upper end (the default), from inside the
+        # bracket, from the root and from beyond the bracket (which
+        # falls back to the upper end)
+        starts = {"default": 0.0, "inside": rng.uniform(lo_b, hi_b),
+                  "root": root, "outside": 2.0 * hi_b + 1.0}
+        for name, start in starts.items():
+            before = len(evaluations)
+            chi = _power_multiplier(lam, d, start)
+            where = (seed, name)
+            assert chi > 0.0, where
+            assert abs(_secular_oracle(lam, d, chi) - 1.0) <= 1e-10, where
+            assert abs(chi - root) <= 1.1e-10 / slope + 1e-14 * root, where
+            if name == "root":
+                assert len(evaluations) == before + 1, seed
+            solved += 1
+    assert solved > 400
     # Newton on f^(-1/2) takes a few evaluations of f per root (2.6 on
-    # these spectra); Newton on f itself would take about 25
+    # these spectra from either end or inside, 1 from the root); Newton
+    # on f itself would take about 25
     assert len(evaluations) <= 4 * solved
 
 
