@@ -2,10 +2,12 @@
 
 Every driver returns an ExperimentResult whose rows are plain tuples
 ready for CSV export.  Outputs are deterministic in (config, seed):
-per-trial randomness comes from independent generators seeded with
-(seed, trial index), and rows are emitted in sorted order.  The CSV
-header embeds the config hash and seed; dB columns carry 4 decimals
-and rates 6.
+per-trial randomness is what an independent generator seeded with
+(seed, trial index) would draw, and rows are emitted in sorted order.
+The outage drops of all trials are computed at once and equal those
+per-trial generators bit for bit.  The CSV header embeds the config
+hash and seed; every float column is written with 6 decimals (the
+field map rounds its dB values to 4 first).
 """
 
 from __future__ import annotations
@@ -33,21 +35,21 @@ class ExperimentResult:
     metadata: dict = field(default_factory=dict)
 
     def write_csv(self, out_dir, filename=None) -> str:
+        """Write a metadata comment line, the column header and one line
+        per row.  The first row fixes each column's format: a float
+        (``np.float64`` included) gets 6 decimals, anything else ``str``.
+        """
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, filename or f"{self.experiment}.csv")
         meta = " ".join(f"{k}={v}" for k, v in sorted(self.metadata.items()))
         with open(path, "w") as fh:
             fh.write(f"# experiment={self.experiment} {meta}\n")
             fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            if self.rows:
+                line = ",".join("%.6f" if isinstance(v, float) else "%s"
+                                for v in self.rows[0]) + "\n"
+                fh.writelines(map(line.__mod__, self.rows))
         return path
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
 
 
 def _metadata(cfg: ScenarioConfig, **extra) -> dict:
@@ -84,12 +86,112 @@ def run_rate_vs_power(cfg: ScenarioConfig, power_grid_dbw,
 # ---------------------------------------------------------------------------
 # outage Monte Carlo
 
+# numpy's SeedSequence hash constants (a pool of four 32-bit words) and
+# PCG64's 128-bit multiplier as little-endian 32-bit limbs
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = [np.uint64((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k))
+                       & _M32) for k in range(4)]
+_U32 = np.uint64(32)
+_MASK32 = np.uint64(_M32)
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays, with its running
+    constant."""
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * mult) & _M32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _seed_pool(seed: int, trials: int) -> list:
+    """SeedSequence((seed, t)).pool for every t < trials, as four uint32
+    arrays.  The entropy is the seed's little-endian 32-bit words
+    followed by t (one word for any t < 2**32)."""
+    n_words = max(1, -(-seed.bit_length() // 32))
+    entropy = [np.full(trials, (seed >> (32 * k)) & _M32, np.uint32)
+               for k in range(n_words)]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(entropy[i] if i < len(entropy)
+                    else np.zeros(trials, np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, len(entropy)):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    return pool
+
+
+def _carry(acc: list) -> list:
+    """Propagate carries through little-endian limb sums, mod 2**128."""
+    out, carry = [], 0
+    for limb in acc:
+        limb = limb + carry
+        out.append(limb & _MASK32)
+        carry = limb >> _U32
+    return out
+
+
+def _pcg_step(state: list, inc: list) -> list:
+    """state * multiplier + inc mod 2**128, on 32-bit limbs held in
+    uint64 arrays (each partial product fits in 64 bits)."""
+    acc = list(inc)
+    for i in range(4):
+        for j in range(4 - i):
+            p = state[i] * _PCG_MULT[j]
+            acc[i + j] = acc[i + j] + (p & _MASK32)
+            if i + j < 3:
+                acc[i + j + 1] = acc[i + j + 1] + (p >> _U32)
+    return _carry(acc)
+
+
 def _trial_pairs(cfg: ScenarioConfig, trials: int) -> np.ndarray:
     """(trials, 2, 2) floor (x, y) of the two users of every outage
-    trial, uniform over the region; trial t draws from its own
-    generator seeded with (seed, t)."""
-    return np.array([np.random.default_rng((cfg.seed, t)).random((2, 2))
-                     for t in range(trials)]) * [cfg.d_x, cfg.d_y]
+    trial, uniform over the region: trial t gets what
+    ``default_rng((seed, t)).random((2, 2))`` draws, scaled by the
+    region, and all trials are computed at once.
+
+    As in numpy, the pool is hashed into four 64-bit words
+    (``generate_state(4, uint64)``): the first two are the PCG64 initial
+    state and the last two its stream, set up as in
+    ``pcg_setseq_128_srandom_r``.  Each double is an XSL-RR output
+    shifted to 53 bits.
+    """
+    pool = _seed_pool(int(cfg.seed), trials)
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # 64-bit word k is words[2k] | words[2k + 1] << 32; words 0 and 2
+    # are the high halves of the state and the stream
+    initstate = words[2:4] + words[0:2]
+    initseq = words[6:8] + words[4:6]
+    one = np.uint64(1)
+    inc = [((initseq[k] << one) & _MASK32)
+           | (initseq[k - 1] >> np.uint64(31) if k else one)
+           for k in range(4)]
+    state = _pcg_step(_carry([a + b for a, b in zip(inc, initstate)]), inc)
+    draws = []
+    for _ in range(4):
+        state = _pcg_step(state, inc)
+        x = ((state[3] << _U32) | state[2]) ^ ((state[1] << _U32) | state[0])
+        rot = state[3] >> np.uint64(26)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        draws.append((x >> np.uint64(11)) * (1.0 / 9007199254740992.0))
+    return (np.stack(draws, axis=1).reshape(trials, 2, 2)
+            * [cfg.d_x, cfg.d_y])
 
 
 def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
@@ -199,7 +301,6 @@ def run_field_map(cfg: ScenarioConfig, grid_res: float = 0.01,
                               rows, meta)
     result.grid_db = grid_db
     result.xs, result.ys = xs, ys
-    result.pa = pa
     return result
 
 

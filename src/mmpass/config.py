@@ -93,6 +93,9 @@ class ScenarioConfig:
         if self.num_modes not in (1, 2):
             raise ValueError("config field 'num_modes' must be 1 or 2 "
                              "(TE10 and TE01 are the supported modes)")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("config field 'seed' must be a non-negative "
+                             "integer")
         if self.a <= self.b:
             raise ValueError("config fields 'a' and 'b' must satisfy a > b")
         if self.alpha_w_db < 0 or self.alpha_a_db < 0:

@@ -8,6 +8,8 @@ form of the perfectly matched receive polarization, the reference for
 ``receive_polarization("matched", PortResponse.direction)``.
 ``fp_precoding_g`` is the fractional-programming loop written on the
 mode mixer G itself, the reference for ``multiuser.fp_precoding``.
+``csv_text`` formats an experiment result value by value, the reference
+for ``bench.ExperimentResult.write_csv``.
 """
 
 import warnings
@@ -182,3 +184,19 @@ def fp_precoding_g(h, w_p, power, noise, tol=1e-6, max_iter=200):
             break
         sum_rate_prev = sum_rate
     return g, chi, np.asarray(trace)
+
+
+def fmt_value(value) -> str:
+    """One CSV field: floats with 6 decimals, anything else ``str``."""
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
+
+
+def csv_text(result) -> str:
+    """The CSV file ``write_csv`` should write for an ExperimentResult."""
+    meta = " ".join(f"{k}={v}" for k, v in sorted(result.metadata.items()))
+    lines = [f"# experiment={result.experiment} {meta}",
+             ",".join(result.columns)]
+    lines += [",".join(fmt_value(v) for v in row) for row in result.rows]
+    return "\n".join(lines) + "\n"

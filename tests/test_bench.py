@@ -10,6 +10,7 @@ from mmpass import bench
 from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.placement import (LinkModel, bounded_minimize, eq22_sum_rate,
                               optimal_position, tdma_sum_rate)
+from oracles import csv_text
 
 
 def test_field_map_rows_match_per_point_rounding():
@@ -32,6 +33,19 @@ def test_outage_drops_equal_uniform_draws(seed):
     want = np.array([np.random.default_rng((seed, t)).uniform(
         [0, 0], [cfg.d_x, cfg.d_y], size=(2, 2)) for t in range(300)])
     assert np.array_equal(pts, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 32 + 7,
+                                  2 ** 70 + 3, 2 ** 100 + 5])
+def test_trial_pairs_equal_per_trial_generators(seed):
+    # one to four 32-bit seed words (with t, four fill the hash pool and
+    # five overflow it); trial t draws what its own default_rng((seed, t))
+    # draws, whatever the trial count
+    cfg = ScenarioConfig(seed=seed)
+    want = np.array([np.random.default_rng((seed, t)).random((2, 2))
+                     for t in range(10_000)]) * [cfg.d_x, cfg.d_y]
+    for n in (1, 300, 10_000):
+        assert np.array_equal(bench._trial_pairs(cfg, n), want[:n]), n
 
 
 def test_outage_positions_match_scipy_bounded(monkeypatch):
@@ -66,3 +80,39 @@ def test_outage_positions_match_scipy_bounded(monkeypatch):
                 bounds=(lo[t], hi[t]), method="bounded",
                 options={"xatol": 1e-9})
             assert float(res.x) == x[t], (rate.__name__, t)
+
+
+def _synthetic(experiment, columns, rows):
+    return bench.ExperimentResult(experiment, columns, rows,
+                                  {"config": "abc123", "seed": 4})
+
+
+@pytest.mark.parametrize("result", [
+    _synthetic("outage", ("power_dbw", "scheme", "outage"),
+               [(-22.0, "MM", 0.25), (-22.0, "SM-TDMA", np.float64(1.0)),
+                (-20.0, "MM", 0.0)]),
+    _synthetic("convergence", ("iteration", "scheme", "sum_rate"),
+               [(0, "PA-MM", 3.14159265), (1, "PA-MM", float("inf")),
+                (2, "PI-SM", float("nan")), (3, "PI-SM", -0.0)]),
+    _synthetic("rate_vs_power", ("power_dbw", "scheme", "sum_rate"),
+               [(0.0, "DP-MM", np.float64(28.1171234567)),
+                (5.0, "PA-SM", float("-inf"))]),
+    _synthetic("scaling", ("sweep", "m", "n", "k", "scheme", "sum_rate"),
+               [("mn", 2, 1, 24, "PA-MM", 12.5),
+                ("k", np.int64(4), 3, 8, "PI-MM", np.float64(1e300))]),
+    _synthetic("empty", ("a", "b"), []),
+], ids=lambda r: r.experiment)
+def test_write_csv_matches_value_oracle(result, tmp_path):
+    path = result.write_csv(tmp_path)
+    with open(path) as fh:
+        text = fh.read()
+    assert text == csv_text(result)
+    assert len(text.splitlines()) == 2 + len(result.rows)
+
+
+def test_driver_csvs_match_value_oracle(tmp_path):
+    cfg = ScenarioConfig(seed=3)
+    for result in (bench.run_field_map(cfg, grid_res=0.25),
+                   bench.run_outage(cfg, [-20.0, -10.0], trials=100)):
+        with open(result.write_csv(tmp_path)) as fh:
+            assert fh.read() == csv_text(result), result.experiment

@@ -78,3 +78,10 @@ def test_unknown_scheme_flag_fails_before_any_run(tiny, tmp_path, monkeypatch,
     assert "unknown scheme 'nope'" in capsys.readouterr().err
     assert runs == []
     assert not (tmp_path / "rate_vs_power.csv").exists()
+
+
+def test_negative_seed_fails_before_any_run(tiny, tmp_path, capsys):
+    assert cli.main(["outage", *tiny, "--seed", "-3", "--trials", "200"]) == 2
+    assert ("config field 'seed' must be a non-negative integer"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "outage.csv").exists()

@@ -88,6 +88,18 @@ def test_integer_fields_coerced(write):
     assert all(type(v) is int for v in values)
 
 
+@pytest.mark.parametrize("seed", [-3, 2.5])
+def test_seed_must_be_a_non_negative_integer(write, seed):
+    with pytest.raises(ValueError, match="'seed' must be a non-negative "
+                                         "integer"):
+        ScenarioConfig(seed=seed).validate()
+    if seed < 0:
+        with pytest.raises(ValueError, match="'seed' must be a non-negative"):
+            load_config(write(f"seed: {seed}\n"))
+    assert ScenarioConfig(seed=0).validate().seed == 0
+    assert ScenarioConfig(seed=np.int64(5)).validate().seed == 5
+
+
 def test_unknown_scheme_rejected_at_load(write):
     with pytest.raises(ValueError, match="unknown scheme 'nope'"):
         load_config(write("schemes: [pa-mm, nope]\n"))
