@@ -3,18 +3,17 @@ pinching-antenna systems."""
 
 from .geometry import Orientation, SphericalBasis
 from .waveguide import (MediumConstants, ModeSpec, PaPlacement, WaveguideSpec,
-                        coupling_length, h_wg_to_pa, mode_spec, te_modes)
+                        h_wg_to_pa, mode_spec, te_modes)
 from .radiation import PortResponse, intensity_map, pattern_factor
-from .polarization import (JonesVector, discrete_rx_polarization,
-                           matching_efficiency, receive_polarization)
+from .polarization import receive_polarization
 from .scenario import Scenario, make_scenario
 from .channel import ChannelMatrix, RateReport, assemble, rate_report
 from .placement import (LinkModel, SingleUserSolution, TwoUserSolution,
                         gain_log_derivative, optimal_orientation,
                         optimal_position, two_user_shared_position)
 from .multiuser import (AssignmentMatrix, PrecoderFactorization, SchemeResult,
-                        UserGrouping, fp_precoding, group_users,
-                        hungarian_assign, optimize_scenario)
+                        fp_precoding, group_users, hungarian_assign,
+                        optimize_scenario)
 from .config import ScenarioConfig, build_scenario, config_hash, load_config
 
 __version__ = "0.1.0"

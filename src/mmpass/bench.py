@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ScenarioConfig, build_scenario, config_hash, draw_users
+from .config import ScenarioConfig, build_scenario, config_hash
 from .geometry import Orientation
 from .multiuser import optimize_scenario
 from .placement import (LinkModel, bounded_minimize, eq22_sum_rate,
@@ -34,13 +34,14 @@ class ExperimentResult:
     rows: list
     metadata: dict = field(default_factory=dict)
 
-    def write_csv(self, out_dir, filename=None) -> str:
-        """Write a metadata comment line, the column header and one line
-        per row.  The first row fixes each column's format: a float
-        (``np.float64`` included) gets 6 decimals, anything else ``str``.
+    def write_csv(self, out_dir) -> str:
+        """Write ``<experiment>.csv`` into ``out_dir``: a metadata comment
+        line, the column header and one line per row.  The first row
+        fixes each column's format: a float (``np.float64`` included)
+        gets 6 decimals, anything else ``str``.
         """
         os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, filename or f"{self.experiment}.csv")
+        path = os.path.join(out_dir, f"{self.experiment}.csv")
         meta = " ".join(f"{k}={v}" for k, v in sorted(self.metadata.items()))
         with open(path, "w") as fh:
             fh.write(f"# experiment={self.experiment} {meta}\n")
@@ -61,12 +62,11 @@ def _metadata(cfg: ScenarioConfig, **extra) -> dict:
 # ---------------------------------------------------------------------------
 # sum rate vs transmit power
 
-def run_rate_vs_power(cfg: ScenarioConfig, power_grid_dbw,
-                      users=None) -> ExperimentResult:
+def run_rate_vs_power(cfg: ScenarioConfig, power_grid_dbw) -> ExperimentResult:
     """Per-scheme sum-rate curves over a transmit-power grid, with the
     full grouping/assignment/placement/precoding pipeline re-run at
     every power point."""
-    base = build_scenario(cfg, users=users)
+    base = build_scenario(cfg)
     rows = []
     for p_dbw in power_grid_dbw:
         power = 10.0 ** (p_dbw / 10.0)
@@ -262,8 +262,8 @@ def power_at_outage(result: ExperimentResult, scheme: str,
 # ---------------------------------------------------------------------------
 # convergence traces
 
-def run_convergence(cfg: ScenarioConfig, users=None) -> ExperimentResult:
-    scn = build_scenario(cfg, users=users)
+def run_convergence(cfg: ScenarioConfig) -> ExperimentResult:
+    scn = build_scenario(cfg)
     rows = []
     for scheme in cfg.schemes:
         with warnings.catch_warnings():
@@ -282,12 +282,14 @@ def run_convergence(cfg: ScenarioConfig, users=None) -> ExperimentResult:
 def run_field_map(cfg: ScenarioConfig, grid_res: float = 0.01,
                   port_pitch: float = np.pi / 4) -> ExperimentResult:
     """Normalized floor intensity of a dual-mode element at the ceiling
-    center with ports pitched to +/- ``port_pitch``."""
+    center with ports pitched to +/- ``port_pitch``, sampled every
+    ``grid_res`` m along x and every max(grid_res, 0.05) m along y."""
+    if not (np.isfinite(grid_res) and grid_res > 0):
+        raise ValueError(f"grid_res must be positive, got {grid_res}")
     scn = build_scenario(cfg, users=np.zeros((1, 3)))
     wg = scn.waveguides[0]
-    pa = PaPlacement(0, 1, cfg.d_x / 2,
-                     tuple(Orientation(s * port_pitch, 0.0)
-                           for s, _ in zip((1, -1), scn.modes)))
+    pa = PaPlacement(cfg.d_x / 2, tuple(Orientation(s * port_pitch, 0.0)
+                                        for s, _ in zip((1, -1), scn.modes)))
     xs = np.arange(0.0, cfg.d_x + 1e-9, grid_res)
     ys = np.arange(0.0, cfg.d_y + 1e-9, max(grid_res, 0.05))
     grid_db = intensity_map(scn.med, wg, scn.modes, pa, xs, ys,
@@ -337,31 +339,34 @@ def xcut_lobe_metrics(xs, cut_db) -> LobeMetrics:
 # ---------------------------------------------------------------------------
 # scaling studies
 
-def run_scaling(cfg: ScenarioConfig, m_grid=(2, 3, 4), n_grid=(1, 2, 3),
-                k_grid=(8, 16, 24)) -> ExperimentResult:
+# guide counts M, elements per guide N and user counts K swept
+_SCALING_M = (2, 3, 4)
+_SCALING_N = (1, 2, 3)
+_SCALING_K = (8, 16, 24)
+
+
+def run_scaling(cfg: ScenarioConfig) -> ExperimentResult:
     """Sum rate versus array sizes (M, N at fixed K) and versus the
     user count (at the config's M, N)."""
     rows = []
-    for m in m_grid:
-        for n in n_grid:
-            sub = replace(cfg, num_waveguides=int(m),
-                             pas_per_waveguide=int(n))
-            scn = build_scenario(sub)
+    for m in _SCALING_M:
+        for n in _SCALING_N:
+            scn = build_scenario(replace(cfg, num_waveguides=m,
+                                         pas_per_waveguide=n))
             for scheme in cfg.schemes:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     res = optimize_scenario(scn, scheme)
-                rows.append(("mn", int(m), int(n), cfg.num_users, res.scheme,
+                rows.append(("mn", m, n, cfg.num_users, res.scheme,
                              float(res.report.sum_rate)))
-    for k in k_grid:
-        sub = replace(cfg, num_users=int(k))
-        scn = build_scenario(sub)
+    for k in _SCALING_K:
+        scn = build_scenario(replace(cfg, num_users=k))
         for scheme in cfg.schemes:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 res = optimize_scenario(scn, scheme)
             rows.append(("k", cfg.num_waveguides, cfg.pas_per_waveguide,
-                         int(k), res.scheme, float(res.report.sum_rate)))
+                         k, res.scheme, float(res.report.sum_rate)))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
     return ExperimentResult(
         "scaling", ("sweep", "m", "n", "k", "scheme", "sum_rate"),

@@ -97,14 +97,11 @@ def sinr(h: np.ndarray, w: np.ndarray, power: float, noise) -> np.ndarray:
 
 @dataclass
 class RateReport:
-    per_user_sinr: np.ndarray
     per_user_rate: np.ndarray
     sum_rate: float
 
 
 def rate_report(h: np.ndarray, w: np.ndarray, power: float, noise) -> RateReport:
     _check_power(w)
-    values = sinr(h, w, power, noise)
-    rates = 0.5 * np.log2(1.0 + values)
-    return RateReport(per_user_sinr=values, per_user_rate=rates,
-                      sum_rate=float(rates.sum()))
+    rates = 0.5 * np.log2(1.0 + sinr(h, w, power, noise))
+    return RateReport(per_user_rate=rates, sum_rate=float(rates.sum()))

@@ -11,13 +11,17 @@ users.
 Attenuations are entered in dB/m and converted to Np/m on load
 (Np = dB * ln 10 / 10); powers may be given in watts (``power_w``) or
 dBW (``power_dbw``); noise is in dBW.  Angles never appear in configs.
+Explicit user positions are lists of 2 or 3 numbers (x, y or x, y, z;
+z defaults to the floor and must lie below the guides).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+import math
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import yaml
@@ -39,6 +43,10 @@ def dbw_to_watt(value_dbw: float) -> float:
     return 10.0 ** (value_dbw / 10.0)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class ScenarioConfig:
     # region, m
@@ -57,7 +65,6 @@ class ScenarioConfig:
     n_core: float = 2.0
     alpha_w_db: float = 0.08
     alpha_a_db: float = 0.05
-    kappa: float = 100.0
     aperture_scale: float = 15.0
     gain_normalization: str = "per-mode"  # or "none"
     # power
@@ -83,7 +90,7 @@ class ScenarioConfig:
 
     def validate(self) -> "ScenarioConfig":
         positive = ("d_x", "d_y", "d_z", "frequency_hz", "a", "b", "n_core",
-                    "kappa", "power_w", "aperture_scale")
+                    "power_w", "aperture_scale")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field '{name}' must be positive")
@@ -109,6 +116,24 @@ class ScenarioConfig:
         if self.user_mode == "explicit" and not self.user_positions:
             raise ValueError("config field 'user_positions' is required "
                              "when user_mode is 'explicit'")
+        seen = {}
+        for i, pos in enumerate(self.user_positions):
+            label = f"config field 'user_positions[{i}]'"
+            if (not isinstance(pos, (list, tuple)) or len(pos) not in (2, 3)
+                    or not all(map(_is_number, pos))):
+                raise ValueError(f"{label} must be 2 or 3 numbers "
+                                 f"(x, y or x, y, z), got {pos!r}")
+            xyz = tuple(float(c) for c in pos) + (0.0,) * (3 - len(pos))
+            if not all(map(math.isfinite, xyz)):
+                raise ValueError(f"{label} must be finite, got {pos!r}")
+            if not 0.0 <= xyz[2] < self.d_z:
+                raise ValueError(f"{label} must satisfy 0 <= z < d_z = "
+                                 f"{self.d_z} (users lie below the guides), "
+                                 f"got z = {xyz[2]}")
+            if xyz in seen:
+                raise ValueError(f"{label} repeats "
+                                 f"user_positions[{seen[xyz]}]")
+            seen[xyz] = i
         for scheme in self.schemes:
             parse_scheme(scheme)
         return self
@@ -163,8 +188,15 @@ def load_config(path=None) -> ScenarioConfig:
                              f"scheme names, e.g. [{kwargs['schemes']}]")
         kwargs["schemes"] = tuple(str(s) for s in kwargs["schemes"])
     if "user_positions" in kwargs:
-        kwargs["user_positions"] = tuple(tuple(float(c) for c in p)
-                                         for p in kwargs["user_positions"])
+        if not isinstance(kwargs["user_positions"], list):
+            raise ValueError("config field 'user_positions' must be a list "
+                             "of positions, e.g. [[1.0, 2.0], [4.0, 3.5]]")
+        # entries that are not lists of numbers reach validate() as they
+        # are, so that it names them
+        kwargs["user_positions"] = tuple(
+            tuple(float(c) for c in p)
+            if isinstance(p, list) and all(map(_is_number, p)) else p
+            for p in kwargs["user_positions"])
     for name in ("num_waveguides", "pas_per_waveguide", "num_modes",
                  "num_users", "seed"):
         if name in kwargs:
@@ -178,31 +210,28 @@ def config_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def draw_users(cfg: ScenarioConfig, rng=None) -> np.ndarray:
-    """User positions on the floor plane, uniform over the region or as
-    listed in the config."""
+def draw_users(cfg: ScenarioConfig) -> np.ndarray:
+    """User positions uniform over the floor region, or as listed in
+    the config (a missing z puts the user on the floor)."""
     if cfg.user_mode == "explicit":
-        pts = np.asarray(cfg.user_positions, dtype=float)
-        if pts.shape[1] == 2:
-            pts = np.column_stack([pts, np.zeros(len(pts))])
-        return pts
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+        return np.array([tuple(p) + (0.0,) * (3 - len(p))
+                         for p in cfg.user_positions], dtype=float)
+    rng = np.random.default_rng(cfg.seed)
     xy = rng.uniform([0.0, 0.0], [cfg.d_x, cfg.d_y],
                      size=(cfg.num_users, 2))
     return np.column_stack([xy, np.zeros(cfg.num_users)])
 
 
-def build_scenario(cfg: ScenarioConfig, users=None, rng=None) -> Scenario:
+def build_scenario(cfg: ScenarioConfig, users=None) -> Scenario:
     """Construct the runtime scenario for a validated config."""
     cfg.validate()
     med = MediumConstants(frequency=cfg.frequency_hz, n_core=cfg.n_core)
     if users is None:
-        users = draw_users(cfg, rng)
+        users = draw_users(cfg)
     return make_scenario(
         med, region=(cfg.d_x, cfg.d_y, cfg.d_z),
         num_waveguides=cfg.num_waveguides, num_pas=cfg.pas_per_waveguide,
         num_modes=cfg.num_modes, users=users, power=cfg.power_w,
         noise_w=cfg.noise_w, alpha_w=cfg.alpha_w_np, alpha_a=cfg.alpha_a_np,
-        a=cfg.a, b=cfg.b, kappa=cfg.kappa, aperture_scale=cfg.aperture_scale,
+        a=cfg.a, b=cfg.b, aperture_scale=cfg.aperture_scale,
         normalize_gains=(cfg.gain_normalization == "per-mode"))

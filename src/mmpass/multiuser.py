@@ -78,19 +78,12 @@ def parse_scheme(name: str) -> Scheme:
 # ---------------------------------------------------------------------------
 # stage 1: grouping
 
-@dataclass
-class UserGrouping:
-    groups: list[tuple[int, ...]]
-    cost: float
-
-
-def _cost(d2, groups) -> float:
-    """Sum of the pairwise squared (x, y) distances ``d2[a][b]`` inside
-    each group, accumulated in group order."""
+def _cost(d2, pairs) -> float:
+    """Sum of the squared (x, y) distances ``d2[a][b]`` of the pairs,
+    accumulated in order."""
     total = 0.0
-    for g in groups:
-        if len(g) == 2:
-            total += d2[g[0]][g[1]]
+    for a, b in pairs:
+        total += d2[a][b]
     return total
 
 
@@ -158,8 +151,9 @@ def _two_opt(d2, pairs, singles):
     return pairs, singles
 
 
-def group_users(users, waveguide_ys, q: int = 2) -> UserGrouping:
-    """Partition users into groups of size ``q`` (1 or 2).
+def group_users(users, waveguide_ys, q: int = 2) -> list[tuple[int, ...]]:
+    """Partition users into groups of size ``q`` (1 or 2), returned as
+    a list of user-index tuples.
 
     q = 1 returns singletons ordered waveguide-major along x.  q = 2
     pairs x-adjacent users within each waveguide cluster; odd cluster
@@ -182,8 +176,7 @@ def group_users(users, waveguide_ys, q: int = 2) -> UserGrouping:
     clusters = [along_x(np.nonzero(nearest == m)[0].tolist())
                 for m in range(len(ys))]
     if q == 1:
-        groups = [(k,) for cl in clusters for k in cl]
-        return UserGrouping(groups=groups, cost=0.0)
+        return [(k,) for cl in clusters for k in cl]
     xy = users[:, :2]
     d2 = ((xy[:, None] - xy[None]) ** 2).sum(axis=-1).tolist()
     if users.shape[0] <= _EXACT_USERS:
@@ -198,8 +191,7 @@ def group_users(users, waveguide_ys, q: int = 2) -> UserGrouping:
             pool_pairs = list(zip(pool[0::2], pool[1::2]))
             singles = pool[2 * len(pool_pairs):]
         pairs, singles = _two_opt(d2, pairs + pool_pairs, singles)
-    groups = pairs + [(s,) for s in singles]
-    return UserGrouping(groups=groups, cost=_cost(d2, groups))
+    return pairs + [(s,) for s in singles]
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +331,7 @@ class _SlotSolver:
             user_pos = scn.users[k]
             e_dir = PortResponse(scn.med, scn.modes[slot], wg, pa_pos, orient,
                                  user_pos).direction[0]
-            self.rx[m, j, slot], _ = receive_polarization(
+            self.rx[m, j, slot] = receive_polarization(
                 "matched", e_dir, user_pos, pa_pos)
             self.gains[m, j, slot] = link.gain(slot + 1, x, user_pos)
             self.users[m, j, slot] = k
@@ -509,6 +501,10 @@ def _power_multiplier(lam, d, start=0.0):
     return hi
 
 
+# the FP loop stops once an iteration gains less sum rate than this
+_FP_TOL = 1e-6
+
+
 def _fp_rates(h, w, power, noise):
     """SINRs, received stream amplitudes v = h W (K x K) and the total
     received power plus noise of every user."""
@@ -520,8 +516,7 @@ def _fp_rates(h, w, power, noise):
 
 
 def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
-                 tol: float = 1e-6, max_iter: int = 200,
-                 track_tightness: bool = False):
+                 max_iter: int = 200):
     """Maximize the sum rate over the mode mixer G for fixed splits W_p.
 
     The loop runs on the precoder W = G W_p (QM x K): the rates read G
@@ -536,12 +531,10 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
     form G W_p.  chi makes ||W||_F^2 meet the unit budget: the root of
     the secular equation with weights d_i = ||(U^H R Pi)_i||^2
     (``_power_multiplier``, started from the previous iteration's chi).
-    The loop stops when the sum rate gains less than ``tol`` in one
+    The loop stops when the sum rate gains less than ``_FP_TOL`` in one
     iteration (``converged``) or after ``max_iter`` iterations.
     Returns the factorization and the per-iteration sum-rate trace (1/2
-    log2 convention).  With ``track_tightness`` the trace of the
-    transformed objective minus sum ln(1 + SINR) is returned as a third
-    element.
+    log2 convention).
     """
     h = np.asarray(h, dtype=complex)
     k_users = h.shape[0]
@@ -560,7 +553,7 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
     if start_norm > 0:
         w /= start_norm
 
-    trace, gaps = [], []
+    trace = []
     sum_rate_prev = -np.inf
     chi = 0.0
     converged = False
@@ -569,13 +562,6 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
     for _ in range(max_iter):
         c1 = sinr
         c2 = sqrt_p * v.diagonal() / total
-        if track_tightness:
-            transformed = float(np.sum(
-                (1 + c1) * (2 * sqrt_p * (c2.conj() * v.diagonal()).real
-                            - np.abs(c2) ** 2 * total)
-                + np.log(1 + c1) - c1))
-            gaps.append(abs(transformed - float(np.sum(np.log(1 + c1)))))
-
         weight = (1 + c1) * c2
         mu = power * (weight * c2.conj()).real
         lam, u_eig = np.linalg.eigh((h_adj * mu) @ h)
@@ -592,15 +578,13 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
         sinr, v, total = _fp_rates(h, w, power, noise)
         sum_rate = 0.5 * float(np.log2(1.0 + sinr).sum())
         trace.append(sum_rate)
-        if abs(sum_rate - sum_rate_prev) < tol:
+        if abs(sum_rate - sum_rate_prev) < _FP_TOL:
             converged = True
             break
         sum_rate_prev = sum_rate
 
     final = PrecoderFactorization(w=w, chi=float(chi), iterations=len(trace),
                                   converged=converged)
-    if track_tightness:
-        return final, np.asarray(trace), np.asarray(gaps)
     return final, np.asarray(trace)
 
 
@@ -623,7 +607,6 @@ class SchemeResult:
     report: channel.RateReport
     trace: np.ndarray
     slots: list[SlotSolution]
-    grouping: UserGrouping
 
 
 def _chunks(seq, size):
@@ -667,8 +650,7 @@ def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
               for i, j in zip(*np.nonzero(assignment.x))]
 
     num_pas, n_modes = slot_scn.num_pas, slot_scn.num_modes
-    placements = default_placements(slot_scn.waveguides, num_pas, n_modes,
-                                    slot_scn.region[0])
+    placements = default_placements(slot_scn.waveguides, num_pas, n_modes)
     lam_half = slot_scn.med.wavelength0 / 2
     for m, wg in enumerate(slot_scn.waveguides):
         on_guide = {i % num_pas: j for i, g, j in served if g == m}
@@ -693,8 +675,8 @@ def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
         pa_pos = np.array([solver.x[m, j], wg.axis_y, wg.axis_z])
         # the matched vector is the serving field direction up to a
         # sign, and no policy depends on that sign
-        rx[k], _ = receive_polarization(scheme.rx_policy, solver.rx[m, j, s],
-                                        slot_scn.users[k], pa_pos)
+        rx[k] = receive_polarization(scheme.rx_policy, solver.rx[m, j, s],
+                                     slot_scn.users[k], pa_pos)
 
     deployed = replace(slot_scn, placements=placements)
     matrices = channel.assemble(deployed, rx)
@@ -717,28 +699,23 @@ def optimize_scenario(scenario: Scenario, scheme_name: str) -> SchemeResult:
     """
     scheme = parse_scheme(scheme_name)
     wg_ys = [wg.axis_y for wg in scenario.waveguides]
-    pairing = group_users(scenario.users, wg_ys, q=2)
+    groups = group_users(scenario.users, wg_ys, q=2)
     work = scenario.with_modes(scheme.num_modes)
     mn = scenario.num_waveguides * scenario.num_pas
 
-    if scheme.num_modes == 2:
-        groups = pairing.groups
-    else:
-        firsts = [(g[0],) for g in pairing.groups]
-        seconds = [(g[1],) for g in pairing.groups if len(g) > 1]
-        groups = firsts + seconds
+    if scheme.num_modes == 1:
+        groups = ([(g[0],) for g in groups]
+                  + [(g[1],) for g in groups if len(g) > 1])
 
     slot_groups = _chunks(groups, mn)
     n_slots = len(slot_groups)
     slots = []
     rates = np.zeros(scenario.num_users)
-    sinrs = np.zeros(scenario.num_users)
     for sub in slot_groups:
         slot_users = [k for g in sub for k in g]
         sol = _solve_slot(work, scheme, sub, slot_users)
         slots.append(sol)
         rates[sol.user_indices] = sol.report.per_user_rate / n_slots
-        sinrs[sol.user_indices] = sol.report.per_user_sinr
 
     max_len = max(len(s.trace) for s in slots)
     combined = np.zeros(max_len)
@@ -747,7 +724,7 @@ def optimize_scenario(scenario: Scenario, scheme_name: str) -> SchemeResult:
                                  np.full(max_len - len(s.trace),
                                          s.trace[-1] if len(s.trace) else 0.0)])
         combined += padded / n_slots
-    report = channel.RateReport(per_user_sinr=sinrs, per_user_rate=rates,
+    report = channel.RateReport(per_user_rate=rates,
                                 sum_rate=float(rates.sum()))
     return SchemeResult(scheme=scheme.name, report=report, trace=combined,
-                        slots=slots, grouping=pairing)
+                        slots=slots)

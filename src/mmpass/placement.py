@@ -306,13 +306,13 @@ def bounded_minimize(fun, lo, hi):
 
 
 def two_user_shared_position(user1, user2, link: LinkModel, power: float,
-                             sigmas, modes=(1, 2)) -> TwoUserSolution:
+                             sigmas) -> TwoUserSolution:
     """Shared element position and port aims for two users on one
     element, or for a batch of P pairs on the guide of ``link``.
 
     The users are positions or (P, 3) arrays, the two noise powers in
-    ``sigmas`` floats or (P,) arrays; ``modes`` serve user 1 and user 2
-    in every lane.  Taylor-blends the single-user optima through the
+    ``sigmas`` floats or (P,) arrays; mode 1 serves user 1 and mode 2
+    user 2 in every lane.  Taylor-blends the single-user optima through the
     rate curvatures, clamps to the interval they span, and falls back
     to ``bounded_minimize`` of the explicit sum rate on that interval
     whenever the quadratic model loses concavity or fails to beat an
@@ -341,12 +341,10 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
 
     def objective(x, lanes=slice(None)):
         return eq22_sum_rate(x, link, u1[lanes], u2[lanes],
-                             (s1[lanes], s2[lanes]), power, modes)
+                             (s1[lanes], s2[lanes]), power)
 
-    r1p, r1pp = _taylor_terms(link, x1, u1, u2, modes[0], modes[1],
-                              s1, s2, power)
-    r2p, r2pp = _taylor_terms(link, x2, u2, u1, modes[1], modes[0],
-                              s2, s1, power)
+    r1p, r1pp = _taylor_terms(link, x1, u1, u2, 1, 2, s1, s2, power)
+    r2p, r2pp = _taylor_terms(link, x2, u2, u1, 2, 1, s2, s1, power)
     curvature = r1pp + r2pp
     # the curvature approximation loses concavity outside its
     # weak-coupling regime; the explicit search takes over there

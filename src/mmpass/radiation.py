@@ -137,8 +137,8 @@ def aperture_constant(med: MediumConstants, wg: WaveguideSpec,
 
 
 def intensity_map(med: MediumConstants, wg: WaveguideSpec, modes, pa: PaPlacement,
-                  xs, ys, z: float = 0.0, alpha_a: float = 0.0):
-    """|E|^2 of the radiated field over a horizontal grid, in dB
+                  xs, ys, alpha_a: float = 0.0):
+    """|E|^2 of the radiated field over the floor plane z = 0, in dB
     relative to the grid maximum.
 
     ``xs`` and ``ys`` are 1-D axes; the result is indexed [iy, ix].
@@ -150,8 +150,7 @@ def intensity_map(med: MediumConstants, wg: WaveguideSpec, modes, pa: PaPlacemen
     if xs.size < 2 or ys.size < 2:
         raise ValueError("grid needs at least 2 points per axis")
     gx, gy = np.meshgrid(xs, ys)
-    points = np.column_stack([gx.ravel(), gy.ravel(),
-                              np.full(gx.size, z)])
+    points = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
     center = pa.center(wg)
     maps = []
     for mode, orientation in zip(modes, pa.orientations):

@@ -26,7 +26,7 @@ import numpy as np
 from .geometry import Orientation
 from .radiation import aperture_constant
 from .waveguide import (MediumConstants, ModeSpec, PaPlacement, WaveguideSpec,
-                        coupling_length, te_modes)
+                        te_modes)
 
 REFERENCE_DISTANCE = 1.0  # m, anchor for the per-mode gain normalization
 
@@ -42,7 +42,6 @@ class Scenario:
     noise: np.ndarray  # (K,) noise power, W
     alpha_a: float = 0.0  # atmospheric absorption, Np/m
     gain_norm: np.ndarray | None = None  # per-mode scale on port-to-user gains
-    region: tuple = (10.0, 6.0, 3.0)
 
     def __post_init__(self):
         self.users = np.atleast_2d(np.asarray(self.users, dtype=float))
@@ -107,35 +106,27 @@ def waveguide_y_positions(d_y: float, count: int) -> np.ndarray:
     return d_y * (np.arange(count) + 0.5) / count
 
 
-def default_placements(waveguides, num_pas: int, num_modes: int,
-                       d_x: float) -> list[list[PaPlacement]]:
-    """Evenly spread elements pointing straight down."""
-    placements = []
-    for m, wg in enumerate(waveguides):
-        row = []
-        for n in range(num_pas):
-            row.append(PaPlacement(
-                waveguide_index=m,
-                pa_index=n + 1,
-                x_position=d_x * (n + 1) / (num_pas + 1),
-                orientations=tuple(Orientation() for _ in range(num_modes)),
-                coupling_len=coupling_length(n + 1, num_pas, wg.kappa)))
-        placements.append(row)
-    return placements
+def default_placements(waveguides, num_pas: int,
+                       num_modes: int) -> list[list[PaPlacement]]:
+    """Elements evenly spread over each guide's length, pointing
+    straight down."""
+    down = tuple(Orientation() for _ in range(num_modes))
+    return [[PaPlacement(wg.length * (n + 1) / (num_pas + 1), down)
+             for n in range(num_pas)] for wg in waveguides]
 
 
 def make_scenario(med: MediumConstants, *, region, num_waveguides: int,
                   num_pas: int, num_modes: int, users, power: float,
                   noise_w: float, alpha_w: float, alpha_a: float,
                   a: float = 3e-3, b: float = 2e-3,
-                  kappa: float = 100.0, aperture_scale: float = 1.0,
+                  aperture_scale: float = 1.0,
                   normalize_gains: bool = True) -> Scenario:
     d_x, d_y, d_z = region
     ys = waveguide_y_positions(d_y, num_waveguides)
     waveguides = [
         WaveguideSpec(a=a, b=b, feed_point=np.array([0.0, y, d_z]),
-                      length=d_x, alpha_w=alpha_w, kappa=kappa,
-                      num_pas=num_pas, aperture_scale=aperture_scale)
+                      length=d_x, alpha_w=alpha_w, num_pas=num_pas,
+                      aperture_scale=aperture_scale)
         for y in ys
     ]
     modes = te_modes(waveguides[0], med, count=num_modes)
@@ -144,7 +135,7 @@ def make_scenario(med: MediumConstants, *, region, num_waveguides: int,
                  if normalize_gains else np.ones(num_modes))
     return Scenario(
         med=med, waveguides=waveguides, modes=modes,
-        placements=default_placements(waveguides, num_pas, num_modes, d_x),
+        placements=default_placements(waveguides, num_pas, num_modes),
         users=users, power=power,
         noise=np.full(users.shape[0], noise_w),
-        alpha_a=alpha_a, gain_norm=gain_norm, region=(d_x, d_y, d_z))
+        alpha_a=alpha_a, gain_norm=gain_norm)

@@ -1,10 +1,12 @@
-"""TE-mode propagation, coupling and the guide-to-port channel.
+"""TE-mode propagation and the guide-to-port channel.
 
 Rectangular dielectric waveguides of cross section a x b (a > b, a
 along y, b along z) run parallel to the x-axis.  Each guide carries up
 to two propagating modes, indexed q = 1 (TE10) and q = 2 (TE01), and
 hosts N pinching elements that each extract an equal 1/N share of the
-guided power through a coupling length tau_n = arcsin(sqrt(1/(N+1-n)))/kappa.
+guided power.  Only that share enters the model; the coupling lengths
+of an equal-quota cascade that would realize it are a test oracle
+(``tests/oracles.py``).
 
 The guide-to-port gain for mode q at position x is
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import epsilon_0, mu_0, speed_of_light
+from scipy.constants import mu_0, speed_of_light
 
 from .geometry import Orientation
 
@@ -31,7 +33,6 @@ class MediumConstants:
     frequency: float
     n_core: float = 2.0
     permeability: float = mu_0
-    permittivity: float = epsilon_0
 
     def __post_init__(self):
         if self.frequency <= 0:
@@ -61,7 +62,8 @@ class MediumConstants:
 
 @dataclass(frozen=True)
 class WaveguideSpec:
-    """One physical waveguide: cross section, feed point, loss, coupling.
+    """One physical waveguide: cross section, feed point, loss and
+    element count.
 
     ``alpha_w`` is the internal power attenuation in Np/m (dB inputs are
     converted at config ingestion).  ``aperture_scale`` sets the size of
@@ -74,7 +76,6 @@ class WaveguideSpec:
     feed_point: np.ndarray
     length: float
     alpha_w: float = 0.0
-    kappa: float = 100.0
     num_pas: int = 1
     aperture_scale: float = 1.0
 
@@ -85,8 +86,6 @@ class WaveguideSpec:
             raise ValueError("alpha_w must be >= 0")
         if self.num_pas < 1:
             raise ValueError("num_pas must be >= 1")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
         object.__setattr__(self, "feed_point",
                            np.asarray(self.feed_point, dtype=float))
 
@@ -116,7 +115,6 @@ class ModeSpec:
     index: int  # 1-based mode index q
     cutoff_wavenumber: float
     propagation_constant: float
-    guided_wavenumber: float
 
 
 def mode_spec(u: int, v: int, wg: WaveguideSpec, med: MediumConstants,
@@ -136,7 +134,7 @@ def mode_spec(u: int, v: int, wg: WaveguideSpec, med: MediumConstants,
             f"TE{u}{v} is evanescent: guided wavenumber {rho:.1f} rad/m "
             f"below cutoff {cutoff:.1f} rad/m")
     beta = np.sqrt(rho ** 2 - cutoff ** 2)
-    return ModeSpec(u, v, index, float(cutoff), float(beta), float(rho))
+    return ModeSpec(u, v, index, float(cutoff), float(beta))
 
 
 def te_modes(wg: WaveguideSpec, med: MediumConstants, count: int = 2):
@@ -153,11 +151,8 @@ def te_modes(wg: WaveguideSpec, med: MediumConstants, count: int = 2):
 class PaPlacement:
     """One pinching element on a waveguide with per-port orientations."""
 
-    waveguide_index: int
-    pa_index: int  # 1-based position in the coupling cascade
     x_position: float
     orientations: tuple[Orientation, ...]
-    coupling_len: float = 0.0
 
     def center(self, wg: WaveguideSpec) -> np.ndarray:
         return np.array([self.x_position, wg.axis_y, wg.axis_z])
@@ -192,16 +187,6 @@ def axis_pattern_norm(mode: ModeSpec, wg: WaveguideSpec,
     if norm == 0.0:
         raise ValueError(f"TE{mode.u}{mode.v} pattern vanishes on the axis")
     return abs(pattern_prefactor(mode, med)) * norm
-
-
-def coupling_length(n: int, n_total: int, kappa: float) -> float:
-    """Equal-quota coupling length of the n-th element in a cascade of
-    n_total: sin^2(kappa tau) = 1/(n_total + 1 - n)."""
-    if not 1 <= n <= n_total:
-        raise ValueError(f"pa index {n} outside 1..{n_total}")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    return float(np.arcsin(np.sqrt(1.0 / (n_total + 1 - n))) / kappa)
 
 
 def h_wg_to_pa(mode: ModeSpec, wg: WaveguideSpec, pa: PaPlacement) -> complex:

@@ -1,10 +1,16 @@
 """Scalar reference evaluations that the tests compare the package's
 vectorized kernels against.
 
-``radiated_field`` evaluates the far-field formulas of one port at one
-point, with every constant written out, independently of
-``radiation.PortResponse``.  ``optimal_rx_polarization`` is the closed
-form of the perfectly matched receive polarization, the reference for
+``coupling_length`` is the equal-quota cascade behind the 1/N power
+share of ``waveguide.h_wg_to_pa``.  ``radiated_field`` evaluates the
+far-field formulas of one port at one point, with every constant
+written out, independently of ``radiation.PortResponse``.
+``JonesVector`` describes a polarization state by its two components in
+a transverse basis; ``matching_efficiency`` and
+``discrete_rx_polarization`` are the Jones-vector forms of what
+``polarization.receive_polarization`` computes on real 3-vectors, and
+``optimal_rx_polarization`` is the closed form of the perfectly matched
+receive polarization, the reference for
 ``receive_polarization("matched", PortResponse.direction)``.
 ``fp_precoding_g`` is the fractional-programming loop written on the
 mode mixer G itself, the reference for ``multiuser.fp_precoding``.
@@ -20,10 +26,80 @@ import numpy as np
 from mmpass.geometry import (Orientation, SphericalBasis, local_angles,
                              spherical_basis)
 from mmpass.multiuser import _power_multiplier
-from mmpass.polarization import JonesVector
 from mmpass.radiation import pattern_factor, polarization_components
 from mmpass.waveguide import (MediumConstants, ModeSpec, PaPlacement,
                               WaveguideSpec)
+
+
+def coupling_length(n: int, n_total: int, kappa: float) -> float:
+    """Coupling length of the n-th element in an equal-quota cascade of
+    n_total elements with coupling coefficient kappa:
+    sin^2(kappa tau) = 1/(n_total + 1 - n), so every element extracts
+    1/n_total of the power fed into the guide."""
+    if not 1 <= n <= n_total:
+        raise ValueError(f"pa index {n} outside 1..{n_total}")
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    return float(np.arcsin(np.sqrt(1.0 / (n_total + 1 - n))) / kappa)
+
+
+@dataclass(frozen=True)
+class JonesVector:
+    """Unit two-component polarization state in a transverse basis."""
+
+    c_theta: complex
+    c_phi: complex
+    basis: SphericalBasis | None = None
+
+    def __post_init__(self):
+        norm = np.hypot(abs(self.c_theta), abs(self.c_phi))
+        if abs(norm - 1.0) > 1e-9:
+            raise ValueError(f"Jones vector norm {norm} is not 1")
+
+    @classmethod
+    def normalized(cls, c_theta, c_phi, basis=None) -> "JonesVector":
+        norm = np.hypot(abs(c_theta), abs(c_phi))
+        if norm == 0.0:
+            raise ValueError("cannot normalize a zero polarization state")
+        return cls(complex(c_theta / norm), complex(c_phi / norm), basis)
+
+    def to_gcs(self) -> np.ndarray:
+        """3-vector of the polarization direction in global coordinates."""
+        if self.basis is None:
+            raise ValueError("Jones vector carries no basis")
+        vec = (self.c_theta * self.basis.vartheta.astype(complex)
+               + self.c_phi * self.basis.varphi.astype(complex))
+        if np.allclose(vec.imag, 0.0, atol=1e-12):
+            return vec.real
+        return vec
+
+
+def matching_efficiency(rx: JonesVector, incident: JonesVector) -> float:
+    """|n_rx^T n_inc|: amplitude fraction captured by the antenna."""
+    return float(abs(rx.c_theta * incident.c_theta
+                     + rx.c_phi * incident.c_phi))
+
+
+def codebook_angles(size: int) -> np.ndarray:
+    """Uniform angular codebook 0, 2 pi/S, ..., used by the discrete
+    polarization scheme (S = 18 gives a pi/9 line spacing)."""
+    if size < 2:
+        raise ValueError("codebook needs at least 2 entries")
+    return 2 * np.pi * np.arange(size) / size
+
+
+def discrete_rx_polarization(incident: JonesVector,
+                             codebook_size: int = 18) -> JonesVector:
+    """Best codeword (cos a, sin a) from a uniform angular codebook.
+
+    Ties resolve to the lowest codeword index for reproducibility.
+    """
+    angles = codebook_angles(codebook_size)
+    etas = np.abs(np.cos(angles) * incident.c_theta
+                  + np.sin(angles) * incident.c_phi)
+    best = int(np.argmax(etas))
+    return JonesVector(float(np.cos(angles[best])),
+                       float(np.sin(angles[best])), incident.basis)
 
 
 @dataclass(frozen=True)
@@ -34,7 +110,6 @@ class FieldSample:
     e_phi: complex
     position: np.ndarray
     basis: SphericalBasis
-    source: tuple = ()
 
     @property
     def magnitude(self) -> float:
@@ -95,8 +170,7 @@ def radiated_field(med: MediumConstants, wg: WaveguideSpec, mode: ModeSpec,
     return FieldSample(e_theta=complex(amp * s_q * psi_t * phase),
                        e_phi=complex(amp * s_q * psi_p * phase),
                        position=np.asarray(obs_point, dtype=float),
-                       basis=basis,
-                       source=(pa.waveguide_index, pa.pa_index, mode.index))
+                       basis=basis)
 
 
 def incident_jones(field: FieldSample) -> JonesVector:
@@ -139,7 +213,10 @@ def fp_precoding_g(h, w_p, power, noise, tol=1e-6, max_iter=200):
     solve (sum_k mu_k h_k^H h_k + chi I) G B = sqrt(P) RHS through the
     pseudo-inverse of B, and the power multiplier's Newton solve
     started from the upper end of its bracket in every iteration.
-    Returns G, the final chi and the per-iteration sum-rate trace."""
+    Returns G, the final chi, the per-iteration sum-rate trace and the
+    per-iteration tightness gap: the quadratic-transform objective at
+    the auxiliary updates minus sum ln(1 + SINR), which is 0 in exact
+    arithmetic."""
     h = np.asarray(h, dtype=complex)
     k_users, qm = h.shape
     w_p = np.asarray(w_p, dtype=complex)
@@ -158,13 +235,18 @@ def fp_precoding_g(h, w_p, power, noise, tol=1e-6, max_iter=200):
     if start_trace > 0:
         g /= np.sqrt(start_trace)
 
-    trace = []
+    trace, gaps = [], []
     sum_rate_prev = -np.inf
     chi = 0.0
     for _ in range(max_iter):
         c1, v = _fp_rates_g(h, g, w_p, power, noise)
         denom_full = power * np.sum(np.abs(v) ** 2, axis=1) + noise
         c2 = np.sqrt(power) * np.diag(v) / denom_full
+        transformed = np.sum(
+            (1 + c1) * (2 * np.sqrt(power) * (c2.conj() * np.diag(v)).real
+                        - np.abs(c2) ** 2 * denom_full)
+            + np.log(1 + c1) - c1)
+        gaps.append(abs(transformed - np.sum(np.log(1 + c1))))
         mu = power * (1 + c1) * np.abs(c2) ** 2
         a0 = (h.conj().T * mu) @ h
         rhs = np.sqrt(power) * (h.conj().T * ((1 + c1) * c2)) @ w_p.conj().T
@@ -183,7 +265,7 @@ def fp_precoding_g(h, w_p, power, noise, tol=1e-6, max_iter=200):
         if abs(sum_rate - sum_rate_prev) < tol:
             break
         sum_rate_prev = sum_rate
-    return g, chi, np.asarray(trace)
+    return g, chi, np.asarray(trace), np.asarray(gaps)
 
 
 def fmt_value(value) -> str:

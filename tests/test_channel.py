@@ -4,8 +4,8 @@ import pytest
 from mmpass import channel
 from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.geometry import Orientation
-from mmpass.placement import (LinkModel, eq22_sum_rate, optimal_orientation,
-                              power_split, two_user_shared_position)
+from mmpass.placement import (LinkModel, optimal_orientation, power_split,
+                              two_user_shared_position)
 from mmpass.polarization import receive_polarization
 from mmpass.radiation import PortResponse
 from mmpass.waveguide import (PaPlacement, axis_pattern_norm, h_wg_to_pa,
@@ -24,7 +24,7 @@ def _aim_and_place(scn, x, user):
     pa_pos = np.array([x, wg.axis_y, wg.axis_z])
     orientations = tuple(optimal_orientation(pa_pos, user)
                          for _ in scn.modes)
-    scn.placements[0][0] = PaPlacement(0, 1, x, orientations)
+    scn.placements[0][0] = PaPlacement(x, orientations)
     return scn
 
 
@@ -33,8 +33,7 @@ def _matched_rx(scn, user, q=0):
     wg = scn.waveguides[0]
     e_dir = PortResponse(scn.med, scn.modes[q], wg, pa.center(wg),
                          pa.orientations[q], user).direction[0]
-    p, _ = receive_polarization("matched", e_dir, user, pa.center(wg))
-    return p
+    return receive_polarization("matched", e_dir, user, pa.center(wg))
 
 
 def test_degenerate_scalar_composition():
@@ -68,10 +67,16 @@ def test_port_column_index_map():
     assert wp_col(1, 1, 2) == 3
 
 
+def _uniform_users(cfg, seed):
+    """The config's users drawn uniformly over the floor region."""
+    xy = np.random.default_rng(seed).uniform(
+        [0.0, 0.0], [cfg.d_x, cfg.d_y], size=(cfg.num_users, 2))
+    return np.column_stack([xy, np.zeros(cfg.num_users)])
+
+
 def test_assembly_consistency_invariant():
     cfg = ScenarioConfig(num_waveguides=2, pas_per_waveguide=2, num_users=4)
-    rng = np.random.default_rng(0)
-    scn = build_scenario(cfg, rng=rng)
+    scn = build_scenario(cfg, users=_uniform_users(cfg, 0))
     rx = np.tile([0.0, 0.0, 1.0], (4, 1))
     cm = channel.assemble(scn, rx)
     assert np.allclose(cm.h, (cm.lam * cm.h_pu) @ cm.h_wp, atol=1e-15)
@@ -80,7 +85,7 @@ def test_assembly_consistency_invariant():
 
 def test_assembly_superposition():
     cfg = ScenarioConfig(num_waveguides=2, pas_per_waveguide=2, num_users=4)
-    scn = build_scenario(cfg, rng=np.random.default_rng(1))
+    scn = build_scenario(cfg, users=_uniform_users(cfg, 1))
     rx = np.tile([0.0, 0.0, 1.0], (4, 1))
     cm = channel.assemble(scn, rx)
     eff = cm.lam * cm.h_pu
@@ -102,7 +107,7 @@ def test_h_pa_to_user_matches_assembled_column_with_sign():
     cfg = ScenarioConfig(num_waveguides=1, pas_per_waveguide=1,
                          num_users=len(xs))
     scn = build_scenario(cfg, users=users)
-    scn.placements[0][0] = PaPlacement(0, 1, 5.0, (Orientation(),) * 2)
+    scn.placements[0][0] = PaPlacement(5.0, (Orientation(),) * 2)
     pa, wg = scn.placements[0][0], scn.waveguides[0]
     cm = channel.assemble(scn, np.tile([1.0, 0.0, 0.0], (len(xs), 1)))
     for q, mode in enumerate(scn.modes):
@@ -165,7 +170,7 @@ def test_rate_matches_pair_evaluator_interference_free():
     sig = (scn.noise[0], scn.noise[1])
     sol = two_user_shared_position(u1, u2, link, scn.power, sig)
     wg = scn.waveguides[0]
-    scn.placements[0][0] = PaPlacement(0, 1, sol.x_star, sol.orientations)
+    scn.placements[0][0] = PaPlacement(sol.x_star, sol.orientations)
     rx = np.stack([_matched_rx(scn, scn.users[i], q=i) for i in (0, 1)])
     cm = channel.assemble(scn, rx)
     w_p = np.zeros((2, 2))

@@ -85,3 +85,11 @@ def test_negative_seed_fails_before_any_run(tiny, tmp_path, capsys):
     assert ("config field 'seed' must be a non-negative integer"
             in capsys.readouterr().err)
     assert not (tmp_path / "outage.csv").exists()
+
+
+@pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+def test_field_map_rejects_a_step_that_is_not_positive(tiny, tmp_path,
+                                                       capsys, step):
+    assert cli.main(["field-map", *tiny, f"--grid-res={step}"]) == 2
+    assert "grid_res must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "field_map.csv").exists()

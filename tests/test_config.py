@@ -128,3 +128,48 @@ def test_config_hash_stable_and_field_sensitive(write):
     for change in ({"seed": 5}, {"num_users": 7}, {"noise_dbw": -27.0},
                    {"schemes": ("pa-mm",)}):
         assert config_hash(replace(base, **change)) != first, change
+
+
+def test_kappa_is_not_a_config_field(write):
+    # every element takes an equal 1/N share of the guided power, so a
+    # coupling coefficient would change no output
+    with pytest.raises(ValueError, match="unknown config field 'kappa'"):
+        load_config(write("medium:\n  kappa: 100.0\n"))
+
+
+def test_explicit_user_positions_pad_z_to_the_floor(write):
+    cfg = load_config(write("user_mode: explicit\n"
+                            "user_positions: [[1, 2], [4.0, 3.5, 0.5]]\n"))
+    assert cfg.user_positions == ((1.0, 2.0), (4.0, 3.5, 0.5))
+    scn = build_scenario(cfg)
+    np.testing.assert_array_equal(scn.users, [[1.0, 2.0, 0.0],
+                                              [4.0, 3.5, 0.5]])
+
+
+@pytest.mark.parametrize("positions, message", [
+    ("[1, 2]", r"'user_positions\[0\]' must be 2 or 3 numbers"),
+    ("[[1, 2], [3]]", r"'user_positions\[1\]' must be 2 or 3 numbers"),
+    ("[[1, 2], [3, 4, 0, 1]]", r"'user_positions\[1\]' must be 2 or 3"),
+    ("[[1, x]]", r"'user_positions\[0\]' must be 2 or 3 numbers"),
+    ("[[1, 2], [1, .nan]]", r"'user_positions\[1\]' must be finite"),
+    ("[[.inf, 2]]", r"'user_positions\[0\]' must be finite"),
+    ("[[1, 2], [3, 4, 5]]", r"'user_positions\[1\]' must satisfy "
+                            r"0 <= z < d_z = 3"),
+    ("[[1, 2, -0.5]]", r"'user_positions\[0\]' must satisfy 0 <= z"),
+    ("[[1, 2], [4, 5], [1.0, 2.0, 0.0]]",
+     r"'user_positions\[2\]' repeats user_positions\[0\]"),
+    ("7", r"'user_positions' must be a list of positions"),
+])
+def test_bad_user_positions_fail_at_load(write, positions, message):
+    with pytest.raises(ValueError, match=message):
+        load_config(write(f"user_mode: explicit\n"
+                          f"user_positions: {positions}\n"))
+
+
+def test_validate_checks_user_positions_of_a_built_config():
+    cfg = ScenarioConfig(user_mode="explicit",
+                         user_positions=((1.0, 2.0), (1.0, 2.0)))
+    with pytest.raises(ValueError, match=r"user_positions\[1\]' repeats"):
+        cfg.validate()
+    with pytest.raises(ValueError, match=r"user_positions\[0\]' must sat"):
+        replace(cfg, user_positions=((1.0, 2.0, 3.0),)).validate()

@@ -1,6 +1,8 @@
 """Module boundaries: no module of the package imports a private name
 of another, no code reads a private attribute of anything but its own
-instance or class, and every public name has a caller in the package."""
+instance or class, every public name has a caller in the package,
+every dataclass field has a reader and every defaulted parameter a
+caller that sets it, and no module imports a name it does not use."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import mmpass
 
 PACKAGE = Path(mmpass.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _trees():
@@ -130,3 +133,159 @@ def test_every_public_name_has_a_caller_in_the_package():
     unseen."""
     unused = _unreferenced()
     assert not unused, "unreferenced public names:\n" + "\n".join(unused)
+
+
+# Dataclass fields that nothing in the package reads and defaulted
+# parameters that nothing in the package sets, because something
+# outside it does, each with the reason.
+READ_OUTSIDE = {
+    "bench.LobeMetrics.peak_db": "perfbench fingerprints vars(lobe)",
+    "placement.TwoUserSolution.used_fallback":
+        "the perfbench tracer counts pair-solve fallbacks",
+    "multiuser.SlotSolution.assignment":
+        "the perfbench checks and greedy-fill counter read it",
+    "channel.ChannelMatrix.h_wp": "tests check H = (Lambda o H_pu) H_wp",
+    "channel.ChannelMatrix.h_pu": "tests check H = (Lambda o H_pu) H_wp",
+    "geometry.SphericalBasis.upsilon": "it completes the orthonormal triad",
+    "multiuser.PrecoderFactorization.chi":
+        "tests read it; it belongs in a run record",
+    "multiuser.PrecoderFactorization.iterations":
+        "tests read it; it belongs in a run record",
+    "multiuser.PrecoderFactorization.converged":
+        "tests read it; it belongs in a run record",
+    "multiuser.fp_precoding(max_iter)":
+        "perfbench binds it by signature to count capped FP runs",
+    "bench.run_field_map(port_pitch)":
+        "the perfbench figures workload draws the pitch per drop",
+    "cli.main(argv)": "tests drive the CLI in process",
+}
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _unread_fields():
+    """Fields of the package's dataclasses whose name no attribute
+    read in the package carries."""
+    trees = dict(_trees())
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return {f"{name[:-3]}.{cls.name}.{stmt.target.id}"
+            for name, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            and any(map(_is_dataclass, cls.decorator_list))
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read}
+
+
+class _Defaults(ast.NodeVisitor):
+    """Defaulted parameters of every function and method of one module,
+    as (dotted name, callee name, parameter, position after self/cls or
+    None for keyword-only).  A method ``__init__`` is called by its
+    class name."""
+
+    def __init__(self, module):
+        self.stack = [(module, False)]
+        self.params = []
+
+    def visit_ClassDef(self, node):
+        self.stack.append((f"{self.stack[-1][0]}.{node.name}", True))
+        self.generic_visit(node)
+        self.stack.pop()
+
+    def visit_FunctionDef(self, node):
+        parent, in_class = self.stack[-1]
+        callee = node.name
+        if in_class and node.name == "__init__":
+            callee = parent.rsplit(".", 1)[1]
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = int(in_class and not any(
+            getattr(d, "id", None) == "staticmethod"
+            for d in node.decorator_list))
+        first = len(positional) - len(args.defaults)
+        dotted = f"{parent}.{node.name}"
+        for i, arg in enumerate(positional[first:], start=first):
+            self.params.append((dotted, callee, arg.arg, i - skip))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                self.params.append((dotted, callee, arg.arg, None))
+        self.stack.append((dotted, False))
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+
+def _unset_parameters():
+    """Defaulted parameters that no call of the package sets by keyword
+    or by position; a call with ``*`` or ``**`` sets every one."""
+    params, calls = [], []
+    for name, tree in _trees():
+        scan = _Defaults(name[:-3])
+        scan.visit(tree)
+        params += scan.params
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id",
+                                 getattr(node.func, "attr", None))
+                starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                           or any(k.arg is None for k in node.keywords))
+                calls.append((callee, len(node.args), starred,
+                              {k.arg for k in node.keywords}))
+    return {f"{dotted}({param})" for dotted, callee, param, pos in params
+            if not any(c == callee and (starred or param in keywords
+                                        or (pos is not None and n > pos))
+                       for c, n, starred, keywords in calls)}
+
+
+def _check_allowed(found, params, label):
+    """``found`` has no names beyond READ_OUTSIDE, and every entry of
+    READ_OUTSIDE of its kind (parameters if ``params``, else fields) is
+    in ``found``."""
+    extra = sorted(found - set(READ_OUTSIDE))
+    assert not extra, f"{label}:\n" + "\n".join(extra)
+    stale = sorted({k for k in READ_OUTSIDE if ("(" in k) == params} - found)
+    assert not stale, "used in the package after all:\n" + "\n".join(stale)
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    """A field that nothing reads is deleted.  Reads match by attribute
+    name, so a field sharing its name with an attribute read elsewhere
+    passes unseen."""
+    _check_allowed(_unread_fields(), False, "unread dataclass fields")
+
+
+def test_every_defaulted_parameter_is_set_in_the_package():
+    """An option that no caller sets becomes a constant.  Calls match
+    by callee name, as methods do above."""
+    _check_allowed(_unset_parameters(), True,
+                   "defaulted parameters that no caller sets")
+
+
+def test_no_unused_imports():
+    """Every imported name is used in its module; ``__init__.py``
+    re-exports and ``from __future__`` imports are exempt."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        if path == PACKAGE / "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            offenders += [f"{path.parent.name}/{path.name}:{node.lineno}: "
+                          f"{name}" for name in bound if name not in used]
+    assert not offenders, "unused imports:\n" + "\n".join(offenders)

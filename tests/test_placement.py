@@ -10,7 +10,7 @@ from mmpass.placement import (LinkModel, bounded_minimize, eq22_sum_rate,
                               gain_log_derivative, optimal_orientation,
                               optimal_position, power_split,
                               solve_single_user, tdma_sum_rate,
-                              two_user_shared_position, transverse_distance)
+                              two_user_shared_position)
 from mmpass.waveguide import PaPlacement
 from oracles import radiated_field
 
@@ -84,7 +84,7 @@ def test_orientation_grid_search_oracle():
 
         def gain(pitch, roll):
             from mmpass.geometry import Orientation
-            pa = PaPlacement(0, 1, x, (Orientation(pitch, roll),))
+            pa = PaPlacement(x, (Orientation(pitch, roll),))
             return radiated_field(med, wg, mode, pa, pa.orientations[0], user,
                                   alpha_a=scn.alpha_a,
                                   warn_near_field=False).magnitude ** 2
@@ -111,7 +111,7 @@ def test_orientation_hessian_negative_definite():
         star = optimal_orientation(pa_pos, user)
 
         def ln_gain(pitch, roll):
-            pa = PaPlacement(0, 1, x, (Orientation(pitch, roll),))
+            pa = PaPlacement(x, (Orientation(pitch, roll),))
             return np.log(radiated_field(
                 med, wg, mode, pa, pa.orientations[0], user,
                 alpha_a=scn.alpha_a, warn_near_field=False).magnitude ** 2)

@@ -3,13 +3,12 @@ import pytest
 
 from mmpass.geometry import (Orientation, SphericalBasis, local_angles,
                              spherical_basis)
-from mmpass.polarization import (JonesVector, discrete_rx_polarization,
-                                 matching_efficiency, receive_polarization,
-                                 user_arrival_basis)
+from mmpass.polarization import receive_polarization, user_arrival_basis
 from mmpass.radiation import PortResponse
 from mmpass.waveguide import MediumConstants, PaPlacement, WaveguideSpec, te_modes
-from oracles import (FieldSample, incident_jones, optimal_rx_polarization,
-                     radiated_field)
+from oracles import (FieldSample, JonesVector, discrete_rx_polarization,
+                     incident_jones, matching_efficiency,
+                     optimal_rx_polarization, radiated_field)
 
 
 def _sample(e_theta, e_phi, theta=0.7, phi=0.3):
@@ -108,7 +107,7 @@ def test_optimal_rx_achieves_unit_efficiency():
     med, wg, modes = _setup()
     rng = np.random.default_rng(8)
     for _ in range(100):
-        pa = PaPlacement(0, 1, rng.uniform(1, 9),
+        pa = PaPlacement(rng.uniform(1, 9),
                          (Orientation(rng.uniform(-1, 1), rng.uniform(-1, 1)),))
         user = np.array([rng.uniform(0, 10), rng.uniform(0, 6), 0.0])
         q = int(rng.integers(1, 3))
@@ -132,13 +131,13 @@ def test_matched_receive_vector_is_the_closed_form():
     rng = np.random.default_rng(41)
     for _ in range(100):
         orient = Orientation(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        pa = PaPlacement(0, 1, rng.uniform(1, 9), (orient,))
+        pa = PaPlacement(rng.uniform(1, 9), (orient,))
         user = np.array([rng.uniform(0, 10), rng.uniform(0, 6), 0.0])
         q = int(rng.integers(1, 3))
         mode = modes[q - 1]
         src = pa.center(wg)
         e_dir = PortResponse(med, mode, wg, src, orient, user).direction[0]
-        p, eta = receive_polarization("matched", e_dir, user, src)
+        p = receive_polarization("matched", e_dir, user, src)
         r, theta, phi = (v.item() for v in local_angles(user, src, orient))
         port = spherical_basis(theta, phi, orient)
         rx = optimal_rx_polarization(
@@ -147,7 +146,7 @@ def test_matched_receive_vector_is_the_closed_form():
         assert abs(p @ rx.to_gcs()) == pytest.approx(1.0, abs=1e-12)
         field = _field_for(mode, med, wg, pa, orient, user)
         assert matching_efficiency(rx, incident_jones(field)) == \
-            pytest.approx(eta, abs=1e-9)
+            pytest.approx(1.0, abs=1e-9)
 
 
 def test_optimal_rx_dominates_codebook():
@@ -155,7 +154,7 @@ def test_optimal_rx_dominates_codebook():
     rng = np.random.default_rng(15)
     angles = np.linspace(0, 2 * np.pi, 3600, endpoint=False)
     for _ in range(100):
-        pa = PaPlacement(0, 1, rng.uniform(1, 9),
+        pa = PaPlacement(rng.uniform(1, 9),
                          (Orientation(rng.uniform(-1, 1), rng.uniform(-1, 1)),))
         user = np.array([rng.uniform(0, 10), rng.uniform(0, 6), 0.0])
         mode = modes[0]
@@ -246,24 +245,31 @@ def test_receive_policies():
     med, wg, modes = _setup()
     rng = np.random.default_rng(31)
     for _ in range(100):
-        pa = PaPlacement(0, 1, rng.uniform(1, 9),
+        pa = PaPlacement(rng.uniform(1, 9),
                          (Orientation(rng.uniform(-1, 1), rng.uniform(-1, 1)),))
         user = np.array([rng.uniform(0, 10), rng.uniform(0, 6), 0.0])
         src = pa.center(wg)
         e_dir = PortResponse(med, modes[int(rng.integers(0, 2))], wg, src,
                              pa.orientations[0], user).direction[0]
-        p, eta = receive_polarization("matched", e_dir, user, src)
-        assert eta == 1.0
+        p = receive_polarization("matched", e_dir, user, src)
         assert abs(p @ e_dir) == pytest.approx(1.0, abs=1e-12)
         assert p[np.argmax(np.abs(p))] > 0
-        p_fixed, eta_fixed = receive_polarization("fixed", e_dir, user, src)
-        assert np.allclose(p_fixed, user_arrival_basis(user, src).vartheta)
-        assert eta_fixed == pytest.approx(abs(p_fixed @ e_dir), abs=1e-12)
+        basis = user_arrival_basis(user, src)
+        p_fixed = receive_polarization("fixed", e_dir, user, src)
+        assert np.allclose(p_fixed, basis.vartheta)
         # the field is transverse at the user, so the codebook efficiency
         # is the plain projection; codeword 0 is the fixed axis
-        p_code, eta_code = receive_polarization("codebook", e_dir, user, src)
+        p_code = receive_polarization("codebook", e_dir, user, src)
         assert np.linalg.norm(p_code) == pytest.approx(1.0, abs=1e-12)
-        assert eta_code == pytest.approx(abs(p_code @ e_dir), abs=1e-12)
-        assert eta_code >= max(eta_fixed, np.cos(np.pi / 18)) - 1e-12
+        eta_code = abs(p_code @ e_dir)
+        assert eta_code >= max(abs(p_fixed @ e_dir),
+                               np.cos(np.pi / 18)) - 1e-12
+        # the same codeword as the Jones-vector search, bit for bit
+        incident = JonesVector.normalized(e_dir @ basis.vartheta,
+                                          e_dir @ basis.varphi, basis)
+        rx = discrete_rx_polarization(incident)
+        np.testing.assert_array_equal(p_code, rx.to_gcs())
+        assert eta_code == pytest.approx(matching_efficiency(rx, incident),
+                                         abs=1e-12)
     with pytest.raises(ValueError):
         receive_polarization("adaptive", e_dir, user, src)

@@ -129,8 +129,8 @@ def test_polarization_mode_symmetry_forced_equal_beta():
 # radiated field (the scalar oracle the kernel is checked against)
 
 def _port(x=5.0, pitch=0.0, roll=0.0, num_modes=1):
-    return PaPlacement(0, 1, x, tuple(Orientation(pitch, roll)
-                                      for _ in range(num_modes)))
+    return PaPlacement(x, tuple(Orientation(pitch, roll)
+                                for _ in range(num_modes)))
 
 
 def test_field_inverse_distance_law():
@@ -214,7 +214,6 @@ def test_end_to_end_field_ratio_oracle():
         for _ in range(10):
             pa = _port(x=rng.uniform(0.5, 9.5), pitch=rng.uniform(-0.8, 0.8),
                        roll=rng.uniform(-0.8, 0.8))
-            pa = PaPlacement(0, 1, pa.x_position, pa.orientations)
             user = np.array([rng.uniform(0, 10), rng.uniform(0, 6), 0.0])
             resp = PortResponse(med, mode, wg, pa.center(wg),
                                 pa.orientations[0], user)
@@ -269,14 +268,14 @@ def test_aperture_constant_mode_ratio():
 # intensity map
 
 def _dual_port_pa(pitch):
-    return PaPlacement(0, 1, 5.0, (Orientation(pitch, 0.0),
-                                   Orientation(-pitch, 0.0)))
+    return PaPlacement(5.0, (Orientation(pitch, 0.0),
+                             Orientation(-pitch, 0.0)))
 
 
 def test_intensity_map_peak_below_port():
     med, wg = _medium(), _guide(aperture_scale=15.0)
     mode = mode_spec(1, 0, wg, med)
-    pa = PaPlacement(0, 1, 5.0, (Orientation(),))
+    pa = PaPlacement(5.0, (Orientation(),))
     xs = np.linspace(3, 7, 201)
     ys = np.linspace(1, 5, 81)
     grid = intensity_map(med, wg, [mode], pa, xs, ys)
@@ -292,7 +291,7 @@ def test_intensity_map_two_lobes():
     pa = _dual_port_pa(np.pi / 4)
     xs = np.linspace(0, 10, 1001)
     ys = np.linspace(2.5, 3.5, 11)
-    per_port = [intensity_map(med, wg, [mode], PaPlacement(0, 1, 5.0, (o,)),
+    per_port = [intensity_map(med, wg, [mode], PaPlacement(5.0, (o,)),
                               xs, ys)
                 for mode, o in zip(modes, pa.orientations)]
     iy = 5
@@ -306,6 +305,6 @@ def test_intensity_map_two_lobes():
 def test_intensity_map_rejects_tiny_grid():
     med, wg = _medium(), _guide()
     mode = mode_spec(1, 0, wg, med)
-    pa = PaPlacement(0, 1, 5.0, (Orientation(),))
+    pa = PaPlacement(5.0, (Orientation(),))
     with pytest.raises(ValueError):
         intensity_map(med, wg, [mode], pa, [1.0], [0.0, 1.0])

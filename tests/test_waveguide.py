@@ -3,8 +3,9 @@ import pytest
 
 from mmpass.geometry import Orientation
 from mmpass.waveguide import (MediumConstants, PaPlacement, WaveguideSpec,
-                              coupling_length, h_wg_to_pa, mode_spec,
-                              te_modes, transverse_pattern, assemble_H_wp)
+                              h_wg_to_pa, mode_spec, te_modes,
+                              transverse_pattern, assemble_H_wp)
+from oracles import coupling_length
 
 # reference constants at 100 GHz in a 3 x 2 mm guide with core index 2,
 # frozen from an exact side computation
@@ -45,10 +46,11 @@ def test_mode_constants_te01():
 
 
 def test_mode_ordering():
-    m1, m2 = te_modes(_guide(), _medium())
+    med = _medium()
+    m1, m2 = te_modes(_guide(), med)
     # dominant mode propagates faster, both below the guided wavenumber
     assert m1.propagation_constant > m2.propagation_constant
-    assert m2.propagation_constant < m1.guided_wavenumber
+    assert m1.propagation_constant < med.guided_wavenumber
 
 
 def test_evanescent_mode_rejected():
@@ -116,18 +118,23 @@ def test_coupling_length_half_power():
 def test_equal_quota_cascade(n_total):
     # the cascade the long way: element n receives the residual
     # amplitude left by elements 1..n-1 times its own coupled fraction
-    # sin(kappa tau_n); every element pulls exactly 1/N
+    # sin(kappa tau_n); every element pulls exactly 1/N, the share that
+    # h_wg_to_pa gives each element of a lossless guide
     kappa = 73.0
+    wg = _guide(alpha_w=0.0, num_pas=n_total)
+    mode = mode_spec(1, 0, wg, _medium())
+    share = abs(h_wg_to_pa(mode, wg, _placement(0.0))) ** 2
     residual = 1.0
     for n in range(1, n_total + 1):
         coupled = np.sin(kappa * coupling_length(n, n_total, kappa))
         amp = residual * coupled
-        assert amp ** 2 == pytest.approx(1.0 / n_total, rel=1e-12)
+        assert amp ** 2 == pytest.approx(share, rel=1e-12)
         residual *= np.sqrt(1.0 - coupled ** 2)
+    assert share == pytest.approx(1.0 / n_total, rel=1e-12)
 
 
 def _placement(x, num_modes=1):
-    return PaPlacement(0, 1, x, tuple(Orientation() for _ in range(num_modes)))
+    return PaPlacement(x, tuple(Orientation() for _ in range(num_modes)))
 
 
 def test_h_wg_to_pa_at_feed():
@@ -194,9 +201,8 @@ def test_assemble_column_norms():
                        length=10.0, alpha_w=ALPHA_W, num_pas=3)
     modes = te_modes(wg, med)
     xs = [1.0, 4.0, 8.5]
-    placements = [[PaPlacement(0, n + 1, x,
-                               (Orientation(), Orientation()))
-                   for n, x in enumerate(xs)]]
+    placements = [[PaPlacement(x, (Orientation(), Orientation()))
+                   for x in xs]]
     h = assemble_H_wp(_MiniScenario([wg], modes, placements))
     expected = np.sqrt(sum(np.exp(-ALPHA_W * x) for x in xs) / 3)
     for col in range(h.shape[1]):
