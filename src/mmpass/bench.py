@@ -346,27 +346,24 @@ _SCALING_K = (8, 16, 24)
 
 
 def run_scaling(cfg: ScenarioConfig) -> ExperimentResult:
-    """Sum rate versus array sizes (M, N at fixed K) and versus the
-    user count (at the config's M, N)."""
+    """Sum rate versus array sizes (M, N at the config's users) and
+    versus the user count K (at the config's M, N).  Every row reports
+    the K it ran with; explicitly listed users fix K, so such a config
+    gets no K sweep."""
+    sizes = [("mn", replace(cfg, num_waveguides=m, pas_per_waveguide=n))
+             for m in _SCALING_M for n in _SCALING_N]
+    counts = [] if cfg.user_mode == "explicit" else [
+        ("k", replace(cfg, num_users=k)) for k in _SCALING_K]
     rows = []
-    for m in _SCALING_M:
-        for n in _SCALING_N:
-            scn = build_scenario(replace(cfg, num_waveguides=m,
-                                         pas_per_waveguide=n))
-            for scheme in cfg.schemes:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    res = optimize_scenario(scn, scheme)
-                rows.append(("mn", m, n, cfg.num_users, res.scheme,
-                             float(res.report.sum_rate)))
-    for k in _SCALING_K:
-        scn = build_scenario(replace(cfg, num_users=k))
+    for sweep, run_cfg in sizes + counts:
+        scn = build_scenario(run_cfg)
         for scheme in cfg.schemes:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 res = optimize_scenario(scn, scheme)
-            rows.append(("k", cfg.num_waveguides, cfg.pas_per_waveguide,
-                         k, res.scheme, float(res.report.sum_rate)))
+            rows.append((sweep, run_cfg.num_waveguides,
+                         run_cfg.pas_per_waveguide, scn.num_users,
+                         res.scheme, float(res.report.sum_rate)))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4]))
     return ExperimentResult(
         "scaling", ("sweep", "m", "n", "k", "scheme", "sum_rate"),

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import Orientation
 from .radiation import PortResponse
 from .scenario import Scenario
-from .waveguide import assemble_H_wp, wp_row
+from .waveguide import assemble_H_wp
 
 
 @dataclass
@@ -53,27 +54,30 @@ def assemble(scenario: Scenario, rx_polarizations) -> ChannelMatrix:
     ``rx_polarizations`` is a (K, 3) array of unit receive vectors in
     the GCS, one row per user.  Lambda entries are |p_k . unit(E)| for
     every port, so the mask is exact on each user's matched plane and
-    projects physically for all other ports.
+    projects physically for all other ports.  Each mode's ports of all
+    M N elements are evaluated in one ``PortResponse`` call.
     """
     rx = rx_world_vectors(scenario, rx_polarizations)
-    n_wg, n_pas = scenario.num_waveguides, scenario.num_pas
     n_modes, n_users = scenario.num_modes, scenario.num_users
-    h_wp = assemble_H_wp(scenario)
-    h_pu = np.zeros((n_users, n_wg * n_pas * n_modes), dtype=complex)
-    lam = np.zeros((n_users, n_wg * n_pas * n_modes))
     med = scenario.med
-    for m, (wg, pas) in enumerate(zip(scenario.waveguides, scenario.placements)):
-        for n, pa in enumerate(pas):
-            center = pa.center(wg)
-            for q, (mode, gain) in enumerate(zip(scenario.modes,
-                                                 scenario.port_gains)):
-                resp = PortResponse(med, mode, wg, center, pa.orientations[q],
-                                    scenario.users)
-                col = wp_row(m, n, q, n_pas, n_modes)
-                h_pu[:, col] = (gain * resp.pattern
-                                * np.exp(-0.5 * scenario.alpha_a * resp.r)
-                                * np.exp(-1j * med.k0 * resp.r))
-                lam[:, col] = np.abs(np.sum(rx * resp.direction, axis=1))
+    elements = [(wg, pa) for wg, pas in zip(scenario.waveguides,
+                                            scenario.placements)
+                for pa in pas]                  # in wp_row order
+    centers = np.array([pa.center(wg) for wg, pa in elements])
+    h_wp = assemble_H_wp(scenario)
+    h_pu = np.zeros((n_users, len(elements) * n_modes), dtype=complex)
+    lam = np.zeros((n_users, len(elements) * n_modes))
+    for q, (mode, gain) in enumerate(zip(scenario.modes,
+                                         scenario.port_gains)):
+        aims = [pa.orientations[q] for _, pa in elements]
+        lanes = Orientation(pitch=np.array([o.pitch for o in aims]),
+                            roll=np.array([o.roll for o in aims]))
+        resp = PortResponse(med, mode, scenario.waveguides[0], centers,
+                            lanes, scenario.users)      # (MN, K)
+        h_pu[:, q::n_modes] = (gain * resp.pattern
+                               * np.exp(-0.5 * scenario.alpha_a * resp.r)
+                               * np.exp(-1j * med.k0 * resp.r)).T
+        lam[:, q::n_modes] = np.abs(np.sum(rx * resp.direction, axis=-1)).T
     h = (lam * h_pu) @ h_wp
     return ChannelMatrix(h_wp=h_wp, h_pu=h_pu, lam=lam, h=h)
 

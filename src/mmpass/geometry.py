@@ -17,6 +17,11 @@ Directions seen from a port are described in a local spherical system
 local +x axis (four-quadrant).  ``local_angles`` gives the distance
 and angles of GCS points in a port frame, and ``spherical_basis``
 returns the unit vectors of that system expressed back in the GCS.
+
+An ``Orientation`` whose pitch and roll are arrays of one shape aims
+that many ports at once (lanes); every frame matrix is then a stack,
+built and applied per lane by the same matrix products as one port's,
+so a lane's results equal that port's bit for bit.
 """
 
 from __future__ import annotations
@@ -33,46 +38,63 @@ _POLE_TOL = 1e-12
 _REST_AXES = np.diag([1.0, -1.0, -1.0])
 
 
-def rotation_x(angle: float) -> np.ndarray:
-    """3x3 rotation matrix about the x-axis (right-handed)."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0],
-                     [0.0, c, -s],
-                     [0.0, s, c]])
+def _matrix(rows):
+    """(..., 3, 3) stack of the 3x3 matrix whose entries are given row
+    by row as scalars or arrays of one shape."""
+    entries = np.broadcast_arrays(*(v for row in rows for v in row))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (3, 3))
 
 
-def rotation_y(angle: float) -> np.ndarray:
-    """3x3 rotation matrix about the y-axis (right-handed)."""
+def _transpose(m):
+    return np.swapaxes(m, -1, -2)
+
+
+def rotation_x(angle) -> np.ndarray:
+    """Rotation matrix about the x-axis (right-handed): 3x3 for a scalar
+    angle, (..., 3, 3) for an array of angles."""
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s],
-                     [0.0, 1.0, 0.0],
-                     [-s, 0.0, c]])
+    return _matrix([[1.0, 0.0, 0.0],
+                    [0.0, c, -s],
+                    [0.0, s, c]])
+
+
+def rotation_y(angle) -> np.ndarray:
+    """Rotation matrix about the y-axis (right-handed), shaped as
+    :func:`rotation_x`'s."""
+    c, s = np.cos(angle), np.sin(angle)
+    return _matrix([[c, 0.0, s],
+                    [0.0, 1.0, 0.0],
+                    [-s, 0.0, c]])
 
 
 @dataclass(frozen=True)
 class Orientation:
-    """Pitch/roll attitude of one radiating port.
+    """Pitch/roll attitude of one radiating port, or of L ports when
+    pitch and roll are arrays of one shape (the lane shape).
 
     pitch: rotation about y in [-pi/2, pi/2]; +pitch steers the
         boresight toward +x.
     roll: rotation about x in [-pi/2, pi/2]; +roll steers it toward +y.
     """
 
-    pitch: float = 0.0
-    roll: float = 0.0
+    pitch: float | np.ndarray = 0.0
+    roll: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if not (abs(self.pitch) <= np.pi / 2 + 1e-12):
+        if not np.all(np.abs(self.pitch) <= np.pi / 2 + 1e-12):
             raise ValueError(f"pitch {self.pitch} outside [-pi/2, pi/2]")
-        if not (abs(self.roll) <= np.pi / 2 + 1e-12):
+        if not np.all(np.abs(self.roll) <= np.pi / 2 + 1e-12):
             raise ValueError(f"roll {self.roll} outside [-pi/2, pi/2]")
 
     def gcs_from_lcs(self) -> np.ndarray:
-        """Matrix whose columns are the LCS axes expressed in the GCS."""
-        return rotation_x(self.roll) @ rotation_y(self.pitch).T @ _REST_AXES
+        """Matrix whose columns are the LCS axes expressed in the GCS;
+        one per lane, stacked, for array angles."""
+        return (rotation_x(self.roll) @ _transpose(rotation_y(self.pitch))
+                @ _REST_AXES)
 
     def lcs_from_gcs(self) -> np.ndarray:
-        return _REST_AXES @ rotation_y(self.pitch) @ rotation_x(self.roll).T
+        return (_REST_AXES @ rotation_y(self.pitch)
+                @ _transpose(rotation_x(self.roll)))
 
 
 IDENTITY = Orientation(0.0, 0.0)
@@ -81,15 +103,20 @@ IDENTITY = Orientation(0.0, 0.0)
 def local_angles(points, center, orientation: Orientation):
     """Distance, polar angle and azimuth of GCS points in a port frame.
 
-    ``points`` is one point or a (P, 3) array; the three results have
-    one entry per point.  The polar angle comes from atan2, which stays
-    accurate next to the poles, and the azimuth is pinned to 0 where
-    sin(theta) < _POLE_TOL, the same scale-free rule as
+    One port: ``center`` is a 3-vector and ``points`` one point or a
+    (P, 3) array; the three results have one entry per point.  Ports in
+    lanes (``orientation`` of lane shape S): ``center`` is (*S, 3) and
+    ``points`` (P, 3), seen by every lane, or (*S, P, 3), P points per
+    lane; the results are (*S, P).  The polar angle comes from atan2,
+    which stays accurate next to the poles, and the azimuth is pinned
+    to 0 where sin(theta) < _POLE_TOL, the same scale-free rule as
     :func:`spherical_basis`.  Raises ValueError if a point coincides
     with the port center.
     """
-    rel = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(center)
-    x, y, z = (rel @ orientation.lcs_from_gcs().T).T
+    rel = (np.atleast_2d(np.asarray(points, dtype=float))
+           - np.asarray(center, dtype=float)[..., None, :])
+    local = rel @ _transpose(orientation.lcs_from_gcs())
+    x, y, z = np.moveaxis(local, -1, 0)
     rho = np.hypot(x, y)
     r = np.hypot(rho, z)
     if not r.all():
@@ -119,7 +146,8 @@ def spherical_basis(theta, phi,
         varphi   = (-sin p, cos p, 0)
 
     and each is mapped through the port frame.  Scalar angles give
-    3-vectors; arrays of P angles give (P, 3) arrays.
+    3-vectors; arrays of P angles give (P, 3) arrays, and the (*S, P)
+    angles of ports in lanes of shape S give (*S, P, 3) arrays.
     """
     st, ct = np.sin(theta), np.cos(theta)
     phi = np.where(st < _POLE_TOL, 0.0, phi)
@@ -128,5 +156,5 @@ def spherical_basis(theta, phi,
                       [ct * cp, ct * sp, -st],
                       [-sp, cp, np.zeros_like(sp)]])
     upsilon, vartheta, varphi = (np.moveaxis(triad, 1, -1)
-                                 @ orientation.gcs_from_lcs().T)
+                                 @ _transpose(orientation.gcs_from_lcs()))
     return SphericalBasis(upsilon, vartheta, varphi)

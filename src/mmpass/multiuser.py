@@ -13,9 +13,13 @@
    gain.  A candidate deployment depends on the guide and the group,
    not on the element, so candidates and their interference are
    solved and tabulated per guide (M x J x M x J), and each element
-   reads its guide's rows.  Interference is additive (sources keep
-   their noise-only splits, victims their matched receive vectors), so
-   the fill keeps a running sum of it per element.
+   reads its guide's rows.  A slot is solved on slot-wide lanes: one
+   pair solve covers every pair on every guide, each user carried in
+   its guide's frame, and the receive vectors, the serving gains and
+   the interference table take one port evaluation per mode over all
+   candidates.  Interference is additive (sources keep their
+   noise-only splits, victims their matched receive vectors), so the
+   fill keeps a running sum of it per element.
 3. Precoding: with the sparse per-element splits W_p frozen, the
    mode-domain mixer G is optimized by fractional programming
    (quadratic transform, closed-form auxiliary updates, a KKT solve and
@@ -45,9 +49,10 @@ from . import channel
 from .geometry import Orientation
 from .placement import (LinkModel, power_split, solve_single_user,
                         two_user_shared_position)
-from .polarization import receive_polarization
+from .polarization import matched_polarization, receive_polarization
 from .radiation import PortResponse
 from .scenario import Scenario, default_placements
+from .waveguide import element_center
 
 
 @dataclass(frozen=True)
@@ -252,15 +257,21 @@ class _SlotSolver:
     A candidate depends on the guide and the group, not on which of the
     guide's elements serves it: the pair solve, the boresight gains and
     the receive vectors never read the element index.  So every (guide,
-    group) candidate is solved once on construction (the pairs of a
-    guide in one batched pair solve) into arrays indexed [m, j, slot]:
-    the users (in the candidate's own mode order, which may reverse the
-    group's), the serving gains, the noise, the matched receive vectors
-    and the noise-only power splits; ``x[m, j]`` and ``aims[m][j]`` are
-    the element position and its port orientations.  Element i lies on
-    guide ``guide[i]``.  A singleton fills slot 0 only.  Deployment
-    decisions assume the matched receive policy, so every serving link
-    has eta = 1.
+    group) candidate is solved once on construction into arrays indexed
+    [m, j, slot]: the users (in the candidate's own mode order, which
+    may reverse the group's), the serving gains, the noise, the matched
+    receive vectors and the noise-only power splits; ``x[m, j]`` is the
+    element position and ``aims`` the Orientation of its ports, with
+    (M, J, 2) angle arrays.  Element i lies on guide ``guide[i]``.  A
+    singleton fills slot 0 only, and its idle slot-1 port points
+    straight down.  Deployment decisions assume the matched receive
+    policy, so every serving link has eta = 1.
+
+    The candidates of all guides are solved together, each lane in its
+    guide's frame (see :mod:`mmpass.placement`): one pair solve takes
+    both mode orders of every pair on every guide, one single-user
+    solve every singleton on every guide, and the finishing reads one
+    ``PortResponse`` and one ``link.gain`` call per mode.
 
     Interference is additive: sources transmit with their noise-only
     splits and each victim's receive vector is fixed by its candidate.
@@ -277,69 +288,90 @@ class _SlotSolver:
         n_wg, n_grp = scenario.num_waveguides, len(self.groups)
         self.guide = np.arange(n_wg * scenario.num_pas) // scenario.num_pas
         self.pair = np.array([len(g) == 2 for g in self.groups])
+        # the guides differ only in axis_y (Scenario checks it), so every
+        # guide's problem is that of guide 0 moved to y = 0, with each
+        # user given relative to its own guide's axis
+        wg = scenario.waveguides[0]
+        self.link = LinkModel(scenario, replace(
+            wg, feed_point=np.array([wg.feed_point[0], 0.0, wg.axis_z])))
+        self.frame_users = (scenario.users[None]
+                            - [[[0.0, g.axis_y, 0.0]]
+                               for g in scenario.waveguides])   # (M, K, 3)
+
         self.users = np.zeros((n_wg, n_grp, 2), dtype=int)
-        self.gains = np.zeros((n_wg, n_grp, 2))
-        self.noise = np.ones((n_wg, n_grp, 2))
-        self.rx = np.zeros((n_wg, n_grp, 2, 3))
         self.x = np.zeros((n_wg, n_grp))
-        self.aims = [[()] * n_grp for _ in range(n_wg)]
-        for m in range(n_wg):
-            self._solve_guide(m)
+        pitch, roll = np.zeros((2, n_wg, n_grp, 2))
+        pairs = np.flatnonzero(self.pair)
+        if pairs.size:
+            self._solve_pairs(pairs, pitch, roll)
+        singles = np.flatnonzero(~self.pair)
+        if singles.size:
+            ids = np.array([self.groups[j][0] for j in singles])
+            sol = solve_single_user(
+                self.frame_users[:, ids].reshape(-1, 3), self.link)
+            self.users[:, singles, 0] = ids
+            self.x[:, singles] = sol.x_star.reshape(n_wg, -1)
+            pitch[:, singles, 0] = sol.pitch.reshape(n_wg, -1)
+            roll[:, singles, 0] = sol.roll.reshape(n_wg, -1)
+        self.aims = Orientation(pitch=pitch, roll=roll)
+        self._finish()
         self.splits = _splits(self.gains, self.noise, self.pair,
                               scenario.power)
 
     # -- candidates ------------------------------------------------------
 
-    def _solve_guide(self, m: int):
-        """Solve the candidates of every group on guide m into the
-        arrays.  Both mode orders of every pair go through one batched
-        pair solve; a pair keeps the order with the higher sum rate, the
-        group's own on a tie, and only that order is finished."""
-        link = LinkModel(self.scenario, m)
-        users = self.scenario.users
-        noise = self.scenario.noise
-        pairs = [j for j, g in enumerate(self.groups) if len(g) == 2]
-        if pairs:
-            orders = [self.groups[j] for j in pairs]
-            orders += [g[::-1] for g in orders]
-            first, second = np.array(orders).T
-            sol = two_user_shared_position(users[first], users[second], link,
-                                           self.scenario.power,
-                                           (noise[first], noise[second]))
-            own, flipped = np.split(sol.sum_rate, 2)
-            xs = sol.x_star.tolist()
-            aims = list(zip(*sol.orientations))
-            for p, j in enumerate(pairs):
-                lane = p + len(pairs) if flipped[p] > own[p] + 1e-12 else p
-                self._finish_candidate(m, j, orders[lane], xs[lane],
-                                       aims[lane], link)
-        for j, group in enumerate(self.groups):
-            if len(group) == 1:
-                sol = solve_single_user(users[group[0]], link)
-                self._finish_candidate(
-                    m, j, group, sol.x_star,
-                    (Orientation(pitch=sol.pitch, roll=sol.roll),), link)
-
-    def _finish_candidate(self, m, j, order, x, orientations, link):
-        """Match each port's receive polarization to the field it
-        radiates at its user; ``orientations`` aim the ports, one per
-        user of ``order``."""
+    def _solve_pairs(self, pairs, pitch, roll):
+        """Solve the candidates of the pair groups ``pairs`` on every
+        guide in one pair solve over both mode orders of each; a pair
+        keeps the order with the higher sum rate, the group's own on a
+        tie."""
         scn = self.scenario
-        wg = link.wg
-        pa_pos = np.array([x, wg.axis_y, wg.axis_z])
-        for slot, (k, orient) in enumerate(zip(order, orientations)):
-            user_pos = scn.users[k]
-            e_dir = PortResponse(scn.med, scn.modes[slot], wg, pa_pos, orient,
-                                 user_pos).direction[0]
-            self.rx[m, j, slot] = receive_polarization(
-                "matched", e_dir, user_pos, pa_pos)
-            self.gains[m, j, slot] = link.gain(slot + 1, x, user_pos)
-            self.users[m, j, slot] = k
-            self.noise[m, j, slot] = scn.noise[k]
-        self.x[m, j] = x
-        # idle ports of a singleton group point straight down
-        self.aims[m][j] = tuple(orientations) + (Orientation(),) * (
-            scn.num_modes - len(orientations))
+        n_wg, n_pairs = scn.num_waveguides, pairs.size
+        own = np.array([self.groups[j] for j in pairs])
+        orders = np.concatenate([own, own[:, ::-1]])     # (2P, 2)
+        first, second = orders.T
+        sol = two_user_shared_position(
+            self.frame_users[:, first].reshape(-1, 3),
+            self.frame_users[:, second].reshape(-1, 3), self.link, scn.power,
+            (np.tile(scn.noise[first], n_wg), np.tile(scn.noise[second],
+                                                      n_wg)))
+        rates = sol.sum_rate.reshape(n_wg, 2, n_pairs)
+        lane = (np.arange(n_pairs)
+                + n_pairs * (rates[:, 1] > rates[:, 0] + 1e-12))   # (M, P)
+        rows = np.arange(n_wg)[:, None]
+        self.users[:, pairs] = orders[lane]
+        self.x[:, pairs] = sol.x_star.reshape(n_wg, -1)[rows, lane]
+        for s, aim in enumerate(sol.orientations):
+            pitch[:, pairs, s] = aim.pitch.reshape(n_wg, -1)[rows, lane]
+            roll[:, pairs, s] = aim.roll.reshape(n_wg, -1)[rows, lane]
+
+    def _finish(self):
+        """Serving gains, noise and matched receive vectors of every
+        filled slot, one mode at a time over all candidates."""
+        scn = self.scenario
+        n_wg, n_grp = self.x.shape
+        self.gains = np.zeros((n_wg, n_grp, 2))
+        self.noise = np.ones((n_wg, n_grp, 2))
+        self.rx = np.zeros((n_wg, n_grp, 2, 3))
+        for q in range(2 if self.pair.any() else 1):
+            m, j = np.nonzero(np.broadcast_to(self.pair | (q == 0),
+                                              self.x.shape))
+            users = self.frame_users[m, self.users[m, j, q]]
+            x = self.x[m, j]
+            resp = PortResponse(scn.med, scn.modes[q], self.link.wg,
+                                element_center(x, self.link.wg),
+                                Orientation(pitch=self.aims.pitch[m, j, q],
+                                            roll=self.aims.roll[m, j, q]),
+                                users[:, None])
+            self.rx[m, j, q] = matched_polarization(resp.direction[:, 0])
+            self.gains[m, j, q] = self.link.gain(q + 1, x, users)
+            self.noise[m, j, q] = scn.noise[self.users[m, j, q]]
+
+    def port_aims(self, m: int, j: int) -> tuple:
+        """Orientations of candidate (m, j)'s ports, one per mode."""
+        return tuple(Orientation(pitch=float(self.aims.pitch[m, j, q]),
+                                 roll=float(self.aims.roll[m, j, q]))
+                     for q in range(self.scenario.num_modes))
 
     # -- interference and rates -------------------------------------------
 
@@ -354,25 +386,26 @@ class _SlotSolver:
         guide m2 serving group j2 on slot s of candidate (m, j), summed
         over the source's ports; zero on a singleton's empty slot.  The
         entries of m2 == m are those of a different element of the same
-        guide."""
+        guide.  Each mode's ports of all (guide, group) sources are
+        evaluated in one ``PortResponse`` call; a singleton's idle port
+        transmits with a zero split."""
         scn = self.scenario
-        n_wg, n_grp = self.x.shape
-        cross = np.zeros((n_wg, n_grp, n_wg, n_grp, 2))
-        for m, wg in enumerate(scn.waveguides):
-            for j2, group in enumerate(self.groups):
-                x = self.x[m, j2]
-                h_wp_sq = np.exp(-wg.alpha_w * x) / wg.num_pas
-                for q in range(len(group)):
-                    resp = PortResponse(scn.med, scn.modes[q], wg,
-                                        np.array([x, wg.axis_y, wg.axis_z]),
-                                        self.aims[m][j2][q], scn.users)
-                    h_pu = (scn.port_gains[q] * resp.pattern
-                            * np.exp(-0.5 * scn.alpha_a * resp.r))
-                    proj = np.einsum("mjsd,mjsd->mjs", self.rx,
-                                     resp.direction[self.users])
-                    cross[m, j2] += (
-                        scn.power * self.splits[m, j2, q]
-                        * (proj ** 2 * (h_pu ** 2 * h_wp_sq)[self.users]))
+        wg = self.link.wg
+        h_wp_sq = np.exp(-wg.alpha_w * self.x) / wg.num_pas
+        cross = 0.0
+        for q, (mode, gain) in enumerate(zip(scn.modes, scn.port_gains)):
+            # sources in their guides' frames, every user seen by each
+            resp = PortResponse(scn.med, mode, wg, element_center(self.x, wg),
+                                Orientation(pitch=self.aims.pitch[..., q],
+                                            roll=self.aims.roll[..., q]),
+                                self.frame_users[:, None])  # (M, J, K)
+            h_pu = gain * resp.pattern * np.exp(-0.5 * scn.alpha_a * resp.r)
+            proj = np.einsum("mjsd,...mjsd->...mjs", self.rx,
+                             resp.direction[:, :, self.users])
+            cross = cross + (
+                (scn.power * self.splits[..., q])[..., None, None, None]
+                * (proj ** 2 * (h_pu ** 2 * h_wp_sq[..., None])[
+                    :, :, self.users]))
         return cross
 
     def rate_table(self) -> np.ndarray:
@@ -659,7 +692,7 @@ def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
             wg.length)
         for n, j in on_guide.items():
             placements[m][n] = replace(placements[m][n], x_position=spaced[n],
-                                       orientations=solver.aims[m][j])
+                                       orientations=solver.port_aims(m, j))
 
     # unserved users keep any unit vector; no stream is mapped to them
     rx = np.tile([0.0, 0.0, 1.0], (len(slot_users), 1))

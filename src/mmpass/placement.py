@@ -15,10 +15,15 @@ the water-filling-like split, and the shared position comes from a
 curvature-weighted blend of the two single-user optima, falling back
 to a bounded 1-D search of the explicit two-user sum rate whenever the
 quadratic model degenerates or fails to beat the interval endpoints.
-The pair solve takes one pair or a batch of P pairs on one guide and
-runs every step on all of them at once; the search is
-``bounded_minimize``, Brent's bounded method advanced lane by lane,
-which the outage driver shares.
+
+Both solves take one user (pair) or a batch of P lanes and run every
+step on all lanes at once; the search is ``bounded_minimize``, Brent's
+bounded method advanced lane by lane, which the outage driver shares.
+A ``LinkModel`` evaluates one guide, but a boresight link depends on
+its guide only through the axis: a lane whose user is given relative
+to its own guide's axis solves that guide's problem on a link whose
+axis lies at y = 0, bit for bit, so one call serves every guide of a
+scenario.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import numpy as np
 
 from .geometry import Orientation
 from .scenario import Scenario
+from .waveguide import WaveguideSpec, element_center
 
 LN2 = np.log(2.0)
 MIN_PAIR_SEPARATION = 1.0  # m, below this the omitted cross-mode
@@ -49,21 +55,17 @@ def optimal_orientation(pa_pos, user_pos) -> Orientation:
 
     pitch* = arctan(dx / sqrt(dy^2 + dz^2)), roll* = arctan(-dy / dz),
     with d = user - element in GCS.  Requires the user below the port.
+    (P, 3) arrays of element and user positions give the Orientation of
+    P lanes.
     """
-    pitch, roll = _aim_angles(pa_pos, user_pos)
-    return Orientation(pitch=float(pitch), roll=float(roll))
-
-
-def _aim_angles(pa_pos, user_pos):
-    """``optimal_orientation``'s (pitch, roll) for element and user
-    positions or (P, 3) arrays of them, as arrays."""
     d = (np.asarray(user_pos, dtype=float)
          - np.asarray(pa_pos, dtype=float)).T
     if np.any(np.abs(d).max(axis=0) <= 1e-8):
         raise ValueError("user coincides with the element position")
     if np.any(d[2] >= 0):
         raise ValueError("user must lie below the element")
-    return np.arctan2(d[0], np.hypot(d[1], d[2])), np.arctan(-d[1] / d[2])
+    return Orientation(pitch=_scalar(np.arctan2(d[0], np.hypot(d[1], d[2]))),
+                       roll=_scalar(np.arctan(-d[1] / d[2])))
 
 
 def _scalar(value):
@@ -114,7 +116,8 @@ def gain_log_derivative(x_pa, user_pos, wg, alpha_a: float):
 
 @dataclass
 class LinkModel:
-    """Fast boresight link-gain evaluator for one scenario's guides.
+    """Fast boresight link-gain evaluator for one guide of a scenario,
+    its first unless ``wg`` names another.
 
     The scenario's ``mode_amplitude(q)`` is the mode-q gain constant at
     1 m including the per-mode normalization; |h_q(x)|^2 then follows
@@ -124,11 +127,11 @@ class LinkModel:
     """
 
     scenario: Scenario
-    wg_index: int = 0
+    wg: WaveguideSpec | None = None
 
-    @property
-    def wg(self):
-        return self.scenario.waveguides[self.wg_index]
+    def __post_init__(self):
+        if self.wg is None:
+            self.wg = self.scenario.waveguides[0]
 
     def gain(self, q: int, x, user_pos):
         """|h_q(x)|^2 = A_q^2 e^(-aw x) e^(-aa r) / (N r^2).
@@ -182,19 +185,20 @@ def tdma_sum_rate(x, link: LinkModel, user1, user2, sigmas, power):
 
 @dataclass
 class SingleUserSolution:
-    pitch: float
-    roll: float
-    x_star: float
+    """A user's aim and element position; (P,) arrays for a batch."""
+
+    pitch: float | np.ndarray
+    roll: float | np.ndarray
+    x_star: float | np.ndarray
 
 
 def solve_single_user(user_pos, link: LinkModel) -> SingleUserSolution:
-    """Closed-form orientation and position for one user: the position
-    rule and the boresight aim hold for every mode."""
+    """Closed-form orientation and position for one user, or for a
+    (P, 3) batch of users on the guide of ``link``: the position rule
+    and the boresight aim hold for every mode."""
     x_star, _ = optimal_position(user_pos, link.wg, link.scenario.alpha_a)
-    pa_pos = np.array([x_star, link.wg.axis_y, link.wg.axis_z])
-    orientation = optimal_orientation(pa_pos, user_pos)
-    return SingleUserSolution(pitch=orientation.pitch, roll=orientation.roll,
-                              x_star=x_star)
+    aim = optimal_orientation(element_center(x_star, link.wg), user_pos)
+    return SingleUserSolution(pitch=aim.pitch, roll=aim.roll, x_star=x_star)
 
 
 @dataclass
@@ -203,9 +207,9 @@ class TwoUserSolution:
     ports at their users (``orientations[s]`` serves user s + 1) and the
     interference-free sum rate there with the optimal ``power_split``.
     A batch's has a trailing lane axis: ``x_star`` and ``sum_rate``
-    become (P,) arrays and ``orientations[s]`` a tuple of P
-    orientations.  ``used_fallback`` is True if any lane fell back to
-    the search."""
+    become (P,) arrays and ``orientations[s]`` the Orientation of P
+    lanes.  ``used_fallback`` is True if any lane fell back to the
+    search."""
 
     x_star: float | np.ndarray
     orientations: tuple
@@ -308,7 +312,8 @@ def bounded_minimize(fun, lo, hi):
 def two_user_shared_position(user1, user2, link: LinkModel, power: float,
                              sigmas) -> TwoUserSolution:
     """Shared element position and port aims for two users on one
-    element, or for a batch of P pairs on the guide of ``link``.
+    element, or for a batch of P pairs on the guide of ``link`` (each
+    lane in its own guide's frame, as the module docstring describes).
 
     The users are positions or (P, 3) arrays, the two noise powers in
     ``sigmas`` floats or (P,) arrays; mode 1 serves user 1 and mode 2
@@ -320,7 +325,8 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
     endpoints.  The power split at x* is ``power_split`` of the two
     gains there.  One pair gives floats, a batch the per-lane arrays
     described on ``TwoUserSolution``.  Coincident users in any lane
-    raise; each lane closer than MIN_PAIR_SEPARATION warns once.
+    raise; lanes closer than MIN_PAIR_SEPARATION give one warning per
+    call, which counts them and names the closest separation.
     """
     single = np.ndim(user1) == 1
     u1 = np.atleast_2d(np.asarray(user1, dtype=float))
@@ -332,8 +338,11 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
         raise ValueError("two-user placement needs distinct users (pair "
                          f"{int(np.argmax(same))} of {same.size})")
     separation = np.hypot(*(u1[:, :2] - u2[:, :2]).T)
-    for sep in separation[separation < MIN_PAIR_SEPARATION]:
-        warnings.warn(f"users {sep:.2f} m apart; the neglected "
+    close = separation < MIN_PAIR_SEPARATION
+    if close.any():
+        warnings.warn(f"{np.count_nonzero(close)} of {close.size} pairs "
+                      f"closer than {MIN_PAIR_SEPARATION:g} m, the closest "
+                      f"{separation.min():.2f} m apart; the neglected "
                       "cross-mode interference may not be small", stacklevel=2)
     x1, _ = optimal_position(u1, link.wg, link.scenario.alpha_a)
     x2, _ = optimal_position(u2, link.wg, link.scenario.alpha_a)
@@ -365,17 +374,12 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
         best = tried[np.argmax(rates, axis=0), np.arange(x1.size)]
         x_star = np.where(fallback, best, x_star)
 
-    wg = link.wg
-    pa_pos = np.column_stack([x_star, np.broadcast_to([wg.axis_y, wg.axis_z],
-                                                      (x_star.size, 2))])
-    orientations = tuple(
-        tuple(Orientation(pitch=p, roll=r)
-              for p, r in zip(*(a.tolist() for a in _aim_angles(pa_pos, u))))
-        for u in (u1, u2))
+    pa_pos = element_center(x_star, link.wg)
     out = (lambda v: float(v[0])) if single else (lambda v: v)
+    aims = (optimal_orientation(pa_pos, u) for u in (u1, u2))
     return TwoUserSolution(
         x_star=out(x_star),
-        orientations=tuple(o[0] for o in orientations) if single
-        else orientations,
+        orientations=tuple(Orientation(pitch=out(a.pitch), roll=out(a.roll))
+                           for a in aims),
         sum_rate=out(objective(x_star)), used_fallback=bool(fallback.any()))
 

@@ -4,7 +4,9 @@ A user antenna is a linearly polarized element.  Its receive vector is
 a real unit 3-vector in the GCS, and the amplitude it captures from an
 incident field is the magnitude of the dot product with the field's
 unit direction (the channel composition squares it).  The "matched"
-policy takes the incident field direction itself; the fixed axis and
+policy takes the incident field direction itself, signed by one rule
+that :func:`matched_polarization` applies to any number of directions
+at once; the fixed axis and
 the codebook live in the user-centered basis of
 :func:`user_arrival_basis`.  The two-component Jones-vector description
 of the same states is kept only as a test oracle (``tests/oracles.py``).
@@ -47,13 +49,23 @@ def user_arrival_basis(user_pos, source_pos) -> SphericalBasis:
     return SphericalBasis(upsilon=u, vartheta=vartheta, varphi=varphi)
 
 
+def matched_polarization(field_dir) -> np.ndarray:
+    """The matched receive vector: the field direction signed so that
+    its largest component is positive.  A (..., 3) array of directions
+    gives one vector per direction."""
+    field_dir = np.asarray(field_dir, dtype=float)
+    largest = np.take_along_axis(
+        field_dir, np.argmax(np.abs(field_dir), axis=-1)[..., None], axis=-1)
+    return np.where(largest < 0, -field_dir, field_dir)
+
+
 def receive_polarization(policy: str, field_dir, user_pos,
                          source_pos) -> np.ndarray:
     """Unit receive vector in the GCS for a real unit field direction
     arriving at the user from ``source_pos``.
 
-    "matched" returns the field direction itself, signed so that its
-    largest component is positive.  "fixed" takes the near-vertical
+    "matched" returns :func:`matched_polarization` of the field
+    direction.  "fixed" takes the near-vertical
     axis of :func:`user_arrival_basis`.  "codebook" takes the angle a of
     the codebook that maximizes |cos a c_theta + sin a c_phi|, with
     (c_theta, c_phi) the field's normalized components in that basis
@@ -62,9 +74,7 @@ def receive_polarization(policy: str, field_dir, user_pos,
     """
     field_dir = np.asarray(field_dir, dtype=float)
     if policy == "matched":
-        if field_dir[np.argmax(np.abs(field_dir))] < 0:
-            field_dir = -field_dir
-        return field_dir
+        return matched_polarization(field_dir)
     basis = user_arrival_basis(user_pos, source_pos)
     if policy == "fixed":
         return basis.vartheta

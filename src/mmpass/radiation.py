@@ -20,9 +20,12 @@ The removable singularities of S (sinc at 0, the cosine taper at
 sinc reformulations, so the factors are continuous everywhere.
 
 Every channel gain and field direction in the package comes from one
-kernel, :class:`PortResponse`.  For one port and P observation points
+kernel, :class:`PortResponse`.  For one port and P observation points,
+or for L ports (lanes) at P shared points or at points of their own,
 it holds the distance r, the signed pattern S_q |Psi_q| / r and the
-unit GCS direction of the radiated field.  Each caller multiplies in
+unit GCS direction of the radiated field.  A lane's results equal
+those of its port evaluated alone, bit for bit, so callers batch every
+port of a mode into one call.  Each caller multiplies in
 its own constants: the per-mode gain normalization times the aperture
 constant, absorption, guide attenuation or the raw-field amplitude.
 S_q keeps its sign everywhere, so a gain on a sidelobe where S_q < 0
@@ -88,11 +91,20 @@ def polarization_components(q: int, theta, phi, beta: float, rho_free: float):
 
 
 class PortResponse:
-    """Response of one port at P observation points.
+    """Response of one port, or of ports in lanes, at observation points.
+
+    One port: ``center`` is a 3-vector, ``orientation`` an Orientation
+    of float angles and ``points`` one point or a (P, 3) array.  Lanes:
+    ``orientation`` holds pitch and roll arrays of the lane shape S
+    (one mode, so one port per lane), ``center`` is (*S, 3) and
+    ``points`` (P, 3), seen by every lane, or (*S, P, 3), points of
+    each lane's own; the guide ``wg`` only sets the aperture, which
+    every guide shares.  ``r`` and ``pattern`` have one entry per lane
+    and point, (P,) or (*S, P), and ``direction`` a unit 3-vector more.
 
     ``r`` is computed on construction.  ``pattern``, the signed
-    S_q |Psi_q| / r, and ``direction``, the (P, 3) unit field direction
-    in the GCS, are computed on first read.
+    S_q |Psi_q| / r, and ``direction``, the unit field direction in the
+    GCS, are computed on first read.
     """
 
     def __init__(self, med: MediumConstants, mode: ModeSpec,
@@ -121,9 +133,10 @@ class PortResponse:
         vanishes."""
         psi_t, psi_p, norm = self._psi
         basis = spherical_basis(self.theta, self.phi, self.orientation)
-        live = (norm > 0)[:, None]
-        vec = ((psi_t[:, None] * basis.vartheta + psi_p[:, None] * basis.varphi)
-               / np.where(live, norm[:, None], 1.0))
+        live = (norm > 0)[..., None]
+        vec = ((psi_t[..., None] * basis.vartheta
+                + psi_p[..., None] * basis.varphi)
+               / np.where(live, norm[..., None], 1.0))
         return np.where(live, vec, basis.vartheta)
 
 

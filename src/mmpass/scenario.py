@@ -31,6 +31,13 @@ from .waveguide import (MediumConstants, ModeSpec, PaPlacement, WaveguideSpec,
 REFERENCE_DISTANCE = 1.0  # m, anchor for the per-mode gain normalization
 
 
+# every guide of a scenario shares these with guide 0: the per-scenario
+# element count, aperture constants and the slot solver's shared guide
+# frame read them from guide 0 alone
+_UNIFORM_GUIDE_FIELDS = ("a", "b", "aperture_scale", "num_pas", "length",
+                         "alpha_w", "axis_z")
+
+
 @dataclass
 class Scenario:
     med: MediumConstants
@@ -44,6 +51,14 @@ class Scenario:
     gain_norm: np.ndarray | None = None  # per-mode scale on port-to-user gains
 
     def __post_init__(self):
+        first = self.waveguides[0]
+        for m, wg in enumerate(self.waveguides[1:], start=1):
+            for name in _UNIFORM_GUIDE_FIELDS:
+                if getattr(wg, name) != getattr(first, name):
+                    raise ValueError(
+                        f"guide {m} differs from guide 0 in {name} "
+                        f"({getattr(wg, name)!r} vs {getattr(first, name)!r})"
+                        "; guides may differ only in axis_y")
         self.users = np.atleast_2d(np.asarray(self.users, dtype=float))
         self.noise = np.broadcast_to(
             np.asarray(self.noise, dtype=float), (self.num_users,)).copy()

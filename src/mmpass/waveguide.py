@@ -155,7 +155,13 @@ class PaPlacement:
     orientations: tuple[Orientation, ...]
 
     def center(self, wg: WaveguideSpec) -> np.ndarray:
-        return np.array([self.x_position, wg.axis_y, wg.axis_z])
+        return element_center(self.x_position, wg)
+
+
+def element_center(x, wg: WaveguideSpec) -> np.ndarray:
+    """GCS center of an element at position x on guide ``wg``; an
+    array of positions gives one center per position, (..., 3)."""
+    return np.stack(np.broadcast_arrays(x, wg.axis_y, wg.axis_z), axis=-1)
 
 
 def transverse_pattern(mode: ModeSpec, wg: WaveguideSpec, y_off: float,

@@ -116,3 +116,19 @@ def test_driver_csvs_match_value_oracle(tmp_path):
                    bench.run_outage(cfg, [-20.0, -10.0], trials=100)):
         with open(result.write_csv(tmp_path)) as fh:
             assert fh.read() == csv_text(result), result.experiment
+
+
+def test_scaling_rows_report_the_users_they_ran_with():
+    # listed users fix K: every row carries their count, and there is no
+    # user-count sweep to run
+    cfg = ScenarioConfig(num_waveguides=1, pas_per_waveguide=2,
+                         user_mode="explicit", schemes=("pa-mm",),
+                         user_positions=((1.0, 1.0), (3.0, 2.0),
+                                         (6.0, 4.0), (8.5, 5.0)))
+    rows = bench.run_scaling(cfg).rows
+    assert len(rows) == 9
+    assert {(r[0], r[3]) for r in rows} == {("mn", 4)}
+    uniform = bench.run_scaling(replace(cfg, user_mode="uniform",
+                                        user_positions=(), num_users=6))
+    assert sorted({(r[0], r[3]) for r in uniform.rows}) == [
+        ("k", 8), ("k", 16), ("k", 24), ("mn", 6)]

@@ -1,8 +1,9 @@
 """Module boundaries: no module of the package imports a private name
 of another, no code reads a private attribute of anything but its own
 instance or class, every public name has a caller in the package,
-every dataclass field has a reader and every defaulted parameter a
-caller that sets it, and no module imports a name it does not use."""
+every dataclass field and every instance attribute has a reader and
+every defaulted parameter a caller that sets it, and no module imports
+a name it does not use."""
 
 import ast
 from pathlib import Path
@@ -166,13 +167,17 @@ def _is_dataclass(decorator):
     return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
 
 
+def _attributes_read(trees):
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def _unread_fields():
     """Fields of the package's dataclasses whose name no attribute
     read in the package carries."""
     trees = dict(_trees())
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
+    read = _attributes_read(trees)
     return {f"{name[:-3]}.{cls.name}.{stmt.target.id}"
             for name, tree in trees.items() for cls in tree.body
             if isinstance(cls, ast.ClassDef)
@@ -181,6 +186,24 @@ def _unread_fields():
             if isinstance(stmt, ast.AnnAssign)
             and isinstance(stmt.target, ast.Name)
             and stmt.target.id not in read}
+
+
+def _unread_instance_attributes():
+    """Attributes that a method of a plain (non-dataclass) class of the
+    package sets on ``self`` and whose name no attribute read in the
+    package carries."""
+    trees = dict(_trees())
+    read = _attributes_read(trees)
+    return sorted(
+        f"{name[:-3]}.{cls.name}.{node.attr}"
+        for name, tree in trees.items() for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and not any(map(_is_dataclass, cls.decorator_list))
+        for method in cls.body if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        and node.attr not in read)
 
 
 class _Defaults(ast.NodeVisitor):
@@ -259,6 +282,14 @@ def test_every_dataclass_field_is_read_in_the_package():
     name, so a field sharing its name with an attribute read elsewhere
     passes unseen."""
     _check_allowed(_unread_fields(), False, "unread dataclass fields")
+
+
+def test_every_instance_attribute_is_read_in_the_package():
+    """State that a plain class keeps on its instances (``_SlotSolver``,
+    ``PortResponse``) and that nothing reads is deleted.  Reads match by
+    attribute name, as for dataclass fields."""
+    unread = _unread_instance_attributes()
+    assert not unread, "unread instance attributes:\n" + "\n".join(unread)
 
 
 def test_every_defaulted_parameter_is_set_in_the_package():

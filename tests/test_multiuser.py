@@ -12,7 +12,10 @@ from mmpass.multiuser import (AssignmentMatrix, _SlotSolver,
                               _enforce_min_spacing, _power_multiplier,
                               fp_precoding, group_users, hungarian_assign,
                               optimize_scenario, parse_scheme)
-from mmpass.placement import power_split
+from mmpass.geometry import Orientation
+from mmpass.placement import (LinkModel, power_split, solve_single_user,
+                              two_user_shared_position)
+from mmpass.polarization import receive_polarization
 from mmpass.radiation import PortResponse
 from oracles import fp_precoding_g
 
@@ -175,7 +178,8 @@ def _candidate(solver, i, j):
     solver's arrays."""
     m, size = solver.guide[i], len(solver.groups[j])
     return SimpleNamespace(users=tuple(solver.users[m, j, :size].tolist()),
-                           x=solver.x[m, j], orientations=solver.aims[m][j],
+                           x=solver.x[m, j],
+                           orientations=solver.port_aims(m, j),
                            rx_world=solver.rx[m, j, :size],
                            gains=solver.gains[m, j, :size])
 
@@ -276,24 +280,64 @@ def test_slot_solver_solves_each_guide_group_once(monkeypatch):
 
     monkeypatch.setattr(multiuser, "two_user_shared_position", counting)
     solver = _random_solver(11, m=2, n=3, k=7)
+    scn = solver.scenario
     pairs = sum(len(g) == 2 for g in solver.groups)
     assert pairs == 3
-    # one batched call per guide, with both mode orders of every pair
-    assert len(calls) == 2
-    for m, (user1, user2, link, _, sigmas) in enumerate(calls):
-        assert link.wg_index == m
-        assert user1.shape == user2.shape == (2 * pairs, 3)
-        assert sigmas[0].shape == sigmas[1].shape == (2 * pairs,)
-        assert np.array_equal(user1[:pairs], user2[pairs:])
-        assert np.array_equal(user2[:pairs], user1[pairs:])
+    # one call per slot: every guide, both mode orders of every pair,
+    # each lane's users relative to its own guide's axis
+    assert len(calls) == 1
+    user1, user2, link, _, sigmas = calls[0]
+    assert (link.wg.axis_y, link.wg.axis_z) == (0.0, scn.waveguides[0].axis_z)
+    assert user1.shape == user2.shape == (2 * 2 * pairs, 3)
+    assert sigmas[0].shape == sigmas[1].shape == (2 * 2 * pairs,)
+    for m, wg in enumerate(scn.waveguides):
+        first, second = (u[m * 2 * pairs:(m + 1) * 2 * pairs] for u in
+                         (user1, user2))
+        assert np.array_equal(first[:pairs], second[pairs:])
+        assert np.array_equal(second[:pairs], first[pairs:])
+        own = [g for g in solver.groups if len(g) == 2]
+        assert np.array_equal(first[:pairs] + [0.0, wg.axis_y, 0.0],
+                              scn.users[[g[0] for g in own]])
     # one row per (guide, group), which every element of the guide reads
     assert np.array_equal(solver.guide, [0, 0, 0, 1, 1, 1])
     for table in (solver.users, solver.gains, solver.noise, solver.rx,
-                  solver.splits, solver.x):
+                  solver.splits, solver.x, solver.aims.pitch):
         assert table.shape[:2] == (2, len(solver.groups))
     table = solver.rate_table()
     assert table.shape == (6, len(solver.groups))
     assert np.array_equal(table, table[::3][solver.guide])
+
+
+def test_slot_solver_lanes_match_per_guide_solves():
+    # the slot-wide solve equals solving each guide on its own link in
+    # world coordinates, lane for lane and bit for bit
+    solver = _random_solver(5, m=3, n=3, k=9)
+    scn = solver.scenario
+    for m, wg in enumerate(scn.waveguides):
+        link = LinkModel(scn, wg)
+        for j, group in enumerate(solver.groups):
+            order = solver.users[m, j, :len(group)]
+            assert sorted(order) == sorted(group)
+            if len(group) == 2:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    sol = two_user_shared_position(
+                        *scn.users[order], link, scn.power,
+                        tuple(scn.noise[order]))
+                aims = sol.orientations
+            else:
+                sol = solve_single_user(scn.users[order[0]], link)
+                aims = (Orientation(sol.pitch, sol.roll), Orientation())
+            assert solver.x[m, j] == sol.x_star
+            assert solver.port_aims(m, j) == aims
+            for s, k in enumerate(order):
+                center = np.array([sol.x_star, wg.axis_y, wg.axis_z])
+                e_dir = PortResponse(scn.med, scn.modes[s], wg, center,
+                                     aims[s], scn.users[k]).direction[0]
+                assert np.array_equal(solver.rx[m, j, s], receive_polarization(
+                    "matched", e_dir, scn.users[k], center))
+                assert solver.gains[m, j, s] == pytest.approx(
+                    link.gain(s + 1, sol.x_star, scn.users[k]), rel=1e-15)
 
 
 def test_rate_table_single_entry_matches_pair_solver():
@@ -304,7 +348,6 @@ def test_rate_table_single_entry_matches_pair_solver():
     assert table.shape == (1, 1)
     assert table[0, 0] == pytest.approx(
         _oracle_objective(solver, np.ones((1, 1), dtype=np.int8)), rel=1e-12)
-    from mmpass.placement import LinkModel, two_user_shared_position
     link = LinkModel(scn)
     sol = two_user_shared_position(scn.users[0], scn.users[1], link,
                                    scn.power, (SIGMA, SIGMA))

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from mmpass import placement
 from mmpass.config import ScenarioConfig, build_scenario
+from mmpass.geometry import Orientation
 from mmpass.placement import (LinkModel, bounded_minimize, eq22_sum_rate,
                               gain_log_derivative, optimal_orientation,
                               optimal_position, power_split,
@@ -355,7 +357,7 @@ def test_bounded_search_matches_scipy_bounded():
     sigmas = (scn.noise[0], scn.noise[0])
     searched = 0
     for m in range(scn.num_waveguides):
-        link = LinkModel(scn, m)
+        link = LinkModel(scn, scn.waveguides[m])
         u1, u2 = _random_pairs(rng, 250, cfg.d_x, cfg.d_y)
         x1, _ = optimal_position(u1, link.wg, scn.alpha_a)
         x2, _ = optimal_position(u2, link.wg, scn.alpha_a)
@@ -445,8 +447,8 @@ def test_shared_position_batch_matches_single_calls():
         assert type(one.x_star) is float and type(one.sum_rate) is float
         assert one.x_star == batch.x_star[p]
         assert one.sum_rate == batch.sum_rate[p]
-        assert one.orientations == (batch.orientations[0][p],
-                                    batch.orientations[1][p])
+        assert one.orientations == tuple(
+            Orientation(a.pitch[p], a.roll[p]) for a in batch.orientations)
         fallbacks.append(one.used_fallback)
     assert batch.used_fallback is any(fallbacks)
 
@@ -465,18 +467,53 @@ def test_shared_position_keeps_a_winning_endpoint():
                                               link.scenario.alpha_a)[0]
 
 
-def test_shared_position_batch_rejects_and_warns_per_lane():
+def test_shared_position_batch_rejects_and_warns_once():
     link = LinkModel(_scenario())
     u1 = np.array([[2.0, 3, 0], [5.0, 3, 0], [7.0, 1, 0], [8.0, 3, 0]])
     u2 = np.array([[4.0, 3, 0], [5.5, 3, 0], [7.2, 1, 0], [2.0, 3, 0]])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         two_user_shared_position(u1, u2, link, 10.0, (SIGMA, SIGMA))
-    assert [str(w.message)[:15] for w in caught] == ["users 0.50 m ap",
-                                                     "users 0.20 m ap"]
+    # one warning for the call, counting the close lanes
+    assert [str(w.message).split(";")[0] for w in caught] == [
+        "2 of 4 pairs closer than 1 m, the closest 0.20 m apart"]
     u2[2] = u1[2]
     with pytest.raises(ValueError, match="distinct users.*pair 2 of 4"):
         two_user_shared_position(u1, u2, link, 10.0, (SIGMA, SIGMA))
+
+
+def test_shared_position_lanes_in_guide_frames_match_per_guide_calls():
+    # every guide's pairs in one call, users relative to their guide's
+    # axis on a link whose axis lies at y = 0: the per-guide batches
+    # lane for lane, bit for bit
+    cfg = ScenarioConfig()
+    scn = build_scenario(cfg)
+    rng = np.random.default_rng(41)
+    wg = scn.waveguides[0]
+    frame = LinkModel(scn, replace(wg, feed_point=np.array([0.0, 0.0,
+                                                            wg.axis_z])))
+    pairs = [_random_pairs(rng, 30, cfg.d_x, cfg.d_y)
+             for _ in scn.waveguides]
+    sigma = scn.noise[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        per_guide = [two_user_shared_position(u1, u2, LinkModel(scn, g),
+                                              scn.power, (sigma, sigma))
+                     for (u1, u2), g in zip(pairs, scn.waveguides)]
+        shift = [[0.0, g.axis_y, 0.0] for g in scn.waveguides]
+        lanes = two_user_shared_position(
+            *(np.concatenate([p[s] - d for p, d in zip(pairs, shift)])
+              for s in (0, 1)), frame, scn.power, (sigma, sigma))
+    assert np.array_equal(lanes.x_star,
+                          np.concatenate([g.x_star for g in per_guide]))
+    assert np.array_equal(lanes.sum_rate,
+                          np.concatenate([g.sum_rate for g in per_guide]))
+    for s in (0, 1):
+        for angle in ("pitch", "roll"):
+            assert np.array_equal(
+                getattr(lanes.orientations[s], angle),
+                np.concatenate([getattr(g.orientations[s], angle)
+                                for g in per_guide]))
 
 
 # ---------------------------------------------------------------------------

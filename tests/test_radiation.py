@@ -231,6 +231,53 @@ def test_end_to_end_field_ratio_oracle():
                                atol=1e-9 * f.magnitude)
 
 
+@pytest.mark.parametrize("shared", [True, False])
+def test_port_lanes_equal_single_port_evaluations(shared):
+    # L ports of random aims in one call, at P shared points or at P
+    # points of each lane's own, give each port's own evaluation bit for
+    # bit, for both modes; some points lie on a port's boresight (the
+    # pole, where the azimuth is pinned) and some lanes point straight
+    # down at a point right below them
+    med, wg = _medium(), _guide(aperture_scale=15.0)
+    rng = np.random.default_rng(3 if shared else 4)
+    n_lanes, n_points = 13, 7
+    pitch = rng.uniform(-1.2, 1.2, n_lanes)
+    roll = rng.uniform(-1.2, 1.2, n_lanes)
+    pitch[:3] = roll[:3] = 0.0
+    centers = np.column_stack([rng.uniform(0, 10, n_lanes),
+                               rng.uniform(0, 6, n_lanes),
+                               np.full(n_lanes, 3.0)])
+    aims = [Orientation(p, r) for p, r in zip(pitch, roll)]
+    on_axis = np.array([c + 2.5 * a.gcs_from_lcs()[:, 2]
+                        for c, a in zip(centers, aims)])
+    if shared:
+        points = np.vstack([rng.uniform([0, 0, 0], [10, 6, 0],
+                                        (n_points - 2, 3)), on_axis[:2]])
+    else:
+        points = rng.uniform([0, 0, 0], [10, 6, 0],
+                             (n_lanes, n_points, 3))
+        points[:, 0] = on_axis
+        points[1:3, 1] = centers[1:3] - [0.0, 0.0, 3.0]
+    for mode in te_modes(wg, med):
+        lanes = PortResponse(med, mode, wg, centers,
+                             Orientation(pitch, roll), points)
+        assert lanes.pattern.shape == (n_lanes, n_points)
+        assert lanes.direction.shape == (n_lanes, n_points, 3)
+        for lane, aim in enumerate(aims):
+            one = PortResponse(med, mode, wg, centers[lane], aim,
+                               points if shared else points[lane])
+            assert np.array_equal(lanes.r[lane], one.r)
+            assert np.array_equal(lanes.pattern[lane], one.pattern)
+            assert np.array_equal(lanes.direction[lane], one.direction)
+    # one point per lane is the P = 1 case
+    single = PortResponse(med, mode, wg, centers, Orientation(pitch, roll),
+                          on_axis[:, None])
+    for lane, aim in enumerate(aims):
+        one = PortResponse(med, mode, wg, centers[lane], aim, on_axis[lane])
+        assert np.array_equal(single.direction[lane], one.direction)
+        assert np.array_equal(single.pattern[lane], one.pattern)
+
+
 def test_gain_decreases_off_boresight():
     med, wg = _medium(), _guide()
     mode = mode_spec(1, 0, wg, med)

@@ -1,6 +1,8 @@
 """Scenario construction: default element placement, guide layout,
 mode slicing and the per-mode gain normalization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,22 @@ def test_per_mode_normalization_at_the_reference_distance():
         amplitude = scn.port_gains[q - 1] * resp.pattern[0]
         share = abs(h_wg_to_pa(mode, wg, pa)) ** 2
         assert gain == pytest.approx(amplitude ** 2 * share, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, change", [
+    ("a", {"a": 4e-3}), ("b", {"b": 1e-3}), ("aperture_scale",
+                                             {"aperture_scale": 10.0}),
+    ("num_pas", {"num_pas": 4}), ("length", {"length": 9.0}),
+    ("alpha_w", {"alpha_w": 0.1}),
+    ("axis_z", {"feed_point": np.array([0.0, 4.5, 2.5])})])
+def test_scenario_rejects_guides_that_differ_beyond_axis_y(name, change):
+    scn = build_scenario(ScenarioConfig(num_users=2))
+    guides = list(scn.waveguides)
+    guides[2] = replace(guides[2], **change)
+    with pytest.raises(ValueError, match=f"guide 2 differs from guide 0 "
+                                         f"in {name} "):
+        replace(scn, waveguides=guides)
+    # a guide moved along y only is the layout every scenario has
+    guides[2] = replace(scn.waveguides[2], feed_point=np.array([0.0, 5.9,
+                                                                3.0]))
+    assert replace(scn, waveguides=guides).waveguides[2].axis_y == 5.9
