@@ -392,7 +392,7 @@ class _SlotSolver:
         scn = self.scenario
         wg = self.link.wg
         h_wp_sq = np.exp(-wg.alpha_w * self.x) / wg.num_pas
-        cross = 0.0
+        cross = np.zeros(self.x.shape * 2 + (2,))
         for q, (mode, gain) in enumerate(zip(scn.modes, scn.port_gains)):
             # sources in their guides' frames, every user seen by each
             resp = PortResponse(scn.med, mode, wg, element_center(self.x, wg),
@@ -400,12 +400,16 @@ class _SlotSolver:
                                             roll=self.aims.roll[..., q]),
                                 self.frame_users[:, None])  # (M, J, K)
             h_pu = gain * resp.pattern * np.exp(-0.5 * scn.alpha_a * resp.r)
-            proj = np.einsum("mjsd,...mjsd->...mjs", self.rx,
-                             resp.direction[:, :, self.users])
-            cross = cross + (
-                (scn.power * self.splits[..., q])[..., None, None, None]
-                * (proj ** 2 * (h_pu ** 2 * h_wp_sq[..., None])[
-                    :, :, self.users]))
+            h_sq = h_pu ** 2 * h_wp_sq[..., None]
+            weight = scn.power * self.splits[..., q]
+            # the directions are gathered at every victim's user one
+            # source guide at a time, which bounds that array to 1/M of
+            # the table's size times 3
+            for m, direction in enumerate(resp.direction):
+                proj = np.einsum("mjsd,bmjsd->bmjs", self.rx,
+                                 direction[:, self.users])
+                cross[m] += weight[m][:, None, None, None] * (
+                    proj ** 2 * h_sq[m][:, self.users])
         return cross
 
     def rate_table(self) -> np.ndarray:
