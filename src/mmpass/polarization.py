@@ -6,10 +6,10 @@ incident field is the magnitude of the dot product with the field's
 unit direction (the channel composition squares it).  The "matched"
 policy takes the incident field direction itself, signed by one rule
 that :func:`matched_polarization` applies to any number of directions
-at once; the fixed axis and
-the codebook live in the user-centered basis of
-:func:`user_arrival_basis`.  The two-component Jones-vector description
-of the same states is kept only as a test oracle (``tests/oracles.py``).
+at once; the fixed axis and the codebook live in the user-centered
+basis of :func:`user_arrival_basis`.  The two-component Jones-vector
+description of the same states is kept only as a test oracle
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ def receive_polarization(policy: str, field_dir, user_pos,
     arriving at the user from ``source_pos``.
 
     "matched" returns :func:`matched_polarization` of the field
-    direction.  "fixed" takes the near-vertical
-    axis of :func:`user_arrival_basis`.  "codebook" takes the angle a of
+    direction.  "fixed" takes the near-vertical axis of
+    :func:`user_arrival_basis`.  "codebook" takes the angle a of
     the codebook that maximizes |cos a c_theta + sin a c_phi|, with
     (c_theta, c_phi) the field's normalized components in that basis
     (ties go to the lowest angle), and returns

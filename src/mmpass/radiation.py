@@ -25,8 +25,8 @@ or for L ports (lanes) at P shared points or at points of their own,
 it holds the distance r, the signed pattern S_q |Psi_q| / r and the
 unit GCS direction of the radiated field.  A lane's results equal
 those of its port evaluated alone, bit for bit, so callers batch every
-port of a mode into one call.  Each caller multiplies in
-its own constants: the per-mode gain normalization times the aperture
+port of a mode into one call.  Each caller multiplies in its own
+constants: the per-mode gain normalization times the aperture
 constant, absorption, guide attenuation or the raw-field amplitude.
 S_q keeps its sign everywhere, so a gain on a sidelobe where S_q < 0
 carries the physical pi phase flip.  The pattern and the direction are

@@ -310,7 +310,10 @@ def test_slot_solver_solves_each_guide_group_once(monkeypatch):
 
 def test_slot_solver_lanes_match_per_guide_solves():
     # the slot-wide solve equals solving each guide on its own link in
-    # world coordinates, lane for lane and bit for bit
+    # world coordinates, lane for lane and bit for bit; only the serving
+    # gains are compared to a tolerance, because the one-user oracle
+    # squares a numpy scalar through libm pow (off by 1 ulp in about one
+    # value per thousand)
     solver = _random_solver(5, m=3, n=3, k=9)
     scn = solver.scenario
     for m, wg in enumerate(scn.waveguides):
