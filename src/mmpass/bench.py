@@ -7,7 +7,10 @@ per-trial randomness is what an independent generator seeded with
 The outage drops of all trials are computed at once and equal those
 per-trial generators bit for bit.  The CSV header embeds the config
 hash and seed; every float column is written with 6 decimals (the
-field map rounds its dB values to 4 first).
+field map rounds its dB values to 4 first).  A driver's rows are
+written one format per row; the field map's body is written from its
+grid instead, formatting each x and y once and each intensity once,
+to the same bytes.
 """
 
 from __future__ import annotations
@@ -36,9 +39,8 @@ class ExperimentResult:
 
     def write_csv(self, out_dir) -> str:
         """Write ``<experiment>.csv`` into ``out_dir``: a metadata comment
-        line, the column header and one line per row.  The first row
-        fixes each column's format: a float (``np.float64`` included)
-        gets 6 decimals, anything else ``str``.
+        line, the column header and one line per row, as ``_body``
+        produces them.
         """
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"{self.experiment}.csv")
@@ -46,11 +48,44 @@ class ExperimentResult:
         with open(path, "w") as fh:
             fh.write(f"# experiment={self.experiment} {meta}\n")
             fh.write(",".join(self.columns) + "\n")
-            if self.rows:
-                line = ",".join("%.6f" if isinstance(v, float) else "%s"
-                                for v in self.rows[0]) + "\n"
-                fh.writelines(map(line.__mod__, self.rows))
+            fh.writelines(self._body())
         return path
+
+    def _body(self):
+        """The CSV lines of the rows.  The first row fixes each column's
+        format: a float (``np.float64`` included) gets 6 decimals,
+        anything else ``str``."""
+        if not self.rows:
+            return ()
+        line = ",".join("%.6f" if isinstance(v, float) else "%s"
+                        for v in self.rows[0]) + "\n"
+        return map(line.__mod__, self.rows)
+
+
+@dataclass(kw_only=True)
+class FieldMapResult(ExperimentResult):
+    """A field map: ``xs`` (m) and ``ys`` (m) are the grid axes and
+    ``grid_db`` the (len(ys), len(xs)) normalized intensity in dB.
+    ``rows`` holds the same points as (x, y, intensity) tuples, x
+    fastest, with x and y rounded to 6 decimals and the intensity to 4.
+    """
+    xs: np.ndarray
+    ys: np.ndarray
+    grid_db: np.ndarray
+
+    def _body(self):
+        """The rows' CSV lines, one chunk per y line, from the grid: each
+        x is formatted once into a template for the whole x axis, which
+        every y line fills with its y (formatted once) and its rounded
+        intensities.  Each value gets the rows' rounding and ``"%.6f"``,
+        so the text equals the generic rule's."""
+        fmt = "%.6f".__mod__
+        template = "".join(f"{x},{{y}},%.6f\n"
+                           for x in map(fmt, np.round(self.xs, 6).tolist()))
+        ys = map(fmt, np.round(self.ys, 6).tolist())
+        for y, line in zip(ys, self.grid_db):
+            values = np.round(line, 4).tolist()
+            yield template.replace("{y}", y) % tuple(values)
 
 
 def _metadata(cfg: ScenarioConfig, **extra) -> dict:
@@ -251,8 +286,10 @@ def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
 def power_at_outage(result: ExperimentResult, scheme: str,
                     target: float) -> float:
     """Interpolated power (dBW) where a scheme's outage crosses the
-    target, scanning from high power downward."""
-    pts = sorted((r[0], r[2]) for r in result.rows if r[1] == scheme)
+    target, scanning from high power downward: on a curve that crosses
+    more than once, the highest-power crossing."""
+    pts = sorted(((r[0], r[2]) for r in result.rows if r[1] == scheme),
+                 reverse=True)
     for (p0, o0), (p1, o1) in zip(pts, pts[1:]):
         if (o0 - target) * (o1 - target) <= 0 and o0 != o1:
             return p0 + (target - o0) * (p1 - p0) / (o1 - o0)
@@ -280,7 +317,7 @@ def run_convergence(cfg: ScenarioConfig) -> ExperimentResult:
 # radiated-field map
 
 def run_field_map(cfg: ScenarioConfig, grid_res: float = 0.01,
-                  port_pitch: float = np.pi / 4) -> ExperimentResult:
+                  port_pitch: float = np.pi / 4) -> FieldMapResult:
     """Normalized floor intensity of a dual-mode element at the ceiling
     center with ports pitched to +/- ``port_pitch``, sampled every
     ``grid_res`` m along x and every max(grid_res, 0.05) m along y."""
@@ -299,11 +336,8 @@ def run_field_map(cfg: ScenarioConfig, grid_res: float = 0.01,
                                          np.round(grid_db, 4).tolist())
             for x, v in zip(xs_r, line)]
     meta = _metadata(cfg, grid_res=grid_res, pitch=round(port_pitch, 6))
-    result = ExperimentResult("field_map", ("x", "y", "intensity_db"),
-                              rows, meta)
-    result.grid_db = grid_db
-    result.xs, result.ys = xs, ys
-    return result
+    return FieldMapResult("field_map", ("x", "y", "intensity_db"), rows,
+                          meta, xs=xs, ys=ys, grid_db=grid_db)
 
 
 @dataclass

@@ -118,6 +118,48 @@ def test_driver_csvs_match_value_oracle(tmp_path):
             assert fh.read() == csv_text(result), result.experiment
 
 
+@pytest.mark.parametrize("pitch", [np.pi / 4, 0.6])
+def test_field_map_csv_from_grid_matches_value_oracle(pitch, tmp_path):
+    # the benchmark's default resolution (121 121 rows): the grid writer
+    # gives the bytes the one-format-per-row rule gives, through the one
+    # write method the export span wraps
+    result = bench.run_field_map(ScenarioConfig(), port_pitch=pitch)
+    assert isinstance(result, bench.FieldMapResult)
+    assert type(result).write_csv is bench.ExperimentResult.write_csv
+    assert len(result.rows) == 121_121
+    with open(result.write_csv(tmp_path)) as fh:
+        lines = fh.read().split("\n")
+    # compared as lists, so a failure names its first line
+    assert lines == csv_text(result).split("\n")
+
+
+def test_power_at_outage_takes_the_highest_power_crossing():
+    # noise makes this curve cross 0.1 three times, at -18.4, -17.33 and
+    # -13 dBW; scanning down from high power meets -13 first
+    curve = _synthetic("outage", ("power_dbw", "scheme", "outage"),
+                       [(-12.0, "MM", 0.0), (-20.0, "MM", 0.3),
+                        (-18.0, "MM", 0.05), (-16.0, "MM", 0.2),
+                        (-14.0, "MM", 0.2)])
+    assert bench.power_at_outage(curve, "MM", 0.1) == pytest.approx(-13.0)
+    with pytest.raises(ValueError, match="never crosses"):
+        bench.power_at_outage(curve, "MM", 0.5)
+    with pytest.raises(ValueError, match="never crosses"):
+        bench.power_at_outage(curve, "SM-TDMA", 0.1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rate_vs_power_keeps_the_scheme_ordering(seed):
+    # polarization-aware multi-mode serves best, the codebook beats the
+    # fixed polarization, and multi-mode beats single-mode at each power
+    rows = bench.run_rate_vs_power(ScenarioConfig(seed=seed),
+                                   [-10.0, 10.0, 30.0]).rows
+    for power in (-10.0, 10.0, 30.0):
+        rate = {r[1]: r[2] for r in rows if r[0] == power}
+        assert (rate["PA-MM"] > rate["DP-MM"] > rate["PI-MM"]
+                > rate["PI-SM"]), (power, rate)
+        assert rate["PA-MM"] > rate["PA-SM"], (power, rate)
+
+
 def test_scaling_rows_report_the_users_they_ran_with():
     # listed users fix K: every row carries their count, and there is no
     # user-count sweep to run
