@@ -35,11 +35,20 @@ scaled by the slot count.  Receive polarization policies: "PA" matches
 the incident field exactly, "PI" fixes the near-vertical transverse
 axis of the user's own frame, "DP" picks the best of 18 uniformly
 spaced codebook angles.
+
+Stages 1 and 2 and the splits W_p assume the matched policy whatever
+the scheme, so the schemes compare receive policies on one deployment.
+That deployment is shared: the grouping per scenario, and the
+assignment, the placements, W_p and the matched field directions per
+(scenario, mode count), so PA-MM, PI-MM and DP-MM share one and PA-SM
+and PI-SM another.  Each scheme runs only its receive policy, the
+channel assembly, stage 3 and the rate report.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -202,16 +211,20 @@ def group_users(users, waveguide_ys, q: int = 2) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # stage 2: element-to-group assignment
 
-@dataclass
+@dataclass(frozen=True)
 class AssignmentMatrix:
-    """Binary element-to-group incidence, rows = elements."""
+    """Binary element-to-group incidence, rows = elements.  ``x`` is a
+    read-only copy of the matrix given, since the results of every
+    scheme run on one deployment share it."""
 
     x: np.ndarray
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.int8)
-        if self.x.ndim != 2 or not np.isin(self.x, (0, 1)).all():
+        x = np.array(self.x, dtype=np.int8)
+        if x.ndim != 2 or not np.isin(x, (0, 1)).all():
             raise ValueError("assignment must be a binary matrix")
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
 
 
 def hungarian_assign(rate_table: np.ndarray) -> AssignmentMatrix:
@@ -674,8 +687,33 @@ def _enforce_min_spacing(positions: dict, min_gap: float, length: float) -> dict
     return out
 
 
-def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
-                slot_users) -> SlotSolution:
+@dataclass(frozen=True)
+class _SlotDeployment:
+    """The scheme-free part of one time slot: the slot's scenario with
+    the assigned elements placed, the assignment, the port-resolved
+    splits W_p (rows (element, mode), columns the slot's users) and,
+    for each served user, the matched field direction of its serving
+    port and that element's center.  Every scheme of the slot's mode
+    count reads it, so its arrays are read-only."""
+
+    scenario: Scenario
+    user_indices: np.ndarray           # global ids of the slot's users
+    assignment: AssignmentMatrix
+    w_p: np.ndarray
+    served_users: np.ndarray           # (S,) their slot-local ids
+    fields: np.ndarray                 # (S, 3) matched field directions
+    sources: np.ndarray                # (S, 3) serving element centers
+
+    def __post_init__(self):
+        for value in (self.user_indices, self.w_p, self.served_users,
+                      self.fields, self.sources):
+            value.flags.writeable = False
+
+
+def _deploy_slot(scenario: Scenario, slot_groups,
+                 slot_users) -> _SlotDeployment:
+    """Rate table, Hungarian assignment, greedy fill, element spacing
+    and splits of one slot, for any receive policy."""
     local = {k: idx for idx, k in enumerate(slot_users)}
     groups_local = [tuple(local[k] for k in g) for g in slot_groups]
     slot_scn = replace(scenario, users=scenario.users[slot_users],
@@ -698,8 +736,6 @@ def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
             placements[m][n] = replace(placements[m][n], x_position=spaced[n],
                                        orientations=solver.port_aims(m, j))
 
-    # unserved users keep any unit vector; no stream is mapped to them
-    rx = np.tile([0.0, 0.0, 1.0], (len(slot_users), 1))
     w_p = np.zeros((solver.guide.size * n_modes, len(slot_users)))
     serving = {}
     for i, m, j in served:
@@ -707,22 +743,63 @@ def _solve_slot(scenario: Scenario, scheme: Scheme, slot_groups,
             k = int(solver.users[m, j, s])
             w_p[i * n_modes + s, k] = np.sqrt(solver.splits[m, j, s])
             serving.setdefault(k, (m, j, s))  # lowest element first
-    for k, (m, j, s) in serving.items():
-        wg = slot_scn.waveguides[m]
-        pa_pos = np.array([solver.x[m, j], wg.axis_y, wg.axis_z])
+    return _SlotDeployment(
+        scenario=replace(slot_scn, placements=placements),
+        user_indices=np.asarray(slot_users), assignment=assignment, w_p=w_p,
+        served_users=np.array(list(serving)),
+        fields=np.array([solver.rx[m, j, s] for m, j, s in serving.values()]),
+        sources=np.array([element_center(solver.x[m, j],
+                                         slot_scn.waveguides[m])
+                          for m, j, _ in serving.values()]))
+
+
+def _solve_slot(deployment: _SlotDeployment, rx_policy: str) -> SlotSolution:
+    """Receive vectors, channel, FP precoding and rates of one deployed
+    slot under a receive policy."""
+    scn = deployment.scenario
+    # unserved users keep any unit vector; no stream is mapped to them
+    rx = np.tile([0.0, 0.0, 1.0], (scn.num_users, 1))
+    for k, field, source in zip(deployment.served_users, deployment.fields,
+                                deployment.sources):
         # the matched vector is the serving field direction up to a
         # sign, and no policy depends on that sign
-        rx[k] = receive_polarization(scheme.rx_policy, solver.rx[m, j, s],
-                                     slot_scn.users[k], pa_pos)
+        rx[k] = receive_polarization(rx_policy, field, scn.users[k], source)
+    matrices = channel.assemble(scn, rx)
+    fact, trace = fp_precoding(matrices.h, deployment.w_p, scn.power,
+                               scn.noise)
+    report = channel.rate_report(matrices.h, fact.w, scn.power, scn.noise)
+    return SlotSolution(user_indices=deployment.user_indices,
+                        assignment=deployment.assignment,
+                        placements=[list(row) for row in scn.placements],
+                        rx=rx, report=report, trace=trace)
 
-    deployed = replace(slot_scn, placements=placements)
-    matrices = channel.assemble(deployed, rx)
-    fact, trace = fp_precoding(matrices.h, w_p, slot_scn.power, slot_scn.noise)
-    report = channel.rate_report(matrices.h, fact.w, slot_scn.power,
-                                 slot_scn.noise)
-    return SlotSolution(user_indices=np.asarray(slot_users),
-                        assignment=assignment, placements=placements, rx=rx,
-                        report=report, trace=trace)
+
+# The scheme-free deployment of every scenario a scheme has run on:
+# scenario -> (its groups, {mode count: slot deployments}).  No entry
+# refers to its scenario, so an entry goes when its scenario does.
+_DEPLOYMENTS = weakref.WeakKeyDictionary()
+
+
+def _deployment(scenario: Scenario, num_modes: int) -> list[_SlotDeployment]:
+    """The slot deployments of ``scenario`` with ``num_modes`` modes,
+    grouped and deployed on first use.  Single-mode deployments split
+    every pair into two singletons, which fill the slots in turn."""
+    entry = _DEPLOYMENTS.get(scenario)
+    if entry is None:
+        wg_ys = [wg.axis_y for wg in scenario.waveguides]
+        entry = _DEPLOYMENTS[scenario] = (
+            group_users(scenario.users, wg_ys, q=2), {})
+    groups, by_modes = entry
+    if num_modes not in by_modes:
+        if num_modes == 1:
+            groups = ([(g[0],) for g in groups]
+                      + [(g[1],) for g in groups if len(g) > 1])
+        work = scenario.with_modes(num_modes)
+        mn = scenario.num_waveguides * scenario.num_pas
+        by_modes[num_modes] = [_deploy_slot(work, sub,
+                                            [k for g in sub for k in g])
+                               for sub in _chunks(groups, mn)]
+    return by_modes[num_modes]
 
 
 def optimize_scenario(scenario: Scenario, scheme_name: str) -> SchemeResult:
@@ -733,25 +810,23 @@ def optimize_scenario(scenario: Scenario, scheme_name: str) -> SchemeResult:
     user).  Single-mode schemes serve the same pairs in time slots (one
     user per element per slot, fundamental mode only) and scale rates
     by the slot count.
+
+    The deployment does not depend on the receive policy, so it is
+    computed once per scenario and mode count and kept while the
+    scenario lives: the grouping once per scenario, and the pair solve,
+    rate table, Hungarian assignment, greedy fill, element spacing,
+    splits W_p and matched field directions once for PA-MM, PI-MM and
+    DP-MM together and once for PA-SM and PI-SM.  Each scheme runs only
+    its receive policy, the channel assembly and FP.  The results of
+    one deployment share its read-only assignment and user ids; each
+    result has its own placement lists.
     """
     scheme = parse_scheme(scheme_name)
-    wg_ys = [wg.axis_y for wg in scenario.waveguides]
-    groups = group_users(scenario.users, wg_ys, q=2)
-    work = scenario.with_modes(scheme.num_modes)
-    mn = scenario.num_waveguides * scenario.num_pas
-
-    if scheme.num_modes == 1:
-        groups = ([(g[0],) for g in groups]
-                  + [(g[1],) for g in groups if len(g) > 1])
-
-    slot_groups = _chunks(groups, mn)
-    n_slots = len(slot_groups)
-    slots = []
+    slots = [_solve_slot(deployment, scheme.rx_policy)
+             for deployment in _deployment(scenario, scheme.num_modes)]
+    n_slots = len(slots)
     rates = np.zeros(scenario.num_users)
-    for sub in slot_groups:
-        slot_users = [k for g in sub for k in g]
-        sol = _solve_slot(work, scheme, sub, slot_users)
-        slots.append(sol)
+    for sol in slots:
         rates[sol.user_indices] = sol.report.per_user_rate / n_slots
 
     max_len = max(len(s.trace) for s in slots)

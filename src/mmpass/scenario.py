@@ -38,11 +38,25 @@ _UNIFORM_GUIDE_FIELDS = ("a", "b", "aperture_scale", "num_pas", "length",
                          "alpha_w", "axis_z")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Scenario:
+    """The inputs of one end-to-end evaluation, immutable.
+
+    Its fields cannot be reassigned, its ``users``, ``noise`` and
+    ``gain_norm`` arrays are read-only, and its guides and modes are
+    tuples of frozen specs.  ``multiuser.optimize_scenario`` deploys
+    the elements once per scenario and reuses that deployment for every
+    scheme run on it while the scenario lives, which is sound only if
+    the scenario cannot change under it.  The element ``placements``
+    stay lists, as the deployment replaces them instead of reading
+    them.  Scenarios compare and hash by identity;
+    ``dataclasses.replace`` derives a changed copy, which is deployed
+    anew.
+    """
+
     med: MediumConstants
-    waveguides: list[WaveguideSpec]
-    modes: list[ModeSpec]
+    waveguides: tuple[WaveguideSpec, ...]
+    modes: tuple[ModeSpec, ...]
     placements: list[list[PaPlacement]]
     users: np.ndarray  # (K, 3), floor plane
     power: float  # total transmit power, W
@@ -51,6 +65,8 @@ class Scenario:
     gain_norm: np.ndarray | None = None  # per-mode scale on port-to-user gains
 
     def __post_init__(self):
+        object.__setattr__(self, "waveguides", tuple(self.waveguides))
+        object.__setattr__(self, "modes", tuple(self.modes))
         first = self.waveguides[0]
         for m, wg in enumerate(self.waveguides[1:], start=1):
             for name in _UNIFORM_GUIDE_FIELDS:
@@ -59,13 +75,17 @@ class Scenario:
                         f"guide {m} differs from guide 0 in {name} "
                         f"({getattr(wg, name)!r} vs {getattr(first, name)!r})"
                         "; guides may differ only in axis_y")
-        self.users = np.atleast_2d(np.asarray(self.users, dtype=float))
-        self.noise = np.broadcast_to(
-            np.asarray(self.noise, dtype=float), (self.num_users,)).copy()
-        if np.any(self.noise <= 0):
+        users = np.array(self.users, dtype=float, ndmin=2)
+        noise = np.broadcast_to(np.asarray(self.noise, dtype=float),
+                                (users.shape[0],)).copy()
+        if np.any(noise <= 0):
             raise ValueError("noise power must be positive")
-        if self.gain_norm is None:
-            self.gain_norm = np.ones(len(self.modes))
+        gain_norm = (np.ones(len(self.modes)) if self.gain_norm is None
+                     else np.array(self.gain_norm, dtype=float))
+        for name, value in (("users", users), ("noise", noise),
+                            ("gain_norm", gain_norm)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def num_waveguides(self) -> int:

@@ -68,7 +68,8 @@ class WaveguideSpec:
     ``alpha_w`` is the internal power attenuation in Np/m (dB inputs are
     converted at config ingestion).  ``aperture_scale`` sets the size of
     the radiating aperture of each port relative to the guide cross
-    section; it does not alter the modal constants.
+    section; it does not alter the modal constants.  ``feed_point`` is
+    kept as a read-only copy.
     """
 
     a: float
@@ -86,8 +87,9 @@ class WaveguideSpec:
             raise ValueError("alpha_w must be >= 0")
         if self.num_pas < 1:
             raise ValueError("num_pas must be >= 1")
-        object.__setattr__(self, "feed_point",
-                           np.asarray(self.feed_point, dtype=float))
+        feed_point = np.array(self.feed_point, dtype=float)
+        feed_point.flags.writeable = False
+        object.__setattr__(self, "feed_point", feed_point)
 
     @property
     def axis_y(self) -> float:

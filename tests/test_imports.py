@@ -143,8 +143,6 @@ READ_OUTSIDE = {
     "bench.LobeMetrics.peak_db": "perfbench fingerprints vars(lobe)",
     "placement.TwoUserSolution.used_fallback":
         "the perfbench tracer counts pair-solve fallbacks",
-    "multiuser.SlotSolution.assignment":
-        "the perfbench checks and greedy-fill counter read it",
     "channel.ChannelMatrix.h_wp": "tests check H = (Lambda o H_pu) H_wp",
     "channel.ChannelMatrix.h_pu": "tests check H = (Lambda o H_pu) H_wp",
     "geometry.SphericalBasis.upsilon": "it completes the orthonormal triad",

@@ -1,5 +1,8 @@
+import gc
 import itertools
 import warnings
+import weakref
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -707,6 +710,108 @@ def test_single_mode_uses_time_slots(nominal_results):
     assert len(res.slots) == 2
     served = np.concatenate([s.user_indices for s in res.slots])
     assert sorted(served.tolist()) == list(range(8))
+
+
+SCHEMES = ("pa-mm", "pi-mm", "dp-mm", "pa-sm", "pi-sm")
+
+
+def _spare_scenario():
+    # 2x3 elements for three pairs and a singleton: greedy fill places
+    # two spares, and the singleton-only single-mode run takes two slots
+    cfg = ScenarioConfig(num_waveguides=2, pas_per_waveguide=3,
+                         num_users=7, seed=4)
+    return build_scenario(cfg)
+
+
+def _run_schemes(scn_for):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return {scheme: optimize_scenario(scn_for(scheme), scheme)
+                for scheme in SCHEMES}
+
+
+def test_schemes_on_one_scenario_match_their_own_runs():
+    scn = _spare_scenario()
+    shared = _run_schemes(lambda scheme: scn)
+    alone = _run_schemes(lambda scheme: replace(scn))
+    for scheme in SCHEMES:
+        a, b = shared[scheme], alone[scheme]
+        assert np.array_equal(a.report.per_user_rate,
+                              b.report.per_user_rate), scheme
+        assert np.array_equal(a.trace, b.trace), scheme
+        assert len(a.slots) == len(b.slots)
+        for sa, sb in zip(a.slots, b.slots):
+            assert np.array_equal(sa.assignment.x, sb.assignment.x), scheme
+            assert sa.placements == sb.placements, scheme
+    # the schemes of one mode count share the deployment
+    for group in (("pa-mm", "pi-mm", "dp-mm"), ("pa-sm", "pi-sm")):
+        for scheme in group[1:]:
+            for s0, s1 in zip(shared[group[0]].slots, shared[scheme].slots):
+                assert s1.assignment is s0.assignment
+    assert len(shared["pa-mm"].slots) == 1
+    assert len(shared["pa-sm"].slots) == 2
+    assert shared["pa-mm"].slots[0].assignment.x.sum() == 6  # spares placed
+
+
+def test_one_deployment_per_scenario_and_mode_count(monkeypatch):
+    calls = {"group": 0, "pair": 0, "single": 0}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name, attr in (("group", "group_users"),
+                       ("pair", "two_user_shared_position"),
+                       ("single", "solve_single_user")):
+        monkeypatch.setattr(multiuser, attr,
+                            counting(name, getattr(multiuser, attr)))
+    scn = _spare_scenario()
+    results = _run_schemes(lambda scheme: scn)
+    assert calls["group"] == 1
+    # the multi-mode slot holds the pairs and the singleton, each
+    # single-mode slot only singletons
+    slots = len(results["pa-mm"].slots) + len(results["pa-sm"].slots)
+    assert calls["pair"] == len(results["pa-mm"].slots) == 1
+    assert calls["single"] == slots == 3
+
+
+def test_one_result_cannot_change_another():
+    scn = _spare_scenario()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        first = optimize_scenario(scn, "pa-mm")
+        second = optimize_scenario(scn, "pi-mm")
+        slot = first.slots[0]
+        x = slot.assignment.x.copy()
+        before = [list(row) for row in second.slots[0].placements]
+        with pytest.raises(ValueError):
+            slot.assignment.x[0, 0] = 1 - x[0, 0]
+        with pytest.raises(ValueError):
+            slot.user_indices[0] = 99
+        with pytest.raises(FrozenInstanceError):
+            slot.assignment.x = np.zeros_like(x)
+        slot.placements[0][0] = replace(slot.placements[0][0],
+                                        x_position=-1.0)
+        assert second.slots[0].placements == before
+        third = optimize_scenario(scn, "dp-mm")
+    assert np.array_equal(second.slots[0].assignment.x, x)
+    assert third.slots[0].placements == before
+
+
+def test_deployment_cache_does_not_keep_its_scenario():
+    scn = _spare_scenario()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        optimize_scenario(scn, "pa-sm")
+    key = weakref.ref(scn)
+    _, by_modes = multiuser._DEPLOYMENTS[scn]
+    deployment = weakref.ref(by_modes[1][0])
+    del scn, by_modes
+    gc.collect()
+    assert key() is None
+    assert deployment() is None
 
 
 def test_parse_scheme_variants():

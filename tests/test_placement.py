@@ -32,7 +32,7 @@ def _scenario(alpha_w=ALPHA_W, equal_modes=False):
         # identical boresight gains
         psi0 = np.array([1 + m.propagation_constant / scn.med.k0
                          for m in scn.modes])
-        scn.gain_norm = scn.gain_norm / psi0
+        scn = replace(scn, gain_norm=scn.gain_norm / psi0)
     return scn
 
 

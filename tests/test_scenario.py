@@ -1,11 +1,14 @@
 """Scenario construction: default element placement, guide layout,
-mode slicing and the per-mode gain normalization."""
+mode slicing, the per-mode gain normalization, and the immutability
+that lets a scenario keep one deployment."""
 
-from dataclasses import replace
+import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from mmpass import multiuser
 from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.placement import LinkModel
 from mmpass.radiation import PortResponse
@@ -97,3 +100,45 @@ def test_scenario_rejects_guides_that_differ_beyond_axis_y(name, change):
     guides[2] = replace(scn.waveguides[2], feed_point=np.array([0.0, 5.9,
                                                                 3.0]))
     assert replace(scn, waveguides=guides).waveguides[2].axis_y == 5.9
+
+
+def test_scenario_fields_cannot_be_reassigned():
+    scn = build_scenario(ScenarioConfig(num_users=2))
+    with pytest.raises(FrozenInstanceError):
+        scn.power = 1.0
+    with pytest.raises(FrozenInstanceError):
+        scn.gain_norm = np.ones(2)
+    with pytest.raises(TypeError):
+        scn.waveguides[0] = scn.waveguides[1]
+    with pytest.raises(ValueError):
+        scn.waveguides[0].feed_point[1] = 0.0
+
+
+@pytest.mark.parametrize("name", ["users", "noise", "gain_norm"])
+def test_scenario_arrays_are_read_only(name):
+    users = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]])
+    scn = build_scenario(ScenarioConfig(num_users=2), users=users)
+    with pytest.raises(ValueError):
+        getattr(scn, name)[0] = 1.0
+    # the caller's array is copied, not frozen
+    users[0, 0] = 5.0
+    assert scn.users[0, 0] == 1.0
+
+
+def test_replaced_scenario_is_deployed_anew(monkeypatch):
+    powers = []
+    solve = multiuser.two_user_shared_position
+
+    def recording(user1, user2, link, power, sigmas):
+        powers.append(power)
+        return solve(user1, user2, link, power, sigmas)
+
+    monkeypatch.setattr(multiuser, "two_user_shared_position", recording)
+    scn = build_scenario(ScenarioConfig(num_waveguides=2, pas_per_waveguide=2,
+                                        num_users=4))
+    louder = replace(scn, power=10.0 * scn.power)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for run in (scn, scn, louder, louder):
+            multiuser.optimize_scenario(run, "pa-mm")
+    assert powers == [scn.power, louder.power]
