@@ -7,7 +7,8 @@ from .waveguide import (MediumConstants, ModeSpec, PaPlacement, WaveguideSpec,
 from .radiation import PortResponse, intensity_map, pattern_factor
 from .polarization import receive_polarization
 from .scenario import Scenario, make_scenario
-from .channel import ChannelMatrix, RateReport, assemble, rate_report
+from .channel import (ChannelMatrix, PortFactors, RateReport, assemble,
+                      port_factors, rate_report)
 from .placement import (LinkModel, SingleUserSolution, TwoUserSolution,
                         gain_log_derivative, optimal_orientation,
                         optimal_position, two_user_shared_position)

@@ -6,6 +6,12 @@ block-diagonal guide-to-port factor.  Row k, column (m, q) collects
 the coherent sum over the N elements of waveguide m radiating mode q
 toward user k.
 
+Assembly comes in two steps.  :func:`port_factors` evaluates what does
+not depend on the receive vectors: H_wp, H_pu and the unit field
+direction of every port at every user.  :func:`assemble` composes
+those factors with one set of receive vectors into Lambda and H, so
+receive policies compared on one deployment share its factors.
+
 Per-user rates use R_k = (1/2) log2(1 + SINR_k); the 1/2 prefactor is
 kept in every evaluator (baselines included) so that all reported
 numbers share one convention.
@@ -23,50 +29,42 @@ from .scenario import Scenario
 from .waveguide import assemble_H_wp
 
 
+@dataclass(frozen=True)
+class PortFactors:
+    """The receive-policy-free factors of a scenario's channel, columns
+    in port order (element-major, mode-minor).  Its arrays are
+    read-only, so compositions under different receive vectors can
+    share them."""
+
+    h_wp: np.ndarray        # QMN x QM complex
+    h_pu: np.ndarray        # K x QMN complex
+    directions: np.ndarray  # (K, QMN, 3) unit field directions
+
+    def __post_init__(self):
+        for value in (self.h_wp, self.h_pu, self.directions):
+            value.flags.writeable = False
+
+
 @dataclass
 class ChannelMatrix:
-    """The three factors and the assembled end-to-end matrix."""
+    """The polarization mask and the composed end-to-end matrix."""
 
-    h_wp: np.ndarray    # QMN x QM complex
-    h_pu: np.ndarray    # K x QMN complex
     lam: np.ndarray     # K x QMN real in [0, 1]
     h: np.ndarray       # K x QM complex
 
 
-def rx_world_vectors(scenario: Scenario, rx_polarizations) -> np.ndarray:
-    """The receive vectors as a (K, 3) float array of unit vectors, one
-    row per user of the scenario; any other shape or a row off unit
-    norm raises ValueError."""
-    vecs = np.asarray(rx_polarizations, dtype=float)
-    expected = (scenario.num_users, 3)
-    if vecs.shape != expected:
-        raise ValueError(f"rx polarizations have shape {vecs.shape}, "
-                         f"expected {expected}")
-    norms = np.linalg.norm(vecs, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise ValueError("rx polarizations must be unit-norm")
-    return vecs / norms[:, None]
-
-
-def assemble(scenario: Scenario, rx_polarizations) -> ChannelMatrix:
-    """Build H_wp, H_pu and Lambda for a scenario and compose them.
-
-    ``rx_polarizations`` is a (K, 3) array of unit receive vectors in
-    the GCS, one row per user.  Lambda entries are |p_k . unit(E)| for
-    every port, so the mask is exact on each user's matched plane and
-    projects physically for all other ports.  Each mode's ports of all
-    M N elements are evaluated in one ``PortResponse`` call.
-    """
-    rx = rx_world_vectors(scenario, rx_polarizations)
+def port_factors(scenario: Scenario) -> PortFactors:
+    """H_wp, H_pu and the unit field directions of a scenario's ports
+    at its users.  Each mode's ports of all M N elements are evaluated
+    in one ``PortResponse`` call."""
     n_modes, n_users = scenario.num_modes, scenario.num_users
     med = scenario.med
     elements = [(wg, pa) for wg, pas in zip(scenario.waveguides,
                                             scenario.placements)
                 for pa in pas]                  # in wp_row order
     centers = np.array([pa.center(wg) for wg, pa in elements])
-    h_wp = assemble_H_wp(scenario)
     h_pu = np.zeros((n_users, len(elements) * n_modes), dtype=complex)
-    lam = np.zeros((n_users, len(elements) * n_modes))
+    directions = np.zeros((n_users, len(elements) * n_modes, 3))
     for q, (mode, gain) in enumerate(zip(scenario.modes,
                                          scenario.port_gains)):
         aims = [pa.orientations[q] for _, pa in elements]
@@ -77,9 +75,39 @@ def assemble(scenario: Scenario, rx_polarizations) -> ChannelMatrix:
         h_pu[:, q::n_modes] = (gain * resp.pattern
                                * np.exp(-0.5 * scenario.alpha_a * resp.r)
                                * np.exp(-1j * med.k0 * resp.r)).T
-        lam[:, q::n_modes] = np.abs(np.sum(rx * resp.direction, axis=-1)).T
-    h = (lam * h_pu) @ h_wp
-    return ChannelMatrix(h_wp=h_wp, h_pu=h_pu, lam=lam, h=h)
+        directions[:, q::n_modes] = resp.direction.transpose(1, 0, 2)
+    return PortFactors(h_wp=assemble_H_wp(scenario), h_pu=h_pu,
+                       directions=directions)
+
+
+def rx_world_vectors(num_users: int, rx_polarizations) -> np.ndarray:
+    """The receive vectors as a (K, 3) float array of unit vectors, one
+    row per user; any other shape or a row off unit norm raises
+    ValueError."""
+    vecs = np.asarray(rx_polarizations, dtype=float)
+    expected = (num_users, 3)
+    if vecs.shape != expected:
+        raise ValueError(f"rx polarizations have shape {vecs.shape}, "
+                         f"expected {expected}")
+    norms = np.linalg.norm(vecs, axis=1)
+    if np.any(np.abs(norms - 1.0) > 1e-6):
+        raise ValueError("rx polarizations must be unit-norm")
+    return vecs / norms[:, None]
+
+
+def assemble(factors: PortFactors, rx_polarizations) -> ChannelMatrix:
+    """Compose a scenario's port factors under one set of receive
+    vectors.
+
+    ``rx_polarizations`` is a (K, 3) array of unit receive vectors in
+    the GCS, one row per user.  Lambda entries are |p_k . unit(E)| for
+    every port, so the mask is exact on each user's matched plane and
+    projects physically for all other ports; H = (Lambda o H_pu) H_wp.
+    """
+    rx = rx_world_vectors(factors.h_pu.shape[0], rx_polarizations)
+    lam = np.abs(np.sum(rx[:, None] * factors.directions, axis=-1))
+    h = (lam * factors.h_pu) @ factors.h_wp
+    return ChannelMatrix(lam=lam, h=h)
 
 
 def _check_power(w: np.ndarray):

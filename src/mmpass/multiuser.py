@@ -39,10 +39,11 @@ spaced codebook angles.
 Stages 1 and 2 and the splits W_p assume the matched policy whatever
 the scheme, so the schemes compare receive policies on one deployment.
 That deployment is shared: the grouping per scenario, and the
-assignment, the placements, W_p and the matched field directions per
-(scenario, mode count), so PA-MM, PI-MM and DP-MM share one and PA-SM
-and PI-SM another.  Each scheme runs only its receive policy, the
-channel assembly, stage 3 and the rate report.
+assignment, the placements, W_p, the matched field directions and the
+channel's port factors per (scenario, mode count), so PA-MM, PI-MM and
+DP-MM share one and PA-SM and PI-SM another.  Each scheme runs only
+its receive policy, the composition of the port factors under it,
+stage 3 and the rate report.
 """
 
 from __future__ import annotations
@@ -555,16 +556,6 @@ def _power_multiplier(lam, d, start=0.0):
 _FP_TOL = 1e-6
 
 
-def _fp_rates(h, w, power, noise):
-    """SINRs, received stream amplitudes v = h W (K x K) and the total
-    received power plus noise of every user."""
-    v = h @ w
-    gains = (v * v.conj()).real
-    total = power * gains.sum(axis=1) + noise
-    signal = power * gains.diagonal()
-    return signal / (total - signal), v, total
-
-
 def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
                  max_iter: int = 200):
     """Maximize the sum rate over the mode mixer G for fixed splits W_p.
@@ -581,10 +572,19 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
     form G W_p.  chi makes ||W||_F^2 meet the unit budget: the root of
     the secular equation with weights d_i = ||(U^H R Pi)_i||^2
     (``_power_multiplier``, started from the previous iteration's chi).
-    The loop stops when the sum rate gains less than ``_FP_TOL`` in one
-    iteration (``converged``) or after ``max_iter`` iterations.
-    Returns the factorization and the per-iteration sum-rate trace (1/2
-    log2 convention).
+
+    Each pass reads the received amplitudes v = h W once.  With T_k the
+    received power plus noise of user k and S_k its signal power, the
+    auxiliary updates c1_k = SINR_k = S_k / (T_k - S_k) and
+    c2_k = sqrt(P) v_kk / T_k enter only as
+    sqrt(P) (1 + c1_k) c2_k = P v_kk / (T_k - S_k) and
+    mu_k = P SINR_k / T_k.  The product h U serves both U^H R = (h U)^H
+    diag(...) and the next v = (h U) diag(1 / (lam + chi)) U^H R Pi, so
+    W itself is formed once, after the loop.  The loop stops when the
+    sum rate gains less than ``_FP_TOL`` in one iteration
+    (``converged``) or after ``max_iter`` iterations; with none, W is
+    the normalized matched-filter start.  Returns the factorization and
+    the per-iteration sum-rate trace (1/2 log2 convention).
     """
     h = np.asarray(h, dtype=complex)
     k_users = h.shape[0]
@@ -607,32 +607,37 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
     sum_rate_prev = -np.inf
     chi = 0.0
     converged = False
-    sqrt_p = math.sqrt(power)
-    sinr, v, total = _fp_rates(h, w, power, noise)
-    for _ in range(max_iter):
-        c1 = sinr
-        c2 = sqrt_p * v.diagonal() / total
-        weight = (1 + c1) * c2
-        mu = power * (weight * c2.conj()).real
-        lam, u_eig = np.linalg.eigh((h_adj * mu) @ h)
+    v = h @ w
+    # pass i scores the W of iteration i (none on pass 0, the start)
+    # and, below the cap, runs iteration i + 1
+    for it in range(max_iter + 1):
+        gains = (v * v.conj()).real
+        total = power * gains.sum(axis=1) + noise
+        signal = power * gains.diagonal()
+        rest = total - signal
+        sinr = signal / rest
+        if it:
+            sum_rate = 0.5 * float(np.log2(1.0 + sinr).sum())
+            trace.append(sum_rate)
+            if abs(sum_rate - sum_rate_prev) < _FP_TOL:
+                converged = True
+                break
+            sum_rate_prev = sum_rate
+        if it == max_iter:
+            break
+        lam, u_eig = np.linalg.eigh((h_adj * (power * sinr / total)) @ h)
         lam = np.maximum(lam, 0.0)
-        m1 = ((u_eig.conj().T @ h_adj) * (sqrt_p * weight)) @ proj
+        hu = h @ u_eig
+        m1 = (hu.conj().T * (power * v.diagonal() / rest)) @ proj
         d_diag = (m1 * m1.conj()).real.sum(axis=1)
 
         chi = _power_multiplier(lam, d_diag, chi)
         denom = lam + chi
-        safe = np.where(denom > 0, denom, np.inf)
-        w = u_eig @ (m1 / safe[:, None])
+        step = m1 / np.where(denom > 0, denom, np.inf)[:, None]
+        v = hu @ step
 
-        # the next iteration starts from this w, so it reuses its rates
-        sinr, v, total = _fp_rates(h, w, power, noise)
-        sum_rate = 0.5 * float(np.log2(1.0 + sinr).sum())
-        trace.append(sum_rate)
-        if abs(sum_rate - sum_rate_prev) < _FP_TOL:
-            converged = True
-            break
-        sum_rate_prev = sum_rate
-
+    if trace:
+        w = u_eig @ step
     final = PrecoderFactorization(w=w, chi=float(chi), iterations=len(trace),
                                   converged=converged)
     return final, np.asarray(trace)
@@ -649,6 +654,8 @@ class SlotSolution:
     rx: np.ndarray                     # (K_slot, 3) receive vectors
     report: channel.RateReport
     trace: np.ndarray
+    iterations: int                    # FP iterations run
+    converged: bool                    # FP stopped by its tolerance
 
 
 @dataclass
@@ -691,15 +698,19 @@ def _enforce_min_spacing(positions: dict, min_gap: float, length: float) -> dict
 class _SlotDeployment:
     """The scheme-free part of one time slot: the slot's scenario with
     the assigned elements placed, the assignment, the port-resolved
-    splits W_p (rows (element, mode), columns the slot's users) and,
-    for each served user, the matched field direction of its serving
-    port and that element's center.  Every scheme of the slot's mode
-    count reads it, so its arrays are read-only."""
+    splits W_p (rows (element, mode), columns the slot's users), the
+    channel's port factors on the placed elements (H_wp, H_pu and every
+    port's field direction at every user) and, for each served user,
+    the matched field direction of its serving port and that element's
+    center.  Every scheme of the slot's mode count reads it, so its
+    arrays are read-only; a scheme adds only its receive vectors and
+    the composition of the factors under them."""
 
     scenario: Scenario
     user_indices: np.ndarray           # global ids of the slot's users
     assignment: AssignmentMatrix
     w_p: np.ndarray
+    factors: channel.PortFactors
     served_users: np.ndarray           # (S,) their slot-local ids
     fields: np.ndarray                 # (S, 3) matched field directions
     sources: np.ndarray                # (S, 3) serving element centers
@@ -712,8 +723,9 @@ class _SlotDeployment:
 
 def _deploy_slot(scenario: Scenario, slot_groups,
                  slot_users) -> _SlotDeployment:
-    """Rate table, Hungarian assignment, greedy fill, element spacing
-    and splits of one slot, for any receive policy."""
+    """Rate table, Hungarian assignment, greedy fill, element spacing,
+    splits and channel port factors of one slot, for any receive
+    policy."""
     local = {k: idx for idx, k in enumerate(slot_users)}
     groups_local = [tuple(local[k] for k in g) for g in slot_groups]
     slot_scn = replace(scenario, users=scenario.users[slot_users],
@@ -743,9 +755,11 @@ def _deploy_slot(scenario: Scenario, slot_groups,
             k = int(solver.users[m, j, s])
             w_p[i * n_modes + s, k] = np.sqrt(solver.splits[m, j, s])
             serving.setdefault(k, (m, j, s))  # lowest element first
+    deployed = replace(slot_scn, placements=placements)
     return _SlotDeployment(
-        scenario=replace(slot_scn, placements=placements),
-        user_indices=np.asarray(slot_users), assignment=assignment, w_p=w_p,
+        scenario=deployed, user_indices=np.asarray(slot_users),
+        assignment=assignment, w_p=w_p,
+        factors=channel.port_factors(deployed),
         served_users=np.array(list(serving)),
         fields=np.array([solver.rx[m, j, s] for m, j, s in serving.values()]),
         sources=np.array([element_center(solver.x[m, j],
@@ -754,24 +768,25 @@ def _deploy_slot(scenario: Scenario, slot_groups,
 
 
 def _solve_slot(deployment: _SlotDeployment, rx_policy: str) -> SlotSolution:
-    """Receive vectors, channel, FP precoding and rates of one deployed
-    slot under a receive policy."""
+    """Receive vectors, channel composition, FP precoding and rates of
+    one deployed slot under a receive policy."""
     scn = deployment.scenario
-    # unserved users keep any unit vector; no stream is mapped to them
+    served = deployment.served_users
+    # unserved users keep any unit vector; no stream is mapped to them.
+    # The matched vector is the serving field direction up to a sign,
+    # and no policy depends on that sign.
     rx = np.tile([0.0, 0.0, 1.0], (scn.num_users, 1))
-    for k, field, source in zip(deployment.served_users, deployment.fields,
-                                deployment.sources):
-        # the matched vector is the serving field direction up to a
-        # sign, and no policy depends on that sign
-        rx[k] = receive_polarization(rx_policy, field, scn.users[k], source)
-    matrices = channel.assemble(scn, rx)
+    rx[served] = receive_polarization(rx_policy, deployment.fields,
+                                      scn.users[served], deployment.sources)
+    matrices = channel.assemble(deployment.factors, rx)
     fact, trace = fp_precoding(matrices.h, deployment.w_p, scn.power,
                                scn.noise)
     report = channel.rate_report(matrices.h, fact.w, scn.power, scn.noise)
     return SlotSolution(user_indices=deployment.user_indices,
                         assignment=deployment.assignment,
                         placements=[list(row) for row in scn.placements],
-                        rx=rx, report=report, trace=trace)
+                        rx=rx, report=report, trace=trace,
+                        iterations=fact.iterations, converged=fact.converged)
 
 
 # The scheme-free deployment of every scenario a scheme has run on:
@@ -815,11 +830,13 @@ def optimize_scenario(scenario: Scenario, scheme_name: str) -> SchemeResult:
     computed once per scenario and mode count and kept while the
     scenario lives: the grouping once per scenario, and the pair solve,
     rate table, Hungarian assignment, greedy fill, element spacing,
-    splits W_p and matched field directions once for PA-MM, PI-MM and
-    DP-MM together and once for PA-SM and PI-SM.  Each scheme runs only
-    its receive policy, the channel assembly and FP.  The results of
-    one deployment share its read-only assignment and user ids; each
-    result has its own placement lists.
+    splits W_p, matched field directions and the channel's port factors
+    (H_wp, H_pu and the field directions at the users) once for PA-MM,
+    PI-MM and DP-MM together and once for PA-SM and PI-SM.  Each scheme
+    runs only its receive policy (one call over a slot's served users),
+    the composition of the port factors into Lambda and H, FP and the
+    rate report.  The results of one deployment share its read-only
+    assignment and user ids; each result has its own placement lists.
     """
     scheme = parse_scheme(scheme_name)
     slots = [_solve_slot(deployment, scheme.rx_policy)

@@ -7,9 +7,11 @@ unit direction (the channel composition squares it).  The "matched"
 policy takes the incident field direction itself, signed by one rule
 that :func:`matched_polarization` applies to any number of directions
 at once; the fixed axis and the codebook live in the user-centered
-basis of :func:`user_arrival_basis`.  The two-component Jones-vector
-description of the same states is kept only as a test oracle
-(``tests/oracles.py``).
+basis of :func:`user_arrival_basis`.  Every policy takes one field
+direction, user and source as 3-vectors or S of each as (S, 3) arrays,
+and a row of the arrays gives the vector of the row alone, bit for
+bit.  The two-component Jones-vector description of the same states
+is kept only as a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .geometry import SphericalBasis
 # line spacing
 _CODEBOOK = 2 * np.pi * np.arange(18) / 18
 
+_VERTICAL = np.array([0.0, 0.0, 1.0])
+_OVERHEAD_AXIS = np.array([1.0, 0.0, 0.0])
+
 
 def user_arrival_basis(user_pos, source_pos) -> SphericalBasis:
     """Transverse basis at the user for the direction looking back at
@@ -30,21 +35,22 @@ def user_arrival_basis(user_pos, source_pos) -> SphericalBasis:
     The radial axis points at the source; vartheta is the in-plane
     direction closest to vertical (it degenerates to +x for overhead
     arrivals), which is the deterministic reference used by the
-    fixed-polarization baseline and the discrete codebook.
+    fixed-polarization baseline and the discrete codebook.  Positions
+    given as (S, 3) arrays give (S, 3) axes, one basis per row.  Dot
+    products run through ``np.vecdot``, whose rows equal the dot of
+    each row's vectors bit for bit.
     """
     offset = (np.asarray(source_pos, dtype=float)
               - np.asarray(user_pos, dtype=float))
-    r = np.linalg.norm(offset)
-    if r == 0.0:
+    r = np.sqrt(np.vecdot(offset, offset))[..., None]
+    if not r.all():
         raise ValueError("source coincides with the user")
     u = offset / r
-    vertical = np.array([0.0, 0.0, 1.0])
-    vartheta = vertical - (vertical @ u) * u
-    norm = np.linalg.norm(vartheta)
-    if norm < 1e-9:
-        vartheta = np.array([1.0, 0.0, 0.0])
-    else:
-        vartheta = vartheta / norm
+    vartheta = _VERTICAL - np.vecdot(_VERTICAL, u)[..., None] * u
+    norm = np.sqrt(np.vecdot(vartheta, vartheta))[..., None]
+    overhead = norm < 1e-9
+    vartheta = np.where(overhead, _OVERHEAD_AXIS,
+                        vartheta / np.where(overhead, 1.0, norm))
     varphi = np.cross(u, vartheta)
     return SphericalBasis(upsilon=u, vartheta=vartheta, varphi=varphi)
 
@@ -62,7 +68,8 @@ def matched_polarization(field_dir) -> np.ndarray:
 def receive_polarization(policy: str, field_dir, user_pos,
                          source_pos) -> np.ndarray:
     """Unit receive vector in the GCS for a real unit field direction
-    arriving at the user from ``source_pos``.
+    arriving at the user from ``source_pos``; (S, 3) arrays of the
+    three give S vectors.
 
     "matched" returns :func:`matched_polarization` of the field
     direction.  "fixed" takes the near-vertical axis of
@@ -79,13 +86,14 @@ def receive_polarization(policy: str, field_dir, user_pos,
     if policy == "fixed":
         return basis.vartheta
     if policy == "codebook":
-        c_theta, c_phi = field_dir @ basis.vartheta, field_dir @ basis.varphi
+        c_theta = np.vecdot(field_dir, basis.vartheta)[..., None]
+        c_phi = np.vecdot(field_dir, basis.varphi)[..., None]
         norm = np.hypot(c_theta, c_phi)
-        if norm == 0.0:
+        if not norm.all():
             raise ValueError("field has no component across the arrival "
                              "direction")
         match = np.abs(np.cos(_CODEBOOK) * (c_theta / norm)
                        + np.sin(_CODEBOOK) * (c_phi / norm))
-        best = _CODEBOOK[np.argmax(match)]
+        best = _CODEBOOK[np.argmax(match, axis=-1)][..., None]
         return np.cos(best) * basis.vartheta + np.sin(best) * basis.varphi
     raise ValueError(f"unknown receive policy {policy!r}")

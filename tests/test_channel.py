@@ -42,11 +42,12 @@ def test_degenerate_scalar_composition():
     user = scn.users[0]
     scn = _aim_and_place(scn, 5.0, user)
     rx = _matched_rx(scn, user)[None, :]
-    cm = channel.assemble(scn, rx)
+    factors = channel.port_factors(scn)
+    cm = channel.assemble(factors, rx)
     pa = scn.placements[0][0]
     wg = scn.waveguides[0]
     h_wp = h_wg_to_pa(scn.modes[0], wg, pa)
-    composed = cm.lam[0, 0] * cm.h_pu[0, 0] * h_wp
+    composed = cm.lam[0, 0] * factors.h_pu[0, 0] * h_wp
     assert cm.h[0, 0] == pytest.approx(composed, rel=1e-12)
     # matched receive polarization on the serving link
     assert cm.lam[0, 0] == pytest.approx(1.0, abs=1e-9)
@@ -57,8 +58,9 @@ def test_zero_mask_annihilates():
     user = scn.users[0]
     scn = _aim_and_place(scn, 5.0, user)
     rx = _matched_rx(scn, user)[None, :]
-    cm = channel.assemble(scn, rx)
-    assert np.allclose((0.0 * cm.lam * cm.h_pu) @ cm.h_wp, 0.0)
+    factors = channel.port_factors(scn)
+    cm = channel.assemble(factors, rx)
+    assert np.allclose((0.0 * cm.lam * factors.h_pu) @ factors.h_wp, 0.0)
 
 
 def test_port_column_index_map():
@@ -78,8 +80,10 @@ def test_assembly_consistency_invariant():
     cfg = ScenarioConfig(num_waveguides=2, pas_per_waveguide=2, num_users=4)
     scn = build_scenario(cfg, users=_uniform_users(cfg, 0))
     rx = np.tile([0.0, 0.0, 1.0], (4, 1))
-    cm = channel.assemble(scn, rx)
-    assert np.allclose(cm.h, (cm.lam * cm.h_pu) @ cm.h_wp, atol=1e-15)
+    factors = channel.port_factors(scn)
+    cm = channel.assemble(factors, rx)
+    assert np.allclose(cm.h, (cm.lam * factors.h_pu) @ factors.h_wp,
+                       atol=1e-15)
     assert cm.lam.min() >= 0.0 and cm.lam.max() <= 1.0 + 1e-9
 
 
@@ -87,13 +91,14 @@ def test_assembly_superposition():
     cfg = ScenarioConfig(num_waveguides=2, pas_per_waveguide=2, num_users=4)
     scn = build_scenario(cfg, users=_uniform_users(cfg, 1))
     rx = np.tile([0.0, 0.0, 1.0], (4, 1))
-    cm = channel.assemble(scn, rx)
-    eff = cm.lam * cm.h_pu
+    factors = channel.port_factors(scn)
+    cm = channel.assemble(factors, rx)
+    eff = cm.lam * factors.h_pu
     bumped = eff.copy()
     bumped[2, 5] *= 2.0
-    h2 = bumped @ cm.h_wp
+    h2 = bumped @ factors.h_wp
     delta = h2 - cm.h
-    expected = np.outer(np.eye(4)[2], cm.h_wp[5]) * eff[2, 5]
+    expected = np.outer(np.eye(4)[2], factors.h_wp[5]) * eff[2, 5]
     assert np.allclose(delta, expected, atol=1e-15)
 
 
@@ -109,14 +114,15 @@ def test_h_pa_to_user_matches_assembled_column_with_sign():
     scn = build_scenario(cfg, users=users)
     scn.placements[0][0] = PaPlacement(5.0, (Orientation(),) * 2)
     pa, wg = scn.placements[0][0], scn.waveguides[0]
-    cm = channel.assemble(scn, np.tile([1.0, 0.0, 0.0], (len(xs), 1)))
+    factors = channel.port_factors(scn)
     for q, mode in enumerate(scn.modes):
         col = wp_row(0, 0, q, 1, 2)
         resp = PortResponse(scn.med, mode, wg, pa.center(wg),
                             pa.orientations[q], users)
         scale = (1j * h_wg_to_pa(mode, wg, pa)
                  * axis_pattern_norm(mode, wg, scn.med) / scn.gain_norm[q])
-        assembled = (scale * cm.h_pu[:, col])[:, None] * resp.direction
+        assert np.array_equal(factors.directions[:, col], resp.direction)
+        assembled = (scale * factors.h_pu[:, col])[:, None] * resp.direction
         fields = [radiated_field(scn.med, wg, mode, pa, pa.orientations[q],
                                  u, alpha_a=scn.alpha_a,
                                  warn_near_field=False) for u in users]
@@ -131,7 +137,8 @@ def test_h_pa_to_user_matches_assembled_column_with_sign():
 def test_rx_polarization_norm_enforced():
     cfg, scn = _single_link_scenario()
     with pytest.raises(ValueError):
-        channel.assemble(scn, np.array([[0.0, 0.0, 2.0]]))
+        channel.assemble(channel.port_factors(scn),
+                         np.array([[0.0, 0.0, 2.0]]))
 
 
 def test_rx_polarization_shape_enforced():
@@ -139,10 +146,11 @@ def test_rx_polarization_shape_enforced():
     # not broadcast to all of them, and every row needs three components
     scn = build_scenario(ScenarioConfig())
     down = np.array([0.0, 0.0, 1.0])
+    factors = channel.port_factors(scn)
     for rx in (down[None, :], down, np.tile(down, (25, 1)),
                np.tile([1.0, 0.0], (24, 1))):
         with pytest.raises(ValueError, match="shape"):
-            channel.assemble(scn, rx)
+            channel.assemble(factors, rx)
 
 
 def test_user_rate_zero_column():
@@ -172,7 +180,7 @@ def test_rate_matches_pair_evaluator_interference_free():
     wg = scn.waveguides[0]
     scn.placements[0][0] = PaPlacement(sol.x_star, sol.orientations)
     rx = np.stack([_matched_rx(scn, scn.users[i], q=i) for i in (0, 1)])
-    cm = channel.assemble(scn, rx)
+    cm = channel.assemble(channel.port_factors(scn), rx)
     w_p = np.zeros((2, 2))
     w_p[[0, 1], [0, 1]] = np.sqrt(power_split(
         link.gain(1, sol.x_star, u1), link.gain(2, sol.x_star, u2), *sig,

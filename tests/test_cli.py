@@ -68,6 +68,16 @@ def test_self_checks(tiny, command, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_validate_reports_each_slots_fp_stop(tiny, capsys):
+    # four users pair up on the two elements of one guide: one slot
+    assert cli.main(["validate", *tiny]) == 0
+    info = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("INFO: slot")]
+    assert len(info) == 1
+    assert info[0].startswith("INFO: slot 0 FP ran ")
+    assert info[0].endswith(("converged", "stopped at the cap"))
+
+
 def test_unknown_scheme_flag_fails_before_any_run(tiny, tmp_path, monkeypatch,
                                                   capsys):
     runs = []

@@ -143,14 +143,8 @@ READ_OUTSIDE = {
     "bench.LobeMetrics.peak_db": "perfbench fingerprints vars(lobe)",
     "placement.TwoUserSolution.used_fallback":
         "the perfbench tracer counts pair-solve fallbacks",
-    "channel.ChannelMatrix.h_wp": "tests check H = (Lambda o H_pu) H_wp",
-    "channel.ChannelMatrix.h_pu": "tests check H = (Lambda o H_pu) H_wp",
     "geometry.SphericalBasis.upsilon": "it completes the orthonormal triad",
     "multiuser.PrecoderFactorization.chi":
-        "tests read it; it belongs in a run record",
-    "multiuser.PrecoderFactorization.iterations":
-        "tests read it; it belongs in a run record",
-    "multiuser.PrecoderFactorization.converged":
         "tests read it; it belongs in a run record",
     "multiuser.fp_precoding(max_iter)":
         "perfbench binds it by signature to count capped FP runs",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from mmpass import multiuser
+from mmpass import channel, multiuser
 from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.multiuser import (AssignmentMatrix, _SlotSolver,
                               _enforce_min_spacing, _power_multiplier,
@@ -515,21 +515,53 @@ def _fp_oracle_instance(rng):
 def test_fp_matches_g_space_oracle():
     # the loop on W = G W_p is the G-space iteration: the same stop and
     # the same trace up to the multiplier's root tolerance, which the
-    # warm start resolves to a different point within it
+    # warm start resolves to a different point within it.  Each instance
+    # runs at the default cap, where some converge, and at a cap of 1
+    # to 6, where each stops at the cap.
     converged = 0
     for seed in range(12):
         rng = np.random.default_rng(seed)
         h, w_p = _fp_oracle_instance(rng)
         noise = 10.0 ** rng.uniform(-3, -1)
-        fact, trace = fp_precoding(h, w_p, 10.0, noise)
-        g, _, want, _ = fp_precoding_g(h, w_p, 10.0, noise)
-        assert fact.iterations == len(trace) == len(want), seed
-        np.testing.assert_allclose(trace, want, rtol=1e-9, atol=0.0,
-                                   err_msg=f"seed {seed}")
-        np.testing.assert_allclose(fact.w, g @ w_p, rtol=0.0, atol=1e-8,
-                                   err_msg=f"seed {seed}")
-        converged += fact.converged
+        for max_iter in (200, 1 + seed % 6):
+            where = f"seed {seed}, max_iter {max_iter}"
+            fact, trace = fp_precoding(h, w_p, 10.0, noise, max_iter=max_iter)
+            g, _, want, _ = fp_precoding_g(h, w_p, 10.0, noise,
+                                           max_iter=max_iter)
+            assert fact.iterations == len(trace) == len(want), where
+            np.testing.assert_allclose(trace, want, rtol=1e-9, atol=0.0,
+                                       err_msg=where)
+            np.testing.assert_allclose(fact.w, g @ w_p, rtol=0.0, atol=1e-8,
+                                       err_msg=where)
+            if max_iter < 200:
+                assert not fact.converged, where
+                assert fact.iterations == max_iter, where
+            converged += fact.converged
     assert converged  # the tol rule, not only the cap, is compared
+
+
+def test_fp_at_zero_and_one_iteration():
+    # no iteration leaves the normalized matched-filter start, unscored;
+    # one iteration is scored once, on the precoder it returns
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        h, w_p = _fp_oracle_instance(rng)
+        noise = 10.0 ** rng.uniform(-3, -1)
+        start, trace = fp_precoding(h, w_p, 10.0, noise, max_iter=0)
+        g0, chi0, want, _ = fp_precoding_g(h, w_p, 10.0, noise, max_iter=0)
+        assert trace.shape == want.shape == (0,), seed
+        assert start.iterations == 0 and not start.converged, seed
+        assert start.chi == chi0 == 0.0, seed
+        np.testing.assert_allclose(start.w, g0 @ w_p, rtol=0.0, atol=1e-15)
+        assert np.linalg.norm(start.w) == pytest.approx(1.0, rel=1e-12)
+
+        one, trace = fp_precoding(h, w_p, 10.0, noise, max_iter=1)
+        _, _, want, _ = fp_precoding_g(h, w_p, 10.0, noise, max_iter=1)
+        assert one.iterations == len(trace) == len(want) == 1, seed
+        assert not one.converged, seed
+        np.testing.assert_allclose(trace, want, rtol=1e-9, atol=0.0)
+        rates = channel.rate_report(h, one.w, 10.0, noise)
+        assert trace[0] == pytest.approx(rates.sum_rate, rel=1e-12), seed
 
 
 def _secular_oracle(lam, d, chi):
@@ -715,11 +747,11 @@ def test_single_mode_uses_time_slots(nominal_results):
 SCHEMES = ("pa-mm", "pi-mm", "dp-mm", "pa-sm", "pi-sm")
 
 
-def _spare_scenario():
+def _spare_scenario(seed=4):
     # 2x3 elements for three pairs and a singleton: greedy fill places
     # two spares, and the singleton-only single-mode run takes two slots
     cfg = ScenarioConfig(num_waveguides=2, pas_per_waveguide=3,
-                         num_users=7, seed=4)
+                         num_users=7, seed=seed)
     return build_scenario(cfg)
 
 
@@ -751,6 +783,41 @@ def test_schemes_on_one_scenario_match_their_own_runs():
     assert len(shared["pa-mm"].slots) == 1
     assert len(shared["pa-sm"].slots) == 2
     assert shared["pa-mm"].slots[0].assignment.x.sum() == 6  # spares placed
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_slot_channel_is_the_composition_on_the_deployed_slot(scheme,
+                                                              monkeypatch):
+    # the channel a scheme composes from its deployment's port factors
+    # is, bit for bit, a fresh composition on the deployed slot scenario
+    built = []
+    assemble = channel.assemble
+
+    def recording(factors, rx):
+        assert not factors.h_pu.flags.writeable
+        built.append(assemble(factors, rx))
+        return built[-1]
+
+    monkeypatch.setattr(channel, "assemble", recording)
+    num_modes = parse_scheme(scheme).num_modes
+    for seed in (4, 5, 6):
+        scn = _spare_scenario(seed)
+        built.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = optimize_scenario(scn, scheme)
+        assert len(built) == len(res.slots)
+        for slot, cm in zip(res.slots, built):
+            deployed = replace(scn.with_modes(num_modes),
+                               users=scn.users[slot.user_indices],
+                               noise=scn.noise[slot.user_indices],
+                               placements=slot.placements)
+            fresh = assemble(channel.port_factors(deployed), slot.rx)
+            assert np.array_equal(cm.h, fresh.h), (scheme, seed)
+            assert np.array_equal(cm.lam, fresh.lam), (scheme, seed)
+            assert slot.iterations == len(slot.trace)
+        if num_modes == 2:  # the spares are placed
+            assert res.slots[0].assignment.x.sum() == 6
 
 
 def test_one_deployment_per_scenario_and_mode_count(monkeypatch):

@@ -273,3 +273,41 @@ def test_receive_policies():
                                          abs=1e-12)
     with pytest.raises(ValueError):
         receive_polarization("adaptive", e_dir, user, src)
+
+
+def test_receive_policies_on_arrays_equal_each_row():
+    # S directions, users and sources at once give each row's own
+    # vector bit for bit, overhead arrivals and codebook ties included
+    rng = np.random.default_rng(41)
+    n = 200
+    fields = rng.normal(size=(n, 3))
+    fields /= np.linalg.norm(fields, axis=1)[:, None]
+    users = np.column_stack([rng.uniform(0, 10, n), rng.uniform(0, 6, n),
+                             np.zeros(n)])
+    sources = np.column_stack([rng.uniform(0, 10, n), rng.uniform(0, 6, n),
+                               np.full(n, 3.0)])
+    # overhead arrivals: vartheta falls back to +x and varphi is +y, so
+    # a field along +x ties codewords 0 and pi
+    sources[:4, :2] = users[:4, :2]
+    fields[:2] = [1.0, 0.0, 0.0]
+    for policy in ("matched", "fixed", "codebook"):
+        rows = np.array([receive_polarization(policy, f, u, s)
+                         for f, u, s in zip(fields, users, sources)])
+        together = receive_polarization(policy, fields, users, sources)
+        assert np.array_equal(together, rows), policy
+    basis = user_arrival_basis(users[:4], sources[:4])
+    assert np.array_equal(basis.vartheta, np.tile([1.0, 0.0, 0.0], (4, 1)))
+    assert np.array_equal(
+        receive_polarization("codebook", fields[:2], users[:2], sources[:2]),
+        np.tile([1.0, 0.0, 0.0], (2, 1)))  # the tie goes to angle 0
+
+
+def test_receive_policies_reject_degenerate_rows():
+    user, src = np.zeros((2, 3)), np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="coincides"):
+        user_arrival_basis(user, src)
+    # a field along the arrival direction has no transverse part
+    up = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="no component"):
+        receive_polarization("codebook", up, np.zeros((2, 3)),
+                             np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]))
