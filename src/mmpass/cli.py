@@ -194,19 +194,26 @@ def cmd_oracle(args) -> int:
                                   + [(5, 3), (4, 2), (6, 1)]
                                   + [(3, 5), (2, 4), (1, 6)]):
         t_rng = np.random.default_rng((cfg.seed, trial))
-        table = t_rng.uniform(0, 10, size=shape)
-        x = hungarian_assign(table).x
-        # every injective map of the shorter side into the longer one
-        short = table if shape[0] <= shape[1] else table.T
-        n_match = short.shape[0]
-        best = max(sum(short[i, p[i]] for i in range(n_match))
-                   for p in itertools.permutations(range(short.shape[1]),
-                                                   n_match))
-        ok &= bool(x.sum() == n_match and x.sum(axis=0).max() <= 1
-                   and x.sum(axis=1).max() <= 1
-                   and abs((table * x).sum() - best) < 1e-9)
+        # continuous rates, small integers (ties everywhere), and rows
+        # repeated in twos as a guide's elements repeat its rates
+        guides = -(-shape[0] // 2)
+        tables = (t_rng.uniform(0, 10, size=shape),
+                  t_rng.integers(0, 3, size=shape).astype(float),
+                  np.repeat(t_rng.uniform(0, 10, size=(guides, shape[1])),
+                            2, axis=0)[:shape[0]])
+        for table in tables:
+            x = hungarian_assign(table).x
+            # every injective map of the shorter side into the longer one
+            short = table if shape[0] <= shape[1] else table.T
+            n_match = short.shape[0]
+            best = max(sum(short[i, p[i]] for i in range(n_match))
+                       for p in itertools.permutations(
+                           range(short.shape[1]), n_match))
+            ok &= bool(x.sum() == n_match and x.sum(axis=0).max() <= 1
+                       and x.sum(axis=1).max() <= 1
+                       and abs((table * x).sum() - best) < 1e-9)
     _check(failures, "padded Hungarian equals exhaustive search on square, "
-           "tall and wide tables", ok)
+           "tall and wide tables, tied ones included", ok)
 
     for line in failures:
         print("FAIL:", line)

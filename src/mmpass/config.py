@@ -47,6 +47,34 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _require_finite(name: str, value):
+    if not _is_number(value) or not math.isfinite(value):
+        raise ValueError(f"config field '{name}' must be a finite real "
+                         f"number, got {value!r}")
+
+
+def _from_yaml(value, integral: bool):
+    """A numeric string as a number, since YAML 1.1 reads an exponent
+    without a dot (``3e-3``) as a string; for an integer field, an
+    integral number (``8.0``, ``'8'``) as an int.  Anything else stays
+    as it is, for ``ScenarioConfig.validate`` to name."""
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            return value
+    if integral and _is_number(value) and float(value).is_integer():
+        return int(value)
+    return value
+
+
+_FLOAT_FIELDS = ("d_x", "d_y", "d_z", "frequency_hz", "a", "b", "n_core",
+                 "alpha_w_db", "alpha_a_db", "aperture_scale", "power_w",
+                 "noise_dbw")
+_INT_FIELDS = ("num_waveguides", "pas_per_waveguide", "num_modes",
+               "num_users", "seed")
+
+
 @dataclass
 class ScenarioConfig:
     # region, m
@@ -89,20 +117,35 @@ class ScenarioConfig:
         return dbw_to_watt(self.noise_dbw)
 
     def validate(self) -> "ScenarioConfig":
+        for name in _FLOAT_FIELDS:
+            _require_finite(name, getattr(self, name))
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("config field 'seed' must be a non-negative "
+                             "integer")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if (not isinstance(value, (int, np.integer))
+                    or isinstance(value, bool)):
+                raise ValueError(f"config field '{name}' must be an "
+                                 f"integer, got {value!r}")
         positive = ("d_x", "d_y", "d_z", "frequency_hz", "a", "b", "n_core",
                     "power_w", "aperture_scale")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field '{name}' must be positive")
         for name in ("num_waveguides", "pas_per_waveguide", "num_users"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"config field '{name}' must be >= 1")
         if self.num_modes not in (1, 2):
             raise ValueError("config field 'num_modes' must be 1 or 2 "
                              "(TE10 and TE01 are the supported modes)")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError("config field 'seed' must be a non-negative "
-                             "integer")
+        try:
+            noise = self.noise_w
+        except OverflowError:
+            noise = math.inf
+        if not 0.0 < noise < math.inf:
+            raise ValueError(f"config field 'noise_dbw' = {self.noise_dbw} "
+                             f"gives a noise power of {noise} W")
         if self.a <= self.b:
             raise ValueError("config fields 'a' and 'b' must satisfy a > b")
         if self.alpha_w_db < 0 or self.alpha_a_db < 0:
@@ -168,7 +211,7 @@ def load_config(path=None) -> ScenarioConfig:
         raw = _flatten(loaded)
 
     known = {f.name for f in fields(ScenarioConfig)}
-    aliases = {"frequency_ghz": ("frequency_hz", lambda v: float(v) * 1e9),
+    aliases = {"frequency_ghz": ("frequency_hz", lambda v: v * 1e9),
                "power_dbw": ("power_w", dbw_to_watt)}
     kwargs = {}
     for key, value in raw.items():
@@ -177,7 +220,17 @@ def load_config(path=None) -> ScenarioConfig:
             if target in kwargs or target in raw:
                 raise ValueError(f"config field '{key}' conflicts with "
                                  f"'{target}'")
-            kwargs[target] = conv(value)
+            value = _from_yaml(value, False)
+            _require_finite(key, value)
+            try:
+                kwargs[target] = conv(value)
+            except OverflowError:
+                raise ValueError(f"config field '{key}' is out of range, "
+                                 f"got {value!r}") from None
+        elif key in _FLOAT_FIELDS:
+            kwargs[key] = _from_yaml(value, False)
+        elif key in _INT_FIELDS:
+            kwargs[key] = _from_yaml(value, True)
         elif key in known:
             kwargs[key] = value
         else:
@@ -197,10 +250,6 @@ def load_config(path=None) -> ScenarioConfig:
             tuple(float(c) for c in p)
             if isinstance(p, list) and all(map(_is_number, p)) else p
             for p in kwargs["user_positions"])
-    for name in ("num_waveguides", "pas_per_waveguide", "num_modes",
-                 "num_users", "seed"):
-        if name in kwargs:
-            kwargs[name] = int(kwargs[name])
     return ScenarioConfig(**kwargs).validate()
 
 

@@ -7,8 +7,8 @@
    deterministic 2-opt sweep removes any crossing pairs the greedy
    construction left behind.
 2. Element-to-group assignment: interference-free pair rates feed a
-   rectangular assignment problem (Hungarian via
-   scipy.optimize.linear_sum_assignment on a zero-padded square
+   rectangular assignment problem (Hungarian by shortest augmenting
+   paths, with scipy's tie rule, on a zero-padded square
    matrix); spare elements join groups one at a time by exact marginal
    gain.  A candidate deployment depends on the guide and the group,
    not on the element, so candidates and their interference are
@@ -53,7 +53,6 @@ import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import channel
 from .geometry import Orientation
@@ -228,11 +227,71 @@ class AssignmentMatrix:
         object.__setattr__(self, "x", x)
 
 
+def _max_weight_matching(weights: list) -> list:
+    """Column of each row in a maximum-weight perfect matching of a
+    square table (a list of rows of finite floats).
+
+    Shortest augmenting paths on the negated table (Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 2016),
+    step for step as scipy's ``linear_sum_assignment`` takes them, so
+    ties resolve the same way: the remaining columns are scanned from
+    the last one, an unassigned column wins a tie on path cost, and a
+    chosen column leaves the scan by swapping in the last one.
+    """
+    n = len(weights)
+    cost = [[-w for w in row] for row in weights]
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        spc = [math.inf] * n  # shortest path cost to each column
+        rows, cols = [], []   # rows and columns the search has reached
+        remaining = list(range(n - 1, -1, -1))
+        min_val, i, sink = 0.0, cur, -1
+        while sink < 0:
+            rows.append(i)
+            row, u_i = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < spc[j]:
+                    path[j], spc[j] = i, r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] < 0):
+                    index, lowest = it, spc[j]
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def hungarian_assign(rate_table: np.ndarray) -> AssignmentMatrix:
     """Maximum-total-rate one-to-one matching on a rectangular table.
 
     The table is zero-padded square so dummy rows/columns absorb the
-    surplus side; their matches are stripped from the result.
+    surplus side; their matches are stripped from the result.  The
+    square problem is solved by ``_max_weight_matching`` (shortest
+    augmenting paths, scipy's tie rule), so a guide's equal element rows
+    are told apart exactly as scipy tells them apart.  It is O(n^3) in
+    Python: about 0.07 ms at 12 x 12, 0.12 ms at 16 x 16 and 15 ms at
+    128 x 128 with 64 live columns (scipy's compiled solver: 0.003 and
+    0.5 ms), on one core of a 2-core x86 host; a slot makes one call.
     """
     table = np.asarray(rate_table, dtype=float)
     if not np.all(np.isfinite(table)):
@@ -241,9 +300,8 @@ def hungarian_assign(rate_table: np.ndarray) -> AssignmentMatrix:
     size = max(n_pa, n_grp)
     padded = np.zeros((size, size))
     padded[:n_pa, :n_grp] = table
-    rows, cols = linear_sum_assignment(padded, maximize=True)
     x = np.zeros((n_pa, n_grp), dtype=np.int8)
-    for i, j in zip(rows, cols):
+    for i, j in enumerate(_max_weight_matching(padded.tolist())):
         if i < n_pa and j < n_grp:
             x[i, j] = 1
     return AssignmentMatrix(x)

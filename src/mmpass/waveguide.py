@@ -21,9 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import mu_0, speed_of_light
 
 from .geometry import Orientation
+
+# CODATA 2022: vacuum permeability (H/m) and the exact speed of light (m/s)
+MU_0 = 1.25663706127e-06
+SPEED_OF_LIGHT = 299792458.0
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,7 @@ class MediumConstants:
 
     frequency: float
     n_core: float = 2.0
-    permeability: float = mu_0
+    permeability: float = MU_0
 
     def __post_init__(self):
         if self.frequency <= 0:
@@ -43,7 +46,7 @@ class MediumConstants:
     @property
     def wavelength0(self) -> float:
         """Free-space wavelength c / f."""
-        return speed_of_light / self.frequency
+        return SPEED_OF_LIGHT / self.frequency
 
     @property
     def omega(self) -> float:

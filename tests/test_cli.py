@@ -97,6 +97,14 @@ def test_negative_seed_fails_before_any_run(tiny, tmp_path, capsys):
     assert not (tmp_path / "outage.csv").exists()
 
 
+def test_bad_number_in_config_exits_2_naming_the_field(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(TINY + "power_w: ten\n")
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert ("error: config field 'power_w' must be a finite real number"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
 def test_field_map_rejects_a_step_that_is_not_positive(tiny, tmp_path,
                                                        capsys, step):

@@ -88,6 +88,66 @@ def test_integer_fields_coerced(write):
     assert all(type(v) is int for v in values)
 
 
+FLOAT_FIELDS = ("d_x", "d_y", "d_z", "frequency_hz", "a", "b", "n_core",
+                "alpha_w_db", "alpha_a_db", "aperture_scale", "power_w",
+                "noise_dbw")
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("text", ["ten", ".nan", ".inf", "-.inf", "[1.0]",
+                                  "true"])
+def test_float_fields_must_be_finite_real_numbers(write, name, text):
+    # bad numbers stop at the config boundary, named, instead of failing
+    # in a stage downstream
+    with pytest.raises(ValueError, match=f"config field '{name}' must be a "
+                                         f"finite real number"):
+        load_config(write(f"{name}: {text}\n"))
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", ["10", math.nan, math.inf, 1j, None])
+def test_validate_rejects_float_fields_that_are_not_finite_reals(name, value):
+    with pytest.raises(ValueError, match=f"config field '{name}' must be a "
+                                         f"finite real number"):
+        ScenarioConfig(**{name: value}).validate()
+
+
+@pytest.mark.parametrize("name", ["frequency_ghz", "power_dbw"])
+@pytest.mark.parametrize("text", ["ten", ".nan", ".inf"])
+def test_aliases_must_be_finite_real_numbers(write, name, text):
+    with pytest.raises(ValueError, match=f"config field '{name}' must be a "
+                                         f"finite real number"):
+        load_config(write(f"{name}: {text}\n"))
+
+
+def test_powers_that_overflow_a_float_fail_at_load(write):
+    with pytest.raises(ValueError, match="'power_dbw' is out of range"):
+        load_config(write("power_dbw: 1.0e6\n"))
+    with pytest.raises(ValueError, match="'noise_dbw' = 4000 gives a noise "
+                                         "power of inf W"):
+        load_config(write("noise_dbw: 4000\n"))
+
+
+def test_exponents_without_a_dot_are_numbers(write):
+    # YAML 1.1 reads 3e-3 as a string
+    cfg = load_config(write("a: 3e-3\nfrequency_hz: 1e11\n"))
+    assert (cfg.a, cfg.frequency_hz) == (3e-3, 1e11)
+    assert load_config(write("power_dbw: 1e1\n")).power_w == 10.0
+
+
+@pytest.mark.parametrize("name", ["num_waveguides", "pas_per_waveguide",
+                                  "num_modes", "num_users"])
+@pytest.mark.parametrize("text", ["2.7", "two", ".nan", ".inf", "true"])
+def test_integer_fields_reject_non_integral_values(write, name, text):
+    with pytest.raises(ValueError, match=f"config field '{name}' must be an "
+                                         f"integer"):
+        load_config(write(f"{name}: {text}\n"))
+    if text == "2.7":
+        with pytest.raises(ValueError, match=f"'{name}' must be an integer, "
+                                             f"got 2.7"):
+            ScenarioConfig(**{name: 2.7}).validate()
+
+
 @pytest.mark.parametrize("seed", [-3, 2.5])
 def test_seed_must_be_a_non_negative_integer(write, seed):
     with pytest.raises(ValueError, match="'seed' must be a non-negative "

@@ -2,10 +2,12 @@
 of another, no code reads a private attribute of anything but its own
 instance or class, every public name has a caller in the package,
 every dataclass field and every instance attribute has a reader and
-every defaulted parameter a caller that sets it, and no module imports
-a name it does not use."""
+every defaulted parameter a caller that sets it, no module imports
+a name it does not use, and the package runs without scipy."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import mmpass
@@ -312,3 +314,15 @@ def test_no_unused_imports():
             offenders += [f"{path.parent.name}/{path.name}:{node.lineno}: "
                           f"{name}" for name in bound if name not in used]
     assert not offenders, "unused imports:\n" + "\n".join(offenders)
+
+
+def test_package_imports_no_scipy():
+    """scipy is a test oracle only: importing the package, its CLI and
+    its drivers loads no scipy module."""
+    code = ("import sys, mmpass, mmpass.cli, mmpass.bench; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         cwd=PACKAGE.parent).stdout
+    assert out.strip() == "[]", out

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linear_sum_assignment
 
 from mmpass import channel, multiuser
 from mmpass.config import ScenarioConfig, build_scenario
@@ -160,6 +160,75 @@ def test_hungarian_matches_brute_force():
         best = max(sum(table[i, p[i]] for i in range(size))
                    for p in itertools.permutations(range(size)))
         assert abs(total - best) < 1e-9, f"seed {seed}"
+
+
+def _scipy_assignment(table):
+    """The assignment scipy's solver makes on ``table``, zero-padded
+    square, with the dummy matches stripped."""
+    n_pa, n_grp = table.shape
+    size = max(n_pa, n_grp)
+    padded = np.zeros((size, size))
+    padded[:n_pa, :n_grp] = table
+    rows, cols = linear_sum_assignment(padded, maximize=True)
+    x = np.zeros(table.shape, dtype=np.int8)
+    live = (rows < n_pa) & (cols < n_grp)
+    x[rows[live], cols[live]] = 1
+    return x
+
+
+def _guide_rows(rng, size):
+    """A guide's table: each guide's N element rows repeat its group
+    rates, and the live group columns are zero-padded square."""
+    n_pas = int(rng.integers(1, size + 1))
+    guides = -(-size // n_pas)
+    live = int(rng.integers(1, size + 1))
+    rates = rng.uniform(0.0, 10.0, size=(guides, live))
+    table = np.zeros((size, size))
+    table[:, :live] = np.repeat(rates, n_pas, axis=0)[:size]
+    return table
+
+
+TABLE_KINDS = ("gaussian", "small-integers", "zeros", "guide-rows")
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_hungarian_takes_scipys_choice_on_square_tables(kind):
+    # the same column for every row, ties included, on 500 tables of
+    # each kind with sizes 1 to 20
+    rng = np.random.default_rng(TABLE_KINDS.index(kind))
+    for trial in range(500):
+        size = int(rng.integers(1, 21))
+        if kind == "gaussian":
+            table = rng.normal(size=(size, size))
+        elif kind == "small-integers":
+            table = rng.integers(0, 3, size=(size, size)).astype(float)
+        elif kind == "zeros":
+            table = np.zeros((size, size))
+        else:
+            table = _guide_rows(rng, size)
+        assert np.array_equal(hungarian_assign(table).x,
+                              _scipy_assignment(table)), f"trial {trial}"
+
+
+def test_hungarian_takes_scipys_choice_on_rectangular_tables():
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        shape = tuple(int(s) for s in rng.integers(1, 17, size=2))
+        table = rng.integers(0, 3, size=shape).astype(float)
+        if trial % 2:
+            table = rng.uniform(0.0, 10.0, size=shape)
+        assert np.array_equal(hungarian_assign(table).x,
+                              _scipy_assignment(table)), f"trial {trial}"
+
+
+def test_hungarian_takes_scipys_choice_at_16x8_scale():
+    # 16 guides x 8 elements serving 64 groups: equal rows per guide
+    rng = np.random.default_rng(16)
+    rates = rng.uniform(0.0, 10.0, size=(16, 64))
+    table = np.repeat(rates, 8, axis=0)
+    a = hungarian_assign(table)
+    assert a.x.shape == (128, 64)
+    assert np.array_equal(a.x, _scipy_assignment(table))
 
 
 def test_assignment_matrix_validation():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.constants
 
 from mmpass.geometry import Orientation
-from mmpass.waveguide import (MediumConstants, PaPlacement, WaveguideSpec,
-                              h_wg_to_pa, mode_spec, te_modes,
-                              transverse_pattern, assemble_H_wp)
+from mmpass.waveguide import (MU_0, SPEED_OF_LIGHT, MediumConstants,
+                              PaPlacement, WaveguideSpec, h_wg_to_pa,
+                              mode_spec, te_modes, transverse_pattern,
+                              assemble_H_wp)
 from oracles import coupling_length
 
 # reference constants at 100 GHz in a 3 x 2 mm guide with core index 2,
@@ -25,6 +27,16 @@ def _medium():
 def _guide(alpha_w=ALPHA_W, num_pas=1):
     return WaveguideSpec(a=3e-3, b=2e-3, feed_point=np.array([0.0, 0.0, 3.0]),
                          length=10.0, alpha_w=alpha_w, num_pas=num_pas)
+
+
+def test_physical_constants_are_codata_2022():
+    # the literals, not whichever CODATA vintage a scipy release carries
+    # (before CODATA 2022, scipy's mu_0 was 1.25663706212e-06)
+    assert MU_0 == 1.25663706127e-06
+    assert SPEED_OF_LIGHT == 299792458.0
+    assert MU_0 == scipy.constants.mu_0
+    assert SPEED_OF_LIGHT == scipy.constants.speed_of_light
+    assert MediumConstants(frequency=1e9).permeability == MU_0
 
 
 def test_medium_wavelength():
