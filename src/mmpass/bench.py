@@ -245,6 +245,9 @@ def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
     """
     if trials < 100:
         raise ValueError("outage needs at least 100 trials")
+    if not (np.isfinite(threshold_rate) and threshold_rate > 0):
+        raise ValueError(f"outage threshold must be a finite positive "
+                         f"rate, got {threshold_rate}")
     scn = build_scenario(replace(cfg, pas_per_waveguide=1),
                          users=np.zeros((2, 3)))
     link = LinkModel(scn)

@@ -65,14 +65,13 @@ def port_factors(scenario: Scenario) -> PortFactors:
     centers = np.array([pa.center(wg) for wg, pa in elements])
     h_pu = np.zeros((n_users, len(elements) * n_modes), dtype=complex)
     directions = np.zeros((n_users, len(elements) * n_modes, 3))
-    for q, (mode, gain) in enumerate(zip(scenario.modes,
-                                         scenario.port_gains)):
+    for q, mode in enumerate(scenario.modes):
         aims = [pa.orientations[q] for _, pa in elements]
         lanes = Orientation(pitch=np.array([o.pitch for o in aims]),
                             roll=np.array([o.roll for o in aims]))
         resp = PortResponse(med, mode, scenario.waveguides[0], centers,
                             lanes, scenario.users)      # (MN, K)
-        h_pu[:, q::n_modes] = (gain * resp.pattern
+        h_pu[:, q::n_modes] = (resp.pattern
                                * np.exp(-0.5 * scenario.alpha_a * resp.r)
                                * np.exp(-1j * med.k0 * resp.r)).T
         directions[:, q::n_modes] = resp.direction.transpose(1, 0, 2)

@@ -94,7 +94,6 @@ class ScenarioConfig:
     alpha_w_db: float = 0.08
     alpha_a_db: float = 0.05
     aperture_scale: float = 15.0
-    gain_normalization: str = "per-mode"  # or "none"
     # power
     power_w: float = 10.0
     noise_dbw: float = -26.0
@@ -150,9 +149,6 @@ class ScenarioConfig:
             raise ValueError("config fields 'a' and 'b' must satisfy a > b")
         if self.alpha_w_db < 0 or self.alpha_a_db < 0:
             raise ValueError("attenuation coefficients must be >= 0")
-        if self.gain_normalization not in ("per-mode", "none"):
-            raise ValueError("config field 'gain_normalization' must be "
-                             "'per-mode' or 'none'")
         if self.user_mode not in ("uniform", "explicit"):
             raise ValueError("config field 'user_mode' must be 'uniform' "
                              "or 'explicit'")
@@ -282,5 +278,4 @@ def build_scenario(cfg: ScenarioConfig, users=None) -> Scenario:
         num_waveguides=cfg.num_waveguides, num_pas=cfg.pas_per_waveguide,
         num_modes=cfg.num_modes, users=users, power=cfg.power_w,
         noise_w=cfg.noise_w, alpha_w=cfg.alpha_w_np, alpha_a=cfg.alpha_a_np,
-        a=cfg.a, b=cfg.b, aperture_scale=cfg.aperture_scale,
-        normalize_gains=(cfg.gain_normalization == "per-mode"))
+        a=cfg.a, b=cfg.b, aperture_scale=cfg.aperture_scale)

@@ -465,13 +465,13 @@ class _SlotSolver:
         wg = self.link.wg
         h_wp_sq = np.exp(-wg.alpha_w * self.x) / wg.num_pas
         cross = np.zeros(self.x.shape * 2 + (2,))
-        for q, (mode, gain) in enumerate(zip(scn.modes, scn.port_gains)):
+        for q, mode in enumerate(scn.modes):
             # sources in their guides' frames, every user seen by each
             resp = PortResponse(scn.med, mode, wg, element_center(self.x, wg),
                                 Orientation(pitch=self.aims.pitch[..., q],
                                             roll=self.aims.roll[..., q]),
                                 self.frame_users[:, None])  # (M, J, K)
-            h_pu = gain * resp.pattern * np.exp(-0.5 * scn.alpha_a * resp.r)
+            h_pu = resp.pattern * np.exp(-0.5 * scn.alpha_a * resp.r)
             h_sq = h_pu ** 2 * h_wp_sq[..., None]
             weight = scn.power * self.splits[..., q]
             # the directions are gathered at every victim's user one
@@ -710,6 +710,7 @@ class SlotSolution:
     assignment: AssignmentMatrix
     placements: list
     rx: np.ndarray                     # (K_slot, 3) receive vectors
+    lam: np.ndarray                    # K_slot x QMN polarization mask
     report: channel.RateReport
     trace: np.ndarray
     iterations: int                    # FP iterations run
@@ -843,7 +844,8 @@ def _solve_slot(deployment: _SlotDeployment, rx_policy: str) -> SlotSolution:
     return SlotSolution(user_indices=deployment.user_indices,
                         assignment=deployment.assignment,
                         placements=[list(row) for row in scn.placements],
-                        rx=rx, report=report, trace=trace,
+                        rx=rx, lam=matrices.lam, report=report,
+                        trace=trace,
                         iterations=fact.iterations, converged=fact.converged)
 
 

@@ -119,11 +119,10 @@ class LinkModel:
     """Fast boresight link-gain evaluator for one guide of a scenario,
     its first unless ``wg`` names another.
 
-    The scenario's ``mode_amplitude(q)`` is the mode-q gain constant at
-    1 m including the per-mode normalization; |h_q(x)|^2 then follows
-    from the guided and atmospheric attenuations and spherical
-    spreading, with the port aimed at the user and the receive
-    polarization matched.
+    The scenario's ``mode_amplitude(q)`` is the normalized mode-q
+    boresight gain at 1 m; |h_q(x)|^2 then follows from the guided and
+    atmospheric attenuations and spherical spreading, with the port
+    aimed at the user and the receive polarization matched.
     """
 
     scenario: Scenario

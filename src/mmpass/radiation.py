@@ -25,13 +25,15 @@ or for L ports (lanes) at P shared points or at points of their own,
 it holds the distance r, the signed pattern S_q |Psi_q| / r and the
 unit GCS direction of the radiated field.  A lane's results equal
 those of its port evaluated alone, bit for bit, so callers batch every
-port of a mode into one call.  Each caller multiplies in its own
-constants: the per-mode gain normalization times the aperture
-constant, absorption, guide attenuation or the raw-field amplitude.
-S_q keeps its sign everywhere, so a gain on a sidelobe where S_q < 0
-carries the physical pi phase flip.  The pattern and the direction are
-computed the first time they are read: a field map never evaluates
-directions, and a polarization lookup never evaluates S_q.
+port of a mode into one call.  The channel's port gain constant is 1
+for every mode (see :mod:`mmpass.scenario`), so the pattern is the
+port-to-user gain up to absorption: the channel multiplies in
+absorption and the free-space phase, and a field map absorption and
+the raw-field mode weight.  S_q keeps its sign everywhere, so a gain
+on a sidelobe where S_q < 0 carries the physical pi phase flip.  The
+pattern and the direction are computed the first time they are read:
+a field map never evaluates directions, and a polarization lookup
+never evaluates S_q.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Orientation, local_angles, spherical_basis
-from .waveguide import (MediumConstants, ModeSpec, PaPlacement, WaveguideSpec,
-                        axis_pattern_norm)
+from .waveguide import MediumConstants, ModeSpec, PaPlacement, WaveguideSpec
 
 
 def _sinc(x):
@@ -140,15 +141,6 @@ class PortResponse:
         return np.where(live, vec, basis.vartheta)
 
 
-def aperture_constant(med: MediumConstants, wg: WaveguideSpec,
-                      mode: ModeSpec) -> float:
-    """Distance- and angle-free part of the port-to-user gain magnitude:
-    a b omega mu / (lambda rho_q^2 |E_axis|)."""
-    return (wg.aperture_a * wg.aperture_b * med.omega * med.permeability
-            / (med.wavelength0 * mode.cutoff_wavenumber ** 2
-               * axis_pattern_norm(mode, wg, med)))
-
-
 def intensity_map(med: MediumConstants, wg: WaveguideSpec, modes, pa: PaPlacement,
                   xs, ys, alpha_a: float = 0.0):
     """|E|^2 of the radiated field over the floor plane z = 0, in dB
@@ -156,7 +148,10 @@ def intensity_map(med: MediumConstants, wg: WaveguideSpec, modes, pa: PaPlacemen
 
     ``xs`` and ``ys`` are 1-D axes; the result is indexed [iy, ix].
     The intensities of the ports, one per mode, are summed before
-    normalization.
+    normalization.  The map shows the raw radiated field, not the
+    channel's normalized gain, so each mode carries its raw-field
+    weight 1/rho_q^2; the constants every mode shares and the guide
+    attenuation at the element cancel in the normalization.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -168,12 +163,8 @@ def intensity_map(med: MediumConstants, wg: WaveguideSpec, modes, pa: PaPlacemen
     maps = []
     for mode, orientation in zip(modes, pa.orientations):
         resp = PortResponse(med, mode, wg, center, orientation, points)
-        amp = (med.k0 * wg.aperture_a * wg.aperture_b * med.omega
-               * med.permeability
-               / (2 * mode.cutoff_wavenumber ** 2 * np.pi
-                  * np.sqrt(wg.num_pas)))
-        field = amp * resp.pattern * np.exp(
-            -0.5 * (wg.alpha_w * pa.x_position + alpha_a * resp.r))
+        field = (resp.pattern / mode.cutoff_wavenumber ** 2
+                 * np.exp(-0.5 * alpha_a * resp.r))
         maps.append((field ** 2).reshape(gy.shape))
     total = np.sum(maps, axis=0)
     return 10 * np.log10(total / total.max())

@@ -5,34 +5,30 @@ channel: medium constants, the waveguide array with its pinching
 elements, the propagating modes, user locations, transmit power and
 per-user noise.
 
-Channel gains carry a per-mode reference normalization by default:
-the raw aperture-field ratio of the far-field formulas is of order
-1e-6 for millimeter apertures at meter ranges, which is 60 dB below
-the operating point implied by the quoted transmit power and noise
-floor.  Normalizing each mode's boresight gain to its obliquity factor
-(1 + beta/rho) at 1 m puts the link budget in the intended regime
-while preserving every relative dependence (pattern, polarization,
-spreading, both attenuations).  Set ``gain_norm`` to ones to work with
-the literal field-ratio gains.
+The port-to-user gain of every mode is normalized: its distance- and
+angle-free constant is 1, so mode q's boresight gain at 1 m is its
+obliquity factor 1 + beta_q/rho (``Scenario.mode_amplitude``).  The
+full-wave model's literal constant a b omega mu / (lambda rho_q^2
+|E_axis|), with |E_axis| the modal field magnitude on the guide axis,
+is of order 1e-6 for millimeter apertures at meter ranges, which is
+60 dB below the operating point implied by the quoted transmit power
+and noise floor.  The normalization puts the link
+budget in the intended regime and keeps every relative dependence
+(pattern, polarization, spreading, both attenuations).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .geometry import Orientation
-from .radiation import aperture_constant
 from .waveguide import (MediumConstants, ModeSpec, PaPlacement, WaveguideSpec,
                         te_modes)
 
-REFERENCE_DISTANCE = 1.0  # m, anchor for the per-mode gain normalization
-
-
 # every guide of a scenario shares these with guide 0: the per-scenario
-# element count, aperture constants and the slot solver's shared guide
+# element count, the port responses and the slot solver's shared guide
 # frame read them from guide 0 alone
 _UNIFORM_GUIDE_FIELDS = ("a", "b", "aperture_scale", "num_pas", "length",
                          "alpha_w", "axis_z")
@@ -42,16 +38,15 @@ _UNIFORM_GUIDE_FIELDS = ("a", "b", "aperture_scale", "num_pas", "length",
 class Scenario:
     """The inputs of one end-to-end evaluation, immutable.
 
-    Its fields cannot be reassigned, its ``users``, ``noise`` and
-    ``gain_norm`` arrays are read-only, and its guides and modes are
-    tuples of frozen specs.  ``multiuser.optimize_scenario`` deploys
-    the elements once per scenario and reuses that deployment for every
-    scheme run on it while the scenario lives, which is sound only if
-    the scenario cannot change under it.  The element ``placements``
-    stay lists, as the deployment replaces them instead of reading
-    them.  Scenarios compare and hash by identity;
-    ``dataclasses.replace`` derives a changed copy, which is deployed
-    anew.
+    Its fields cannot be reassigned, its ``users`` and ``noise`` arrays
+    are read-only, and its guides and modes are tuples of frozen specs.
+    ``multiuser.optimize_scenario`` deploys the elements once per
+    scenario and reuses that deployment for every scheme run on it
+    while the scenario lives, which is sound only if the scenario
+    cannot change under it.  The element ``placements`` stay lists, as
+    the deployment replaces them instead of reading them.  Scenarios
+    compare and hash by identity; ``dataclasses.replace`` derives a
+    changed copy, which is deployed anew.
     """
 
     med: MediumConstants
@@ -62,7 +57,6 @@ class Scenario:
     power: float  # total transmit power, W
     noise: np.ndarray  # (K,) noise power, W
     alpha_a: float = 0.0  # atmospheric absorption, Np/m
-    gain_norm: np.ndarray | None = None  # per-mode scale on port-to-user gains
 
     def __post_init__(self):
         object.__setattr__(self, "waveguides", tuple(self.waveguides))
@@ -80,10 +74,7 @@ class Scenario:
                                 (users.shape[0],)).copy()
         if np.any(noise <= 0):
             raise ValueError("noise power must be positive")
-        gain_norm = (np.ones(len(self.modes)) if self.gain_norm is None
-                     else np.array(self.gain_norm, dtype=float))
-        for name, value in (("users", users), ("noise", noise),
-                            ("gain_norm", gain_norm)):
+        for name, value in (("users", users), ("noise", noise)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -103,37 +94,13 @@ class Scenario:
     def num_users(self) -> int:
         return self.users.shape[0]
 
-    @cached_property
-    def aperture_constants(self) -> np.ndarray:
-        """aperture_constant of each mode, computed once; every guide
-        shares the cross section of the first."""
-        return np.array([aperture_constant(self.med, self.waveguides[0], mode)
-                         for mode in self.modes])
-
-    @property
-    def port_gains(self) -> np.ndarray:
-        """Distance- and angle-free port-to-user gain of each mode: the
-        gain normalization times the aperture constant."""
-        return self.gain_norm * self.aperture_constants
-
     def mode_amplitude(self, q: int) -> float:
-        """Normalized boresight gain constant of mode q at 1 m: the
-        distance-free magnitude of the port-to-user gain times the
-        on-axis polarization norm."""
-        mode = self.modes[q - 1]
-        psi0 = 1.0 + mode.propagation_constant / self.med.k0
-        return float(self.port_gains[q - 1] * psi0 / REFERENCE_DISTANCE)
+        """Normalized boresight gain of mode q at 1 m: the on-axis
+        polarization norm 1 + beta_q/rho."""
+        return 1.0 + self.modes[q - 1].propagation_constant / self.med.k0
 
     def with_modes(self, count: int) -> "Scenario":
-        return replace(self, modes=self.modes[:count],
-                       gain_norm=self.gain_norm[:count])
-
-
-def per_mode_gain_norm(med: MediumConstants, wg: WaveguideSpec, modes) -> np.ndarray:
-    """Normalization making each mode's 1 m boresight gain equal to its
-    obliquity factor (see module docstring)."""
-    return np.array([REFERENCE_DISTANCE / aperture_constant(med, wg, mode)
-                     for mode in modes])
+        return replace(self, modes=self.modes[:count])
 
 
 def waveguide_y_positions(d_y: float, count: int) -> np.ndarray:
@@ -154,8 +121,7 @@ def make_scenario(med: MediumConstants, *, region, num_waveguides: int,
                   num_pas: int, num_modes: int, users, power: float,
                   noise_w: float, alpha_w: float, alpha_a: float,
                   a: float = 3e-3, b: float = 2e-3,
-                  aperture_scale: float = 1.0,
-                  normalize_gains: bool = True) -> Scenario:
+                  aperture_scale: float = 1.0) -> Scenario:
     d_x, d_y, d_z = region
     ys = waveguide_y_positions(d_y, num_waveguides)
     waveguides = [
@@ -166,11 +132,9 @@ def make_scenario(med: MediumConstants, *, region, num_waveguides: int,
     ]
     modes = te_modes(waveguides[0], med, count=num_modes)
     users = np.atleast_2d(np.asarray(users, dtype=float))
-    gain_norm = (per_mode_gain_norm(med, waveguides[0], modes)
-                 if normalize_gains else np.ones(num_modes))
     return Scenario(
         med=med, waveguides=waveguides, modes=modes,
         placements=default_placements(waveguides, num_pas, num_modes),
         users=users, power=power,
         noise=np.full(users.shape[0], noise_w),
-        alpha_a=alpha_a, gain_norm=gain_norm)
+        alpha_a=alpha_a)

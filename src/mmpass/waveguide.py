@@ -24,8 +24,7 @@ import numpy as np
 
 from .geometry import Orientation
 
-# CODATA 2022: vacuum permeability (H/m) and the exact speed of light (m/s)
-MU_0 = 1.25663706127e-06
+# CODATA 2022: the exact speed of light (m/s)
 SPEED_OF_LIGHT = 299792458.0
 
 
@@ -35,7 +34,6 @@ class MediumConstants:
 
     frequency: float
     n_core: float = 2.0
-    permeability: float = MU_0
 
     def __post_init__(self):
         if self.frequency <= 0:
@@ -47,10 +45,6 @@ class MediumConstants:
     def wavelength0(self) -> float:
         """Free-space wavelength c / f."""
         return SPEED_OF_LIGHT / self.frequency
-
-    @property
-    def omega(self) -> float:
-        return 2 * np.pi * self.frequency
 
     @property
     def k0(self) -> float:
@@ -113,10 +107,9 @@ class WaveguideSpec:
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """A propagating TE_{u,v} mode and its derived constants."""
+    """A propagating TE mode: its index q and the constants that
+    ``mode_spec`` derives from (u, v)."""
 
-    u: int
-    v: int
     index: int  # 1-based mode index q
     cutoff_wavenumber: float
     propagation_constant: float
@@ -139,7 +132,7 @@ def mode_spec(u: int, v: int, wg: WaveguideSpec, med: MediumConstants,
             f"TE{u}{v} is evanescent: guided wavenumber {rho:.1f} rad/m "
             f"below cutoff {cutoff:.1f} rad/m")
     beta = np.sqrt(rho ** 2 - cutoff ** 2)
-    return ModeSpec(u, v, index, float(cutoff), float(beta))
+    return ModeSpec(index, float(cutoff), float(beta))
 
 
 def te_modes(wg: WaveguideSpec, med: MediumConstants, count: int = 2):
@@ -167,37 +160,6 @@ def element_center(x, wg: WaveguideSpec) -> np.ndarray:
     """GCS center of an element at position x on guide ``wg``; an
     array of positions gives one center per position, (..., 3)."""
     return np.stack(np.broadcast_arrays(x, wg.axis_y, wg.axis_z), axis=-1)
-
-
-def transverse_pattern(mode: ModeSpec, wg: WaveguideSpec, y_off: float,
-                       z_off: float) -> np.ndarray:
-    """Bracketed (j, k) components of the modal pattern at a transverse
-    offset from the guide axis (no prefactor, no attenuation/phase)."""
-    u, v = mode.u, mode.v
-    arg_y = u * np.pi / wg.a * (y_off + wg.a / 2)
-    arg_z = v * np.pi / wg.b * (z_off + wg.b / 2)
-    e_j = v / wg.b * np.cos(arg_y) * np.sin(arg_z)
-    e_k = u / wg.a * np.sin(arg_y) * np.cos(arg_z)
-    return np.array([e_j, e_k])
-
-
-def pattern_prefactor(mode: ModeSpec, med: MediumConstants) -> complex:
-    """Constant j*omega*mu*pi/rho_q^2 multiplying the transverse pattern."""
-    return 1j * med.omega * med.permeability * np.pi / mode.cutoff_wavenumber ** 2
-
-
-def axis_pattern_norm(mode: ModeSpec, wg: WaveguideSpec,
-                      med: MediumConstants) -> float:
-    """|calligraphic E| of Eq-style pattern at the guide axis, unit drive.
-
-    This is the denominator of the port-to-user gain: the modal field
-    magnitude at the pinch point with attenuation and phase stripped.
-    """
-    comps = transverse_pattern(mode, wg, 0.0, 0.0)
-    norm = float(np.hypot(comps[0], comps[1]))
-    if norm == 0.0:
-        raise ValueError(f"TE{mode.u}{mode.v} pattern vanishes on the axis")
-    return abs(pattern_prefactor(mode, med)) * norm
 
 
 def h_wg_to_pa(mode: ModeSpec, wg: WaveguideSpec, pa: PaPlacement) -> complex:

@@ -30,6 +30,9 @@ from mmpass.radiation import pattern_factor, polarization_components
 from mmpass.waveguide import (MediumConstants, ModeSpec, PaPlacement,
                               WaveguideSpec)
 
+# CODATA 2022 vacuum permeability, H/m
+MU_0 = 1.25663706127e-06
+
 
 def coupling_length(n: int, n_total: int, kappa: float) -> float:
     """Coupling length of the n-th element in an equal-quota cascade of
@@ -142,13 +145,13 @@ def radiated_field(med: MediumConstants, wg: WaveguideSpec, mode: ModeSpec,
 
     The amplitude is
 
-        rho a b omega mu |s| / (2 rho_q^2 pi sqrt(N) r)
+        rho a b omega mu_0 |s| / (2 rho_q^2 pi sqrt(N) r)
         * exp(-(alpha_w x + alpha_a r) / 2) * S_q * Psi_q
 
-    and the phase -(beta_q x + rho r) + arg(s) + pi/2, with rho the
-    free-space wavenumber, x the pinch position and r the distance from
-    the port.  Components are returned in the port's (vartheta, varphi)
-    basis at the observation direction.
+    and the phase -(beta_q x + rho r) + arg(s) + pi/2, with omega =
+    2 pi f, rho the free-space wavenumber, x the pinch position and r
+    the distance from the port.  Components are returned in the port's
+    (vartheta, varphi) basis at the observation direction.
     """
     center = pa.center(wg)
     r, theta, phi = (v.item() for v in local_angles(obs_point, center, orientation))
@@ -157,7 +160,8 @@ def radiated_field(med: MediumConstants, wg: WaveguideSpec, mode: ModeSpec,
                       f"bound {far_field_bound(wg, med):.3g} m", stacklevel=2)
     a_ap, b_ap = wg.aperture_a, wg.aperture_b
     rho = med.k0
-    amp = (rho * a_ap * b_ap * med.omega * med.permeability
+    omega = 2 * np.pi * med.frequency
+    amp = (rho * a_ap * b_ap * omega * MU_0
            / (2 * mode.cutoff_wavenumber ** 2 * np.pi
               * np.sqrt(wg.num_pas) * r))
     amp *= np.exp(-0.5 * (wg.alpha_w * pa.x_position + alpha_a * r))

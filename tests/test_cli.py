@@ -111,3 +111,39 @@ def test_field_map_rejects_a_step_that_is_not_positive(tiny, tmp_path,
     assert cli.main(["field-map", *tiny, f"--grid-res={step}"]) == 2
     assert "grid_res must be positive" in capsys.readouterr().err
     assert not (tmp_path / "field_map.csv").exists()
+
+
+def test_gain_normalization_in_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "old.yaml"
+    path.write_text(TINY + "gain_normalization: none\n")
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert ("error: unknown config field 'gain_normalization'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("rate-vs-power", ["--powers", "0", "nan"],
+     "--powers value nan dBW gives a transmit power of nan W"),
+    ("rate-vs-power", ["--powers", "0", "1e6"],
+     "--powers value 1e6 dBW gives a transmit power of inf W"),
+    ("rate-vs-power", ["--powers=-1e6"],
+     "--powers value -1e6 dBW gives a transmit power of 0.0 W"),
+    ("rate-vs-power", ["--powers", "0", "ten"],
+     "--powers value 'ten' is not a number of dBW"),
+    ("outage", ["--trials", "100", "--powers", "0", "nan"],
+     "--powers value nan dBW gives a transmit power of nan W"),
+    ("outage", ["--trials", "100", "--powers", "0", "inf"],
+     "--powers value inf dBW gives a transmit power of inf W"),
+    ("outage", ["--trials", "100", "--threshold", "nan"],
+     "outage threshold must be a finite positive rate, got nan"),
+    ("outage", ["--trials", "100", "--threshold", "-1"],
+     "outage threshold must be a finite positive rate, got -1.0"),
+    ("outage", ["--trials", "100", "--threshold", "0"],
+     "outage threshold must be a finite positive rate, got 0.0"),
+])
+def test_bad_power_or_threshold_exits_2_before_any_csv(tiny, tmp_path, capsys,
+                                                       command, args,
+                                                       message):
+    assert cli.main([command, *tiny, *args]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

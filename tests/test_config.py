@@ -197,6 +197,13 @@ def test_kappa_is_not_a_config_field(write):
         load_config(write("medium:\n  kappa: 100.0\n"))
 
 
+def test_gain_normalization_is_not_a_config_field(write):
+    # the normalized per-mode gain is the model, not an option
+    with pytest.raises(ValueError,
+                       match="unknown config field 'gain_normalization'"):
+        load_config(write("medium:\n  gain_normalization: none\n"))
+
+
 def test_explicit_user_positions_pad_z_to_the_floor(write):
     cfg = load_config(write("user_mode: explicit\n"
                             "user_positions: [[1, 2], [4.0, 3.5, 0.5]]\n"))

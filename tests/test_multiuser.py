@@ -271,8 +271,7 @@ def _oracle_cross(solver, i2, j2, i, j):
         resp = PortResponse(scn.med, scn.modes[q], wg,
                             np.array([src.x, wg.axis_y, wg.axis_z]),
                             src.orientations[q], scn.users)
-        h_pu = (scn.port_gains[q] * resp.pattern
-                * np.exp(-0.5 * scn.alpha_a * resp.r))
+        h_pu = resp.pattern * np.exp(-0.5 * scn.alpha_a * resp.r)
         h_wp_sq = np.exp(-wg.alpha_w * src.x) / wg.num_pas
         for s, k in enumerate(cand.users):
             totals[s] += (scn.power * splits[q]
@@ -858,7 +857,8 @@ def test_schemes_on_one_scenario_match_their_own_runs():
 def test_slot_channel_is_the_composition_on_the_deployed_slot(scheme,
                                                               monkeypatch):
     # the channel a scheme composes from its deployment's port factors
-    # is, bit for bit, a fresh composition on the deployed slot scenario
+    # is, bit for bit, a fresh composition on the deployed slot scenario,
+    # and the slot keeps the mask it was composed with
     built = []
     assemble = channel.assemble
 
@@ -884,6 +884,7 @@ def test_slot_channel_is_the_composition_on_the_deployed_slot(scheme,
             fresh = assemble(channel.port_factors(deployed), slot.rx)
             assert np.array_equal(cm.h, fresh.h), (scheme, seed)
             assert np.array_equal(cm.lam, fresh.lam), (scheme, seed)
+            assert slot.lam is cm.lam
             assert slot.iterations == len(slot.trace)
         if num_modes == 2:  # the spares are placed
             assert res.slots[0].assignment.x.sum() == 6

@@ -3,12 +3,11 @@ import pytest
 
 from mmpass.geometry import Orientation
 from mmpass.placement import optimal_orientation
-from mmpass.radiation import (PortResponse, aperture_constant, intensity_map,
-                              pattern_factor, polarization_components)
+from mmpass.radiation import (PortResponse, intensity_map, pattern_factor,
+                              polarization_components)
 from mmpass.waveguide import (MediumConstants, PaPlacement, WaveguideSpec,
-                              axis_pattern_norm, h_wg_to_pa, mode_spec,
-                              te_modes)
-from oracles import radiated_field
+                              h_wg_to_pa, mode_spec, te_modes)
+from oracles import MU_0, radiated_field
 
 A, B = 3e-3, 2e-3
 ALPHA_A = 0.011512925464970228  # 0.05 dB/m
@@ -182,7 +181,8 @@ def test_field_boresight_composition():
     f = radiated_field(med, wg, mode, pa, orient, user, warn_near_field=False)
     r = np.linalg.norm(user - pa.center(wg))
     k0 = med.k0
-    amp = (k0 * wg.aperture_a * wg.aperture_b * med.omega * med.permeability
+    omega = 2 * np.pi * med.frequency
+    amp = (k0 * wg.aperture_a * wg.aperture_b * omega * MU_0
            / (2 * mode.cutoff_wavenumber ** 2 * np.pi * r))
     psi0 = 1.0 + mode.propagation_constant / k0
     assert f.magnitude == pytest.approx(amp * psi0, rel=1e-9)
@@ -203,32 +203,34 @@ def test_field_rejects_source_point():
 
 def test_end_to_end_field_ratio_oracle():
     # the guide-to-port gain times the kernel's port-to-user gain (the
-    # aperture constant times the signed pattern, absorption and
-    # free-space phase) along the kernel's field direction is the
-    # radiated field over the attenuation-stripped aperture pattern at
-    # the feed drive, up to the radiation phase j
+    # signed pattern, absorption and free-space phase) is the radiated
+    # field along the kernel's field direction up to one constant per
+    # mode, with the radiation phase j: the constants the normalized
+    # gain leaves out depend on neither the element nor the user
     med = _medium()
     wg = _guide(alpha_w=0.018420680743952365, num_pas=2)
     rng = np.random.default_rng(11)
     for mode in te_modes(wg, med):
+        ratios = []
         for _ in range(10):
             pa = _port(x=rng.uniform(0.5, 9.5), pitch=rng.uniform(-0.8, 0.8),
                        roll=rng.uniform(-0.8, 0.8))
             user = np.array([rng.uniform(0, 10), rng.uniform(0, 6), 0.0])
             resp = PortResponse(med, mode, wg, pa.center(wg),
                                 pa.orientations[0], user)
-            h1 = h_wg_to_pa(mode, wg, pa)
-            h2 = (aperture_constant(med, wg, mode) * resp.pattern[0]
-                  * np.exp(-0.5 * ALPHA_A * resp.r[0])
-                  * np.exp(-1j * med.k0 * resp.r[0]))
-            f = radiated_field(med, wg, mode, pa, pa.orientations[0], user,
-                               alpha_a=ALPHA_A, warn_near_field=False)
-            feed_norm = axis_pattern_norm(mode, wg, med)
-            assert abs(h1 * h2) == pytest.approx(f.magnitude / feed_norm,
-                                                 rel=1e-9)
-            assert np.allclose(1j * h1 * h2 * feed_norm * resp.direction[0],
-                               f.to_gcs(), rtol=0.0,
-                               atol=1e-9 * f.magnitude)
+            gain = (h_wg_to_pa(mode, wg, pa) * resp.pattern[0]
+                    * np.exp(-0.5 * ALPHA_A * resp.r[0])
+                    * np.exp(-1j * med.k0 * resp.r[0]))
+            field = radiated_field(med, wg, mode, pa, pa.orientations[0],
+                                   user, alpha_a=ALPHA_A,
+                                   warn_near_field=False).to_gcs()
+            along = field @ resp.direction[0]
+            assert np.allclose(field, along * resp.direction[0], rtol=0.0,
+                               atol=1e-12 * abs(along))
+            ratios.append(along / gain)
+        ratios = np.array(ratios)
+        assert np.max(np.abs(ratios / ratios[0] - 1.0)) <= 1e-9
+        assert ratios[0] / abs(ratios[0]) == pytest.approx(1j, abs=1e-9)
 
 
 @pytest.mark.parametrize("shared", [True, False])
@@ -303,14 +305,6 @@ def test_gain_spreading_law():
     assert mags[1] / mags[2] == pytest.approx(2.0, rel=1e-12)
 
 
-def test_aperture_constant_mode_ratio():
-    # per-mode gain constants differ by the aperture-field norm ratio a/b
-    med, wg = _medium(), _guide(aperture_scale=15.0)
-    m1, m2 = te_modes(wg, med)
-    assert (aperture_constant(med, wg, m1)
-            / aperture_constant(med, wg, m2)) == pytest.approx(A / B, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # intensity map
 
@@ -347,6 +341,28 @@ def test_intensity_map_two_lobes():
     # +/- 45 deg pitch at 3 m height: beams land 3 m either side
     assert peak1 == pytest.approx(8.0, abs=0.15)
     assert peak2 == pytest.approx(2.0, abs=0.15)
+
+
+def test_intensity_map_is_the_normalized_raw_field():
+    # the summed intensity of both ports of a lossy element is the
+    # oracle's raw radiated field over the grid maximum, in dB; the
+    # modes' weights differ by their 1/rho_q^2 field factors
+    med = _medium()
+    wg = _guide(aperture_scale=15.0, alpha_w=0.018420680743952365,
+                num_pas=3)
+    modes = te_modes(wg, med)
+    pa = PaPlacement(6.0, (Orientation(0.3, 0.1), Orientation(-0.2, 0.25)))
+    xs = np.linspace(3.0, 9.0, 7)
+    ys = np.linspace(1.0, 5.0, 5)
+    grid = intensity_map(med, wg, modes, pa, xs, ys, alpha_a=ALPHA_A)
+    total = np.array([[sum(radiated_field(med, wg, mode, pa, orientation,
+                                          [x, y, 0.0], alpha_a=ALPHA_A,
+                                          warn_near_field=False).magnitude ** 2
+                           for mode, orientation in zip(modes,
+                                                        pa.orientations))
+                       for x in xs] for y in ys])
+    expected = 10 * np.log10(total / total.max())
+    assert np.max(np.abs(grid - expected)) <= 1e-9
 
 
 def test_intensity_map_rejects_tiny_grid():

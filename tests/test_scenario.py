@@ -1,6 +1,6 @@
 """Scenario construction: default element placement, guide layout,
-mode slicing, the per-mode gain normalization, and the immutability
-that lets a scenario keep one deployment."""
+mode slicing, the normalized per-mode gains, and the immutability that
+lets a scenario keep one deployment."""
 
 import warnings
 from dataclasses import FrozenInstanceError, replace
@@ -51,19 +51,18 @@ def test_waveguides_are_centered_and_evenly_spaced(count):
     assert ys[0] == pytest.approx(3.0 / count, rel=1e-12)
 
 
-def test_with_modes_slices_modes_and_gain_norm():
+def test_with_modes_slices_modes():
     scn = build_scenario(ScenarioConfig(num_users=2))
     single = scn.with_modes(1)
     assert single.modes == scn.modes[:1]
-    np.testing.assert_array_equal(single.gain_norm, scn.gain_norm[:1])
-    np.testing.assert_array_equal(single.port_gains, scn.port_gains[:1])
-    assert scn.num_modes == 2 and len(scn.gain_norm) == 2
+    assert single.mode_amplitude(1) == scn.mode_amplitude(1)
+    assert scn.num_modes == 2
 
 
 def test_per_mode_normalization_at_the_reference_distance():
     # no losses: 1 m straight below an element, mode q's link gain is
     # its obliquity factor squared over the N-way guide share, and it is
-    # the port's gain times pattern, squared, times that share
+    # the port's pattern, squared, times that share
     n_pas = 3
     cfg = ScenarioConfig(num_waveguides=1, pas_per_waveguide=n_pas,
                          num_users=1, alpha_w_db=0.0, alpha_a_db=0.0)
@@ -78,9 +77,9 @@ def test_per_mode_normalization_at_the_reference_distance():
         assert gain == pytest.approx(obliquity ** 2 / n_pas, rel=1e-12)
         resp = PortResponse(scn.med, mode, wg, center, pa.orientations[q - 1],
                             user)
-        amplitude = scn.port_gains[q - 1] * resp.pattern[0]
         share = abs(h_wg_to_pa(mode, wg, pa)) ** 2
-        assert gain == pytest.approx(amplitude ** 2 * share, rel=1e-12)
+        assert gain == pytest.approx(resp.pattern[0] ** 2 * share,
+                                     rel=1e-12)
 
 
 @pytest.mark.parametrize("name, change", [
@@ -106,15 +105,13 @@ def test_scenario_fields_cannot_be_reassigned():
     scn = build_scenario(ScenarioConfig(num_users=2))
     with pytest.raises(FrozenInstanceError):
         scn.power = 1.0
-    with pytest.raises(FrozenInstanceError):
-        scn.gain_norm = np.ones(2)
     with pytest.raises(TypeError):
         scn.waveguides[0] = scn.waveguides[1]
     with pytest.raises(ValueError):
         scn.waveguides[0].feed_point[1] = 0.0
 
 
-@pytest.mark.parametrize("name", ["users", "noise", "gain_norm"])
+@pytest.mark.parametrize("name", ["users", "noise"])
 def test_scenario_arrays_are_read_only(name):
     users = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]])
     scn = build_scenario(ScenarioConfig(num_users=2), users=users)

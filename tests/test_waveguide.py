@@ -3,9 +3,8 @@ import pytest
 import scipy.constants
 
 from mmpass.geometry import Orientation
-from mmpass.waveguide import (MU_0, SPEED_OF_LIGHT, MediumConstants,
-                              PaPlacement, WaveguideSpec, h_wg_to_pa,
-                              mode_spec, te_modes, transverse_pattern,
+from mmpass.waveguide import (SPEED_OF_LIGHT, MediumConstants, PaPlacement,
+                              WaveguideSpec, h_wg_to_pa, mode_spec, te_modes,
                               assemble_H_wp)
 from oracles import coupling_length
 
@@ -30,13 +29,9 @@ def _guide(alpha_w=ALPHA_W, num_pas=1):
 
 
 def test_physical_constants_are_codata_2022():
-    # the literals, not whichever CODATA vintage a scipy release carries
-    # (before CODATA 2022, scipy's mu_0 was 1.25663706212e-06)
-    assert MU_0 == 1.25663706127e-06
+    # the literal, not whichever CODATA vintage a scipy release carries
     assert SPEED_OF_LIGHT == 299792458.0
-    assert MU_0 == scipy.constants.mu_0
     assert SPEED_OF_LIGHT == scipy.constants.speed_of_light
-    assert MediumConstants(frequency=1e9).permeability == MU_0
 
 
 def test_medium_wavelength():
@@ -74,35 +69,6 @@ def test_evanescent_mode_rejected():
 def test_te00_rejected():
     with pytest.raises(ValueError):
         mode_spec(0, 0, _guide(), _medium())
-
-
-# the transverse (y, z) pattern of the guided mode field at an offset
-# from the guide axis; a TE mode has no longitudinal component
-
-def test_modal_field_te10_center_polarization():
-    wg, med = _guide(), _medium()
-    mode = mode_spec(1, 0, wg, med)
-    e_y, e_z = transverse_pattern(mode, wg, 0.0, 0.0)
-    assert abs(e_y) < 1e-18  # v = 0 kills the y term
-    assert abs(e_z) > 0
-
-
-def test_modal_field_side_wall_zero():
-    wg, med = _guide(), _medium()
-    mode = mode_spec(1, 0, wg, med)
-    center = transverse_pattern(mode, wg, 0.0, 0.0)[1]
-    for side in (-1, 1):
-        e_z = transverse_pattern(mode, wg, side * wg.a / 2, 0.0)[1]
-        assert abs(e_z) < 1e-12 * abs(center)
-
-
-def test_modal_field_te01_top_wall_zero():
-    wg, med = _guide(), _medium()
-    mode = mode_spec(0, 1, wg, med, index=2)
-    center = transverse_pattern(mode, wg, 0.0, 0.0)[0]
-    for side in (-1, 1):
-        e_y = transverse_pattern(mode, wg, 0.0, side * wg.b / 2)[0]
-        assert abs(e_y) < 1e-12 * abs(center)
 
 
 def test_modal_field_attenuation_ratio():
