@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import eq
 
 import numpy as np
 
@@ -62,16 +65,52 @@ class ExperimentResult:
         return map(line.__mod__, self.rows)
 
 
+class _GridRows(Sequence):
+    """The (x, y, intensity) rows of a field map, x fastest, read from
+    its axes and grid on access: x and y rounded to 6 decimals and the
+    intensity to 4, as Python floats.  Equal to any sequence of the
+    same rows."""
+
+    def __init__(self, xs, ys, grid_db):
+        self._xs = np.round(xs, 6).tolist()
+        self._ys = np.round(ys, 6).tolist()
+        self._grid = grid_db
+
+    def __len__(self):
+        return len(self._xs) * len(self._ys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        iy, ix = divmod(range(len(self))[index], len(self._xs))
+        return (self._xs[ix], self._ys[iy],
+                float(np.round(self._grid[iy, ix], 4)))
+
+    def __iter__(self):
+        for y, line in zip(self._ys, self._grid):
+            yield from zip(self._xs, repeat(y), np.round(line, 4).tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 @dataclass(kw_only=True)
 class FieldMapResult(ExperimentResult):
     """A field map: ``xs`` (m) and ``ys`` (m) are the grid axes and
     ``grid_db`` the (len(ys), len(xs)) normalized intensity in dB.
-    ``rows`` holds the same points as (x, y, intensity) tuples, x
-    fastest, with x and y rounded to 6 decimals and the intensity to 4.
+    ``rows`` is derived from them: a read-only sequence of the same
+    points as (x, y, intensity) tuples, x fastest, with x and y rounded
+    to 6 decimals and the intensity to 4.
     """
+    rows: Sequence = field(init=False, repr=False)
     xs: np.ndarray
     ys: np.ndarray
     grid_db: np.ndarray
+
+    def __post_init__(self):
+        self.rows = _GridRows(self.xs, self.ys, self.grid_db)
 
     def _body(self):
         """The rows' CSV lines, one chunk per y line, from the grid: each
@@ -334,13 +373,9 @@ def run_field_map(cfg: ScenarioConfig, grid_res: float = 0.01,
     ys = np.arange(0.0, cfg.d_y + 1e-9, max(grid_res, 0.05))
     grid_db = intensity_map(scn.med, wg, scn.modes, pa, xs, ys,
                             alpha_a=scn.alpha_a)
-    xs_r = np.round(xs, 6).tolist()
-    rows = [(x, y, v) for y, line in zip(np.round(ys, 6).tolist(),
-                                         np.round(grid_db, 4).tolist())
-            for x, v in zip(xs_r, line)]
     meta = _metadata(cfg, grid_res=grid_res, pitch=round(port_pitch, 6))
-    return FieldMapResult("field_map", ("x", "y", "intensity_db"), rows,
-                          meta, xs=xs, ys=ys, grid_db=grid_db)
+    return FieldMapResult("field_map", ("x", "y", "intensity_db"),
+                          metadata=meta, xs=xs, ys=ys, grid_db=grid_db)
 
 
 @dataclass

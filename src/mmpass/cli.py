@@ -46,6 +46,38 @@ def _parse_powers(values):
     return powers
 
 
+def _is_number(token) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _glue_powers(argv):
+    """``argv`` with every value of a ``--powers`` run glued to its own
+    flag, ``--powers=VALUE``.  argparse reads a token that starts with
+    "-" as an option unless it looks like a plain negative integer or
+    decimal, so ``-1e6``, ``-1.5e1`` or ``-inf`` would end the run as an
+    unrecognized argument; a glued value is never read as an option.  A
+    run ends at the first token that starts with "-" and is not a
+    number."""
+    out, run, bare = [], False, False
+    for token in argv:
+        if run and (not token.startswith("-") or _is_number(token)):
+            out.append(f"--powers={token}")
+            bare = False
+            continue
+        if bare:  # a flag without values, for argparse to report
+            out.append("--powers")
+        run = bare = token == "--powers"
+        if not run:
+            out.append(token)
+    if bare:
+        out.append("--powers")
+    return out
+
+
 def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     if args.seed is not None:
@@ -140,6 +172,12 @@ def cmd_validate(args) -> int:
         # information, not a check: FP often stops at its cap
         print(f"INFO: slot {s_idx} FP ran {slot.iterations} iterations, "
               + ("converged" if slot.converged else "stopped at the cap"))
+        # a slot carries at most QM streams (its ports are M N Q); FP
+        # switches the other users off, and their rates are exactly 0
+        streams = slot.lam.shape[1] // scn.num_pas
+        kept = int(np.count_nonzero(slot.report.per_user_rate > 0))
+        print(f"INFO: {kept} of {len(slot.user_indices)} users of slot "
+              f"{s_idx} kept a stream (QM = {streams})")
     _check(failures, "polarization mask entries within [0, 1]", lam_ok)
     _check(failures, "FP trace nondecreasing",
            bool(np.all(np.diff(res.trace) >= -1e-9)))
@@ -250,12 +288,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("rate-vs-power", help="sum rate over a power grid")
     add_common(p)
-    p.add_argument("--powers", nargs="+", help="power grid in dBW")
+    p.add_argument("--powers", nargs="+", action="extend",
+                   help="power grid in dBW")
     p.set_defaults(func=cmd_rate_vs_power)
 
     p = sub.add_parser("outage", help="Monte Carlo outage curves")
     add_common(p)
-    p.add_argument("--powers", nargs="+", help="power grid in dBW")
+    p.add_argument("--powers", nargs="+", action="extend",
+                   help="power grid in dBW")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--threshold", type=float, default=1.0,
                    help="outage rate threshold, bits/s/Hz")
@@ -283,7 +323,8 @@ def main(argv=None) -> int:
     add_common(p)
     p.set_defaults(func=cmd_oracle)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_powers(sys.argv[1:] if argv is None
+                                          else argv))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -27,7 +27,7 @@
    started from the previous iteration's multiplier).  The rates and
    the power budget read G only through the precoder W = G W_p
    (QM x K), so the loop iterates on W, held in the row space of W_p by
-   a projection computed once per call.
+   an exact projection, and only on the users whose stream is still on.
 
 Single-mode ("-SM") schemes reuse the pair structure but serve one
 user per element per time slot on the fundamental mode, with rates
@@ -587,12 +587,16 @@ def _power_multiplier(lam, d, start=0.0):
     The spectrum has QM terms, few enough that the solve runs on Python
     floats faster than on arrays.
     """
-    terms = [(lam_i, d_i) for lam_i, d_i in zip(lam.tolist(), d.tolist())
-             if d_i > 0]
-    f_zero = sum(d_i / lam_i ** 2 for lam_i, d_i in terms if lam_i > 0)
+    spectrum = zip(lam.tolist(), d.tolist())
+    lam, d, f_zero = [], [], 0.0
+    for lam_i, d_i in spectrum:
+        if d_i > 0:
+            lam.append(lam_i)
+            d.append(d_i)
+            if lam_i > 0:
+                f_zero += d_i / lam_i ** 2
     if f_zero <= 1.0 + 1e-12:
         return 0.0
-    lam, d = zip(*terms)
     root_d = math.sqrt(sum(d))
     lo = max(root_d - max(lam), 0.0)
     hi = root_d - min(lam)
@@ -612,6 +616,35 @@ def _power_multiplier(lam, d, start=0.0):
 
 # the FP loop stops once an iteration gains less sum rate than this
 _FP_TOL = 1e-6
+# a stream whose SINR falls below this leaves the FP loop: 1 + SINR
+# rounds to 1 far above it (float64 machine epsilon squared)
+_EPS2 = np.finfo(float).eps ** 2
+
+
+def _port_blocks(w_p):
+    """The ids of the users that W_p serves, and the blocks of served
+    users tied by shared ports, each as (its users' positions among the
+    served ids, its projector).
+
+    pinv(W_p) W_p is block-diagonal over the users that the nonzero
+    pattern of W_p connects: 1 for a served user that shares no port, 0
+    for an unserved one, and the pinv projector of its own columns for
+    a block."""
+    nonzero = w_p != 0
+    served = np.flatnonzero(nonzero.any(axis=0))
+    # each user carries the lowest id of its block
+    own = np.arange(w_p.shape[1])
+    label = own.copy()
+    for row in nonzero[nonzero.sum(axis=1) > 1]:
+        tied = label[row]
+        label[np.isin(label, tied)] = tied.min()
+    blocks = []
+    for root in sorted(set(label[label != own].tolist())):
+        ids = np.flatnonzero(label == root)
+        cols = w_p[:, ids]
+        blocks.append((np.searchsorted(served, ids),
+                       np.linalg.pinv(cols) @ cols))
+    return served, blocks
 
 
 def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
@@ -626,37 +659,60 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
 
     where U diag(lam) U^H = sum_k mu_k h_k^H h_k,
     R = sqrt(P) h^H diag((1 + c1) c2) and Pi = pinv(W_p) W_p projects
-    onto the row space of W_p (fixed per call), so that W stays of the
-    form G W_p.  chi makes ||W||_F^2 meet the unit budget: the root of
-    the secular equation with weights d_i = ||(U^H R Pi)_i||^2
-    (``_power_multiplier``, started from the previous iteration's chi).
+    onto the row space of W_p, so that W stays of the form G W_p.  chi
+    makes ||W||_F^2 meet the unit budget: the root of the secular
+    equation with weights d_i = ||(U^H R Pi)_i||^2
+    (``_power_multiplier``, started from the previous iteration's chi);
+    with chi = 0 the directions with lam = 0 get no step.
 
-    Each pass reads the received amplitudes v = h W once.  With T_k the
-    received power plus noise of user k and S_k its signal power, the
-    auxiliary updates c1_k = SINR_k = S_k / (T_k - S_k) and
-    c2_k = sqrt(P) v_kk / T_k enter only as
-    sqrt(P) (1 + c1_k) c2_k = P v_kk / (T_k - S_k) and
-    mu_k = P SINR_k / T_k.  The product h U serves both U^H R = (h U)^H
-    diag(...) and the next v = (h U) diag(1 / (lam + chi)) U^H R Pi, so
-    W itself is formed once, after the loop.  The loop stops when the
-    sum rate gains less than ``_FP_TOL`` in one iteration
-    (``converged``) or after ``max_iter`` iterations; with none, W is
-    the normalized matched-filter start.  Returns the factorization and
-    the per-iteration sum-rate trace (1/2 log2 convention).
+    Pi is built exactly (``_port_blocks``): it is block-diagonal over
+    the users that shared ports tie together, 1 for a served user that
+    shares no port (every user of the pipeline, where each row of W_p
+    has one nonzero) and 0 for an unserved one, and the pinv projector
+    of its own columns for a block.  A product pinv(W_p) W_p would
+    carry ~1e-16 of rounding off its diagonal instead, enough to keep
+    streams that FP switches off alive at that level.
+
+    The loop iterates only the live users.  An unserved user is never
+    live, and a user leaves once its SINR falls below eps^2 (float64
+    machine epsilon squared, S_k < eps^2 (T_k - S_k)); the users of a
+    block leave together, once all of them are below it.  A user that
+    left keeps an exactly-zero W column, so its rate is exactly 0, and
+    h, the gains and Pi shrink to the live users.  Such a stream cannot
+    move any sum: 1 + SINR already rounds to 1 below eps / 2, so its
+    rate term is an exact 0 in every trace entry; and each iteration
+    rebuilds its column in proportion to its own received amplitude
+    (R's column k is scaled by v_kk), so the interference it causes
+    fades with its signal, which is below eps^2 of its interference plus
+    noise.  Dropping it also keeps the dying columns out of the
+    subnormal range, where they would otherwise decay for the rest of
+    the run.
+
+    Each pass reads the received amplitudes v = sqrt(P) h W once.  With
+    T_k the received power plus noise of user k and S_k its signal
+    power, the auxiliary updates c1_k = SINR_k = S_k / (T_k - S_k) and
+    c2_k = v_kk / T_k enter only as sqrt(P) (1 + c1_k) c2_k
+    = sqrt(P) v_kk / (T_k - S_k) and mu_k = P S_k / ((T_k - S_k) T_k),
+    and the rate as log2(1 + SINR_k) = log2(T_k / (T_k - S_k)).  The
+    product sqrt(P) h U serves both U^H R and the next v, so W itself
+    is formed once, after the loop.  The loop stops when the sum rate
+    gains less than ``_FP_TOL`` in one iteration (``converged``) or
+    after ``max_iter`` iterations; with none, W is the normalized
+    matched-filter start.  Returns the factorization and the
+    per-iteration sum-rate trace (1/2 log2 convention).
     """
     h = np.asarray(h, dtype=complex)
-    k_users = h.shape[0]
+    k_users, qm = h.shape
     w_p = np.asarray(w_p, dtype=complex)
-    noise = np.broadcast_to(np.asarray(noise, dtype=float), (k_users,)).copy()
+    noise = np.broadcast_to(np.asarray(noise, dtype=float), (k_users,))
     if np.any(noise <= 0):
         raise ValueError("noise power must be positive")
-    proj = np.linalg.pinv(w_p) @ w_p
-    h_adj = h.conj().T
+    live, blocks = _port_blocks(w_p)
 
     # matched-filter warm start: G feeds each port the conjugate channel
     # of the strongest user it serves (a port serving no one is zero)
     strength = np.where(np.abs(w_p) > 0, np.linalg.norm(h, axis=1), -np.inf)
-    w = h_adj[:, np.argmax(strength, axis=1)] @ w_p
+    w = h.conj().T[:, np.argmax(strength, axis=1)] @ w_p
     start_norm = np.linalg.norm(w)
     if start_norm > 0:
         w /= start_norm
@@ -665,17 +721,36 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
     sum_rate_prev = -np.inf
     chi = 0.0
     converged = False
-    v = h @ w
+    # the live users' columns of W are u_eig @ step; the received
+    # amplitudes sqrt(P) h W are v
+    hs = math.sqrt(power) * h[live]
+    hs_adj = hs.conj().T
+    noise = noise[live]
+    u_eig, step = np.eye(qm), w[:, live]
+    v = hs @ step
     # pass i scores the W of iteration i (none on pass 0, the start)
     # and, below the cap, runs iteration i + 1
     for it in range(max_iter + 1):
         gains = (v * v.conj()).real
-        total = power * gains.sum(axis=1) + noise
-        signal = power * gains.diagonal()
+        v_own = v.diagonal()
+        signal = gains.diagonal()
+        total = gains.sum(axis=1) + noise
         rest = total - signal
-        sinr = signal / rest
+        keep = signal >= _EPS2 * rest
+        for pos, _ in blocks:
+            keep[pos] = keep[pos].any()
+        if not keep.all():
+            live, hs, noise = live[keep], hs[keep], noise[keep]
+            hs_adj, step = hs.conj().T, step[:, keep]
+            gains, v_own = gains[np.ix_(keep, keep)], v_own[keep]
+            signal = gains.diagonal()
+            total = gains.sum(axis=1) + noise
+            rest = total - signal
+            renumber = np.cumsum(keep) - 1
+            blocks = [(renumber[pos], proj) for pos, proj in blocks
+                      if keep[pos[0]]]
         if it:
-            sum_rate = 0.5 * float(np.log2(1.0 + sinr).sum())
+            sum_rate = 0.5 * float(np.log2(total / rest).sum())
             trace.append(sum_rate)
             if abs(sum_rate - sum_rate_prev) < _FP_TOL:
                 converged = True
@@ -683,19 +758,23 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
             sum_rate_prev = sum_rate
         if it == max_iter:
             break
-        lam, u_eig = np.linalg.eigh((h_adj * (power * sinr / total)) @ h)
+        lam, u_eig = np.linalg.eigh((hs_adj * (signal / (rest * total))) @ hs)
         lam = np.maximum(lam, 0.0)
-        hu = h @ u_eig
-        m1 = (hu.conj().T * (power * v.diagonal() / rest)) @ proj
+        hu = hs @ u_eig
+        m1 = hu.conj().T * (v_own / rest)
+        for pos, proj in blocks:
+            m1[:, pos] = m1[:, pos] @ proj
         d_diag = (m1 * m1.conj()).real.sum(axis=1)
 
         chi = _power_multiplier(lam, d_diag, chi)
         denom = lam + chi
-        step = m1 / np.where(denom > 0, denom, np.inf)[:, None]
+        if not chi:  # the pseudo-inverse solution: no step on null(A)
+            denom[denom == 0.0] = np.inf
+        step = m1 / denom[:, None]
         v = hu @ step
 
-    if trace:
-        w = u_eig @ step
+    w = np.zeros((qm, k_users), dtype=complex)
+    w[:, live] = u_eig @ step
     final = PrecoderFactorization(w=w, chi=float(chi), iterations=len(trace),
                                   converged=converged)
     return final, np.asarray(trace)

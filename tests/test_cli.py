@@ -78,6 +78,15 @@ def test_validate_reports_each_slots_fp_stop(tiny, capsys):
     assert info[0].endswith(("converged", "stopped at the cap"))
 
 
+def test_validate_reports_each_slots_served_users(tiny, capsys):
+    # one guide with two modes carries QM = 2 streams, so FP keeps two
+    # of the slot's four users on; the others' rates are exactly 0
+    assert cli.main(["validate", *tiny]) == 0
+    served = [line for line in capsys.readouterr().out.splitlines()
+              if "kept a stream" in line]
+    assert served == ["INFO: 2 of 4 users of slot 0 kept a stream (QM = 2)"]
+
+
 def test_unknown_scheme_flag_fails_before_any_run(tiny, tmp_path, monkeypatch,
                                                   capsys):
     runs = []
@@ -147,3 +156,43 @@ def test_bad_power_or_threshold_exits_2_before_any_csv(tiny, tmp_path, capsys,
     assert cli.main([command, *tiny, *args]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+COMMAND_ARGS = {"rate-vs-power": [], "outage": ["--trials", "100"]}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+@pytest.mark.parametrize("value, watts", [("-1e6", "0.0"), ("-inf", "0.0"),
+                                          ("-nan", "nan")])
+def test_negative_powers_in_word_or_exponent_form_reach_the_check(
+        tiny, tmp_path, capsys, command, value, watts):
+    # argparse would take these for unknown options; they must reach the
+    # --powers check and fail there, before any run
+    argv = [command, *tiny, *COMMAND_ARGS[command], "--powers", "0", value]
+    assert cli.main(argv) == 2
+    assert (f"error: --powers value {value} dBW gives a transmit power of "
+            f"{watts} W" in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, csv", [("rate-vs-power", "rate_vs_power"),
+                                          ("outage", "outage")])
+def test_powers_in_exponent_form_run(tiny, tmp_path, command, csv):
+    # the run goes on past a negative value and ends at the next flag,
+    # which still applies
+    argv = [command, *tiny, "--powers", "-1.5e1", "0",
+            *COMMAND_ARGS[command], "--seed", "2"]
+    assert cli.main(argv) == 0
+    rows = _csv_rows(tmp_path / f"{csv}.csv")
+    assert sorted({r.split(",")[0] for r in rows}) == ["-15.000000",
+                                                      "0.000000"]
+    header = (tmp_path / f"{csv}.csv").read_text().splitlines()[0]
+    assert "seed=2" in header
+
+
+def test_powers_flag_without_values_is_an_argparse_error(tiny, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rate-vs-power", *tiny, "--powers", "--seed", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--powers: expected at least one argument" in err
