@@ -3,12 +3,12 @@ pinching-antenna systems."""
 
 from .geometry import Orientation, SphericalBasis
 from .waveguide import (MediumConstants, ModeSpec, PaPlacement, WaveguideSpec,
-                        h_wg_to_pa, mode_spec, te_modes)
+                        mode_spec, power_share, te_modes)
 from .radiation import PortResponse, intensity_map, pattern_factor
 from .polarization import receive_polarization
 from .scenario import Scenario, make_scenario
 from .channel import (ChannelMatrix, PortFactors, RateReport, assemble,
-                      port_factors, rate_report)
+                      port_factors, port_responses, rate_report)
 from .placement import (LinkModel, SingleUserSolution, TwoUserSolution,
                         gain_log_derivative, optimal_orientation,
                         optimal_position, two_user_shared_position)

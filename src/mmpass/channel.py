@@ -6,11 +6,14 @@ block-diagonal guide-to-port factor.  Row k, column (m, q) collects
 the coherent sum over the N elements of waveguide m radiating mode q
 toward user k.
 
-Assembly comes in two steps.  :func:`port_factors` evaluates what does
-not depend on the receive vectors: H_wp, H_pu and the unit field
-direction of every port at every user.  :func:`assemble` composes
-those factors with one set of receive vectors into Lambda and H, so
-receive policies compared on one deployment share its factors.
+Assembly comes in two steps.  :func:`port_factors` evaluates, on
+element positions x (M, N) and per-mode aims (M, N, Q), what does not
+depend on the receive vectors: H_wp = sqrt(``power_share``)
+e^(-j beta_q x), H_pu = ``PortResponse.amplitude`` e^(-j rho r) and
+the unit field direction of every port at every user.
+:func:`assemble` composes those factors with one set of receive
+vectors into Lambda and H, so receive policies compared on one
+deployment share its factors.
 
 Per-user rates use R_k = (1/2) log2(1 + SINR_k); the 1/2 prefactor is
 kept in every evaluator (baselines included) so that all reported
@@ -26,7 +29,7 @@ import numpy as np
 from .geometry import Orientation
 from .radiation import PortResponse
 from .scenario import Scenario
-from .waveguide import assemble_H_wp
+from .waveguide import element_center, power_share
 
 
 @dataclass(frozen=True)
@@ -53,30 +56,44 @@ class ChannelMatrix:
     h: np.ndarray       # K x QM complex
 
 
-def port_factors(scenario: Scenario) -> PortFactors:
-    """H_wp, H_pu and the unit field directions of a scenario's ports
-    at its users.  Each mode's ports of all M N elements are evaluated
-    in one ``PortResponse`` call."""
-    n_modes, n_users = scenario.num_modes, scenario.num_users
-    med = scenario.med
-    elements = [(wg, pa) for wg, pas in zip(scenario.waveguides,
-                                            scenario.placements)
-                for pa in pas]                  # in wp_row order
-    centers = np.array([pa.center(wg) for wg, pa in elements])
-    h_pu = np.zeros((n_users, len(elements) * n_modes), dtype=complex)
-    directions = np.zeros((n_users, len(elements) * n_modes, 3))
+def port_responses(scenario: Scenario, x, aims: Orientation):
+    """Yield one ``PortResponse`` per mode, of the ports of elements at
+    positions ``x`` (M, ...), row m on guide m, at the scenario's users
+    in global coordinates.  ``aims`` holds pitch and roll arrays of x's
+    shape and a trailing mode axis; mode q's ports take aims[..., q]."""
+    centers = np.stack([element_center(row, wg)
+                        for row, wg in zip(x, scenario.waveguides)])
     for q, mode in enumerate(scenario.modes):
-        aims = [pa.orientations[q] for _, pa in elements]
-        lanes = Orientation(pitch=np.array([o.pitch for o in aims]),
-                            roll=np.array([o.roll for o in aims]))
-        resp = PortResponse(med, mode, scenario.waveguides[0], centers,
-                            lanes, scenario.users)      # (MN, K)
-        h_pu[:, q::n_modes] = (resp.pattern
-                               * np.exp(-0.5 * scenario.alpha_a * resp.r)
-                               * np.exp(-1j * med.k0 * resp.r)).T
-        directions[:, q::n_modes] = resp.direction.transpose(1, 0, 2)
-    return PortFactors(h_wp=assemble_H_wp(scenario), h_pu=h_pu,
-                       directions=directions)
+        yield PortResponse(scenario.med, mode, scenario.waveguides[0],
+                           centers, Orientation(pitch=aims.pitch[..., q],
+                                                roll=aims.roll[..., q]),
+                           scenario.users)
+
+
+def port_factors(scenario: Scenario, x, aims: Orientation) -> PortFactors:
+    """H_wp, H_pu and the unit field directions of the ports of elements
+    at positions ``x`` (M, N), aimed by ``aims`` (pitch and roll arrays
+    (M, N, Q)), at the scenario's users.  Port (m, n, q) is row
+    (m N + n) Q + q of H_wp and reaches mode input (m, q), column
+    m Q + q, alone."""
+    x = np.asarray(x, dtype=float)
+    n_wg, n_pas = x.shape
+    n_modes = scenario.num_modes
+    beta = np.array([mode.propagation_constant for mode in scenario.modes])
+    h_wp = np.zeros((n_wg, n_pas, n_modes, n_wg, n_modes), dtype=complex)
+    m, n, q = np.indices(h_wp.shape[:3])
+    h_wp[m, n, q, m, q] = (np.sqrt(power_share(x, scenario.waveguides[0]))
+                           [..., None] * np.exp(-1j * beta * x[..., None]))
+    resps = list(port_responses(scenario, x, aims))
+    h_pu = np.stack([resp.amplitude(scenario.alpha_a)
+                     * np.exp(-1j * scenario.med.k0 * resp.r)
+                     for resp in resps], axis=-1)        # (M, N, K, Q)
+    directions = np.stack([resp.direction for resp in resps], axis=-2)
+    n_users = scenario.num_users
+    return PortFactors(
+        h_wp=h_wp.reshape(n_wg * n_pas * n_modes, -1),
+        h_pu=np.moveaxis(h_pu, 2, 0).reshape(n_users, -1),
+        directions=np.moveaxis(directions, 2, 0).reshape(n_users, -1, 3))
 
 
 def rx_world_vectors(num_users: int, rx_polarizations) -> np.ndarray:

@@ -54,27 +54,35 @@ def _is_number(token) -> bool:
     return True
 
 
-def _glue_powers(argv):
-    """``argv`` with every value of a ``--powers`` run glued to its own
-    flag, ``--powers=VALUE``.  argparse reads a token that starts with
-    "-" as an option unless it looks like a plain negative integer or
-    decimal, so ``-1e6``, ``-1.5e1`` or ``-inf`` would end the run as an
-    unrecognized argument; a glued value is never read as an option.  A
-    run ends at the first token that starts with "-" and is not a
-    number."""
-    out, run, bare = [], False, False
+# the options that take numbers: a run of values ("+") or one
+_NUMBER_OPTIONS = {"--powers": "+", "--seed": 1, "--trials": 1,
+                   "--threshold": 1, "--grid-res": 1}
+
+
+def _glue_numbers(argv):
+    """``argv`` with the values of every number option glued to their
+    flag, ``--flag=VALUE``.  argparse reads a token that starts with "-"
+    as an option unless it looks like a plain negative integer or
+    decimal, so ``-1e6``, ``-1.5e1`` or ``-inf`` would not reach the
+    option; a glued value is never read as an option.  A flag takes one
+    value, or a ``--powers`` run of them, from the tokens that do not
+    start with "-" or are numbers; a flag without one stays bare, for
+    argparse to report."""
+    out, flag, glued = [], None, 0
     for token in argv:
-        if run and (not token.startswith("-") or _is_number(token)):
-            out.append(f"--powers={token}")
-            bare = False
+        if flag and (not token.startswith("-") or _is_number(token)):
+            out.append(f"{flag}={token}")
+            glued += 1
+            if _NUMBER_OPTIONS[flag] == 1:
+                flag = None
             continue
-        if bare:  # a flag without values, for argparse to report
-            out.append("--powers")
-        run = bare = token == "--powers"
-        if not run:
+        if flag and not glued:
+            out.append(flag)
+        flag, glued = (token if token in _NUMBER_OPTIONS else None), 0
+        if not flag:
             out.append(token)
-    if bare:
-        out.append("--powers")
+    if flag and not glued:
+        out.append(flag)
     return out
 
 
@@ -323,8 +331,8 @@ def main(argv=None) -> int:
     add_common(p)
     p.set_defaults(func=cmd_oracle)
 
-    args = parser.parse_args(_glue_powers(sys.argv[1:] if argv is None
-                                          else argv))
+    args = parser.parse_args(_glue_numbers(sys.argv[1:] if argv is None
+                                           else argv))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

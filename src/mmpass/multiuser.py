@@ -16,10 +16,12 @@
    reads its guide's rows.  A slot is solved on slot-wide lanes: one
    pair solve covers every pair on every guide, each user carried in
    its guide's frame, and the receive vectors, the serving gains and
-   the interference table take one port evaluation per mode over all
-   candidates.  Interference is additive (sources keep their
+   the interference table (through the channel's own
+   ``channel.port_responses``) take one port evaluation per mode over
+   all candidates.  Interference is additive (sources keep their
    noise-only splits, victims their matched receive vectors), so the
-   fill keeps a running sum of it per element.
+   fill keeps a running sum of it per element.  The slot is deployed
+   as arrays, positions (M, N) and per-mode aims (M, N, Q).
 3. Precoding: with the sparse per-element splits W_p frozen, the
    mode-domain mixer G is optimized by fractional programming
    (quadratic transform, closed-form auxiliary updates, a KKT solve and
@@ -39,7 +41,7 @@ spaced codebook angles.
 Stages 1 and 2 and the splits W_p assume the matched policy whatever
 the scheme, so the schemes compare receive policies on one deployment.
 That deployment is shared: the grouping per scenario, and the
-assignment, the placements, W_p, the matched field directions and the
+assignment, the element arrays, W_p, the matched field directions and the
 channel's port factors per (scenario, mode count), so PA-MM, PI-MM and
 DP-MM share one and PA-SM and PI-SM another.  Each scheme runs only
 its receive policy, the composition of the port factors under it,
@@ -60,8 +62,8 @@ from .placement import (LinkModel, power_split, solve_single_user,
                         two_user_shared_position)
 from .polarization import matched_polarization, receive_polarization
 from .radiation import PortResponse
-from .scenario import Scenario, default_placements
-from .waveguide import element_center
+from .scenario import Scenario
+from .waveguide import PaPlacement, element_center, power_share
 
 
 @dataclass(frozen=True)
@@ -439,12 +441,6 @@ class _SlotSolver:
             self.gains[m, j, q] = self.link.gain(q + 1, x, users)
             self.noise[m, j, q] = scn.noise[self.users[m, j, q]]
 
-    def port_aims(self, m: int, j: int) -> tuple:
-        """Orientations of candidate (m, j)'s ports, one per mode."""
-        return tuple(Orientation(pitch=float(self.aims.pitch[m, j, q]),
-                                 roll=float(self.aims.roll[m, j, q]))
-                     for q in range(self.scenario.num_modes))
-
     # -- interference and rates -------------------------------------------
 
     def _rate(self, m, j, interference=0.0):
@@ -458,21 +454,16 @@ class _SlotSolver:
         guide m2 serving group j2 on slot s of candidate (m, j), summed
         over the source's ports; zero on a singleton's empty slot.  The
         entries of m2 == m are those of a different element of the same
-        guide.  Each mode's ports of all (guide, group) sources are
-        evaluated in one ``PortResponse`` call; a singleton's idle port
+        guide.  The sources' ports are evaluated as the channel's, by
+        ``channel.port_responses``, and a singleton's idle port
         transmits with a zero split."""
         scn = self.scenario
-        wg = self.link.wg
-        h_wp_sq = np.exp(-wg.alpha_w * self.x) / wg.num_pas
+        share = power_share(self.x, self.link.wg)
         cross = np.zeros(self.x.shape * 2 + (2,))
-        for q, mode in enumerate(scn.modes):
-            # sources in their guides' frames, every user seen by each
-            resp = PortResponse(scn.med, mode, wg, element_center(self.x, wg),
-                                Orientation(pitch=self.aims.pitch[..., q],
-                                            roll=self.aims.roll[..., q]),
-                                self.frame_users[:, None])  # (M, J, K)
-            h_pu = resp.pattern * np.exp(-0.5 * scn.alpha_a * resp.r)
-            h_sq = h_pu ** 2 * h_wp_sq[..., None]
+        for q, resp in enumerate(channel.port_responses(scn, self.x,
+                                                        self.aims)):
+            # (M, J, K): every source seen by every user
+            h_sq = resp.amplitude(scn.alpha_a) ** 2 * share[..., None]
             weight = scn.power * self.splits[..., q]
             # the directions are gathered at every victim's user one
             # source guide at a time, which bounds that array to 1/M of
@@ -834,19 +825,20 @@ def _enforce_min_spacing(positions: dict, min_gap: float, length: float) -> dict
 
 @dataclass(frozen=True)
 class _SlotDeployment:
-    """The scheme-free part of one time slot: the slot's scenario with
-    the assigned elements placed, the assignment, the port-resolved
-    splits W_p (rows (element, mode), columns the slot's users), the
-    channel's port factors on the placed elements (H_wp, H_pu and every
-    port's field direction at every user) and, for each served user,
-    the matched field direction of its serving port and that element's
-    center.  Every scheme of the slot's mode count reads it, so its
-    arrays are read-only; a scheme adds only its receive vectors and
-    the composition of the factors under them."""
+    """The scheme-free part of one time slot: the slot's scenario, the
+    assignment, the element records, the port-resolved splits W_p (rows
+    (element, mode), columns the slot's users), the channel's port factors
+    on the deployed elements (H_wp, H_pu and every port's field direction
+    at every user) and, for each served user, the matched field direction
+    of its serving port and that element's center.  Every scheme of the
+    slot's mode count reads it, so its arrays are read-only and its records
+    tuples; a scheme adds only its receive vectors and the composition of
+    the factors under them."""
 
     scenario: Scenario
     user_indices: np.ndarray           # global ids of the slot's users
     assignment: AssignmentMatrix
+    placements: tuple                  # [m][n] PaPlacement records
     w_p: np.ndarray
     factors: channel.PortFactors
     served_users: np.ndarray           # (S,) their slot-local ids
@@ -874,17 +866,24 @@ def _deploy_slot(scenario: Scenario, slot_groups,
     served = [(int(i), int(solver.guide[i]), int(j))
               for i, j in zip(*np.nonzero(assignment.x))]
 
-    num_pas, n_modes = slot_scn.num_pas, slot_scn.num_modes
-    placements = default_placements(slot_scn.waveguides, num_pas, n_modes)
+    # element n of guide m at x[m, n], its mode-q port aimed by pitch and
+    # roll angles[:, m, n, q]; an unassigned element keeps the even
+    # spread L (n + 1) / (N + 1) and points straight down
+    n_wg, num_pas = slot_scn.num_waveguides, slot_scn.num_pas
+    n_modes, length = slot_scn.num_modes, slot_scn.waveguides[0].length
+    x = np.tile(length * np.arange(1, num_pas + 1) / (num_pas + 1),
+                (n_wg, 1))
+    angles = np.zeros((2, n_wg, num_pas, n_modes))
     lam_half = slot_scn.med.wavelength0 / 2
-    for m, wg in enumerate(slot_scn.waveguides):
+    for m in range(n_wg):
         on_guide = {i % num_pas: j for i, g, j in served if g == m}
         spaced = _enforce_min_spacing(
             {n: solver.x[m, j] for n, j in on_guide.items()}, lam_half,
-            wg.length)
+            length)
         for n, j in on_guide.items():
-            placements[m][n] = replace(placements[m][n], x_position=spaced[n],
-                                       orientations=solver.port_aims(m, j))
+            x[m, n] = spaced[n]
+            angles[:, m, n] = (solver.aims.pitch[m, j, :n_modes],
+                               solver.aims.roll[m, j, :n_modes])
 
     w_p = np.zeros((solver.guide.size * n_modes, len(slot_users)))
     serving = {}
@@ -893,11 +892,15 @@ def _deploy_slot(scenario: Scenario, slot_groups,
             k = int(solver.users[m, j, s])
             w_p[i * n_modes + s, k] = np.sqrt(solver.splits[m, j, s])
             serving.setdefault(k, (m, j, s))  # lowest element first
-    deployed = replace(slot_scn, placements=placements)
+    placements = tuple(
+        tuple(PaPlacement(x_mn, tuple(map(Orientation, *aim)))
+              for x_mn, aim in zip(x_m, aims_m))
+        for x_m, aims_m in zip(x.tolist(),
+                               np.moveaxis(angles, 0, -2).tolist()))
     return _SlotDeployment(
-        scenario=deployed, user_indices=np.asarray(slot_users),
-        assignment=assignment, w_p=w_p,
-        factors=channel.port_factors(deployed),
+        scenario=slot_scn, user_indices=np.asarray(slot_users),
+        assignment=assignment, placements=placements, w_p=w_p,
+        factors=channel.port_factors(slot_scn, x, Orientation(*angles)),
         served_users=np.array(list(serving)),
         fields=np.array([solver.rx[m, j, s] for m, j, s in serving.values()]),
         sources=np.array([element_center(solver.x[m, j],
@@ -922,7 +925,7 @@ def _solve_slot(deployment: _SlotDeployment, rx_policy: str) -> SlotSolution:
     report = channel.rate_report(matrices.h, fact.w, scn.power, scn.noise)
     return SlotSolution(user_indices=deployment.user_indices,
                         assignment=deployment.assignment,
-                        placements=[list(row) for row in scn.placements],
+                        placements=list(map(list, deployment.placements)),
                         rx=rx, lam=matrices.lam, report=report,
                         trace=trace,
                         iterations=fact.iterations, converged=fact.converged)

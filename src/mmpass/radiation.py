@@ -26,10 +26,10 @@ it holds the distance r, the signed pattern S_q |Psi_q| / r and the
 unit GCS direction of the radiated field.  A lane's results equal
 those of its port evaluated alone, bit for bit, so callers batch every
 port of a mode into one call.  The channel's port gain constant is 1
-for every mode (see :mod:`mmpass.scenario`), so the pattern is the
-port-to-user gain up to absorption: the channel multiplies in
-absorption and the free-space phase, and a field map absorption and
-the raw-field mode weight.  S_q keeps its sign everywhere, so a gain
+for every mode (see :mod:`mmpass.scenario`), so the port-to-user
+amplitude is the pattern under absorption, ``amplitude(alpha_a)``:
+the channel multiplies in the free-space phase, and a field map the
+raw-field mode weight.  S_q keeps its sign everywhere, so a gain
 on a sidelobe where S_q < 0 carries the physical pi phase flip.  The
 pattern and the direction are computed the first time they are read:
 a field map never evaluates directions, and a polarization lookup
@@ -128,6 +128,11 @@ class PortResponse:
                              self.med.wavelength0)
         return s_q * self._psi[2] / self.r
 
+    def amplitude(self, alpha_a: float) -> np.ndarray:
+        """The signed port-to-user amplitude, the pattern attenuated by
+        atmospheric absorption alpha_a (Np/m) over the distance r."""
+        return self.pattern * np.exp(-0.5 * alpha_a * self.r)
+
     @cached_property
     def direction(self) -> np.ndarray:
         """Unit field direction; the polar unit vector where Psi_q
@@ -163,8 +168,7 @@ def intensity_map(med: MediumConstants, wg: WaveguideSpec, modes, pa: PaPlacemen
     maps = []
     for mode, orientation in zip(modes, pa.orientations):
         resp = PortResponse(med, mode, wg, center, orientation, points)
-        field = (resp.pattern / mode.cutoff_wavenumber ** 2
-                 * np.exp(-0.5 * alpha_a * resp.r))
+        field = resp.amplitude(alpha_a) / mode.cutoff_wavenumber ** 2
         maps.append((field ** 2).reshape(gy.shape))
     total = np.sum(maps, axis=0)
     return 10 * np.log10(total / total.max())

@@ -1,9 +1,10 @@
 """System-level scenario description.
 
-A Scenario bundles everything needed to evaluate the end-to-end
-channel: medium constants, the waveguide array with its pinching
-elements, the propagating modes, user locations, transmit power and
-per-user noise.
+A Scenario bundles the inputs of the end-to-end channel: medium
+constants, the waveguide array, the propagating modes, user locations,
+transmit power and per-user noise.  It holds no element placement:
+``multiuser`` deploys the elements of each time slot as arrays of
+positions and per-mode aims, which ``channel.port_factors`` evaluates.
 
 The port-to-user gain of every mode is normalized: its distance- and
 angle-free constant is 1, so mode q's boresight gain at 1 m is its
@@ -23,9 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Orientation
-from .waveguide import (MediumConstants, ModeSpec, PaPlacement, WaveguideSpec,
-                        te_modes)
+from .waveguide import MediumConstants, ModeSpec, WaveguideSpec, te_modes
 
 # every guide of a scenario shares these with guide 0: the per-scenario
 # element count, the port responses and the slot solver's shared guide
@@ -43,16 +42,14 @@ class Scenario:
     ``multiuser.optimize_scenario`` deploys the elements once per
     scenario and reuses that deployment for every scheme run on it
     while the scenario lives, which is sound only if the scenario
-    cannot change under it.  The element ``placements`` stay lists, as
-    the deployment replaces them instead of reading them.  Scenarios
-    compare and hash by identity; ``dataclasses.replace`` derives a
-    changed copy, which is deployed anew.
+    cannot change under it.  Scenarios compare and hash by identity;
+    ``dataclasses.replace`` derives a changed copy, which is deployed
+    anew.
     """
 
     med: MediumConstants
     waveguides: tuple[WaveguideSpec, ...]
     modes: tuple[ModeSpec, ...]
-    placements: list[list[PaPlacement]]
     users: np.ndarray  # (K, 3), floor plane
     power: float  # total transmit power, W
     noise: np.ndarray  # (K,) noise power, W
@@ -108,15 +105,6 @@ def waveguide_y_positions(d_y: float, count: int) -> np.ndarray:
     return d_y * (np.arange(count) + 0.5) / count
 
 
-def default_placements(waveguides, num_pas: int,
-                       num_modes: int) -> list[list[PaPlacement]]:
-    """Elements evenly spread over each guide's length, pointing
-    straight down."""
-    down = tuple(Orientation() for _ in range(num_modes))
-    return [[PaPlacement(wg.length * (n + 1) / (num_pas + 1), down)
-             for n in range(num_pas)] for wg in waveguides]
-
-
 def make_scenario(med: MediumConstants, *, region, num_waveguides: int,
                   num_pas: int, num_modes: int, users, power: float,
                   noise_w: float, alpha_w: float, alpha_a: float,
@@ -134,7 +122,6 @@ def make_scenario(med: MediumConstants, *, region, num_waveguides: int,
     users = np.atleast_2d(np.asarray(users, dtype=float))
     return Scenario(
         med=med, waveguides=waveguides, modes=modes,
-        placements=default_placements(waveguides, num_pas, num_modes),
         users=users, power=power,
         noise=np.full(users.shape[0], noise_w),
         alpha_a=alpha_a)

@@ -10,10 +10,11 @@ of an equal-quota cascade that would realize it are a test oracle
 
 The guide-to-port gain for mode q at position x is
 
-    h = sqrt(exp(-alpha_w x) / N) * exp(-1j beta_q x)
+    h = sqrt(share) * exp(-1j beta_q x),   share = exp(-alpha_w x) / N,
 
-which stacks into a block-diagonal QMN x QM matrix (one NQ x Q block
-per waveguide, zero across guides and across modes).
+with the share from :func:`power_share`.  ``channel.port_factors``
+stacks these gains into the block-diagonal QMN x QM matrix H_wp (one
+NQ x Q block per waveguide, zero across guides and across modes).
 """
 
 from __future__ import annotations
@@ -147,7 +148,10 @@ def te_modes(wg: WaveguideSpec, med: MediumConstants, count: int = 2):
 
 @dataclass(frozen=True)
 class PaPlacement:
-    """One pinching element on a waveguide with per-port orientations."""
+    """One pinching element on a waveguide with per-port orientations:
+    the record of a deployed element (``multiuser.SlotSolution``) and of
+    a field map's element.  The pipeline itself carries positions and
+    aims as arrays."""
 
     x_position: float
     orientations: tuple[Orientation, ...]
@@ -162,38 +166,11 @@ def element_center(x, wg: WaveguideSpec) -> np.ndarray:
     return np.stack(np.broadcast_arrays(x, wg.axis_y, wg.axis_z), axis=-1)
 
 
-def h_wg_to_pa(mode: ModeSpec, wg: WaveguideSpec, pa: PaPlacement) -> complex:
-    """Channel gain from the waveguide input to one pinch point."""
-    x = pa.x_position
-    if not 0 <= x <= wg.length + 1e-12:
+def power_share(x, wg: WaveguideSpec) -> np.ndarray:
+    """The share e^(-alpha_w x) / N of the guided power that elements at
+    positions ``x`` (any array shape) on guide ``wg`` extract; a position
+    outside [0, length] raises ValueError."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0) & (x <= wg.length + 1e-12)):
         raise ValueError(f"pa position {x} outside the waveguide")
-    amp = np.sqrt(np.exp(-wg.alpha_w * x) / wg.num_pas)
-    return complex(amp * np.exp(-1j * mode.propagation_constant * x))
-
-
-def wp_row(m: int, n: int, q: int, n_pas: int, n_modes: int) -> int:
-    """0-based row index of port (m, n, q) in the QMN-dim port stack."""
-    return (m * n_pas + n) * n_modes + q
-
-
-def wp_col(m: int, q: int, n_modes: int) -> int:
-    """0-based column index of mode input (m, q) in the QM-dim stack."""
-    return m * n_modes + q
-
-
-def assemble_H_wp(scenario) -> np.ndarray:
-    """Block-diagonal QMN x QM guide-to-port matrix for a scenario.
-
-    Entry (m, n, q) -> (m', q') is h_wg_to_pa when m == m' and q == q',
-    zero otherwise: ports only couple to their own guide and mode.
-    """
-    n_wg = len(scenario.waveguides)
-    n_modes = len(scenario.modes)
-    n_pas = scenario.waveguides[0].num_pas
-    h = np.zeros((n_wg * n_pas * n_modes, n_wg * n_modes), dtype=complex)
-    for m, (wg, pas) in enumerate(zip(scenario.waveguides, scenario.placements)):
-        for n, pa in enumerate(pas):
-            for q, mode in enumerate(scenario.modes):
-                h[wp_row(m, n, q, n_pas, n_modes),
-                  wp_col(m, q, n_modes)] = h_wg_to_pa(mode, wg, pa)
-    return h
+    return np.exp(-wg.alpha_w * x) / wg.num_pas

@@ -1,8 +1,11 @@
 """Scalar reference evaluations that the tests compare the package's
 vectorized kernels against.
 
+``h_wg_to_pa`` is the guide-to-port gain of one port, written on
+scalars, and ``guide_to_port_matrix`` stacks it into H_wp port by
+port, the references for the array H_wp of ``channel.port_factors``.
 ``coupling_length`` is the equal-quota cascade behind the 1/N power
-share of ``waveguide.h_wg_to_pa``.  ``radiated_field`` evaluates the
+share of ``waveguide.power_share``.  ``radiated_field`` evaluates the
 far-field formulas of one port at one point, with every constant
 written out, independently of ``radiation.PortResponse``.
 ``JonesVector`` describes a polarization state by its two components in
@@ -32,6 +35,29 @@ from mmpass.waveguide import (MediumConstants, ModeSpec, PaPlacement,
 
 # CODATA 2022 vacuum permeability, H/m
 MU_0 = 1.25663706127e-06
+
+
+def h_wg_to_pa(mode: ModeSpec, wg: WaveguideSpec, x: float) -> complex:
+    """Channel gain from the waveguide input to the mode's port of an
+    element at position x."""
+    if not 0 <= x <= wg.length + 1e-12:
+        raise ValueError(f"pa position {x} outside the waveguide")
+    amp = np.sqrt(np.exp(-wg.alpha_w * x) / wg.num_pas)
+    return complex(amp * np.exp(-1j * mode.propagation_constant * x))
+
+
+def guide_to_port_matrix(modes, waveguides, x) -> np.ndarray:
+    """The QMN x QM matrix H_wp of elements at positions x[m][n], filled
+    port by port: port (m, n, q) reaches mode input (m, q) alone, in row
+    (m N + n) Q + q and column m Q + q."""
+    n_wg, n_pas, n_modes = len(x), len(x[0]), len(modes)
+    h = np.zeros((n_wg * n_pas * n_modes, n_wg * n_modes), dtype=complex)
+    for m, wg in enumerate(waveguides):
+        for n in range(n_pas):
+            for q, mode in enumerate(modes):
+                h[(m * n_pas + n) * n_modes + q, m * n_modes + q] = \
+                    h_wg_to_pa(mode, wg, x[m][n])
+    return h
 
 
 def coupling_length(n: int, n_total: int, kappa: float) -> float:

@@ -8,8 +8,8 @@ from mmpass.placement import (LinkModel, optimal_orientation, power_split,
                               two_user_shared_position)
 from mmpass.polarization import receive_polarization
 from mmpass.radiation import PortResponse
-from mmpass.waveguide import PaPlacement, h_wg_to_pa, wp_col, wp_row
-from oracles import radiated_field
+from mmpass.waveguide import PaPlacement, element_center, power_share
+from oracles import guide_to_port_matrix, h_wg_to_pa, radiated_field
 
 
 def _single_link_scenario(user=(5.5, 3.0, 0.0)):
@@ -18,17 +18,23 @@ def _single_link_scenario(user=(5.5, 3.0, 0.0)):
     return cfg, scn
 
 
+def _arrays(placements):
+    """The element arrays of ``port_factors`` for PaPlacement records
+    [m][n]: positions (M, N) and aims with (M, N, Q) angles."""
+    x = np.array([[pa.x_position for pa in row] for row in placements])
+    angles = np.array([[[(o.pitch, o.roll) for o in pa.orientations]
+                        for pa in row] for row in placements])
+    return x, Orientation(pitch=angles[..., 0], roll=angles[..., 1])
+
+
 def _aim_and_place(scn, x, user):
-    wg = scn.waveguides[0]
-    pa_pos = np.array([x, wg.axis_y, wg.axis_z])
-    orientations = tuple(optimal_orientation(pa_pos, user)
-                         for _ in scn.modes)
-    scn.placements[0][0] = PaPlacement(x, orientations)
-    return scn
+    """One element at x with every port aimed at the user."""
+    pa_pos = element_center(x, scn.waveguides[0])
+    return PaPlacement(x, tuple(optimal_orientation(pa_pos, user)
+                                for _ in scn.modes))
 
 
-def _matched_rx(scn, user, q=0):
-    pa = scn.placements[0][0]
+def _matched_rx(scn, pa, user, q=0):
     wg = scn.waveguides[0]
     e_dir = PortResponse(scn.med, scn.modes[q], wg, pa.center(wg),
                          pa.orientations[q], user).direction[0]
@@ -39,13 +45,12 @@ def test_degenerate_scalar_composition():
     # K = M = N = 1: the assembled entry is eta * h_pu * h_wp
     cfg, scn = _single_link_scenario()
     user = scn.users[0]
-    scn = _aim_and_place(scn, 5.0, user)
-    rx = _matched_rx(scn, user)[None, :]
-    factors = channel.port_factors(scn)
+    pa = _aim_and_place(scn, 5.0, user)
+    rx = _matched_rx(scn, pa, user)[None, :]
+    factors = channel.port_factors(scn, *_arrays([[pa]]))
     cm = channel.assemble(factors, rx)
-    pa = scn.placements[0][0]
     wg = scn.waveguides[0]
-    h_wp = h_wg_to_pa(scn.modes[0], wg, pa)
+    h_wp = h_wg_to_pa(scn.modes[0], wg, pa.x_position)
     composed = cm.lam[0, 0] * factors.h_pu[0, 0] * h_wp
     assert cm.h[0, 0] == pytest.approx(composed, rel=1e-12)
     # matched receive polarization on the serving link
@@ -55,17 +60,70 @@ def test_degenerate_scalar_composition():
 def test_zero_mask_annihilates():
     cfg, scn = _single_link_scenario()
     user = scn.users[0]
-    scn = _aim_and_place(scn, 5.0, user)
-    rx = _matched_rx(scn, user)[None, :]
-    factors = channel.port_factors(scn)
+    pa = _aim_and_place(scn, 5.0, user)
+    rx = _matched_rx(scn, pa, user)[None, :]
+    factors = channel.port_factors(scn, *_arrays([[pa]]))
     cm = channel.assemble(factors, rx)
     assert np.allclose((0.0 * cm.lam * factors.h_pu) @ factors.h_wp, 0.0)
 
 
+def _random_elements(m, n, q, seed):
+    """A scenario of M guides with N elements and Q modes, and element
+    arrays of uniform positions over each guide and uniform aims."""
+    cfg = ScenarioConfig(num_waveguides=m, pas_per_waveguide=n, num_users=3)
+    rng = np.random.default_rng(seed)
+    scn = build_scenario(cfg, users=_uniform_users(cfg, seed)).with_modes(q)
+    x = rng.uniform(0.0, cfg.d_x, size=(m, n))
+    pitch, roll = rng.uniform(-1.0, 1.0, size=(2, m, n, q))
+    return scn, x, Orientation(pitch=pitch, roll=roll)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 2), (4, 4, 2)],
+                         ids=["MNQ=111", "MNQ=232", "MNQ=442"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_h_wp_equals_the_scalar_oracle_bit_for_bit(shape, seed):
+    scn, x, aims = _random_elements(*shape, seed)
+    h_wp = channel.port_factors(scn, x, aims).h_wp
+    oracle = guide_to_port_matrix(scn.modes, scn.waveguides, x.tolist())
+    assert h_wp.shape == oracle.shape
+    assert np.array_equal(h_wp, oracle)
+
+
+@pytest.mark.parametrize("bad", [-1e-3, 10.0 + 1e-9, np.nan])
+def test_position_outside_the_guide_raises(bad):
+    scn, x, aims = _random_elements(2, 3, 2, 0)
+    length = scn.waveguides[0].length
+    x[1, 2] = length + 1e-9 if bad > 10 else bad
+    with pytest.raises(ValueError, match="outside the waveguide"):
+        channel.port_factors(scn, x, aims)
+    with pytest.raises(ValueError, match="outside the waveguide"):
+        power_share(x, scn.waveguides[0])
+    x[1, 2] = length  # the guide's end is still on it
+    channel.port_factors(scn, x, aims)
+
+
 def test_port_column_index_map():
-    # (m=2, n=1, q=2) with N=3, Q=2 lands in 1-based column 8
-    assert wp_row(1, 0, 1, 3, 2) == 7  # 0-based
-    assert wp_col(1, 1, 2) == 3
+    # (m=2, n=1, q=2) with N=3, Q=2 lands in 1-based row 8, column 4:
+    # the port's gain is the row's only entry, and the column collects
+    # mode 2 of the three elements of guide 2
+    scn, x, aims = _random_elements(2, 3, 2, 4)
+    h_wp = channel.port_factors(scn, x, aims).h_wp
+    gain = h_wg_to_pa(scn.modes[1], scn.waveguides[1], x[1, 0])
+    assert np.flatnonzero(h_wp[7]).tolist() == [3]
+    assert h_wp[7, 3] == gain
+    assert np.flatnonzero(h_wp[:, 3]).tolist() == [7, 9, 11]
+    assert np.array_equal(h_wp, guide_to_port_matrix(
+        scn.modes, scn.waveguides, x.tolist()))
+
+
+def _down(scn):
+    """Elements evenly spread over each guide, L (n + 1) / (N + 1),
+    every port pointing straight down."""
+    m, n = scn.num_waveguides, scn.num_pas
+    x = np.tile(scn.waveguides[0].length * np.arange(1, n + 1) / (n + 1),
+                (m, 1))
+    return x, Orientation(pitch=np.zeros((m, n, scn.num_modes)),
+                          roll=np.zeros((m, n, scn.num_modes)))
 
 
 def _uniform_users(cfg, seed):
@@ -79,7 +137,7 @@ def test_assembly_consistency_invariant():
     cfg = ScenarioConfig(num_waveguides=2, pas_per_waveguide=2, num_users=4)
     scn = build_scenario(cfg, users=_uniform_users(cfg, 0))
     rx = np.tile([0.0, 0.0, 1.0], (4, 1))
-    factors = channel.port_factors(scn)
+    factors = channel.port_factors(scn, *_down(scn))
     cm = channel.assemble(factors, rx)
     assert np.allclose(cm.h, (cm.lam * factors.h_pu) @ factors.h_wp,
                        atol=1e-15)
@@ -90,7 +148,7 @@ def test_assembly_superposition():
     cfg = ScenarioConfig(num_waveguides=2, pas_per_waveguide=2, num_users=4)
     scn = build_scenario(cfg, users=_uniform_users(cfg, 1))
     rx = np.tile([0.0, 0.0, 1.0], (4, 1))
-    factors = channel.port_factors(scn)
+    factors = channel.port_factors(scn, *_down(scn))
     cm = channel.assemble(factors, rx)
     eff = cm.lam * factors.h_pu
     bumped = eff.copy()
@@ -112,15 +170,13 @@ def test_h_pa_to_user_matches_assembled_column_with_sign():
     cfg = ScenarioConfig(num_waveguides=1, pas_per_waveguide=1,
                          num_users=len(xs))
     scn = build_scenario(cfg, users=users)
-    scn.placements[0][0] = PaPlacement(5.0, (Orientation(),) * 2)
-    pa, wg = scn.placements[0][0], scn.waveguides[0]
-    factors = channel.port_factors(scn)
-    for q, mode in enumerate(scn.modes):
-        col = wp_row(0, 0, q, 1, 2)
+    pa, wg = PaPlacement(5.0, (Orientation(),) * 2), scn.waveguides[0]
+    factors = channel.port_factors(scn, *_arrays([[pa]]))
+    for q, mode in enumerate(scn.modes):  # one element: port q, column q
         resp = PortResponse(scn.med, mode, wg, pa.center(wg),
                             pa.orientations[q], users)
-        assert np.array_equal(factors.directions[:, col], resp.direction)
-        gains = h_wg_to_pa(mode, wg, pa) * factors.h_pu[:, col]
+        assert np.array_equal(factors.directions[:, q], resp.direction)
+        gains = h_wg_to_pa(mode, wg, pa.x_position) * factors.h_pu[:, q]
         oracle = np.array([radiated_field(scn.med, wg, mode, pa,
                                           pa.orientations[q], u,
                                           alpha_a=scn.alpha_a,
@@ -139,7 +195,7 @@ def test_h_pa_to_user_matches_assembled_column_with_sign():
 def test_rx_polarization_norm_enforced():
     cfg, scn = _single_link_scenario()
     with pytest.raises(ValueError):
-        channel.assemble(channel.port_factors(scn),
+        channel.assemble(channel.port_factors(scn, *_down(scn)),
                          np.array([[0.0, 0.0, 2.0]]))
 
 
@@ -148,7 +204,7 @@ def test_rx_polarization_shape_enforced():
     # not broadcast to all of them, and every row needs three components
     scn = build_scenario(ScenarioConfig())
     down = np.array([0.0, 0.0, 1.0])
-    factors = channel.port_factors(scn)
+    factors = channel.port_factors(scn, *_down(scn))
     for rx in (down[None, :], down, np.tile(down, (25, 1)),
                np.tile([1.0, 0.0], (24, 1))):
         with pytest.raises(ValueError, match="shape"):
@@ -179,10 +235,9 @@ def test_rate_matches_pair_evaluator_interference_free():
     link = LinkModel(scn)
     sig = (scn.noise[0], scn.noise[1])
     sol = two_user_shared_position(u1, u2, link, scn.power, sig)
-    wg = scn.waveguides[0]
-    scn.placements[0][0] = PaPlacement(sol.x_star, sol.orientations)
-    rx = np.stack([_matched_rx(scn, scn.users[i], q=i) for i in (0, 1)])
-    cm = channel.assemble(channel.port_factors(scn), rx)
+    pa = PaPlacement(sol.x_star, sol.orientations)
+    rx = np.stack([_matched_rx(scn, pa, scn.users[i], q=i) for i in (0, 1)])
+    cm = channel.assemble(channel.port_factors(scn, *_arrays([[pa]])), rx)
     w_p = np.zeros((2, 2))
     w_p[[0, 1], [0, 1]] = np.sqrt(power_split(
         link.gain(1, sol.x_star, u1), link.gain(2, sol.x_star, u2), *sig,

@@ -196,3 +196,42 @@ def test_powers_flag_without_values_is_an_argparse_error(tiny, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--powers: expected at least one argument" in err
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("outage", ["--trials", "100", "--threshold", "-1e3"],
+     "error: outage threshold must be a finite positive rate, got -1000.0"),
+    ("outage", ["--trials", "-1e3"],
+     "argument --trials: invalid int value: '-1e3'"),
+    ("outage", ["--trials", "100", "--seed", "-1e3"],
+     "argument --seed: invalid int value: '-1e3'"),
+    ("field-map", ["--grid-res", "-1e-2"],
+     "error: grid_res must be positive, got -0.01"),
+])
+def test_number_options_in_exponent_form_reach_their_own_check(
+        tiny, tmp_path, capsys, command, args, message):
+    # argparse would take these values for options and stop with
+    # "expected one argument"; each must reach the check that names it
+    try:
+        code = cli.main([command, *tiny, *args])
+    except SystemExit as exc:  # argparse's own type check
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "expected one argument" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_glue_joins_each_number_option_to_its_values():
+    argv = ["outage", "--powers", "-1e1", "0", "--trials", "1e3", "5",
+            "--threshold", "-2", "--grid-res", "--seed", "-inf",
+            "--out-dir", "-x"]
+    assert cli._glue_numbers(argv) == [
+        "outage", "--powers=-1e1", "--powers=0", "--trials=1e3", "5",
+        "--threshold=-2", "--grid-res", "--seed=-inf", "--out-dir", "-x"]
+
+
+def test_field_map_step_in_exponent_form_runs(tiny, tmp_path):
+    assert cli.main(["field-map", *tiny, "--grid-res", "5e-1"]) == 0
+    assert (tmp_path / "field_map.csv").exists()

@@ -245,13 +245,20 @@ def _pair_scenario(users, m=1, n=1):
     return build_scenario(cfg, users=np.asarray(users, float))
 
 
+def _port_aims(solver, m, j):
+    """Orientations of candidate (m, j)'s ports, one per mode."""
+    return tuple(Orientation(pitch=float(solver.aims.pitch[m, j, q]),
+                             roll=float(solver.aims.roll[m, j, q]))
+                 for q in range(solver.scenario.num_modes))
+
+
 def _candidate(solver, i, j):
     """Element i's deployment for group j: its guide's row of the
     solver's arrays."""
     m, size = solver.guide[i], len(solver.groups[j])
     return SimpleNamespace(users=tuple(solver.users[m, j, :size].tolist()),
                            x=solver.x[m, j],
-                           orientations=solver.port_aims(m, j),
+                           orientations=_port_aims(solver, m, j),
                            rx_world=solver.rx[m, j, :size],
                            gains=solver.gains[m, j, :size])
 
@@ -403,7 +410,7 @@ def test_slot_solver_lanes_match_per_guide_solves():
                 sol = solve_single_user(scn.users[order[0]], link)
                 aims = (Orientation(sol.pitch, sol.roll), Orientation())
             assert solver.x[m, j] == sol.x_star
-            assert solver.port_aims(m, j) == aims
+            assert _port_aims(solver, m, j) == aims
             for s, k in enumerate(order):
                 center = np.array([sol.x_star, wg.axis_y, wg.axis_z])
                 e_dir = PortResponse(scn.med, scn.modes[s], wg, center,
@@ -926,8 +933,9 @@ def test_schemes_on_one_scenario_match_their_own_runs():
 def test_slot_channel_is_the_composition_on_the_deployed_slot(scheme,
                                                               monkeypatch):
     # the channel a scheme composes from its deployment's port factors
-    # is, bit for bit, a fresh composition on the deployed slot scenario,
-    # and the slot keeps the mask it was composed with
+    # is, bit for bit, a fresh composition on the slot's users and the
+    # element arrays of its placement records, and the slot keeps the
+    # mask it was composed with
     built = []
     assemble = channel.assemble
 
@@ -946,11 +954,16 @@ def test_slot_channel_is_the_composition_on_the_deployed_slot(scheme,
             res = optimize_scenario(scn, scheme)
         assert len(built) == len(res.slots)
         for slot, cm in zip(res.slots, built):
-            deployed = replace(scn.with_modes(num_modes),
+            slot_scn = replace(scn.with_modes(num_modes),
                                users=scn.users[slot.user_indices],
-                               noise=scn.noise[slot.user_indices],
-                               placements=slot.placements)
-            fresh = assemble(channel.port_factors(deployed), slot.rx)
+                               noise=scn.noise[slot.user_indices])
+            x = np.array([[pa.x_position for pa in row]
+                          for row in slot.placements])
+            angles = np.array([[[(o.pitch, o.roll) for o in pa.orientations]
+                                for pa in row] for row in slot.placements])
+            assert angles.shape == x.shape + (num_modes, 2)
+            aims = Orientation(pitch=angles[..., 0], roll=angles[..., 1])
+            fresh = assemble(channel.port_factors(slot_scn, x, aims), slot.rx)
             assert np.array_equal(cm.h, fresh.h), (scheme, seed)
             assert np.array_equal(cm.lam, fresh.lam), (scheme, seed)
             assert slot.lam is cm.lam

@@ -6,8 +6,8 @@ from mmpass.placement import optimal_orientation
 from mmpass.radiation import (PortResponse, intensity_map, pattern_factor,
                               polarization_components)
 from mmpass.waveguide import (MediumConstants, PaPlacement, WaveguideSpec,
-                              h_wg_to_pa, mode_spec, te_modes)
-from oracles import MU_0, radiated_field
+                              mode_spec, te_modes)
+from oracles import MU_0, h_wg_to_pa, radiated_field
 
 A, B = 3e-3, 2e-3
 ALPHA_A = 0.011512925464970228  # 0.05 dB/m
@@ -218,8 +218,8 @@ def test_end_to_end_field_ratio_oracle():
             user = np.array([rng.uniform(0, 10), rng.uniform(0, 6), 0.0])
             resp = PortResponse(med, mode, wg, pa.center(wg),
                                 pa.orientations[0], user)
-            gain = (h_wg_to_pa(mode, wg, pa) * resp.pattern[0]
-                    * np.exp(-0.5 * ALPHA_A * resp.r[0])
+            gain = (h_wg_to_pa(mode, wg, pa.x_position)
+                    * resp.amplitude(ALPHA_A)[0]
                     * np.exp(-1j * med.k0 * resp.r[0]))
             field = radiated_field(med, wg, mode, pa, pa.orientations[0],
                                    user, alpha_a=ALPHA_A,

@@ -1,6 +1,7 @@
-"""Scenario construction: default element placement, guide layout,
-mode slicing, the normalized per-mode gains, and the immutability that
-lets a scenario keep one deployment."""
+"""Scenario construction: guide layout, mode slicing, the normalized
+per-mode gains, the default placement of elements a deployment leaves
+unassigned, and the immutability that lets a scenario keep one
+deployment."""
 
 import warnings
 from dataclasses import FrozenInstanceError, replace
@@ -10,37 +11,51 @@ import pytest
 
 from mmpass import multiuser
 from mmpass.config import ScenarioConfig, build_scenario
+from mmpass.geometry import Orientation
 from mmpass.placement import LinkModel
 from mmpass.radiation import PortResponse
-from mmpass.scenario import default_placements, waveguide_y_positions
-from mmpass.waveguide import WaveguideSpec, h_wg_to_pa
+from mmpass.scenario import waveguide_y_positions
+from mmpass.waveguide import element_center, power_share
 
 
-def _guide(length, y=1.0):
-    return WaveguideSpec(a=3e-3, b=2e-3, feed_point=np.array([0.0, y, 3.0]),
-                         length=length, num_pas=3)
+def _idle_elements(monkeypatch, cfg):
+    """The scenario of ``cfg`` and the records of the elements that the
+    first pa-mm slot leaves unassigned when the greedy fill is skipped,
+    as (guide, element, record) triples."""
+    monkeypatch.setattr(multiuser._SlotSolver, "greedy_fill",
+                        lambda self, assignment: assignment)
+    scn = build_scenario(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        slot = multiuser.optimize_scenario(scn, "pa-mm").slots[0]
+    n_pas = scn.num_pas
+    return scn, [(m, n, pa) for m, row in enumerate(slot.placements)
+                 for n, pa in enumerate(row)
+                 if not slot.assignment.x[m * n_pas + n].any()]
 
 
-def test_default_placements_spread_over_each_guide_pointing_down():
-    guides = [_guide(8.0), _guide(5.0, y=4.0)]
-    placements = default_placements(guides, 3, 2)
-    assert [[pa.x_position for pa in row] for row in placements] == \
-        [[2.0, 4.0, 6.0], [1.25, 2.5, 3.75]]
-    for row in placements:
-        for pa in row:
-            assert len(pa.orientations) == 2
-            for orientation in pa.orientations:
-                boresight = orientation.gcs_from_lcs()[:, 2]
-                np.testing.assert_allclose(boresight, [0.0, 0.0, -1.0],
-                                           atol=1e-15)
+def test_default_placements_spread_over_each_guide_pointing_down(
+        monkeypatch):
+    # one pair on 2 x 3 elements: five elements stay unassigned
+    scn, idle = _idle_elements(monkeypatch, ScenarioConfig(
+        d_x=8.0, num_waveguides=2, pas_per_waveguide=3, num_users=2))
+    assert len(idle) == 5
+    for m, n, pa in idle:
+        assert pa.x_position == [2.0, 4.0, 6.0][n]
+        assert len(pa.orientations) == 2
+        for orientation in pa.orientations:
+            boresight = orientation.gcs_from_lcs()[:, 2]
+            np.testing.assert_allclose(boresight, [0.0, 0.0, -1.0],
+                                       atol=1e-15)
 
 
-def test_built_scenario_places_elements_over_the_region_length():
-    scn = build_scenario(ScenarioConfig(d_x=12.0, pas_per_waveguide=2,
-                                        num_users=2))
-    for wg, row in zip(scn.waveguides, scn.placements):
-        assert wg.length == 12.0
-        assert [pa.x_position for pa in row] == [4.0, 8.0]
+def test_built_scenario_places_elements_over_the_region_length(monkeypatch):
+    scn, idle = _idle_elements(monkeypatch, ScenarioConfig(
+        d_x=12.0, pas_per_waveguide=2, num_users=2))
+    assert all(wg.length == 12.0 for wg in scn.waveguides)
+    assert len(idle) == 2 * scn.num_waveguides - 1
+    for m, n, pa in idle:
+        assert pa.x_position == [4.0, 8.0][n]
 
 
 @pytest.mark.parametrize("count", [1, 2, 4, 7])
@@ -60,26 +75,33 @@ def test_with_modes_slices_modes():
 
 
 def test_per_mode_normalization_at_the_reference_distance():
-    # no losses: 1 m straight below an element, mode q's link gain is
-    # its obliquity factor squared over the N-way guide share, and it is
-    # the port's pattern, squared, times that share
+    # 1 m straight below an element, mode q's boresight link gain is the
+    # port's amplitude, squared, times the guide's power share, with the
+    # default losses or none; without losses that is its obliquity
+    # factor squared over the N-way share
     n_pas = 3
-    cfg = ScenarioConfig(num_waveguides=1, pas_per_waveguide=n_pas,
-                         num_users=1, alpha_w_db=0.0, alpha_a_db=0.0)
-    scn = build_scenario(cfg, users=np.zeros((1, 3)))
-    wg, pa = scn.waveguides[0], scn.placements[0][0]
-    center = pa.center(wg)
-    user = center - [0.0, 0.0, 1.0]
-    link = LinkModel(scn)
-    for q, mode in enumerate(scn.modes, start=1):
-        gain = link.gain(q, pa.x_position, user)
-        obliquity = 1.0 + mode.propagation_constant / scn.med.k0
-        assert gain == pytest.approx(obliquity ** 2 / n_pas, rel=1e-12)
-        resp = PortResponse(scn.med, mode, wg, center, pa.orientations[q - 1],
-                            user)
-        share = abs(h_wg_to_pa(mode, wg, pa)) ** 2
-        assert gain == pytest.approx(resp.pattern[0] ** 2 * share,
-                                     rel=1e-12)
+    for lossless in (True, False):
+        losses = dict(alpha_w_db=0.0, alpha_a_db=0.0) if lossless else {}
+        cfg = ScenarioConfig(num_waveguides=1, pas_per_waveguide=n_pas,
+                             num_users=1, **losses)
+        scn = build_scenario(cfg, users=np.zeros((1, 3)))
+        assert (scn.alpha_a == 0.0) == lossless
+        wg = scn.waveguides[0]
+        x = wg.length / (n_pas + 1)
+        center = element_center(x, wg)
+        user = center - [0.0, 0.0, 1.0]
+        link = LinkModel(scn)
+        for q, mode in enumerate(scn.modes, start=1):
+            gain = link.gain(q, x, user)
+            if lossless:
+                obliquity = 1.0 + mode.propagation_constant / scn.med.k0
+                assert gain == pytest.approx(obliquity ** 2 / n_pas,
+                                             rel=1e-12)
+            resp = PortResponse(scn.med, mode, wg, center, Orientation(),
+                                user)
+            assert gain == pytest.approx(
+                resp.amplitude(scn.alpha_a)[0] ** 2 * power_share(x, wg),
+                rel=1e-12)
 
 
 @pytest.mark.parametrize("name, change", [

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.constants
 
+from mmpass import channel
 from mmpass.geometry import Orientation
-from mmpass.waveguide import (SPEED_OF_LIGHT, MediumConstants, PaPlacement,
-                              WaveguideSpec, h_wg_to_pa, mode_spec, te_modes,
-                              assemble_H_wp)
+from mmpass.scenario import Scenario
+from mmpass.waveguide import (SPEED_OF_LIGHT, MediumConstants, WaveguideSpec,
+                              mode_spec, power_share, te_modes)
 from oracles import coupling_length
 
 # reference constants at 100 GHz in a 3 x 2 mm guide with core index 2,
@@ -75,8 +76,7 @@ def test_modal_field_attenuation_ratio():
     # the guided amplitude at the pinch decays as sqrt(exp(-alpha_w x))
     wg, med = _guide(), _medium()
     mode = mode_spec(1, 0, wg, med)
-    ratio = (abs(h_wg_to_pa(mode, wg, _placement(5.0)))
-             / abs(h_wg_to_pa(mode, wg, _placement(0.0))))
+    ratio = abs(_gain(wg, 5.0)) / abs(_gain(wg, 0.0))
     assert ratio == pytest.approx(0.9549925860214359, rel=1e-12)
 
 
@@ -97,11 +97,10 @@ def test_equal_quota_cascade(n_total):
     # the cascade the long way: element n receives the residual
     # amplitude left by elements 1..n-1 times its own coupled fraction
     # sin(kappa tau_n); every element pulls exactly 1/N, the share that
-    # h_wg_to_pa gives each element of a lossless guide
+    # power_share gives each element of a lossless guide
     kappa = 73.0
     wg = _guide(alpha_w=0.0, num_pas=n_total)
-    mode = mode_spec(1, 0, wg, _medium())
-    share = abs(h_wg_to_pa(mode, wg, _placement(0.0))) ** 2
+    share = power_share(0.0, wg)
     residual = 1.0
     for n in range(1, n_total + 1):
         coupled = np.sin(kappa * coupling_length(n, n_total, kappa))
@@ -111,20 +110,31 @@ def test_equal_quota_cascade(n_total):
     assert share == pytest.approx(1.0 / n_total, rel=1e-12)
 
 
-def _placement(x, num_modes=1):
-    return PaPlacement(x, tuple(Orientation() for _ in range(num_modes)))
+def _h_wp(waveguides, x, num_modes=2):
+    """H_wp of ``channel.port_factors`` for elements at positions x[m][n]
+    on the given guides, every port pointing straight down."""
+    x = np.asarray(x, dtype=float)
+    med = _medium()
+    scn = Scenario(med=med, waveguides=waveguides,
+                   modes=te_modes(waveguides[0], med, count=num_modes),
+                   users=np.zeros((1, 3)), power=1.0, noise=1.0)
+    down = np.zeros(x.shape + (num_modes,))
+    return channel.port_factors(scn, x, Orientation(pitch=down,
+                                                    roll=down)).h_wp
+
+
+def _gain(wg, x):
+    """The TE10 guide-to-port gain at position x: the H_wp entry of
+    element 0 of ``wg``'s N elements, all placed at x."""
+    return _h_wp([wg], np.full((1, wg.num_pas), x), num_modes=1)[0, 0]
 
 
 def test_h_wg_to_pa_at_feed():
-    wg, med = _guide(), _medium()
-    mode = mode_spec(1, 0, wg, med)
-    assert h_wg_to_pa(mode, wg, _placement(0.0)) == pytest.approx(1.0 + 0.0j)
+    assert _gain(_guide(), 0.0) == pytest.approx(1.0 + 0.0j)
 
 
 def test_h_wg_to_pa_attenuated_split():
-    wg = _guide(num_pas=2)
-    mode = mode_spec(1, 0, wg, _medium())
-    h = h_wg_to_pa(mode, wg, _placement(5.0))
+    h = _gain(_guide(num_pas=2), 5.0)
     assert abs(h) == pytest.approx(0.6752817335586347, rel=1e-12)
 
 
@@ -132,39 +142,25 @@ def test_h_wg_to_pa_full_wavelength_phase():
     wg = _guide(alpha_w=0.0)
     mode = mode_spec(1, 0, wg, _medium())
     x = 2 * np.pi / mode.propagation_constant  # one guided wavelength
-    h = h_wg_to_pa(mode, wg, _placement(x))
-    assert np.angle(h) == pytest.approx(0.0, abs=1e-9)
+    assert np.angle(_gain(wg, x)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_h_magnitude_monotone_in_x():
-    wg, med = _guide(), _medium()
-    mode = mode_spec(1, 0, wg, med)
-    mags = [abs(h_wg_to_pa(mode, wg, _placement(x)))
-            for x in np.linspace(0.1, 9.9, 25)]
+    xs = np.linspace(0.1, 9.9, 25)
+    mags = [abs(_gain(_guide(), x)) for x in xs]
     assert np.all(np.diff(mags) < 0)
-    wg0 = _guide(alpha_w=0.0)
-    mags0 = [abs(h_wg_to_pa(mode, wg0, _placement(x)))
-             for x in np.linspace(0.1, 9.9, 25)]
+    mags0 = [abs(_gain(_guide(alpha_w=0.0), x)) for x in xs]
     assert np.allclose(mags0, mags0[0], atol=1e-15)
-
-
-class _MiniScenario:
-    """Just enough structure for assemble_H_wp."""
-
-    def __init__(self, waveguides, modes, placements):
-        self.waveguides = waveguides
-        self.modes = modes
-        self.placements = placements
+    # the share is what the magnitude squares to, over any array shape
+    np.testing.assert_allclose(power_share(np.reshape(xs, (5, 5)), _guide()),
+                               np.reshape(mags, (5, 5)) ** 2, rtol=1e-15)
 
 
 def test_assemble_block_diagonal():
-    med = _medium()
     wgs = [WaveguideSpec(a=3e-3, b=2e-3, feed_point=np.array([0.0, y, 3.0]),
                          length=10.0, alpha_w=ALPHA_W, num_pas=1)
            for y in (1.0, 5.0)]
-    modes = te_modes(wgs[0], med)
-    placements = [[_placement(3.0, num_modes=2)], [_placement(7.0, num_modes=2)]]
-    h = assemble_H_wp(_MiniScenario(wgs, modes, placements))
+    h = _h_wp(wgs, [[3.0], [7.0]])
     assert h.shape == (4, 4)
     nz = np.abs(h) > 0
     assert nz.sum() == 4
@@ -174,14 +170,10 @@ def test_assemble_block_diagonal():
 
 
 def test_assemble_column_norms():
-    med = _medium()
     wg = WaveguideSpec(a=3e-3, b=2e-3, feed_point=np.array([0.0, 1.0, 3.0]),
                        length=10.0, alpha_w=ALPHA_W, num_pas=3)
-    modes = te_modes(wg, med)
     xs = [1.0, 4.0, 8.5]
-    placements = [[PaPlacement(x, (Orientation(), Orientation()))
-                   for x in xs]]
-    h = assemble_H_wp(_MiniScenario([wg], modes, placements))
+    h = _h_wp([wg], [xs])
     expected = np.sqrt(sum(np.exp(-ALPHA_W * x) for x in xs) / 3)
     for col in range(h.shape[1]):
         assert np.linalg.norm(h[:, col]) == pytest.approx(expected, rel=1e-12)
