@@ -4,7 +4,7 @@ pinching-antenna systems."""
 from .geometry import Orientation, SphericalBasis
 from .waveguide import (MediumConstants, ModeSpec, PaPlacement, WaveguideSpec,
                         mode_spec, power_share, te_modes)
-from .radiation import PortResponse, intensity_map, pattern_factor
+from .radiation import PortResponse, intensity_map
 from .polarization import receive_polarization
 from .scenario import Scenario, make_scenario
 from .channel import (ChannelMatrix, PortFactors, RateReport, assemble,

@@ -281,6 +281,9 @@ def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
     power at that deployment.  The link math and the position search
     (``bounded_minimize`` of each scheme's pair rate between the two
     single-user optima) are ``placement``'s, batched over the trials.
+    The lane geometry of every trial's users (along-guide coordinate
+    and transverse distance) is computed once, and both searches read
+    it per lane at every evaluation.
     """
     if trials < 100:
         raise ValueError("outage needs at least 100 trials")
@@ -294,19 +297,20 @@ def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
     sigmas = (noise, noise)
     pts = _trial_pairs(cfg, trials)
     u1, u2 = (np.column_stack([pts[:, i], np.zeros(trials)]) for i in (0, 1))
+    geo1, geo2 = link.geometry(u1), link.geometry(u2)
     modes = (1, min(2, scn.num_modes))
     x1, _ = optimal_position(u1, link.wg, scn.alpha_a)
     x2, _ = optimal_position(u2, link.wg, scn.alpha_a)
     lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
     p_nom = scn.power
     x_mm = bounded_minimize(
-        lambda x, i: -eq22_sum_rate(x, link, u1[i], u2[i], sigmas, p_nom,
+        lambda x, i: -eq22_sum_rate(x, link, geo1[i], geo2[i], sigmas, p_nom,
                                     modes), lo, hi)
     x_sm = bounded_minimize(
-        lambda x, i: -tdma_sum_rate(x, link, u1[i], u2[i], sigmas, p_nom),
+        lambda x, i: -tdma_sum_rate(x, link, geo1[i], geo2[i], sigmas, p_nom),
         lo, hi)
-    g_mm = (link.gain(modes[0], x_mm, u1), link.gain(modes[1], x_mm, u2))
-    g_sm = (link.gain(1, x_sm, u1), link.gain(1, x_sm, u2))
+    g_mm = (link.gain(modes[0], x_mm, geo1), link.gain(modes[1], x_mm, geo2))
+    g_sm = (link.gain(1, x_sm, geo1), link.gain(1, x_sm, geo2))
 
     rows = []
     for p_dbw in power_grid_dbw:

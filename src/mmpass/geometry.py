@@ -12,11 +12,18 @@ about the y-axis.  Sign convention: positive pitch tilts the boresight
 toward +x, positive roll toward +y, and (0, 0) points straight down
 (local axes at rest: x_l = +x, y_l = -y, z_l = -z, right-handed).
 
-Directions seen from a port are described in a local spherical system
-(LSCS): polar angle theta from the boresight, azimuth phi from the
-local +x axis (four-quadrant).  ``local_angles`` gives the distance
-and angles of GCS points in a port frame, and ``spherical_basis``
-returns the unit vectors of that system expressed back in the GCS.
+Directions seen from a port are read in the LCS as direction cosines
+(Balanis, "Antenna Theory", ch. 12): for a point at distance r and
+local coordinates (x, y, z), u = x/r = sin(theta) cos(phi), v = y/r =
+sin(theta) sin(phi) and w = z/r = cos(theta), with theta the polar
+angle from the boresight and phi the azimuth from the local +x axis.
+``local_direction`` gives r, (u, v, w), sin(theta) = rho/r and the
+azimuth's cosine and sine (x, y)/rho, where rho = sqrt(x^2 + y^2),
+with no trigonometric call.  On the boresight axis the azimuth is undefined;
+where sin(theta) < 1e-12 it is pinned to phi = 0 (cos phi = 1,
+sin phi = 0), a scale-free rule that makes on-axis evaluations
+deterministic.  ``Orientation.to_gcs`` maps LCS vectors back to the
+GCS.
 
 An ``Orientation`` whose pitch and roll are arrays of one shape aims
 that many ports at once (lanes); every frame matrix is then a stack,
@@ -96,34 +103,56 @@ class Orientation:
         return (_REST_AXES @ rotation_y(self.pitch)
                 @ _transpose(rotation_x(self.roll)))
 
+    def to_gcs(self, vectors) -> np.ndarray:
+        """LCS vectors in the GCS: (..., 3) vectors of one port, or
+        (*S, P, 3) vectors of ports in lanes of shape S, P per lane."""
+        return vectors @ _transpose(self.gcs_from_lcs())
 
-IDENTITY = Orientation(0.0, 0.0)
+
+@dataclass(frozen=True)
+class LocalDirection:
+    """Distance and direction of points seen from a port, in its LCS:
+    the direction cosines ``u``, ``v``, ``w``, ``sin_theta`` and the
+    azimuth's ``cos_phi`` and ``sin_phi``, pinned to (1, 0) on the
+    boresight axis.  Every field has the shape of the points' leading
+    axes."""
+
+    r: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    sin_theta: np.ndarray
+    cos_phi: np.ndarray
+    sin_phi: np.ndarray
 
 
-def local_angles(points, center, orientation: Orientation):
-    """Distance, polar angle and azimuth of GCS points in a port frame.
+def local_direction(points, center,
+                    orientation: Orientation) -> LocalDirection:
+    """Distance and direction of GCS points in a port frame.
 
     One port: ``center`` is a 3-vector and ``points`` one point or a
-    (P, 3) array; the three results have one entry per point.  Ports in
-    lanes (``orientation`` of lane shape S): ``center`` is (*S, 3) and
+    (P, 3) array; every field has one entry per point.  Ports in lanes
+    (``orientation`` of lane shape S): ``center`` is (*S, 3) and
     ``points`` (P, 3), seen by every lane, or (*S, P, 3), P points per
-    lane; the results are (*S, P).  The polar angle comes from atan2,
-    which stays accurate next to the poles, and the azimuth is pinned
-    to 0 where sin(theta) < _POLE_TOL, the same scale-free rule as
-    :func:`spherical_basis`.  Raises ValueError if a point coincides
+    lane; the fields are (*S, P).  The azimuth is pinned to 0 where
+    sin(theta) < _POLE_TOL.  Raises ValueError if a point coincides
     with the port center.
     """
-    rel = (np.atleast_2d(np.asarray(points, dtype=float))
-           - np.asarray(center, dtype=float)[..., None, :])
-    local = rel @ _transpose(orientation.lcs_from_gcs())
+    local = ((np.atleast_2d(np.asarray(points, dtype=float))
+              - np.asarray(center, dtype=float)[..., None, :])
+             @ _transpose(orientation.lcs_from_gcs()))
     x, y, z = np.moveaxis(local, -1, 0)
-    rho = np.hypot(x, y)
-    r = np.hypot(rho, z)
+    rho_sq = x * x + y * y
+    r = np.sqrt(rho_sq + z * z)
     if not r.all():
         raise ValueError("observation point coincides with the port")
-    theta = np.arctan2(rho, z)
-    phi = np.where(np.sin(theta) < _POLE_TOL, 0.0, np.arctan2(y, x))
-    return r, theta, phi
+    rho = np.sqrt(rho_sq)
+    sin_theta = rho / r
+    off_axis = sin_theta >= _POLE_TOL
+    return LocalDirection(
+        r=r, u=x / r, v=y / r, w=z / r, sin_theta=sin_theta,
+        cos_phi=np.divide(x, rho, out=np.ones_like(x), where=off_axis),
+        sin_phi=np.divide(y, rho, out=np.zeros_like(y), where=off_axis))
 
 
 @dataclass(frozen=True)
@@ -133,28 +162,3 @@ class SphericalBasis:
     upsilon: np.ndarray
     vartheta: np.ndarray
     varphi: np.ndarray
-
-
-def spherical_basis(theta, phi,
-                    orientation: Orientation = IDENTITY) -> SphericalBasis:
-    """LSCS unit vectors for direction (theta, phi), expressed in GCS.
-
-    In LCS components the triad is
-
-        upsilon  = (sin t cos p, sin t sin p, cos t)
-        vartheta = (cos t cos p, cos t sin p, -sin t)
-        varphi   = (-sin p, cos p, 0)
-
-    and each is mapped through the port frame.  Scalar angles give
-    3-vectors; arrays of P angles give (P, 3) arrays, and the (*S, P)
-    angles of ports in lanes of shape S give (*S, P, 3) arrays.
-    """
-    st, ct = np.sin(theta), np.cos(theta)
-    phi = np.where(st < _POLE_TOL, 0.0, phi)
-    sp, cp = np.sin(phi), np.cos(phi)
-    triad = np.array([[st * cp, st * sp, ct],
-                      [ct * cp, ct * sp, -st],
-                      [-sp, cp, np.zeros_like(sp)]])
-    upsilon, vartheta, varphi = (np.moveaxis(triad, 1, -1)
-                                 @ _transpose(orientation.gcs_from_lcs()))
-    return SphericalBasis(upsilon, vartheta, varphi)

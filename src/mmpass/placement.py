@@ -114,6 +114,20 @@ def gain_log_derivative(x_pa, user_pos, wg, alpha_a: float):
     return _scalar(-wg.alpha_w + alpha_a * d / r + 2.0 * d / r ** 2)
 
 
+@dataclass(frozen=True)
+class LaneGeometry:
+    """Users as a guide's boresight link sees them: the along-guide
+    coordinate ``x`` and the transverse distance ``rho`` to the axis,
+    one entry per lane.  Indexing by lanes gives those lanes'
+    geometry, so a search over lanes reads it without recomputing it."""
+
+    x: np.ndarray
+    rho: np.ndarray
+
+    def __getitem__(self, lanes) -> LaneGeometry:
+        return LaneGeometry(self.x[lanes], self.rho[lanes])
+
+
 @dataclass
 class LinkModel:
     """Fast boresight link-gain evaluator for one guide of a scenario,
@@ -132,16 +146,22 @@ class LinkModel:
         if self.wg is None:
             self.wg = self.scenario.waveguides[0]
 
-    def gain(self, q: int, x, user_pos):
+    def geometry(self, user_pos) -> LaneGeometry:
+        """The LaneGeometry of one user position or of a (K, 3) array
+        of them on this link's guide."""
+        u = np.asarray(user_pos, dtype=float)
+        return LaneGeometry(u.T[0], transverse_distance(u, self.wg))
+
+    def gain(self, q: int, x, user):
         """|h_q(x)|^2 = A_q^2 e^(-aw x) e^(-aa r) / (N r^2).
 
-        ``x`` and the users (one position or a (K, 3) array)
-        broadcast against each other.
+        ``user`` is one position, a (K, 3) array of them or their
+        ``LaneGeometry``; ``x`` and the users broadcast against each
+        other.
         """
+        geo = user if isinstance(user, LaneGeometry) else self.geometry(user)
         x = np.asarray(x, dtype=float)
-        u = np.asarray(user_pos, dtype=float)
-        rho = transverse_distance(u, self.wg)
-        r = np.hypot(u.T[0] - x, rho)
+        r = np.hypot(geo.x - x, geo.rho)
         a_q = self.scenario.mode_amplitude(q)
         return _scalar(a_q ** 2 * np.exp(-self.wg.alpha_w * x)
                        * np.exp(-self.scenario.alpha_a * r)
@@ -164,7 +184,8 @@ def power_split(g1, g2, s1, s2, power):
 def eq22_sum_rate(x, link: LinkModel, user1, user2, sigmas, power,
                   modes=(1, 2)):
     """Interference-free two-user sum rate at shared position x with the
-    per-x optimal split.  Vectorized over x."""
+    per-x optimal split.  Vectorized over x; the users are positions or
+    their ``LaneGeometry``, as ``LinkModel.gain`` takes them."""
     g1 = link.gain(modes[0], x, user1)
     g2 = link.gain(modes[1], x, user2)
     w1, w2 = power_split(g1, g2, sigmas[0], sigmas[1], power)
@@ -174,7 +195,8 @@ def eq22_sum_rate(x, link: LinkModel, user1, user2, sigmas, power,
 
 def tdma_sum_rate(x, link: LinkModel, user1, user2, sigmas, power):
     """Single-mode time-division baseline at shared position x: each
-    user gets the full budget on mode 1 for half the time."""
+    user gets the full budget on mode 1 for half the time.  The users
+    are taken as by :func:`eq22_sum_rate`."""
     g1 = link.gain(1, x, user1)
     g2 = link.gain(1, x, user2)
     r1 = 0.5 * np.log2(1.0 + power * g1 / sigmas[0])
@@ -346,9 +368,10 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
     x1, _ = optimal_position(u1, link.wg, link.scenario.alpha_a)
     x2, _ = optimal_position(u2, link.wg, link.scenario.alpha_a)
     lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
+    geo1, geo2 = link.geometry(u1), link.geometry(u2)
 
     def objective(x, lanes=slice(None)):
-        return eq22_sum_rate(x, link, u1[lanes], u2[lanes],
+        return eq22_sum_rate(x, link, geo1[lanes], geo2[lanes],
                              (s1[lanes], s2[lanes]), power)
 
     r1p, r1pp = _taylor_terms(link, x1, u1, u2, 1, 2, s1, s2, power)

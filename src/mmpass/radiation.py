@@ -1,23 +1,29 @@
 """Far-field radiation from a pinching-antenna port.
 
 Each port is a rectangular aperture that radiates the guided mode it
-taps.  In the port's local spherical frame the field factorizes into a
-scalar pattern factor S_q(theta, phi) and a transverse polarization
-vector Psi_q(theta, phi) carried by (vartheta, varphi):
+taps.  In the port's local frame the field factorizes into a scalar
+pattern factor S_q and a transverse polarization vector Psi_q carried
+by (vartheta, varphi).  Both are written on the direction cosines
+u = sin t cos p, v = sin t sin p, w = cos t of :mod:`mmpass.geometry`
+and on the azimuth's cos p and sin p (an aperture pattern is a
+function of u and v; Balanis, "Antenna Theory", ch. 12):
 
-    S_1 = sinc(b pi/lam sin t cos p) * cos(a pi/lam sin t sin p)
-                                       / (1 - (2a/lam sin t sin p)^2)
-    Psi_1 = (1 + beta/rho cos t) cos p * vartheta
-          + (beta/rho + cos t) sin p * varphi
+    S_1 = sinc(b pi/lam u) * cos(a pi/lam v) / (1 - (2a/lam v)^2)
+    Psi_1 = (1 + beta/rho w) cos p * vartheta + (beta/rho + w) sin p * varphi
 
-with the q = 2 forms obtained by swapping sin p and cos p (and a and b
-in S).  rho = 2 pi / lambda0 is the free-space wavenumber; beta_q is
-the guided propagation constant, so beta/rho can exceed one inside a
-dense core.
+with the q = 2 forms obtained by swapping u and v, cos p and sin p,
+and a and b.  rho = 2 pi / lambda0 is the free-space wavenumber;
+beta_q is the guided propagation constant, so beta/rho can exceed one
+inside a dense core.  In the port frame vartheta = (w cos p, w sin p,
+-sin t) and varphi = (-sin p, cos p, 0); on the boresight axis the
+azimuth is pinned to p = 0, as :mod:`mmpass.geometry` describes.
 
-The removable singularities of S (sinc at 0, the cosine taper at
-|argument| = 1 where it tends to pi/4) are evaluated through exact
-sinc reformulations, so the factors are continuous everywhere.
+The removable singularities of S are evaluated through sinc(x) =
+sin(x)/x, which takes its exact limit 1 at x = 0: the sinc itself,
+and the cosine taper, which tends to pi/4 at |argument| = 1 and is
+rewritten as (pi/2) sinc(pi/2 (|x| - 1)) / (|x| + 1).  So the factors
+are continuous everywhere, and the only trigonometric calls are the
+sines of the two sinc arguments.
 
 Every channel gain and field direction in the package comes from one
 kernel, :class:`PortResponse`.  For one port and P observation points,
@@ -42,53 +48,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import Orientation, local_angles, spherical_basis
+from .geometry import Orientation, local_direction
 from .waveguide import MediumConstants, ModeSpec, PaPlacement, WaveguideSpec
 
 
 def _sinc(x):
-    """sin(x)/x with the limit 1 at x = 0."""
-    return np.sinc(np.asarray(x) / np.pi)
+    """sin(x)/x with its exact limit 1 at x = 0."""
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
 
 
 def _cos_taper(x):
-    """cos(pi x / 2) / (1 - x^2), continuous with value pi/4 at |x| = 1.
-
-    Uses the identity cos(pi x/2)/(1-x^2) = (pi/2) sinc_n((|x|-1)/2) / (|x|+1)
-    where sinc_n is the normalized sinc, which is exact and finite for
-    every real x.
-    """
-    ax = np.abs(np.asarray(x, dtype=float))
-    return (np.pi / 2) * np.sinc((ax - 1.0) / 2.0) / (ax + 1.0)
-
-
-def pattern_factor(q: int, theta, phi, a: float, b: float, lam: float):
-    """Aperture pattern factor S_q.  Accepts scalars or arrays.
-
-    ``a`` and ``b`` are the radiating aperture dimensions and ``lam``
-    the free-space wavelength.
-    """
-    st = np.sin(theta)
-    u_cos = st * np.cos(phi)
-    u_sin = st * np.sin(phi)
-    if q == 1:
-        return _sinc(b * np.pi / lam * u_cos) * _cos_taper(2 * a / lam * u_sin)
-    if q == 2:
-        return _sinc(a * np.pi / lam * u_sin) * _cos_taper(2 * b / lam * u_cos)
-    raise ValueError(f"unsupported mode index {q}")
-
-
-def polarization_components(q: int, theta, phi, beta: float, rho_free: float):
-    """(vartheta, varphi) components of Psi_q; scalars or arrays."""
-    ratio = beta / rho_free
-    ct = np.cos(theta)
-    a_fac = 1.0 + ratio * ct
-    b_fac = ratio + ct
-    if q == 1:
-        return a_fac * np.cos(phi), b_fac * np.sin(phi)
-    if q == 2:
-        return a_fac * np.sin(phi), b_fac * np.cos(phi)
-    raise ValueError(f"unsupported mode index {q}")
+    """cos(pi x / 2) / (1 - x^2), continuous with value pi/4 at |x| = 1,
+    as (pi/2) sinc(pi/2 (|x| - 1)) / (|x| + 1), which is exact and
+    finite for every real x."""
+    ax = np.abs(x)
+    return (np.pi / 2) * _sinc(np.pi / 2 * (ax - 1.0)) / (ax + 1.0)
 
 
 class PortResponse:
@@ -110,22 +84,31 @@ class PortResponse:
 
     def __init__(self, med: MediumConstants, mode: ModeSpec,
                  wg: WaveguideSpec, center, orientation: Orientation, points):
+        if mode.index not in (1, 2):
+            raise ValueError(f"unsupported mode index {mode.index}")
         self.med, self.mode, self.wg = med, mode, wg
         self.orientation = orientation
-        self.r, self.theta, self.phi = local_angles(points, center, orientation)
+        self.local = local_direction(points, center, orientation)
+        self.r = self.local.r
 
     @cached_property
     def _psi(self):
-        psi_t, psi_p = polarization_components(
-            self.mode.index, self.theta, self.phi,
-            self.mode.propagation_constant, self.med.k0)
-        return psi_t, psi_p, np.hypot(psi_t, psi_p)
+        d = self.local
+        c_1, c_2 = ((d.cos_phi, d.sin_phi) if self.mode.index == 1
+                    else (d.sin_phi, d.cos_phi))
+        ratio = self.mode.propagation_constant / self.med.k0
+        psi_t = (1.0 + ratio * d.w) * c_1
+        psi_p = (ratio + d.w) * c_2
+        return psi_t, psi_p, np.sqrt(psi_t * psi_t + psi_p * psi_p)
 
     @cached_property
     def pattern(self) -> np.ndarray:
-        s_q = pattern_factor(self.mode.index, self.theta, self.phi,
-                             self.wg.aperture_a, self.wg.aperture_b,
-                             self.med.wavelength0)
+        d, lam = self.local, self.med.wavelength0
+        a, b = self.wg.aperture_a, self.wg.aperture_b
+        if self.mode.index == 1:
+            s_q = _sinc(np.pi * b / lam * d.u) * _cos_taper(2 * a / lam * d.v)
+        else:
+            s_q = _sinc(np.pi * a / lam * d.v) * _cos_taper(2 * b / lam * d.u)
         return s_q * self._psi[2] / self.r
 
     def amplitude(self, alpha_a: float) -> np.ndarray:
@@ -135,15 +118,21 @@ class PortResponse:
 
     @cached_property
     def direction(self) -> np.ndarray:
-        """Unit field direction; the polar unit vector where Psi_q
-        vanishes."""
+        """Unit field direction c_t vartheta + c_p varphi, with (c_t, c_p)
+        = (Psi_t, Psi_p) / |Psi_q|, or (1, 0), the polar unit vector,
+        where Psi_q vanishes.  It is formed in the port frame component
+        by component from vartheta = (w cos p, w sin p, -sin t) and
+        varphi = (-sin p, cos p, 0), and mapped to the GCS once."""
         psi_t, psi_p, norm = self._psi
-        basis = spherical_basis(self.theta, self.phi, self.orientation)
-        live = (norm > 0)[..., None]
-        vec = ((psi_t[..., None] * basis.vartheta
-                + psi_p[..., None] * basis.varphi)
-               / np.where(live, norm[..., None], 1.0))
-        return np.where(live, vec, basis.vartheta)
+        d = self.local
+        live = norm > 0
+        c_t = np.divide(psi_t, norm, out=np.ones_like(norm), where=live)
+        c_p = np.divide(psi_p, norm, out=np.zeros_like(norm), where=live)
+        c_tw = c_t * d.w
+        vec = np.stack([c_tw * d.cos_phi - c_p * d.sin_phi,
+                        c_tw * d.sin_phi + c_p * d.cos_phi,
+                        -(c_t * d.sin_theta)], axis=-1)
+        return self.orientation.to_gcs(vec)
 
 
 def intensity_map(med: MediumConstants, wg: WaveguideSpec, modes, pa: PaPlacement,
@@ -162,13 +151,11 @@ def intensity_map(med: MediumConstants, wg: WaveguideSpec, modes, pa: PaPlacemen
     ys = np.asarray(ys, dtype=float)
     if xs.size < 2 or ys.size < 2:
         raise ValueError("grid needs at least 2 points per axis")
-    gx, gy = np.meshgrid(xs, ys)
+    gx, gy = np.meshgrid(xs, ys, copy=False)
     points = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
     center = pa.center(wg)
-    maps = []
-    for mode, orientation in zip(modes, pa.orientations):
-        resp = PortResponse(med, mode, wg, center, orientation, points)
-        field = resp.amplitude(alpha_a) / mode.cutoff_wavenumber ** 2
-        maps.append((field ** 2).reshape(gy.shape))
-    total = np.sum(maps, axis=0)
-    return 10 * np.log10(total / total.max())
+    # one port's response is alive at a time
+    total = sum((PortResponse(med, mode, wg, center, orientation, points)
+                 .amplitude(alpha_a) / mode.cutoff_wavenumber ** 2) ** 2
+                for mode, orientation in zip(modes, pa.orientations))
+    return 10 * np.log10(total / total.max()).reshape(gx.shape)

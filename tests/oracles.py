@@ -8,8 +8,12 @@ port, the references for the array H_wp of ``channel.port_factors``.
 share of ``waveguide.power_share``.  ``radiated_field`` evaluates the
 far-field formulas of one port at one point, with every constant
 written out, independently of ``radiation.PortResponse``.
-``JonesVector`` describes a polarization state by its two components in
-a transverse basis; ``matching_efficiency`` and
+``local_angles``, ``spherical_basis``, ``pattern_factor`` and
+``polarization_components`` are the angle forms of the port frame, S_q
+and Psi_q: they read (theta, phi) through atan2 and sin/cos, the
+reference for ``radiation.PortResponse``, which reads direction
+cosines.  ``JonesVector`` describes a polarization state by its two
+components in a transverse basis; ``matching_efficiency`` and
 ``discrete_rx_polarization`` are the Jones-vector forms of what
 ``polarization.receive_polarization`` computes on real 3-vectors, and
 ``optimal_rx_polarization`` is the closed form of the perfectly matched
@@ -26,15 +30,103 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmpass.geometry import (Orientation, SphericalBasis, local_angles,
-                             spherical_basis)
+from mmpass.geometry import Orientation, SphericalBasis
 from mmpass.multiuser import _power_multiplier
-from mmpass.radiation import pattern_factor, polarization_components
 from mmpass.waveguide import (MediumConstants, ModeSpec, PaPlacement,
                               WaveguideSpec)
 
 # CODATA 2022 vacuum permeability, H/m
 MU_0 = 1.25663706127e-06
+
+
+# Below this sin(theta) the azimuth is pinned to phi = 0, the package's
+# pole rule.
+POLE_TOL = 1e-12
+
+
+def local_angles(points, center, orientation: Orientation):
+    """Distance, polar angle and azimuth of GCS points in a port frame,
+    shaped as the fields of ``geometry.local_direction``.  The polar
+    angle comes from atan2, which stays accurate next to the poles, and
+    the azimuth is pinned to 0 where sin(theta) < POLE_TOL.  Raises
+    ValueError if a point coincides with the port center."""
+    rel = (np.atleast_2d(np.asarray(points, dtype=float))
+           - np.asarray(center, dtype=float)[..., None, :])
+    local = rel @ np.swapaxes(orientation.lcs_from_gcs(), -1, -2)
+    x, y, z = np.moveaxis(local, -1, 0)
+    rho = np.hypot(x, y)
+    r = np.hypot(rho, z)
+    if not r.all():
+        raise ValueError("observation point coincides with the port")
+    theta = np.arctan2(rho, z)
+    phi = np.where(np.sin(theta) < POLE_TOL, 0.0, np.arctan2(y, x))
+    return r, theta, phi
+
+
+def spherical_basis(theta, phi, orientation: Orientation) -> SphericalBasis:
+    """LSCS unit vectors for direction (theta, phi), expressed in GCS.
+
+    In LCS components the triad is
+
+        upsilon  = (sin t cos p, sin t sin p, cos t)
+        vartheta = (cos t cos p, cos t sin p, -sin t)
+        varphi   = (-sin p, cos p, 0)
+
+    and each is mapped through the port frame.  Scalar angles give
+    3-vectors, arrays of angles one vector per entry.
+    """
+    st, ct = np.sin(theta), np.cos(theta)
+    phi = np.where(st < POLE_TOL, 0.0, phi)
+    sp, cp = np.sin(phi), np.cos(phi)
+    triad = np.array([[st * cp, st * sp, ct],
+                      [ct * cp, ct * sp, -st],
+                      [-sp, cp, np.zeros_like(sp)]])
+    upsilon, vartheta, varphi = (np.moveaxis(triad, 1, -1)
+                                 @ orientation.gcs_from_lcs().T)
+    return SphericalBasis(upsilon, vartheta, varphi)
+
+
+def _cos_taper(x):
+    """cos(pi x / 2) / (1 - x^2) through the normalized sinc:
+    (pi/2) sinc_n((|x| - 1)/2) / (|x| + 1), pi/4 at |x| = 1."""
+    ax = np.abs(np.asarray(x, dtype=float))
+    return (np.pi / 2) * np.sinc((ax - 1.0) / 2.0) / (ax + 1.0)
+
+
+def pattern_factor(q: int, theta, phi, a: float, b: float, lam: float):
+    """Aperture pattern factor S_q at (theta, phi), for aperture
+    dimensions a, b and free-space wavelength lam:
+
+        S_1 = sinc(b pi/lam sin t cos p) cos(a pi/lam sin t sin p)
+                                         / (1 - (2a/lam sin t sin p)^2)
+
+    and S_2 with sin p, cos p and a, b swapped.  Scalars or arrays."""
+    st = np.sin(theta)
+    u_cos = st * np.cos(phi)
+    u_sin = st * np.sin(phi)
+    if q == 1:
+        return (np.sinc(b / lam * u_cos)
+                * _cos_taper(2 * a / lam * u_sin))
+    if q == 2:
+        return (np.sinc(a / lam * u_sin)
+                * _cos_taper(2 * b / lam * u_cos))
+    raise ValueError(f"unsupported mode index {q}")
+
+
+def polarization_components(q: int, theta, phi, beta: float,
+                            rho_free: float):
+    """(vartheta, varphi) components of Psi_q at (theta, phi):
+    ((1 + beta/rho cos t) cos p, (beta/rho + cos t) sin p) for q = 1,
+    sin p and cos p swapped for q = 2.  Scalars or arrays."""
+    ratio = beta / rho_free
+    ct = np.cos(theta)
+    a_fac = 1.0 + ratio * ct
+    b_fac = ratio + ct
+    if q == 1:
+        return a_fac * np.cos(phi), b_fac * np.sin(phi)
+    if q == 2:
+        return a_fac * np.sin(phi), b_fac * np.cos(phi)
+    raise ValueError(f"unsupported mode index {q}")
 
 
 def h_wg_to_pa(mode: ModeSpec, wg: WaveguideSpec, x: float) -> complex:

@@ -82,6 +82,37 @@ def test_outage_positions_match_scipy_bounded(monkeypatch):
             assert float(res.x) == x[t], (rate.__name__, t)
 
 
+def test_outage_objectives_equal_the_pair_rates_on_user_arrays(monkeypatch):
+    # both searches read each trial's lane geometry, computed once per
+    # drop; at random x, over every lane and over a subset of lanes,
+    # their objectives are the dual-mode and time-division pair rates
+    # evaluated on the user position arrays, bit for bit
+    objectives = []
+
+    def recording(fun, lo, hi):
+        objectives.append(fun)
+        return bounded_minimize(fun, lo, hi)
+
+    monkeypatch.setattr(bench, "bounded_minimize", recording)
+    cfg = ScenarioConfig(seed=12)
+    trials = 200
+    bench.run_outage(cfg, [0.0], trials=trials)
+    assert len(objectives) == 2
+    scn = build_scenario(replace(cfg, pas_per_waveguide=1),
+                         users=np.zeros((2, 3)))
+    link = LinkModel(scn)
+    sigmas = (scn.noise[0], scn.noise[0])
+    pts = bench._trial_pairs(cfg, trials)
+    u1, u2 = (np.column_stack([pts[:, i], np.zeros(trials)]) for i in (0, 1))
+    rng = np.random.default_rng(13)
+    subset = np.sort(rng.choice(trials, 37, replace=False))
+    for fun, rate in zip(objectives, (eq22_sum_rate, tdma_sum_rate)):
+        for lanes in (np.arange(trials), subset):
+            x = rng.uniform(0.0, link.wg.length, lanes.size)
+            want = -rate(x, link, u1[lanes], u2[lanes], sigmas, scn.power)
+            assert np.array_equal(fun(x, lanes), want), rate.__name__
+
+
 def _synthetic(experiment, columns, rows):
     return bench.ExperimentResult(experiment, columns, rows,
                                   {"config": "abc123", "seed": 4})

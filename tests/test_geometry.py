@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from mmpass.geometry import (Orientation, local_angles, rotation_x,
-                             rotation_y, spherical_basis)
+from mmpass.geometry import (Orientation, local_direction, rotation_x,
+                             rotation_y)
+from oracles import local_angles, spherical_basis
 
 
-def _angles_of_local(p_local):
-    """(r, theta, phi) of a point given in the frame of an unrotated
-    port at the origin."""
+def _direction_of_local(p_local):
+    """``local_direction`` of a point given in the frame of an unrotated
+    port at the origin, its fields as floats."""
     p_gcs = Orientation().gcs_from_lcs() @ np.asarray(p_local, dtype=float)
-    return tuple(v.item() for v in local_angles(p_gcs, np.zeros(3),
-                                                Orientation()))
+    d = local_direction(p_gcs, np.zeros(3), Orientation())
+    return {k: v.item() for k, v in vars(d).items()}
 
 
 def test_rotation_x_identity():
@@ -60,19 +61,19 @@ def test_boresight_convention():
 
 def test_gcs_to_lcs_pure_translation():
     # point above an unrotated port lands on the local -z (anti-boresight)
-    r, theta, phi = local_angles([1.0, 2.0, 3.0], [1.0, 2.0, 0.0],
-                                 Orientation())
-    assert r[0] == pytest.approx(3.0)
-    assert theta[0] == pytest.approx(np.pi)
-    assert phi[0] == 0.0
+    d = local_direction([1.0, 2.0, 3.0], [1.0, 2.0, 0.0], Orientation())
+    assert d.r[0] == pytest.approx(3.0)
+    assert (d.u[0], d.v[0], d.w[0]) == (0.0, 0.0, -1.0)
+    assert (d.sin_theta[0], d.cos_phi[0], d.sin_phi[0]) == (0.0, 1.0, 0.0)
 
 
 def test_gcs_to_lcs_quarter_pitch():
     # pitch 90 deg points the boresight at +x: a +x offset is on-axis
-    r, theta, _ = local_angles([1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
-                               Orientation(pitch=np.pi / 2))
-    assert r[0] == pytest.approx(1.0)
-    assert theta[0] == pytest.approx(0.0, abs=1e-12)
+    d = local_direction([1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                        Orientation(pitch=np.pi / 2))
+    assert d.r[0] == pytest.approx(1.0)
+    assert d.w[0] == pytest.approx(1.0, abs=1e-12)
+    assert d.sin_theta[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_frame_matrix_orthonormal():
@@ -86,59 +87,89 @@ def test_frame_matrix_orthonormal():
 
 
 def test_lcs_to_spherical_negative_pole():
-    r, theta, phi = _angles_of_local([0.0, 0.0, -1.0])
-    assert r == pytest.approx(1.0)
-    assert theta == pytest.approx(np.pi)
-    assert phi == 0.0  # pinned at the pole
+    d = _direction_of_local([0.0, 0.0, -1.0])
+    assert d["r"] == pytest.approx(1.0)
+    assert d["w"] == -1.0
+    assert (d["cos_phi"], d["sin_phi"]) == (1.0, 0.0)  # pinned at the pole
 
 
 def test_lcs_to_spherical_diagonal():
-    r, theta, phi = _angles_of_local([1.0, 1.0, 0.0])
-    assert r == pytest.approx(np.sqrt(2))
-    assert theta == pytest.approx(np.pi / 2)
-    assert phi == pytest.approx(np.pi / 4)
+    d = _direction_of_local([1.0, 1.0, 0.0])
+    assert d["r"] == pytest.approx(np.sqrt(2))
+    assert d["w"] == pytest.approx(0.0, abs=1e-15)
+    assert d["sin_theta"] == pytest.approx(1.0)
+    for k in ("u", "v", "cos_phi", "sin_phi"):
+        assert d[k] == pytest.approx(1 / np.sqrt(2))
 
 
 def test_lcs_to_spherical_345_triangle():
-    r, theta, phi = _angles_of_local([3.0, 4.0, 0.0])
-    assert r == pytest.approx(5.0)
-    assert theta == pytest.approx(np.pi / 2)
-    assert phi == pytest.approx(np.arctan2(4, 3))
+    d = _direction_of_local([3.0, 4.0, 0.0])
+    assert d["r"] == pytest.approx(5.0)
+    assert (d["u"], d["v"]) == pytest.approx((0.6, 0.8))
+    assert (d["cos_phi"], d["sin_phi"]) == pytest.approx((0.6, 0.8))
 
 
 def test_lcs_to_spherical_zero_rejected():
     with pytest.raises(ValueError):
-        _angles_of_local([0.0, 0.0, 0.0])
+        _direction_of_local([0.0, 0.0, 0.0])
 
 
 def test_spherical_reconstruction():
+    # r (u, v, w) mapped back through the frame is the point, and the
+    # direction cosines are sin(theta) times the azimuth cosines
     rng = np.random.default_rng(7)
     o = Orientation(0.4, -0.2)
     center = np.array([1.0, 2.0, 3.0])
     points = center + rng.normal(size=(1000, 3))
+    d = local_direction(points, center, o)
+    local = d.r[:, None] * np.column_stack([d.u, d.v, d.w])
+    assert np.allclose(center + o.to_gcs(local), points, atol=1e-12)
+    assert np.allclose(d.sin_theta * d.cos_phi, d.u, rtol=0, atol=1e-15)
+    assert np.allclose(d.sin_theta * d.sin_phi, d.v, rtol=0, atol=1e-15)
+    assert np.allclose(np.hypot(d.sin_theta, d.w), 1.0, rtol=0, atol=1e-15)
+
+
+def test_direction_matches_angle_oracle():
+    # the direction cosines are the oracle's angles' sines and cosines
+    rng = np.random.default_rng(8)
+    o = Orientation(-0.7, 0.3)
+    center = np.array([4.0, 2.0, 3.0])
+    points = center + rng.normal(size=(500, 3))
+    d = local_direction(points, center, o)
     r, theta, phi = local_angles(points, center, o)
-    local = r[:, None] * np.column_stack([np.sin(theta) * np.cos(phi),
-                                          np.sin(theta) * np.sin(phi),
-                                          np.cos(theta)])
-    rebuilt = center + local @ o.gcs_from_lcs().T
-    assert np.allclose(rebuilt, points, atol=1e-12)
+    assert np.allclose(d.r, r, rtol=1e-15, atol=0.0)
+    for got, want in ((d.u, np.sin(theta) * np.cos(phi)),
+                      (d.v, np.sin(theta) * np.sin(phi)),
+                      (d.w, np.cos(theta)), (d.sin_theta, np.sin(theta)),
+                      (d.cos_phi, np.cos(phi)), (d.sin_phi, np.sin(phi))):
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_pole_rule_is_scale_free():
     # 0.5 m below a port and 0.7e-12 m off axis: sin(theta) = 1.4e-12
     # is above the pole tolerance, so the azimuth is the true one (the
     # offset is along -y, the local +y axis of an unrotated port)
+    d = local_direction([5.0, 3.0 - 0.7e-12, 2.5], [5.0, 3.0, 3.0],
+                        Orientation())
+    assert d.r[0] == pytest.approx(0.5)
+    assert (d.cos_phi[0], d.sin_phi[0]) == pytest.approx((0.0, 1.0),
+                                                         abs=1e-12)
+    # well inside the tolerance the azimuth is pinned, at any distance
+    for height in (0.5, 3.0, 300.0):
+        d = local_direction([5.0, 3.0 - 1e-14, 3.0 - height],
+                            [5.0, 3.0, 3.0], Orientation())
+        assert (d.cos_phi[0], d.sin_phi[0]) == (1.0, 0.0)
+
+
+def test_oracle_angles_keep_the_pole_rule():
     r, theta, phi = local_angles([5.0, 3.0 - 0.7e-12, 2.5], [5.0, 3.0, 3.0],
                                  Orientation())
-    assert r[0] == pytest.approx(0.5)
     assert phi[0] == pytest.approx(np.pi / 2)
     basis = spherical_basis(theta, phi, Orientation())
     assert np.allclose(basis.varphi[0], [-1.0, 0.0, 0.0], atol=1e-9)
-    # well inside the tolerance the azimuth is pinned, at any distance
-    for height in (0.5, 3.0, 300.0):
-        _, _, phi = local_angles([5.0, 3.0 - 1e-14, 3.0 - height],
-                                 [5.0, 3.0, 3.0], Orientation())
-        assert phi[0] == 0.0
+    _, _, phi = local_angles([5.0, 3.0 - 1e-14, 2.5], [5.0, 3.0, 3.0],
+                             Orientation())
+    assert phi[0] == 0.0
 
 
 def test_spherical_basis_equator():

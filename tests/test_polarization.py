@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from mmpass.geometry import (Orientation, SphericalBasis, local_angles,
-                             spherical_basis)
+from mmpass.geometry import Orientation, SphericalBasis
 from mmpass.polarization import receive_polarization, user_arrival_basis
 from mmpass.radiation import PortResponse
 from mmpass.waveguide import MediumConstants, PaPlacement, WaveguideSpec, te_modes
 from oracles import (FieldSample, JonesVector, discrete_rx_polarization,
-                     incident_jones, matching_efficiency,
-                     optimal_rx_polarization, radiated_field)
+                     incident_jones, local_angles, matching_efficiency,
+                     optimal_rx_polarization, polarization_components,
+                     radiated_field, spherical_basis)
 
 
 def _sample(e_theta, e_phi, theta=0.7, phi=0.3):
@@ -176,7 +176,6 @@ def test_optimal_rx_perturbation_suboptimal():
     rx = optimal_rx_polarization(1, theta, phi, mode.propagation_constant,
                                  med.k0)
     # the matched incidence in the user plane
-    from mmpass.radiation import polarization_components
     c_t, c_p = polarization_components(1, theta, phi,
                                        mode.propagation_constant, med.k0)
     inc = JonesVector.normalized(c_t, -c_p)

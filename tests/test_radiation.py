@@ -3,11 +3,12 @@ import pytest
 
 from mmpass.geometry import Orientation
 from mmpass.placement import optimal_orientation
-from mmpass.radiation import (PortResponse, intensity_map, pattern_factor,
-                              polarization_components)
+from mmpass.radiation import PortResponse, intensity_map
 from mmpass.waveguide import (MediumConstants, PaPlacement, WaveguideSpec,
                               mode_spec, te_modes)
-from oracles import MU_0, h_wg_to_pa, radiated_field
+from oracles import (MU_0, h_wg_to_pa, local_angles, pattern_factor,
+                     polarization_components, radiated_field,
+                     spherical_basis)
 
 A, B = 3e-3, 2e-3
 ALPHA_A = 0.011512925464970228  # 0.05 dB/m
@@ -278,6 +279,64 @@ def test_port_lanes_equal_single_port_evaluations(shared):
         one = PortResponse(med, mode, wg, centers[lane], aim, on_axis[lane])
         assert np.array_equal(single.direction[lane], one.direction)
         assert np.array_equal(single.pattern[lane], one.pattern)
+
+
+def _special_directions(lam):
+    """LCS unit directions where the kernel's formulas are singular or
+    degenerate: the boresight, a direction inside the pole tolerance,
+    the back pole, and for both modes the first two sinc nulls and the
+    taper's |argument| = 1, each on both signs of its axis."""
+    a, b = 15 * A, 15 * B
+    uv = [(0.0, 0.0), (1e-13, 0.0), (0.0, -1e-13)]
+    for k in (1, 2):
+        uv += [(s * k * lam / b, 0.0) for s in (1, -1)]     # S_1 sinc null
+        uv += [(0.0, s * k * lam / a) for s in (1, -1)]     # S_2 sinc null
+    for s in (1, -1):
+        uv += [(0.0, s * lam / (2 * a)), (s * lam / (2 * b), 0.0),  # tapers
+               (0.3 * s, lam / (2 * a)), (lam / (2 * b), -0.4 * s)]
+    dirs = [(u, v, np.sqrt(1.0 - u * u - v * v)) for u, v in uv]
+    return np.array(dirs + [(0.0, 0.0, -1.0)])
+
+
+def test_port_response_matches_angle_oracle():
+    # r, the pattern and the field direction of the direction-cosine
+    # kernel equal the angle forms (atan2 angles, sin/cos of theta and
+    # phi, the full spherical triad) to 1e-12 of each lane's peak, on
+    # random lanes and on the directions where the formulas are singular
+    med, wg = _medium(), _guide(aperture_scale=15.0)
+    lam = med.wavelength0
+    rng = np.random.default_rng(21)
+    n_lanes = 9
+    pitch = rng.uniform(-1.2, 1.2, n_lanes)
+    roll = rng.uniform(-1.2, 1.2, n_lanes)
+    centers = np.column_stack([rng.uniform(0, 10, n_lanes),
+                               rng.uniform(0, 6, n_lanes),
+                               np.full(n_lanes, 3.0)])
+    special = _special_directions(lam)
+    points = np.concatenate([
+        rng.uniform([0, 0, 0], [10, 6, 0], (n_lanes, 40, 3)),
+        np.stack([c + rng.uniform(0.5, 4.0) * Orientation(p, r).to_gcs(special)
+                  for c, p, r in zip(centers, pitch, roll)])], axis=1)
+    for mode in te_modes(wg, med):
+        resp = PortResponse(med, mode, wg, centers,
+                            Orientation(pitch, roll), points)
+        for lane in range(n_lanes):
+            aim = Orientation(pitch[lane], roll[lane])
+            r, theta, phi = local_angles(points[lane], centers[lane], aim)
+            psi_t, psi_p = polarization_components(
+                mode.index, theta, phi, mode.propagation_constant, med.k0)
+            norm = np.hypot(psi_t, psi_p)
+            pattern = pattern_factor(mode.index, theta, phi, wg.aperture_a,
+                                     wg.aperture_b, lam) * norm / r
+            basis = spherical_basis(theta, phi, aim)
+            direction = ((psi_t[:, None] * basis.vartheta
+                          + psi_p[:, None] * basis.varphi) / norm[:, None])
+            peak = np.abs(pattern).max()
+            assert np.allclose(resp.r[lane], r, rtol=1e-12, atol=0.0)
+            assert np.allclose(resp.pattern[lane], pattern, rtol=0.0,
+                               atol=1e-12 * peak)
+            assert np.allclose(resp.direction[lane], direction, rtol=0.0,
+                               atol=1e-12)
 
 
 def test_gain_decreases_off_boresight():
