@@ -56,18 +56,19 @@ class ChannelMatrix:
     h: np.ndarray       # K x QM complex
 
 
-def port_responses(scenario: Scenario, x, aims: Orientation):
+def port_responses(scenario: Scenario, x, aims: Orientation, rows):
     """Yield one ``PortResponse`` per mode, of the ports of elements at
-    positions ``x`` (M, ...), row m on guide m, at the scenario's users
-    in global coordinates.  ``aims`` holds pitch and roll arrays of x's
+    positions ``x[rows]``, where ``x`` is (M, ...) with row m on guide m
+    and ``rows`` a slice of its guides, at the scenario's users in
+    global coordinates.  ``aims`` holds pitch and roll arrays of x's
     shape and a trailing mode axis; mode q's ports take aims[..., q]."""
-    centers = np.stack([element_center(row, wg)
-                        for row, wg in zip(x, scenario.waveguides)])
+    centers = np.stack([element_center(row, wg) for row, wg
+                        in zip(x[rows], scenario.waveguides[rows])])
     for q, mode in enumerate(scenario.modes):
+        aim = Orientation(pitch=aims.pitch[rows, ..., q],
+                          roll=aims.roll[rows, ..., q])
         yield PortResponse(scenario.med, mode, scenario.waveguides[0],
-                           centers, Orientation(pitch=aims.pitch[..., q],
-                                                roll=aims.roll[..., q]),
-                           scenario.users)
+                           centers, aim, scenario.users)
 
 
 def port_factors(scenario: Scenario, x, aims: Orientation) -> PortFactors:
@@ -84,7 +85,7 @@ def port_factors(scenario: Scenario, x, aims: Orientation) -> PortFactors:
     m, n, q = np.indices(h_wp.shape[:3])
     h_wp[m, n, q, m, q] = (np.sqrt(power_share(x, scenario.waveguides[0]))
                            [..., None] * np.exp(-1j * beta * x[..., None]))
-    resps = list(port_responses(scenario, x, aims))
+    resps = list(port_responses(scenario, x, aims, np.s_[:]))
     h_pu = np.stack([resp.amplitude(scenario.alpha_a)
                      * np.exp(-1j * scenario.med.k0 * resp.r)
                      for resp in resps], axis=-1)        # (M, N, K, Q)

@@ -24,7 +24,6 @@ import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-import yaml
 
 from .multiuser import parse_scheme
 from .scenario import Scenario, make_scenario
@@ -195,6 +194,10 @@ def _flatten(mapping: dict) -> dict:
 
 def load_config(path=None) -> ScenarioConfig:
     """Read a YAML config file; ``None`` or an empty file gives defaults."""
+    # imported here, its only reader, so a run without a config file
+    # never loads the YAML parser
+    import yaml
+
     raw = {}
     if path is not None:
         with open(path) as fh:

@@ -18,9 +18,10 @@
    its guide's frame, and the receive vectors, the serving gains and
    the interference table (through the channel's own
    ``channel.port_responses``) take one port evaluation per mode over
-   all candidates.  Interference is additive (sources keep their
-   noise-only splits, victims their matched receive vectors), so the
-   fill keeps a running sum of it per element.  The slot is deployed
+   all candidates, the table's in blocks of source guides.
+   Interference is additive (sources keep their noise-only splits,
+   victims their matched receive vectors), so the fill keeps a running
+   sum of it per element.  The slot is deployed
    as arrays, positions (M, N) and per-mode aims (M, N, Q).
 3. Precoding: with the sparse per-element splits W_p frozen, the
    mode-domain mixer G is optimized by fractional programming
@@ -61,7 +62,7 @@ from .geometry import Orientation
 from .placement import (LinkModel, power_split, solve_single_user,
                         two_user_shared_position)
 from .polarization import matched_polarization, receive_polarization
-from .radiation import PortResponse
+from .radiation import PortResponse, row_blocks
 from .scenario import Scenario
 from .waveguide import PaPlacement, element_center, power_share
 
@@ -456,23 +457,32 @@ class _SlotSolver:
         entries of m2 == m are those of a different element of the same
         guide.  The sources' ports are evaluated as the channel's, by
         ``channel.port_responses``, and a singleton's idle port
-        transmits with a zero split."""
+        transmits with a zero split.
+
+        The sources are evaluated in blocks of whole guides
+        (``radiation.row_blocks``, a guide's row being its J sources at
+        K users), so the port responses alive at once are bounded by a
+        block, not by the table; each entry is computed as in one
+        block."""
         scn = self.scenario
+        n_wg, n_grp = self.x.shape
         share = power_share(self.x, self.link.wg)
         cross = np.zeros(self.x.shape * 2 + (2,))
-        for q, resp in enumerate(channel.port_responses(scn, self.x,
-                                                        self.aims)):
-            # (M, J, K): every source seen by every user
-            h_sq = resp.amplitude(scn.alpha_a) ** 2 * share[..., None]
-            weight = scn.power * self.splits[..., q]
-            # the directions are gathered at every victim's user one
-            # source guide at a time, which bounds that array to 1/M of
-            # the table's size times 3
-            for m, direction in enumerate(resp.direction):
-                proj = np.einsum("mjsd,bmjsd->bmjs", self.rx,
-                                 direction[:, self.users])
-                cross[m] += weight[m][:, None, None, None] * (
-                    proj ** 2 * h_sq[m][:, self.users])
+        for rows in row_blocks(n_wg, n_grp * scn.num_users):
+            for q, resp in enumerate(channel.port_responses(
+                    scn, self.x, self.aims, rows)):
+                # (B, J, K): every source of the block seen by every user
+                h_sq = resp.amplitude(scn.alpha_a) ** 2 * share[rows, :, None]
+                weight = scn.power * self.splits[rows, :, q]
+                # the directions are gathered at every victim's user one
+                # source guide at a time, which bounds that array to 1/M
+                # of the table's size times 3
+                for out, w, h, direction in zip(cross[rows], weight, h_sq,
+                                                resp.direction):
+                    proj = np.einsum("mjsd,bmjsd->bmjs", self.rx,
+                                     direction[:, self.users])
+                    out += w[:, None, None, None] * (
+                        proj ** 2 * h[:, self.users])
         return cross
 
     def rate_table(self) -> np.ndarray:

@@ -326,3 +326,18 @@ def test_package_imports_no_scipy():
                          capture_output=True, text=True,
                          cwd=PACKAGE.parent).stdout
     assert out.strip() == "[]", out
+
+
+def test_default_scenario_loads_no_yaml():
+    """The YAML parser is imported by ``config.load_config`` alone:
+    importing the package, its CLI and its drivers and building the
+    default scenario loads no yaml module."""
+    code = ("import sys, mmpass, mmpass.cli, mmpass.bench; "
+            "from mmpass import config; "
+            "config.build_scenario(config.ScenarioConfig()); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('yaml', '_yaml')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         cwd=PACKAGE.parent).stdout
+    assert out.strip() == "[]", out

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import FrozenInstanceError, replace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, linear_sum_assignment
 
-from mmpass import channel, multiuser
+from mmpass import channel, multiuser, radiation
 from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.multiuser import (AssignmentMatrix, _SlotSolver,
                               _enforce_min_spacing, _power_multiplier,
@@ -490,6 +491,35 @@ def test_cross_table_matches_oracle():
                             cross[guide[i2], j2, guide[i], j], want,
                             rtol=1e-12, atol=0.0)
     assert reversed_seen > 0
+
+
+@pytest.fixture(scope="module")
+def solver_16x4_96():
+    return _random_solver(1, m=16, n=4, k=96)
+
+
+def test_cross_table_blocks_equal_one_block(monkeypatch, solver_16x4_96):
+    # 16 source guides of 48 groups at 96 users split into six blocks
+    solver = solver_16x4_96
+    n_wg, n_grp = solver.x.shape
+    row_points = n_grp * solver.scenario.num_users
+    assert len(list(radiation.row_blocks(n_wg, row_points))) == 6
+    blocked = solver.cross_table()
+    monkeypatch.setattr(radiation, "_BLOCK_POINTS", n_wg * row_points)
+    assert len(list(radiation.row_blocks(n_wg, row_points))) == 1
+    assert np.array_equal(blocked, solver.cross_table())
+
+
+def test_cross_table_memory_is_the_table_plus_a_block(solver_16x4_96):
+    # the port responses of every source at once would take ~26 MB
+    # around this 9.4 MB table
+    tracemalloc.start()
+    try:
+        cross = solver_16x4_96.cross_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cross.nbytes + 8e6, peak
 
 
 def test_greedy_fill_assigns_all_elements():

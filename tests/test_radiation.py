@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mmpass import radiation
 from mmpass.geometry import Orientation
 from mmpass.placement import optimal_orientation
-from mmpass.radiation import PortResponse, intensity_map
+from mmpass.radiation import PortResponse, intensity_map, row_blocks
 from mmpass.waveguide import (MediumConstants, PaPlacement, WaveguideSpec,
                               mode_spec, te_modes)
 from oracles import (MU_0, h_wg_to_pa, local_angles, pattern_factor,
@@ -430,3 +433,56 @@ def test_intensity_map_rejects_tiny_grid():
     pa = PaPlacement(5.0, (Orientation(),))
     with pytest.raises(ValueError):
         intensity_map(med, wg, [mode], pa, [1.0], [0.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# row blocks
+
+@pytest.mark.parametrize("n_rows, row_points", [
+    (121, 1001), (37, 1001), (3, 20001), (2, 2), (16, 4608)])
+def test_row_blocks_cover_the_rows_in_order_within_the_cap(n_rows, row_points):
+    blocks = list(row_blocks(n_rows, row_points))
+    assert [r for rows in blocks for r in range(n_rows)[rows]] == list(
+        range(n_rows))
+    for rows in blocks:
+        size = len(range(n_rows)[rows])
+        # a block holds whole rows; a row over the cap is a block alone
+        assert size * row_points <= radiation._BLOCK_POINTS or size == 1
+    # as many rows as fit: only the last block may be short
+    assert all(len(range(n_rows)[rows]) == len(range(n_rows)[blocks[0]])
+               for rows in blocks[:-1])
+
+
+@pytest.mark.parametrize("n_x, n_y", [(1001, 37), (20001, 3), (2, 2)])
+def test_intensity_map_blocks_equal_one_block(monkeypatch, n_x, n_y):
+    # a row count that is no multiple of the block, rows wider than a
+    # block, and the smallest grid, each against one whole-grid block
+    med, wg = _medium(), _guide(aperture_scale=15.0, num_pas=3)
+    modes = te_modes(wg, med)
+    pa = PaPlacement(4.0, (Orientation(0.5, 0.1), Orientation(-0.3, -0.2)))
+    xs = np.linspace(0.0, 10.0, n_x)
+    ys = np.linspace(0.0, 6.0, n_y)
+    blocked = intensity_map(med, wg, modes, pa, xs, ys, alpha_a=ALPHA_A)
+    assert len(list(row_blocks(n_y, n_x))) == (1 if n_y == 2 else 3)
+    monkeypatch.setattr(radiation, "_BLOCK_POINTS", n_x * n_y)
+    assert len(list(row_blocks(n_y, n_x))) == 1
+    whole = intensity_map(med, wg, modes, pa, xs, ys, alpha_a=ALPHA_A)
+    assert np.array_equal(blocked, whole)
+
+
+def test_intensity_map_memory_is_the_grid_plus_a_block():
+    # the field map's 0.002 m grid, 121 x 5001 points: the temporaries
+    # of the whole grid at once would take ~80 MB
+    med, wg = _medium(), _guide(aperture_scale=15.0)
+    modes = te_modes(wg, med)
+    xs = np.arange(0.0, 10.0 + 1e-9, 0.002)
+    ys = np.arange(0.0, 6.0 + 1e-9, 0.05)
+    tracemalloc.start()
+    try:
+        grid = intensity_map(med, wg, modes, _dual_port_pa(np.pi / 4), xs,
+                             ys, alpha_a=ALPHA_A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (121, 5001)
+    assert peak < 2 * grid.nbytes + 4e6, peak
