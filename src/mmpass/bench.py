@@ -8,9 +8,10 @@ The outage drops of all trials are computed at once and equal those
 per-trial generators bit for bit.  The CSV header embeds the config
 hash and seed; every float column is written with 6 decimals (the
 field map rounds its dB values to 4 first).  A driver's rows are
-written one format per row; the field map's body is written from its
-grid instead, formatting each x and y once and each intensity once,
-to the same bytes.
+written one format per row.  The field map's body is spelled from its
+grid instead, one block of whole y rows at a time: each x and y is
+formatted once, and each intensity is spelled by numpy from digit
+tables as ASCII bytes, to the same text.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .geometry import Orientation
 from .multiuser import optimize_scenario
 from .placement import (LinkModel, bounded_minimize, eq22_sum_rate,
                         optimal_position, power_split, tdma_sum_rate)
-from .radiation import intensity_map
+from .radiation import intensity_map, row_blocks
 from .waveguide import PaPlacement
 
 
@@ -42,8 +43,9 @@ class ExperimentResult:
 
     def write_csv(self, out_dir) -> str:
         """Write ``<experiment>.csv`` into ``out_dir``: a metadata comment
-        line, the column header and one line per row, as ``_body``
-        produces them.
+        line, the column header and one line per row.  ``_body`` yields
+        the lines as text chunks: one line per row by default, one block
+        of grid rows per chunk for a field map.
         """
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"{self.experiment}.csv")
@@ -113,18 +115,74 @@ class FieldMapResult(ExperimentResult):
         self.rows = _GridRows(self.xs, self.ys, self.grid_db)
 
     def _body(self):
-        """The rows' CSV lines, one chunk per y line, from the grid: each
-        x is formatted once into a template for the whole x axis, which
-        every y line fills with its y (formatted once) and its rounded
-        intensities.  Each value gets the rows' rounding and ``"%.6f"``,
-        so the text equals the generic rule's."""
-        fmt = "%.6f".__mod__
-        template = "".join(f"{x},{{y}},%.6f\n"
-                           for x in map(fmt, np.round(self.xs, 6).tolist()))
-        ys = map(fmt, np.round(self.ys, 6).tolist())
-        for y, line in zip(ys, self.grid_db):
-            values = np.round(line, 4).tolist()
-            yield template.replace("{y}", y) % tuple(values)
+        """The rows' CSV lines, one chunk per block of whole y rows
+        (``radiation.row_blocks``): each x and y is formatted once, and
+        the block's intensities are spelled by ``_spell_lines``.  Every
+        value gets the rows' rounding and the text of ``"%.6f"``, so the
+        chunks equal the generic rule's lines."""
+        xs = _ascii(np.round(self.xs, 6))
+        ys = _ascii(np.round(self.ys, 6))
+        for rows in row_blocks(len(ys), len(xs)):
+            yield _spell_lines(xs, ys[rows], self.grid_db[rows])
+
+
+# ASCII digit tables of the field map's intensities: row i of
+# _FRAC_DIGITS spells i < 10**4 as four digits, and row i of
+# _INT_DIGITS spells it without leading zeros, which are NUL bytes
+# that the line compaction drops.
+_FRAC_DIGITS = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy()
+                + np.uint8(ord("0")))
+_INT_DIGITS = _FRAC_DIGITS.copy()
+_INT_DIGITS[:1000, 0] = _INT_DIGITS[:100, 1] = _INT_DIGITS[:10, 2] = 0
+# the fixed characters of a line: the two commas, the value's point and
+# trailing "00", and the newline
+_PUNCT = np.frombuffer(b",,.00\n", np.uint8)
+
+
+def _ascii(values) -> np.ndarray:
+    """``"%.6f"`` of each value as the rows of a uint8 array, padded
+    with NUL bytes to the longest text."""
+    text = np.array(["%.6f" % v for v in values.tolist()], dtype=bytes)
+    return text.view(np.uint8).reshape(text.size, text.itemsize)
+
+
+def _spell_lines(xs, ys, grid) -> str:
+    """The CSV lines ``x,y,value`` of a (len(ys), len(xs)) block of
+    intensities, x fastest, given the x and y texts from ``_ascii``.
+
+    ``k = rint(v * 1e4)`` is the multiply and round of ``np.round(v,
+    4)``, and for |k| < 10**8 the ``"%.6f"`` text of k / 10**4 is k's
+    sign bit (so -0.0 keeps its "-"), the integer and the four-digit
+    fraction of |k| / 10**4, and "00": the double nearest k / 10**4 is
+    within 1e-12 of it.  Those are spelled from the digit tables; any
+    other value (one that rounds to |v| >= 10**4 dB, inf or nan) gets
+    ``"%.6f"`` itself.  A normalized map never gets there: a float64
+    intensity ratio is above -3233 dB.
+
+    Each line is laid out in a row of NUL-padded fields, and the rows
+    are compacted by dropping the NULs.
+    """
+    k = np.rint(grid * 1e4).ravel()
+    plain = np.abs(k) < 1e8
+    whole, frac = np.divmod(np.where(plain, np.abs(k), 0.0).astype(np.intp),
+                            10 ** 4)
+    other = _ascii(np.round(grid.ravel()[~plain], 4))
+    wx, wy = xs.shape[1], ys.shape[1]
+    v0 = wx + wy + 2
+    width = v0 + max(12, other.shape[1]) + 1
+    mat = np.zeros((len(ys), len(xs), width), np.uint8)
+    mat[:, :, :wx] = xs
+    mat[:, :, wx + 1:v0 - 1] = ys[:, None]
+    mat[:, :, [wx, v0 - 1, v0 + 5, v0 + 10, v0 + 11, -1]] = _PUNCT
+    mat = mat.reshape(k.size, width)
+    mat[:, v0] = np.where(np.signbit(k), ord("-"), 0)
+    # a table row's four digits are gathered as one 4-byte word
+    mat[:, v0 + 1:v0 + 5] = _INT_DIGITS.view(np.uint32)[whole].view(np.uint8)
+    mat[:, v0 + 6:v0 + 10] = _FRAC_DIGITS.view(np.uint32)[frac].view(np.uint8)
+    if other.size:
+        mat[~plain, v0:-1] = 0
+        mat[~plain, v0:v0 + other.shape[1]] = other
+    return mat[mat != 0].tobytes().decode("ascii")
 
 
 def _metadata(cfg: ScenarioConfig, **extra) -> dict:

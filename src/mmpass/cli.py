@@ -335,7 +335,7 @@ def main(argv=None) -> int:
                                            else argv))
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

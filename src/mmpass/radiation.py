@@ -43,10 +43,11 @@ never evaluates S_q.
 
 Kernels over many points run in blocks of whole rows of at most 2^14
 points each (:func:`row_blocks`): the field map by rows of y, the
-slot solver's interference table by source guides.  Every point is
-computed elementwise, so a block's values are those of one whole-grid
-evaluation, bit for bit, while the temporaries alive at once are
-bounded by one block instead of growing with the grid.
+slot solver's interference table by source guides, and the field
+map's CSV text (``bench.FieldMapResult``) by rows of y again.  Every
+point is computed elementwise, so a block's values are those of one
+whole-grid evaluation, bit for bit, while the temporaries alive at
+once are bounded by one block instead of growing with the grid.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ import numpy as np
 from .geometry import Orientation, local_direction
 from .waveguide import MediumConstants, ModeSpec, PaPlacement, WaveguideSpec
 
-# Points per block of the blocked kernels, ``intensity_map`` and
-# ``multiuser._SlotSolver.cross_table``.  A block holds as many whole
+# Points per block of the blocked kernels, ``intensity_map``,
+# ``multiuser._SlotSolver.cross_table`` and the field map's CSV text
+# (``bench.FieldMapResult._body``).  A block holds as many whole
 # rows as fit, so the default field map (121 rows of 1001 points) runs
 # in blocks of 16 rows.  Timed on that map (median of 15 runs, 2-core
 # Xeon, one BLAS thread), blocks of 4, 8, 16, 32 and 121 rows took 46,

@@ -1,12 +1,14 @@
 """Experiment drivers: exported rows and outage drops."""
 
+import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from mmpass import bench
+from mmpass import bench, radiation
 from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.placement import (LinkModel, bounded_minimize, eq22_sum_rate,
                               optimal_position, tdma_sum_rate)
@@ -162,6 +164,106 @@ def test_field_map_csv_from_grid_matches_value_oracle(pitch, tmp_path):
         lines = fh.read().split("\n")
     # compared as lists, so a failure names its first line
     assert lines == csv_text(result).split("\n")
+
+
+def _ulps(value):
+    return [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
+
+
+# Values whose product v * 1e4 is exactly a half, which rint rounds to
+# even; the last three carry the integer part to one more digit, and
+# -9999.99995 past what the tables spell.
+TIES = [-0.00005, -0.00125, -2.00025, -9.99995, -99.99995, -999.99995,
+        -9999.99995]
+
+# Intensities at the edges of the digit-table spelling: signed zeros,
+# values that round to -0.0, the ties and their neighbours one ulp
+# either side, integer parts that change digit count, positive values,
+# and values the tables cannot spell (|k| >= 10**8, inf, nan), whose
+# text can be wider than a spelled one.
+EDGE_VALUES = [
+    0.0, -0.0, -5e-324, -1e-300, -1e-5, -4.9999e-5,
+    *(u for v in TIES for u in _ulps(v)),
+    *_ulps(-0.00015), *_ulps(-1.00005),
+    -9.9999, -10.0, -99.9999, -100.0, -1000.0, -3233.0,
+    5e-5, 0.00125, 1.23456, 12.3, 9999.5, *_ulps(9999.99994),
+    *_ulps(-9999.99994), -10000.0, 10000.0,
+    -12345.6789, 1e300, -1e300, 1.7e308,
+    -np.inf, np.inf, np.nan,
+]
+
+
+def test_ties_are_exact_halves():
+    assert np.all(np.array(TIES) * 1e4 % 1 == 0.5)
+
+
+def _field_map(grid):
+    grid = np.asarray(grid, dtype=float)
+    return bench.FieldMapResult(
+        "field_map", ("x", "y", "intensity_db"),
+        metadata={"config": "abc123", "seed": 4},
+        xs=np.linspace(-1.5, 12.25, grid.shape[1]),
+        ys=np.linspace(6.0, -0.5, grid.shape[0]), grid_db=grid)
+
+
+# np.round(1.7e308, 4) overflows in its multiply, in the rows as in
+# the spelled text
+OVERFLOW = "ignore:overflow encountered in multiply:RuntimeWarning"
+
+
+@pytest.mark.filterwarnings(OVERFLOW)
+@pytest.mark.parametrize("block_rows", [1, 3, 100])
+def test_field_map_text_at_the_spelling_edges_matches_value_oracle(
+        block_rows, monkeypatch, tmp_path):
+    # the edge values spread over blocks of 1 and 3 rows, and in one
+    # block, among random intensities across the spelled range
+    rng = np.random.default_rng(11)
+    spread = np.concatenate([-10.0 ** rng.uniform(-6, 3.6, 600),
+                             np.round(rng.uniform(-200, 200, 400), 5)])
+    values = np.concatenate([EDGE_VALUES, spread[len(EDGE_VALUES):]])
+    rng.shuffle(values)
+    grid = values.reshape(40, 25)
+    monkeypatch.setattr(radiation, "_BLOCK_POINTS", block_rows * 25)
+    result = _field_map(grid)
+    with open(result.write_csv(tmp_path)) as fh:
+        lines = fh.read().split("\n")
+    assert lines == csv_text(result).split("\n")
+
+
+@pytest.mark.filterwarnings(OVERFLOW)
+@pytest.mark.parametrize("value", EDGE_VALUES)
+def test_field_map_spells_each_edge_value_as_the_rows_do(value, tmp_path):
+    # one value per map, so a wrong line names its value
+    result = _field_map([[value, -1.0], [-2.0, value]])
+    with open(result.write_csv(tmp_path)) as fh:
+        assert fh.read() == csv_text(result)
+
+
+@pytest.fixture(scope="module")
+def fine_map():
+    # the field map at grid_res 0.002: 121 x 5001 points, 41 row blocks
+    return bench.run_field_map(ScenarioConfig(), grid_res=0.002)
+
+
+def test_fine_field_map_file_equals_the_generic_rule(fine_map, tmp_path):
+    assert fine_map.grid_db.shape == (121, 5001)
+    with open(fine_map.write_csv(tmp_path), "rb") as fh:
+        got = hashlib.sha256(fh.read()).hexdigest()
+    assert got == hashlib.sha256(csv_text(fine_map).encode()).hexdigest()
+
+
+def test_field_map_export_memory_is_a_block_of_text(fine_map, tmp_path):
+    # the whole map's text at once would be ~19 MB; blocked, the export
+    # holds about one block's rows as bytes, mask and text at a time
+    block_text = max(map(len, fine_map._body()))
+    tables = bench._INT_DIGITS.nbytes + bench._FRAC_DIGITS.nbytes
+    tracemalloc.start()
+    try:
+        fine_map.write_csv(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block_text + tables + 2e6, peak
 
 
 def test_power_at_outage_takes_the_highest_power_crossing():

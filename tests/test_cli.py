@@ -122,6 +122,16 @@ def test_field_map_rejects_a_step_that_is_not_positive(tiny, tmp_path,
     assert not (tmp_path / "field_map.csv").exists()
 
 
+def test_field_map_too_fine_to_allocate_exits_2(tiny, tmp_path, capsys):
+    # 10 m at 1e-12 m steps is a 72.8 TiB x axis: the allocation is
+    # refused at once, before anything is written
+    assert cli.main(["field-map", *tiny, "--grid-res", "1e-12"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "TiB" in err
+    assert not (tmp_path / "field_map.csv").exists()
+
+
 def test_gain_normalization_in_config_exits_2(tmp_path, capsys):
     path = tmp_path / "old.yaml"
     path.write_text(TINY + "gain_normalization: none\n")
