@@ -29,7 +29,8 @@ from .config import ScenarioConfig, build_scenario, config_hash
 from .geometry import Orientation
 from .multiuser import optimize_scenario
 from .placement import (LinkModel, bounded_minimize, eq22_sum_rate,
-                        optimal_position, power_split, tdma_sum_rate)
+                        optimal_position, pair_rates, power_split,
+                        tdma_sum_rate)
 from .radiation import intensity_map, row_blocks
 from .waveguide import PaPlacement
 
@@ -373,10 +374,10 @@ def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
     rows = []
     for p_dbw in power_grid_dbw:
         power = 10.0 ** (p_dbw / 10.0)
-        w = power_split(g_mm[0], g_mm[1], noise, noise, power)
-        r_mm = [0.5 * np.log2(1.0 + power * w[i] * g_mm[i] / noise)
-                for i in (0, 1)]
-        r_sm = [0.25 * np.log2(1.0 + power * g / noise) for g in g_sm]
+        r_mm = pair_rates(*g_mm, power_split(*g_mm, noise, noise, power),
+                          sigmas, power)
+        # each user of the baseline is served half the time
+        r_sm = [0.5 * r for r in pair_rates(*g_sm, (1.0, 1.0), sigmas, power)]
         out_mm = float(np.mean(np.minimum(*r_mm) < threshold_rate))
         out_sm = float(np.mean(np.minimum(*r_sm) < threshold_rate))
         rows.append((float(round(p_dbw, 4)), "MM", out_mm))

@@ -25,8 +25,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .multiuser import parse_scheme
-from .scenario import Scenario, make_scenario
+from .scenario import Scenario, make_scenario, parse_scheme
 from .waveguide import MediumConstants
 
 NP_PER_DB = float(np.log(10.0) / 10.0)

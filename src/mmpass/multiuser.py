@@ -27,10 +27,12 @@
    mode-domain mixer G is optimized by fractional programming
    (quadratic transform, closed-form auxiliary updates, a KKT solve and
    a bracketed Newton solve of the power multiplier's secular equation,
-   started from the previous iteration's multiplier).  The rates and
-   the power budget read G only through the precoder W = G W_p
-   (QM x K), so the loop iterates on W, held in the row space of W_p by
-   an exact projection, and only on the users whose stream is still on.
+   started from the previous iteration's multiplier).  Each port
+   serves one user, so W = G W_p (QM x K) is any precoder that is zero
+   on the unserved users' columns, and the rates and the power budget
+   read G only through W.  The loop iterates on the served columns of
+   W, only on the users whose stream is still on; the splits W_p seed
+   its matched-filter start.
 
 Single-mode ("-SM") schemes reuse the pair structure but serve one
 user per element per time slot on the fundamental mode, with rates
@@ -63,33 +65,8 @@ from .placement import (LinkModel, power_split, solve_single_user,
                         two_user_shared_position)
 from .polarization import matched_polarization, receive_polarization
 from .radiation import PortResponse, row_blocks
-from .scenario import Scenario
+from .scenario import Scenario, parse_scheme
 from .waveguide import PaPlacement, element_center, power_share
-
-
-@dataclass(frozen=True)
-class Scheme:
-    name: str
-    num_modes: int
-    rx_policy: str  # matched | fixed | codebook
-
-
-_SCHEMES = {
-    "pa-mm": Scheme("PA-MM", 2, "matched"),
-    "pi-mm": Scheme("PI-MM", 2, "fixed"),
-    "dp-mm": Scheme("DP-MM", 2, "codebook"),
-    "pa-sm": Scheme("PA-SM", 1, "matched"),
-    "pi-sm": Scheme("PI-SM", 1, "fixed"),
-}
-
-
-def parse_scheme(name: str) -> Scheme:
-    key = name.strip().lower().replace("pass", "").replace("_", "-")
-    key = key.replace("mmp", "mm").replace("smp", "sm")
-    if key not in _SCHEMES:
-        raise ValueError(f"unknown scheme {name!r}; expected one of "
-                         f"{sorted(s.name for s in _SCHEMES.values())}")
-    return _SCHEMES[key]
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +523,8 @@ class PrecoderFactorization:
     multiplier chi and the loop's stop.
 
     W_p is port-resolved: row (i, q) carries the amplitude share of the
-    user served by element i's mode-q port (two nonzero rows per
-    element, one per row).  Aggregating the two ports of an element
+    user served by element i's mode-q port (two rows per element, one
+    nonzero per row).  Aggregating the two ports of an element
     into a single row would make the pair's precoding vectors colinear
     and void the mode-multiplexing gain, so the mode mixer G mixes the
     QM mode inputs over all MNQ ports.  The rates and the power budget
@@ -622,64 +599,34 @@ _FP_TOL = 1e-6
 _EPS2 = np.finfo(float).eps ** 2
 
 
-def _port_blocks(w_p):
-    """The ids of the users that W_p serves, and the blocks of served
-    users tied by shared ports, each as (its users' positions among the
-    served ids, its projector).
-
-    pinv(W_p) W_p is block-diagonal over the users that the nonzero
-    pattern of W_p connects: 1 for a served user that shares no port, 0
-    for an unserved one, and the pinv projector of its own columns for
-    a block."""
-    nonzero = w_p != 0
-    served = np.flatnonzero(nonzero.any(axis=0))
-    # each user carries the lowest id of its block
-    own = np.arange(w_p.shape[1])
-    label = own.copy()
-    for row in nonzero[nonzero.sum(axis=1) > 1]:
-        tied = label[row]
-        label[np.isin(label, tied)] = tied.min()
-    blocks = []
-    for root in sorted(set(label[label != own].tolist())):
-        ids = np.flatnonzero(label == root)
-        cols = w_p[:, ids]
-        blocks.append((np.searchsorted(served, ids),
-                       np.linalg.pinv(cols) @ cols))
-    return served, blocks
-
-
 def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
                  max_iter: int = 200):
     """Maximize the sum rate over the mode mixer G for fixed splits W_p.
 
-    The loop runs on the precoder W = G W_p (QM x K): the rates read G
-    only through W and the budget tr(G W_p W_p^H G^H) is ||W||_F^2.  It
-    alternates closed-form auxiliary updates with the KKT solution
+    Each row of W_p is a port and carries the split of the one user it
+    serves (a row with more than one nonzero raises ``ValueError``), so
+    the served users are the nonzero columns of W_p and pinv(W_p) W_p is
+    their 0/1 diagonal.  The rates read G only through the precoder
+    W = G W_p (QM x K), and the budget tr(G W_p W_p^H G^H) is
+    ||W||_F^2; as G ranges over all mixers, W ranges over every
+    precoder whose unserved columns are zero.  So the loop runs on the
+    served columns of W, and the splits enter only through the start.
+    It alternates closed-form auxiliary updates with the KKT solution
 
-        W = U diag(1 / (lam + chi)) U^H R Pi,
+        W = U diag(1 / (lam + chi)) U^H R,
 
-    where U diag(lam) U^H = sum_k mu_k h_k^H h_k,
-    R = sqrt(P) h^H diag((1 + c1) c2) and Pi = pinv(W_p) W_p projects
-    onto the row space of W_p, so that W stays of the form G W_p.  chi
+    where U diag(lam) U^H = sum_k mu_k h_k^H h_k and
+    R = sqrt(P) h^H diag((1 + c1) c2), both over the live users.  chi
     makes ||W||_F^2 meet the unit budget: the root of the secular
-    equation with weights d_i = ||(U^H R Pi)_i||^2
-    (``_power_multiplier``, started from the previous iteration's chi);
-    with chi = 0 the directions with lam = 0 get no step.
-
-    Pi is built exactly (``_port_blocks``): it is block-diagonal over
-    the users that shared ports tie together, 1 for a served user that
-    shares no port (every user of the pipeline, where each row of W_p
-    has one nonzero) and 0 for an unserved one, and the pinv projector
-    of its own columns for a block.  A product pinv(W_p) W_p would
-    carry ~1e-16 of rounding off its diagonal instead, enough to keep
-    streams that FP switches off alive at that level.
+    equation with weights d_i = ||(U^H R)_i||^2 (``_power_multiplier``,
+    started from the previous iteration's chi); with chi = 0 the
+    directions with lam = 0 get no step.
 
     The loop iterates only the live users.  An unserved user is never
     live, and a user leaves once its SINR falls below eps^2 (float64
-    machine epsilon squared, S_k < eps^2 (T_k - S_k)); the users of a
-    block leave together, once all of them are below it.  A user that
+    machine epsilon squared, S_k < eps^2 (T_k - S_k)).  A user that
     left keeps an exactly-zero W column, so its rate is exactly 0, and
-    h, the gains and Pi shrink to the live users.  Such a stream cannot
+    h and the gains shrink to the live users.  Such a stream cannot
     move any sum: 1 + SINR already rounds to 1 below eps / 2, so its
     rate term is an exact 0 in every trace entry; and each iteration
     rebuilds its column in proportion to its own received amplitude
@@ -708,12 +655,14 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
     noise = np.broadcast_to(np.asarray(noise, dtype=float), (k_users,))
     if np.any(noise <= 0):
         raise ValueError("noise power must be positive")
-    live, blocks = _port_blocks(w_p)
+    nonzero = w_p != 0
+    if np.any(nonzero.sum(axis=1) > 1):
+        raise ValueError("a row of W_p serves more than one user")
+    live = np.flatnonzero(nonzero.any(axis=0))
 
     # matched-filter warm start: G feeds each port the conjugate channel
-    # of the strongest user it serves (a port serving no one is zero)
-    strength = np.where(np.abs(w_p) > 0, np.linalg.norm(h, axis=1), -np.inf)
-    w = h.conj().T[:, np.argmax(strength, axis=1)] @ w_p
+    # of the user it serves (a port serving no one is zero)
+    w = h.conj().T[:, nonzero.argmax(axis=1)] @ w_p
     start_norm = np.linalg.norm(w)
     if start_norm > 0:
         w /= start_norm
@@ -738,8 +687,6 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
         total = gains.sum(axis=1) + noise
         rest = total - signal
         keep = signal >= _EPS2 * rest
-        for pos, _ in blocks:
-            keep[pos] = keep[pos].any()
         if not keep.all():
             live, hs, noise = live[keep], hs[keep], noise[keep]
             hs_adj, step = hs.conj().T, step[:, keep]
@@ -747,9 +694,6 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
             signal = gains.diagonal()
             total = gains.sum(axis=1) + noise
             rest = total - signal
-            renumber = np.cumsum(keep) - 1
-            blocks = [(renumber[pos], proj) for pos, proj in blocks
-                      if keep[pos[0]]]
         if it:
             sum_rate = 0.5 * float(np.log2(total / rest).sum())
             trace.append(sum_rate)
@@ -763,8 +707,6 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
         lam = np.maximum(lam, 0.0)
         hu = hs @ u_eig
         m1 = hu.conj().T * (v_own / rest)
-        for pos, proj in blocks:
-            m1[:, pos] = m1[:, pos] @ proj
         d_diag = (m1 * m1.conj()).real.sum(axis=1)
 
         chi = _power_multiplier(lam, d_diag, chi)

@@ -181,6 +181,15 @@ def power_split(g1, g2, s1, s2, power):
     return w1, 1.0 - w1
 
 
+def pair_rates(g1, g2, shares, sigmas, power):
+    """Interference-free rates (r1, r2) of two users served with the
+    power shares ``shares`` of ``power`` on power gains g1, g2, with
+    noise powers ``sigmas``: r_i = 1/2 log2(1 + P w_i g_i / s_i).  Any
+    argument may be an array."""
+    return tuple(0.5 * np.log2(1.0 + power * w * g / s)
+                 for g, w, s in zip((g1, g2), shares, sigmas))
+
+
 def eq22_sum_rate(x, link: LinkModel, user1, user2, sigmas, power,
                   modes=(1, 2)):
     """Interference-free two-user sum rate at shared position x with the
@@ -188,19 +197,18 @@ def eq22_sum_rate(x, link: LinkModel, user1, user2, sigmas, power,
     their ``LaneGeometry``, as ``LinkModel.gain`` takes them."""
     g1 = link.gain(modes[0], x, user1)
     g2 = link.gain(modes[1], x, user2)
-    w1, w2 = power_split(g1, g2, sigmas[0], sigmas[1], power)
-    return (0.5 * np.log2(1.0 + power * w1 * g1 / sigmas[0])
-            + 0.5 * np.log2(1.0 + power * w2 * g2 / sigmas[1]))
+    r1, r2 = pair_rates(g1, g2,
+                        power_split(g1, g2, sigmas[0], sigmas[1], power),
+                        sigmas, power)
+    return r1 + r2
 
 
 def tdma_sum_rate(x, link: LinkModel, user1, user2, sigmas, power):
     """Single-mode time-division baseline at shared position x: each
     user gets the full budget on mode 1 for half the time.  The users
     are taken as by :func:`eq22_sum_rate`."""
-    g1 = link.gain(1, x, user1)
-    g2 = link.gain(1, x, user2)
-    r1 = 0.5 * np.log2(1.0 + power * g1 / sigmas[0])
-    r2 = 0.5 * np.log2(1.0 + power * g2 / sigmas[1])
+    r1, r2 = pair_rates(link.gain(1, x, user1), link.gain(1, x, user2),
+                        (1.0, 1.0), sigmas, power)
     return 0.5 * (r1 + r2)
 
 

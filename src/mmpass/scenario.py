@@ -5,6 +5,8 @@ constants, the waveguide array, the propagating modes, user locations,
 transmit power and per-user noise.  It holds no element placement:
 ``multiuser`` deploys the elements of each time slot as arrays of
 positions and per-mode aims, which ``channel.port_factors`` evaluates.
+The transmission schemes (``parse_scheme``) are defined here, so that
+a config is checked without loading the optimizer.
 
 The port-to-user gain of every mode is normalized: its distance- and
 angle-free constant is 1, so mode q's boresight gain at 1 m is its
@@ -98,6 +100,31 @@ class Scenario:
 
     def with_modes(self, count: int) -> "Scenario":
         return replace(self, modes=self.modes[:count])
+
+
+@dataclass(frozen=True)
+class Scheme:
+    name: str
+    num_modes: int
+    rx_policy: str  # matched | fixed | codebook
+
+
+_SCHEMES = {
+    "pa-mm": Scheme("PA-MM", 2, "matched"),
+    "pi-mm": Scheme("PI-MM", 2, "fixed"),
+    "dp-mm": Scheme("DP-MM", 2, "codebook"),
+    "pa-sm": Scheme("PA-SM", 1, "matched"),
+    "pi-sm": Scheme("PI-SM", 1, "fixed"),
+}
+
+
+def parse_scheme(name: str) -> Scheme:
+    key = name.strip().lower().replace("pass", "").replace("_", "-")
+    key = key.replace("mmp", "mm").replace("smp", "sm")
+    if key not in _SCHEMES:
+        raise ValueError(f"unknown scheme {name!r}; expected one of "
+                         f"{sorted(s.name for s in _SCHEMES.values())}")
+    return _SCHEMES[key]
 
 
 def waveguide_y_positions(d_y: float, count: int) -> np.ndarray:

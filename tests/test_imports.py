@@ -341,3 +341,23 @@ def test_default_scenario_loads_no_yaml():
                          capture_output=True, text=True,
                          cwd=PACKAGE.parent).stdout
     assert out.strip() == "[]", out
+
+
+def test_scenario_setup_loads_only_the_scenario_layer():
+    """The benchmark's set-up path, ``from mmpass import config`` and one
+    ``build_scenario``, loads the scenario layer alone: the package
+    re-exports lazily.  Every exported name then resolves to the object
+    of the module that defines it."""
+    code = ("import sys; from mmpass import config; "
+            "config.build_scenario(config.ScenarioConfig()); "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'mmpass')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         cwd=PACKAGE.parent).stdout
+    assert out.split() == ["mmpass", "mmpass.config", "mmpass.geometry",
+                           "mmpass.scenario", "mmpass.waveguide"], out
+    assert len(set(mmpass.__all__)) == len(mmpass.__all__) == 39
+    for name in mmpass.__all__:
+        value = getattr(mmpass, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name

@@ -15,12 +15,13 @@ from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.multiuser import (AssignmentMatrix, _SlotSolver,
                               _enforce_min_spacing, _power_multiplier,
                               fp_precoding, group_users, hungarian_assign,
-                              optimize_scenario, parse_scheme)
+                              optimize_scenario)
 from mmpass.geometry import Orientation
 from mmpass.placement import (LinkModel, power_split, solve_single_user,
                               two_user_shared_position)
 from mmpass.polarization import receive_polarization
 from mmpass.radiation import PortResponse
+from mmpass.scenario import parse_scheme
 from oracles import fp_precoding_g
 
 SIGMA = 10.0 ** -2.6
@@ -606,14 +607,12 @@ def test_fp_monotone_tight_and_feasible():
 
 
 def _fp_oracle_instance(rng):
-    """A random FP instance with an unserved user (a zero column of
-    W_p), a port whose split is clipped to 0 (a zero row) and a port
-    serving several users."""
+    """A random FP instance with an unserved user 0 (a zero column of
+    W_p) and a port whose split is clipped to 0 (a zero row)."""
     h, w_p = _random_fp_instance(rng, k=int(rng.integers(3, 7)),
                                  qm=int(rng.integers(2, 9)))
     w_p[:, 0] = 0.0
     w_p[1] = 0.0
-    w_p[2, 1:] = rng.uniform(0.3, 1.0, w_p.shape[1] - 1)
     return h, w_p
 
 
@@ -659,6 +658,7 @@ def test_fp_at_zero_and_one_iteration():
         assert start.chi == chi0 == 0.0, seed
         np.testing.assert_allclose(start.w, g0 @ w_p, rtol=0.0, atol=1e-15)
         assert np.linalg.norm(start.w) == pytest.approx(1.0, rel=1e-12)
+        assert not start.w[:, 0].any(), seed  # user 0 is unserved
 
         one, trace = fp_precoding(h, w_p, 10.0, noise, max_iter=1)
         _, _, want, _ = fp_precoding_g(h, w_p, 10.0, noise, max_iter=1)
@@ -667,32 +667,38 @@ def test_fp_at_zero_and_one_iteration():
         np.testing.assert_allclose(trace, want, rtol=1e-9, atol=0.0)
         rates = channel.rate_report(h, one.w, 10.0, noise)
         assert trace[0] == pytest.approx(rates.sum_rate, rel=1e-12), seed
+        assert not one.w[:, 0].any(), seed
+        full, _ = fp_precoding(h, w_p, 10.0, noise)
+        assert not full.w[:, 0].any(), seed
 
 
-def _dying_instance(seed, shared):
+def test_fp_rejects_a_port_serving_two_users():
+    # each port (row of W_p) serves one user, as the pipeline builds it
+    h, w_p = _random_fp_instance(np.random.default_rng(4), k=3)
+    w_p[0] = [0.5, 0.0, 0.7]
+    with pytest.raises(ValueError, match="more than one user"):
+        fp_precoding(h, w_p, 10.0, 1e-2)
+
+
+def _dying_instance(seed):
     """K = 12 users on QM = 4 mode inputs, each on one port, the ports
     in random order as the pipeline's element rows are, so FP switches
-    at least 8 streams off; ``shared`` also puts user 1 on user 0's
-    port, which ties the two into one block."""
+    at least 8 streams off."""
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
     rows = rng.permutation(12)
     w_p = np.zeros((12, 12))
     w_p[rows, np.arange(12)] = np.sqrt(rng.uniform(0.2, 0.8, 12))
-    if shared:
-        w_p[rows[0], 1] = np.sqrt(rng.uniform(0.2, 0.8))
     return h, w_p, 10.0 ** rng.uniform(-3, -1)
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_fp_streams_that_leave_end_exactly_zero(shared):
+def test_fp_streams_that_leave_end_exactly_zero():
     # the live-user loop stops where the G-space oracle, which keeps
     # every user, stops, with the same trace; a user that left has an
     # exactly-zero W column and an exactly-zero rate
-    kept_beside_partner = 0
     for seed in range(12):
         where = f"seed {seed}"
-        h, w_p, noise = _dying_instance(seed, shared)
+        h, w_p, noise = _dying_instance(seed)
         fact, trace = fp_precoding(h, w_p, 10.0, noise)
         _, _, want, _ = fp_precoding_g(h, w_p, 10.0, noise)
         assert fact.iterations == len(trace) == len(want), where
@@ -702,40 +708,8 @@ def test_fp_streams_that_leave_end_exactly_zero(shared):
         rates = channel.rate_report(h, fact.w, 10.0, noise).per_user_rate
         assert np.all(rates[left] == 0.0), where
         assert np.all(rates[~left] >= 0.0), where
-        if not shared:
-            assert left.sum() == 12 - 4, where
-            assert np.array_equal(left, rates == 0.0), where
-        else:
-            # the block {0, 1} leaves only as a whole
-            assert left[0] == left[1], where
-            kept_beside_partner += bool(not left[0] and min(rates[:2]) == 0)
-    if shared:
-        # a member whose own stream is off stays while its partner's is on
-        assert kept_beside_partner
-
-
-def test_port_blocks_are_the_pinv_projector():
-    # singletons get exactly 1 (served) or 0 (unserved); each block of
-    # users tied by shared ports gets its part of pinv(W_p) W_p
-    for seed in range(40):
-        rng = np.random.default_rng(seed)
-        h, w_p = _random_fp_instance(rng, k=int(rng.integers(2, 9)))
-        w_p[:, rng.random(w_p.shape[1]) < 0.2] = 0.0
-        for _ in range(int(rng.integers(0, 3))):
-            row = int(rng.integers(0, w_p.shape[0]))
-            w_p[row, rng.random(w_p.shape[1]) < 0.4] = rng.uniform(0.3, 1.0)
-        served, blocks = multiuser._port_blocks(w_p)
-        proj = np.zeros((w_p.shape[1],) * 2)
-        proj[served, served] = 1.0
-        for pos, block in blocks:
-            ids = served[pos]
-            assert ids.size > 1, seed
-            proj[np.ix_(ids, ids)] = block.real
-        np.testing.assert_allclose(proj, np.linalg.pinv(w_p) @ w_p,
-                                   rtol=0.0, atol=1e-12, err_msg=str(seed))
-        assert np.array_equal(served, np.flatnonzero(w_p.any(axis=0))), seed
-        tied = sorted(int(k) for pos, _ in blocks for k in served[pos])
-        assert len(tied) == len(set(tied)), seed
+        assert left.sum() == 12 - 4, where
+        assert np.array_equal(left, rates == 0.0), where
 
 
 def _secular_oracle(lam, d, chi):

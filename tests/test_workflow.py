@@ -1,11 +1,13 @@
 """The CI workflow runs what the ROADMAP and the benchmark define.
 
 ``.github/workflows/tests.yml`` runs only on a push, so these checks
-read it instead: the tier-1 step runs the ROADMAP's tier-1 command
-verbatim, the ``mmpass validate`` and ``mmpass oracle`` self-checks
-are steps of their own, and every benchmark step names a workload of
-``perfbench/workloads.py`` with a seed and a run time.  The workloads
-module is imported read-only, as in ``test_reference_bank.py``.
+read it instead: the tier-1 job runs on the ``requires-python`` floor
+of ``pyproject.toml``, its tier-1 step runs the ROADMAP's tier-1
+command verbatim, the ``mmpass validate`` and ``mmpass oracle``
+self-checks are steps of their own, and every benchmark step names a
+workload of ``perfbench/workloads.py`` with a seed and a run time.
+The workloads module is imported read-only, as in
+``test_reference_bank.py``.
 """
 
 import importlib.util
@@ -22,8 +24,12 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 @pytest.fixture(scope="module")
-def runs():
-    workflow = yaml.safe_load(WORKFLOW.read_text())
+def workflow():
+    return yaml.safe_load(WORKFLOW.read_text())
+
+
+@pytest.fixture(scope="module")
+def runs(workflow):
     return [step["run"].strip() for job in workflow["jobs"].values()
             for step in job["steps"] if "run" in step]
 
@@ -36,6 +42,22 @@ def workloads():
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def test_tier_one_job_runs_the_python_floor(workflow):
+    # read by a pattern: tomllib is 3.11+, and the floor job runs this
+    floor = re.search(r'^requires-python\s*=\s*">=\s*([0-9.]+)"',
+                      (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    job = workflow["jobs"]["tier-1"]
+    versions = job["strategy"]["matrix"]["python-version"]
+    # an unquoted 3.10 would load as the float 3.1
+    assert all(isinstance(v, str) for v in versions), versions
+    assert floor.group(1) in versions, versions
+    setup = [step for step in job["steps"]
+             if step.get("uses", "").startswith("actions/setup-python")]
+    assert [step["with"]["python-version"] for step in setup] == [
+        "${{ matrix.python-version }}"]
 
 
 def test_tier_one_step_runs_the_roadmap_command(runs):
