@@ -18,8 +18,8 @@ _EXPORTS = {
     "channel": ("ChannelMatrix", "PortFactors", "RateReport", "assemble",
                 "port_factors", "port_responses", "rate_report"),
     "placement": ("LinkModel", "SingleUserSolution", "TwoUserSolution",
-                  "gain_log_derivative", "optimal_orientation",
-                  "optimal_position", "two_user_shared_position"),
+                  "optimal_orientation", "optimal_position",
+                  "two_user_shared_position"),
     "multiuser": ("AssignmentMatrix", "PrecoderFactorization",
                   "SchemeResult", "fp_precoding", "group_users",
                   "hungarian_assign", "optimize_scenario"),

@@ -28,9 +28,8 @@ import numpy as np
 from .config import ScenarioConfig, build_scenario, config_hash
 from .geometry import Orientation
 from .multiuser import optimize_scenario
-from .placement import (LinkModel, bounded_minimize, eq22_sum_rate,
-                        optimal_position, pair_rates, power_split,
-                        tdma_sum_rate)
+from .placement import (LinkModel, eq22_sum_rate, optimal_position,
+                        pair_rates, pair_search, power_split, tdma_sum_rate)
 from .radiation import intensity_map, row_blocks
 from .waveguide import PaPlacement
 
@@ -338,11 +337,12 @@ def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
     whole guided power), placed at the scheme's optimal position for the
     configured nominal power; the power axis then sweeps the transmit
     power at that deployment.  The link math and the position search
-    (``bounded_minimize`` of each scheme's pair rate between the two
-    single-user optima) are ``placement``'s, batched over the trials.
-    The lane geometry of every trial's users (along-guide coordinate
-    and transverse distance) is computed once, and both searches read
-    it per lane at every evaluation.
+    are ``placement``'s, batched over the trials: ``pair_search`` of
+    each scheme's pair rate between the two single-user optima, so the
+    dual-mode positions are those of ``two_user_shared_position``.  The
+    lane geometry of every trial's users (along-guide coordinate and
+    transverse distance) is computed once, and both searches read it
+    per lane at every evaluation.
     """
     if trials < 100:
         raise ValueError("outage needs at least 100 trials")
@@ -360,14 +360,13 @@ def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
     modes = (1, min(2, scn.num_modes))
     x1, _ = optimal_position(u1, link.wg, scn.alpha_a)
     x2, _ = optimal_position(u2, link.wg, scn.alpha_a)
-    lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
     p_nom = scn.power
-    x_mm = bounded_minimize(
-        lambda x, i: -eq22_sum_rate(x, link, geo1[i], geo2[i], sigmas, p_nom,
-                                    modes), lo, hi)
-    x_sm = bounded_minimize(
-        lambda x, i: -tdma_sum_rate(x, link, geo1[i], geo2[i], sigmas, p_nom),
-        lo, hi)
+    x_mm, _, _ = pair_search(
+        lambda x, i: eq22_sum_rate(x, link, geo1[i], geo2[i], sigmas, p_nom,
+                                   modes), x1, x2)
+    x_sm, _, _ = pair_search(
+        lambda x, i: tdma_sum_rate(x, link, geo1[i], geo2[i], sigmas, p_nom),
+        x1, x2)
     g_mm = (link.gain(modes[0], x_mm, geo1), link.gain(modes[1], x_mm, geo2))
     g_sm = (link.gain(1, x_sm, geo1), link.gain(1, x_sm, geo2))
 

@@ -240,12 +240,14 @@ def cmd_oracle(args) -> int:
             pairs.append((u1, u2))
     u1, u2 = (np.array(u) for u in zip(*pairs))
     noise = float(scn.noise[0])
-    sol = two_user_shared_position(u1, u2, link, scn.power, (noise, noise))
     xs = np.arange(0.0, wg.length + 1e-9, 0.001)
-    worst = max(eq22_sum_rate(xs, link, a, b, (noise, noise), scn.power).max()
-                - rate for a, b, rate in zip(u1, u2, sol.sum_rate))
-    _check(failures, f"pair rule vs 1 mm search (grid best minus rule, "
-           f"worst {worst:.1e} bit/s/Hz)", worst <= 1e-9)
+    # 1 mW is the low-power regime where one user takes the whole split
+    for power in (scn.power, 1e-3):
+        sol = two_user_shared_position(u1, u2, link, power, (noise, noise))
+        worst = max(eq22_sum_rate(xs, link, a, b, (noise, noise), power).max()
+                    - rate for a, b, rate in zip(u1, u2, sol.sum_rate))
+        _check(failures, f"pair rule vs 1 mm search at {power:g} W (grid "
+               f"best minus rule, worst {worst:.1e} bit/s/Hz)", worst <= 1e-9)
 
     from .multiuser import hungarian_assign
     ok = True

@@ -163,6 +163,12 @@ class ScenarioConfig:
             xyz = tuple(float(c) for c in pos) + (0.0,) * (3 - len(pos))
             if not all(map(math.isfinite, xyz)):
                 raise ValueError(f"{label} must be finite, got {pos!r}")
+            for axis, c, name in zip("xy", xyz, ("d_x", "d_y")):
+                bound = getattr(self, name)
+                if not 0.0 <= c <= bound:
+                    raise ValueError(f"{label} must satisfy 0 <= {axis} <= "
+                                     f"{name} = {bound} (users lie on the "
+                                     f"floor), got {axis} = {c}")
             if not 0.0 <= xyz[2] < self.d_z:
                 raise ValueError(f"{label} must satisfy 0 <= z < d_z = "
                                  f"{self.d_z} (users lie below the guides), "

@@ -61,8 +61,8 @@ import numpy as np
 
 from . import channel
 from .geometry import Orientation
-from .placement import (LinkModel, power_split, solve_single_user,
-                        two_user_shared_position)
+from .placement import (LinkModel, pair_rates, power_split,
+                        solve_single_user, two_user_shared_position)
 from .polarization import matched_polarization, receive_polarization
 from .radiation import PortResponse, row_blocks
 from .scenario import Scenario, parse_scheme
@@ -298,9 +298,12 @@ def _splits(gains, noise, pair, power):
 
 
 def _rates(gains, noise, pair, power):
-    """Candidate rates with the splits re-optimized for the noise."""
+    """Candidate rates with the splits re-optimized for the noise: the
+    ``pair_rates`` of a candidate's two slots, summed."""
     w = _splits(gains, noise, pair, power)
-    return np.sum(0.5 * np.log2(1.0 + power * w * gains / noise), axis=-1)
+    r1, r2 = pair_rates(gains[..., 0], gains[..., 1], (w[..., 0], w[..., 1]),
+                        (noise[..., 0], noise[..., 1]), power)
+    return r1 + r2
 
 
 class _SlotSolver:

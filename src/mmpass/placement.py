@@ -11,19 +11,24 @@ competing losses visible in the log-gain derivative
     d ln|H|^2 / dx = -alpha_w + alpha_a d/r + 2 d/r^2 .
 
 Two users on one element (one per mode): per-mode power shares follow
-the water-filling-like split, and the shared position comes from a
-curvature-weighted blend of the two single-user optima, falling back
-to a bounded 1-D search of the explicit two-user sum rate whenever the
-quadratic model degenerates or fails to beat the interval endpoints.
+the water-filling-like split, and the shared position maximizes the
+explicit two-user sum rate between the two single-user optima.  One
+bracketed search, ``pair_search``, finds it for the pipeline and for
+the outage driver alike.  A quadratic model of the rate built at the
+two optima is no shortcut.  With c = s'/(2 ln2 g'(s/g + P w)), g' and
+s' the partner's gain and noise, and L' the partner's log-gain slope,
+its curvature at an optimum is c L'^2 (1 - c ln2).  An unclipped split
+gives 2(s/g + P w) = s/g + s'/g' + P > s'/g', so c ln2 < 1 and the
+model is convex: it can be concave only where the split gives one user
+all the power.
 
 Both solves take one user (pair) or a batch of P lanes and run every
 step on all lanes at once; the search is ``bounded_minimize``, Brent's
-bounded method advanced lane by lane, which the outage driver shares.
-A ``LinkModel`` evaluates one guide, but a boresight link depends on
-its guide only through the axis: a lane whose user is given relative
-to its own guide's axis solves that guide's problem on a link whose
-axis lies at y = 0, bit for bit, so one call serves every guide of a
-scenario.
+bounded method advanced lane by lane.  A ``LinkModel`` evaluates one
+guide, but a boresight link depends on its guide only through the
+axis: a lane whose user is given relative to its own guide's axis
+solves that guide's problem on a link whose axis lies at y = 0, bit for
+bit, so one call serves every guide of a scenario.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .geometry import Orientation
 from .scenario import Scenario
 from .waveguide import WaveguideSpec, element_center
 
-LN2 = np.log(2.0)
 MIN_PAIR_SEPARATION = 1.0  # m, below this the omitted cross-mode
                            # interference is no longer negligible
 # the constants of scipy's bounded search with options={"xatol": 1e-9}
@@ -97,21 +101,6 @@ def optimal_position(user_pos, wg, alpha_a: float):
     x_star = np.minimum(np.maximum(x_u - d_star, 0.0),
                         np.minimum(x_u, wg.length))
     return _scalar(x_star), _scalar(d_star)
-
-
-def gain_log_derivative(x_pa, user_pos, wg, alpha_a: float):
-    """d ln|H|^2 / dx at element position x, boresight-tracked; arrays
-    of positions and (K, 3) users broadcast.
-
-    Valid for any sign of d = x_user - x; for d < 0 both free-space
-    terms turn against moving further, so the derivative is below
-    -alpha_w there.
-    """
-    u = np.asarray(user_pos, dtype=float)
-    d = u.T[0] - x_pa
-    rho = transverse_distance(u, wg)
-    r = np.hypot(d, rho)
-    return _scalar(-wg.alpha_w + alpha_a * d / r + 2.0 * d / r ** 2)
 
 
 @dataclass(frozen=True)
@@ -237,34 +226,13 @@ class TwoUserSolution:
     interference-free sum rate there with the optimal ``power_split``.
     A batch's has a trailing lane axis: ``x_star`` and ``sum_rate``
     become (P,) arrays and ``orientations[s]`` the Orientation of P
-    lanes.  ``used_fallback`` is True if any lane fell back to the
-    search."""
+    lanes.  ``used_fallback`` is True if any lane ran the search, that
+    is, if its two single-user optima lie more than 1e-9 m apart."""
 
     x_star: float | np.ndarray
     orientations: tuple
     sum_rate: float | np.ndarray
     used_fallback: bool = False
-
-
-def _taylor_terms(link, x_q, user_q, user_qp, mode_q, mode_qp,
-                  sigma_q, sigma_qp, power):
-    """R'_q and R''_q of the quadratic rate model at the single-user
-    optimum x_q, in the paper-unit convention (log2, no 1/2 prefactor);
-    the blended x* is invariant to that overall scale.  Arrays of pairs
-    broadcast.
-
-    At x_q the own-gain slope vanishes, so the first derivative comes
-    entirely from the power share reacting to the partner's log-gain
-    slope; the curvature keeps the two dominant terms of that coupling.
-    """
-    g_q = link.gain(mode_q, x_q, user_q)
-    g_qp = link.gain(mode_qp, x_q, user_qp)
-    w_q, _ = power_split(g_q, g_qp, sigma_q, sigma_qp, power)
-    lp_qp = gain_log_derivative(x_q, user_qp, link.wg, link.scenario.alpha_a)
-    r_p = (-(sigma_qp / (2 * LN2)) * (lp_qp / g_qp)
-           / (sigma_q / g_q + power * w_q))
-    r_pp = -LN2 * r_p ** 2 - r_p * lp_qp
-    return r_p, r_pp
 
 
 def bounded_minimize(fun, lo, hi):
@@ -338,6 +306,30 @@ def bounded_minimize(fun, lo, hi):
         xf, fx = np.where(down, x, xf), np.where(down, fu, fx)
 
 
+def pair_search(objective, x1, x2):
+    """Shared positions of L pair lanes and their rates: per lane, the
+    maximizer of ``objective`` over the bracket between its two
+    single-user optima x1 and x2, (L,) arrays.
+
+    ``objective(x, lanes)`` returns the rates of lanes ``lanes`` (an
+    index array, or ``slice(None)`` for all of them) at positions x.
+    A lane wider than 1e-9 m runs ``bounded_minimize`` of the negated
+    rate on its bracket; a narrower lane keeps x1.  Every lane then
+    keeps the best of that point, x1 and x2, the point winning ties,
+    so no lane's rate is below its rate at either optimum.  Returns the
+    positions, their rates and the number of lanes searched.
+    """
+    lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
+    search = np.nonzero(hi - lo > 1e-9)[0]
+    x = np.array(x1, dtype=float)
+    x[search] = bounded_minimize(
+        lambda x, lanes: -objective(x, search[lanes]), lo[search], hi[search])
+    tried = np.stack([x, x1, x2])
+    rates = np.stack([objective(v, slice(None)) for v in tried])
+    best, lanes = np.argmax(rates, axis=0), np.arange(x.size)
+    return tried[best, lanes], rates[best, lanes], search.size
+
+
 def two_user_shared_position(user1, user2, link: LinkModel, power: float,
                              sigmas) -> TwoUserSolution:
     """Shared element position and port aims for two users on one
@@ -346,16 +338,13 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
 
     The users are positions or (P, 3) arrays, the two noise powers in
     ``sigmas`` floats or (P,) arrays; mode 1 serves user 1 and mode 2
-    user 2 in every lane.  Taylor-blends the single-user optima through the
-    rate curvatures, clamps to the interval they span, and falls back
-    to ``bounded_minimize`` of the explicit sum rate on that interval
-    whenever the quadratic model loses concavity or fails to beat an
-    endpoint; a fallback lane keeps the best of the search and the two
-    endpoints.  The power split at x* is ``power_split`` of the two
-    gains there.  One pair gives floats, a batch the per-lane arrays
-    described on ``TwoUserSolution``.  Coincident users in any lane
-    raise; lanes closer than MIN_PAIR_SEPARATION give one warning per
-    call, which counts them and names the closest separation.
+    user 2 in every lane.  x* is ``pair_search`` of the explicit sum
+    rate ``eq22_sum_rate`` between the two single-user optima, and the
+    power split at x* is ``power_split`` of the two gains there.  One
+    pair gives floats, a batch the per-lane arrays described on
+    ``TwoUserSolution``.  Coincident users in any lane raise; lanes
+    closer than MIN_PAIR_SEPARATION give one warning per call, which
+    counts them and names the closest separation.
     """
     single = np.ndim(user1) == 1
     u1 = np.atleast_2d(np.asarray(user1, dtype=float))
@@ -375,34 +364,11 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
                       "cross-mode interference may not be small", stacklevel=2)
     x1, _ = optimal_position(u1, link.wg, link.scenario.alpha_a)
     x2, _ = optimal_position(u2, link.wg, link.scenario.alpha_a)
-    lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
     geo1, geo2 = link.geometry(u1), link.geometry(u2)
-
-    def objective(x, lanes=slice(None)):
-        return eq22_sum_rate(x, link, geo1[lanes], geo2[lanes],
-                             (s1[lanes], s2[lanes]), power)
-
-    r1p, r1pp = _taylor_terms(link, x1, u1, u2, 1, 2, s1, s2, power)
-    r2p, r2pp = _taylor_terms(link, x2, u2, u1, 2, 1, s2, s1, power)
-    curvature = r1pp + r2pp
-    # the curvature approximation loses concavity outside its
-    # weak-coupling regime; the explicit search takes over there
-    concave = np.isfinite(curvature) & (curvature < 0)
-    x_star = np.clip(np.divide(r1pp * x1 + r2pp * x2 - (r1p + r2p),
-                               curvature, out=lo.copy(), where=concave),
-                     lo, hi)
-    ends = np.stack([objective(x1), objective(x2)])
-    fallback = ~concave | (objective(x_star) < ends.max(axis=0) - 1e-12)
-    if fallback.any():
-        search = np.nonzero(fallback & (hi - lo > 1e-9))[0]
-        x_search = x1.copy()  # lanes too narrow to search keep x1 or x2
-        x_search[search] = bounded_minimize(
-            lambda x, lanes: -objective(x, search[lanes]),
-            lo[search], hi[search])
-        tried = np.stack([x_search, x1, x2])
-        rates = np.concatenate([objective(x_search)[None], ends])
-        best = tried[np.argmax(rates, axis=0), np.arange(x1.size)]
-        x_star = np.where(fallback, best, x_star)
+    x_star, sum_rate, searched = pair_search(
+        lambda x, lanes: eq22_sum_rate(x, link, geo1[lanes], geo2[lanes],
+                                       (s1[lanes], s2[lanes]), power),
+        x1, x2)
 
     pa_pos = element_center(x_star, link.wg)
     out = (lambda v: float(v[0])) if single else (lambda v: v)
@@ -411,5 +377,4 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
         x_star=out(x_star),
         orientations=tuple(Orientation(pitch=out(a.pitch), roll=out(a.roll))
                            for a in aims),
-        sum_rate=out(objective(x_star)), used_fallback=bool(fallback.any()))
-
+        sum_rate=out(sum_rate), used_fallback=searched > 0)

@@ -5,9 +5,12 @@ vectorized kernels against.
 scalars, and ``guide_to_port_matrix`` stacks it into H_wp port by
 port, the references for the array H_wp of ``channel.port_factors``.
 ``coupling_length`` is the equal-quota cascade behind the 1/N power
-share of ``waveguide.power_share``.  ``radiated_field`` evaluates the
-far-field formulas of one port at one point, with every constant
-written out, independently of ``radiation.PortResponse``.
+share of ``waveguide.power_share``.  ``gain_log_derivative`` is the
+slope of the log link gain along the guide, the reference for
+``placement.optimal_position``, whose offset roots it to first order.
+``radiated_field`` evaluates the far-field formulas of one port at one
+point, with every constant written out, independently of
+``radiation.PortResponse``.
 ``local_angles``, ``spherical_basis``, ``pattern_factor`` and
 ``polarization_components`` are the angle forms of the port frame, S_q
 and Psi_q: they read (theta, phi) through atan2 and sin/cos, the
@@ -162,6 +165,20 @@ def coupling_length(n: int, n_total: int, kappa: float) -> float:
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     return float(np.arcsin(np.sqrt(1.0 / (n_total + 1 - n))) / kappa)
+
+
+def gain_log_derivative(x_pa, user_pos, wg: WaveguideSpec, alpha_a: float):
+    """d ln|H|^2 / dx of the boresight link gain at element position x:
+
+        -alpha_w + alpha_a d/r + 2 d/r^2,  d = x_user - x,
+
+    r the distance from the element to the user.  It holds for either
+    sign of d; past the user both free-space terms turn against moving
+    further, so it is below -alpha_w there."""
+    x_u, y, z = np.asarray(user_pos, dtype=float)
+    d = x_u - x_pa
+    r = np.hypot(d, np.hypot(y - wg.axis_y, z - wg.axis_z))
+    return -wg.alpha_w + alpha_a * d / r + 2.0 * d / r ** 2
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,18 @@
 
 import hashlib
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from mmpass import bench, radiation
+from mmpass import bench, placement, radiation
 from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.placement import (LinkModel, bounded_minimize, eq22_sum_rate,
-                              optimal_position, tdma_sum_rate)
+                              optimal_position, pair_search, tdma_sum_rate,
+                              two_user_shared_position)
 from oracles import csv_text
 
 
@@ -50,8 +52,22 @@ def test_trial_pairs_equal_per_trial_generators(seed):
         assert np.array_equal(bench._trial_pairs(cfg, n), want[:n]), n
 
 
+def _outage_lanes(cfg, trials):
+    """The link, noise powers, user arrays and single-user optima of
+    ``run_outage``'s trials."""
+    scn = build_scenario(replace(cfg, pas_per_waveguide=1),
+                         users=np.zeros((2, 3)))
+    link = LinkModel(scn)
+    sigmas = (scn.noise[0], scn.noise[0])
+    pts = bench._trial_pairs(cfg, trials)
+    u1, u2 = (np.column_stack([pts[:, i], np.zeros(trials)]) for i in (0, 1))
+    x1, _ = optimal_position(u1, link.wg, scn.alpha_a)
+    x2, _ = optimal_position(u2, link.wg, scn.alpha_a)
+    return link, sigmas, u1, u2, x1, x2
+
+
 def test_outage_positions_match_scipy_bounded(monkeypatch):
-    # the dual-mode position maximizes the dual-mode pair rate and the
+    # the dual-mode search maximizes the dual-mode pair rate and the
     # single-mode one the time-division rate, each over the interval
     # between the two single-user optima: scipy's bounded search on the
     # same objective returns the same x, bit for bit
@@ -61,58 +77,72 @@ def test_outage_positions_match_scipy_bounded(monkeypatch):
         searched.append(bounded_minimize(fun, lo, hi))
         return searched[-1]
 
-    monkeypatch.setattr(bench, "bounded_minimize", recording)
+    monkeypatch.setattr(placement, "bounded_minimize", recording)
     cfg = ScenarioConfig()
     bench.run_outage(cfg, [0.0], trials=100)
     assert len(searched) == 2
-    scn = build_scenario(replace(cfg, pas_per_waveguide=1),
-                         users=np.zeros((2, 3)))
-    link = LinkModel(scn)
-    sigmas = (scn.noise[0], scn.noise[0])
-    pts = bench._trial_pairs(cfg, 100)
-    u1, u2 = (np.column_stack([pts[:, i], np.zeros(100)]) for i in (0, 1))
-    x1, _ = optimal_position(u1, link.wg, scn.alpha_a)
-    x2, _ = optimal_position(u2, link.wg, scn.alpha_a)
+    link, sigmas, u1, u2, x1, x2 = _outage_lanes(cfg, 100)
     lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
+    lanes = np.nonzero(hi - lo > 1e-9)[0]
     for x, rate in zip(searched, (eq22_sum_rate, tdma_sum_rate)):
-        for t in range(0, 100, 9):
+        assert x.size == lanes.size
+        for k in range(0, lanes.size, 9):
+            t = lanes[k]
             res = minimize_scalar(
                 lambda x: -rate(np.array([x]), link, u1[t:t + 1],
-                                u2[t:t + 1], sigmas, scn.power)[0],
+                                u2[t:t + 1], sigmas, link.scenario.power)[0],
                 bounds=(lo[t], hi[t]), method="bounded",
                 options={"xatol": 1e-9})
-            assert float(res.x) == x[t], (rate.__name__, t)
+            assert float(res.x) == x[k], (rate.__name__, t)
 
 
 def test_outage_objectives_equal_the_pair_rates_on_user_arrays(monkeypatch):
     # both searches read each trial's lane geometry, computed once per
-    # drop; at random x, over every lane and over a subset of lanes,
-    # their objectives are the dual-mode and time-division pair rates
-    # evaluated on the user position arrays, bit for bit
+    # drop; at random x, over every searched lane and over a subset of
+    # them, their objectives are the dual-mode and time-division pair
+    # rates evaluated on the user position arrays, bit for bit
     objectives = []
 
     def recording(fun, lo, hi):
         objectives.append(fun)
         return bounded_minimize(fun, lo, hi)
 
-    monkeypatch.setattr(bench, "bounded_minimize", recording)
+    monkeypatch.setattr(placement, "bounded_minimize", recording)
     cfg = ScenarioConfig(seed=12)
     trials = 200
     bench.run_outage(cfg, [0.0], trials=trials)
     assert len(objectives) == 2
-    scn = build_scenario(replace(cfg, pas_per_waveguide=1),
-                         users=np.zeros((2, 3)))
-    link = LinkModel(scn)
-    sigmas = (scn.noise[0], scn.noise[0])
-    pts = bench._trial_pairs(cfg, trials)
-    u1, u2 = (np.column_stack([pts[:, i], np.zeros(trials)]) for i in (0, 1))
+    link, sigmas, u1, u2, x1, x2 = _outage_lanes(cfg, trials)
+    searched = np.nonzero(np.abs(x1 - x2) > 1e-9)[0]
     rng = np.random.default_rng(13)
-    subset = np.sort(rng.choice(trials, 37, replace=False))
+    subset = np.sort(rng.choice(searched.size, 37, replace=False))
     for fun, rate in zip(objectives, (eq22_sum_rate, tdma_sum_rate)):
-        for lanes in (np.arange(trials), subset):
+        for lanes in (np.arange(searched.size), subset):
             x = rng.uniform(0.0, link.wg.length, lanes.size)
-            want = -rate(x, link, u1[lanes], u2[lanes], sigmas, scn.power)
+            t = searched[lanes]
+            want = -rate(x, link, u1[t], u2[t], sigmas, link.scenario.power)
             assert np.array_equal(fun(x, lanes), want), rate.__name__
+
+
+def test_outage_positions_equal_the_pipeline_pair_solve(monkeypatch):
+    # the dual-mode outage position of every trial is the x* that
+    # two_user_shared_position gives the same pair, bit for bit
+    found = []
+
+    def recording(objective, x1, x2):
+        found.append(pair_search(objective, x1, x2))
+        return found[-1]
+
+    monkeypatch.setattr(bench, "pair_search", recording)
+    cfg = ScenarioConfig(seed=5)
+    bench.run_outage(cfg, [0.0], trials=300)
+    link, sigmas, u1, u2, _, _ = _outage_lanes(cfg, 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some pairs under 1 m apart
+        sol = two_user_shared_position(u1, u2, link, link.scenario.power,
+                                       sigmas)
+    assert np.array_equal(found[0][0], sol.x_star)
+    assert np.array_equal(found[0][1], sol.sum_rate)
 
 
 def _synthetic(experiment, columns, rows):

@@ -65,7 +65,12 @@ def test_scaling(tiny, tmp_path):
 @pytest.mark.parametrize("command", ["validate", "oracle"])
 def test_self_checks(tiny, command, capsys):
     assert cli.main([command, *tiny]) == 0
-    assert "FAIL" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    if command == "oracle":
+        # the pair rule is checked at the config power and at 1 mW
+        for power in ("10", "0.001"):
+            assert f"PASS: pair rule vs 1 mm search at {power} W" in out
 
 
 def test_validate_reports_each_slots_fp_stop(tiny, capsys):
@@ -112,6 +117,19 @@ def test_bad_number_in_config_exits_2_naming_the_field(tmp_path, capsys):
     assert cli.main(["validate", "--config", str(path)]) == 2
     assert ("error: config field 'power_w' must be a finite real number"
             in capsys.readouterr().err)
+
+
+def test_user_outside_the_floor_exits_2_naming_the_field(tmp_path, capsys):
+    path = tmp_path / "off.yaml"
+    path.write_text(TINY + "user_mode: explicit\nuser_positions: "
+                    "[[-1.0, 1.0], [4.0, 2.0], [6.0, 4.0], [8.0, 5.0]]\n")
+    assert cli.main(["rate-vs-power", "--config", str(path),
+                     "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: config field 'user_positions[0]' must satisfy "
+                   "0 <= x <= d_x = 10.0 (users lie on the floor), "
+                   "got x = -1.0\n")
+    assert not (tmp_path / "rate_vs_power.csv").exists()
 
 
 @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])

@@ -223,6 +223,12 @@ def test_explicit_user_positions_pad_z_to_the_floor(write):
     ("[[1, 2], [3, 4, 5]]", r"'user_positions\[1\]' must satisfy "
                             r"0 <= z < d_z = 3"),
     ("[[1, 2, -0.5]]", r"'user_positions\[0\]' must satisfy 0 <= z"),
+    ("[[-1.0, 1.0], [4.0, 2.0]]",
+     r"'user_positions\[0\]' must satisfy 0 <= x <= d_x = 10"),
+    ("[[1, 2], [10.5, 2]]", r"'user_positions\[1\]' must satisfy 0 <= x"),
+    ("[[1, 2], [3, -0.1]]", r"'user_positions\[1\]' must satisfy 0 <= y"),
+    ("[[1, 2], [3, 6.01]]",
+     r"'user_positions\[1\]' must satisfy 0 <= y <= d_y = 6"),
     ("[[1, 2], [4, 5], [1.0, 2.0, 0.0]]",
      r"'user_positions\[2\]' repeats user_positions\[0\]"),
     ("7", r"'user_positions' must be a list of positions"),
@@ -233,6 +239,14 @@ def test_bad_user_positions_fail_at_load(write, positions, message):
                           f"user_positions: {positions}\n"))
 
 
+def test_user_positions_on_the_floor_edges_are_accepted(write):
+    cfg = load_config(write("user_mode: explicit\nd_x: 8\nd_y: 5\n"
+                            "user_positions: [[0, 0], [8, 5], [0, 5, 1], "
+                            "[8, 0]]\n"))
+    assert cfg.user_positions == ((0.0, 0.0), (8.0, 5.0), (0.0, 5.0, 1.0),
+                                  (8.0, 0.0))
+
+
 def test_validate_checks_user_positions_of_a_built_config():
     cfg = ScenarioConfig(user_mode="explicit",
                          user_positions=((1.0, 2.0), (1.0, 2.0)))
@@ -240,3 +254,5 @@ def test_validate_checks_user_positions_of_a_built_config():
         cfg.validate()
     with pytest.raises(ValueError, match=r"user_positions\[0\]' must sat"):
         replace(cfg, user_positions=((1.0, 2.0, 3.0),)).validate()
+    with pytest.raises(ValueError, match=r"user_positions\[0\]' must sat"):
+        replace(cfg, user_positions=((1.0, 2.0),), d_y=1.5).validate()

@@ -144,7 +144,8 @@ def test_every_public_name_has_a_caller_in_the_package():
 READ_OUTSIDE = {
     "bench.LobeMetrics.peak_db": "perfbench fingerprints vars(lobe)",
     "placement.TwoUserSolution.used_fallback":
-        "the perfbench tracer counts pair-solve fallbacks",
+        "the perfbench tracer counts pair solves in which a lane ran the "
+        "search",
     "geometry.SphericalBasis.upsilon": "it completes the orthonormal triad",
     "multiuser.PrecoderFactorization.chi":
         "tests read it; it belongs in a run record",
@@ -357,7 +358,7 @@ def test_scenario_setup_loads_only_the_scenario_layer():
                          cwd=PACKAGE.parent).stdout
     assert out.split() == ["mmpass", "mmpass.config", "mmpass.geometry",
                            "mmpass.scenario", "mmpass.waveguide"], out
-    assert len(set(mmpass.__all__)) == len(mmpass.__all__) == 39
+    assert len(set(mmpass.__all__)) == len(mmpass.__all__) == 38
     for name in mmpass.__all__:
         value = getattr(mmpass, name)
         assert getattr(sys.modules[value.__module__], name) is value, name

@@ -9,13 +9,12 @@ from mmpass import placement
 from mmpass.config import ScenarioConfig, build_scenario
 from mmpass.geometry import Orientation
 from mmpass.placement import (LinkModel, bounded_minimize, eq22_sum_rate,
-                              gain_log_derivative, optimal_orientation,
-                              optimal_position, power_split,
-                              solve_single_user, tdma_sum_rate,
-                              two_user_shared_position)
+                              optimal_orientation, optimal_position,
+                              pair_search, power_split, solve_single_user,
+                              tdma_sum_rate, two_user_shared_position)
 from mmpass.scenario import Scenario
 from mmpass.waveguide import PaPlacement
-from oracles import radiated_field
+from oracles import gain_log_derivative, radiated_field
 
 SIGMA = 10.0 ** -2.6  # -26 dBW
 ALPHA_W = 0.018420680743952365
@@ -182,7 +181,7 @@ def test_position_brute_force_bracket():
 
 
 # ---------------------------------------------------------------------------
-# log-gain derivative
+# log-gain derivative (the oracle of the single-user position rule)
 
 def test_derivative_zero_at_exact_root():
     scn = _scenario()
@@ -422,6 +421,47 @@ def test_bounded_search_matches_scipy_on_flat_and_kinked_objectives():
         res = minimize_scalar(lambda v: fun([v], [k])[0], bounds=(0.0, 1.0),
                               method="bounded", options={"xatol": 1e-9})
         assert float(res.x) == x[k], k
+
+
+def test_pair_search_keeps_x1_on_a_lane_narrower_than_1e_9():
+    # a 5e-10 m bracket is not searched: on a flat rate the lane keeps x1
+    # (the kept point wins ties with both optima), on a rising rate it
+    # keeps the better optimum; the wide lane beside it is searched
+    x1, x2 = np.array([2.0, 2.0]), np.array([2.0 + 5e-10, 3.0])
+    searched = []
+
+    def linear(slope):
+        def objective(x, lanes):
+            if not isinstance(lanes, slice):
+                searched.append(lanes)
+            return slope * x
+        return objective
+
+    x, rate, lanes = pair_search(linear(0.0), x1, x2)
+    assert x[0] == x1[0] and rate[0] == 0.0 and lanes == 1
+    x, rate, lanes = pair_search(linear(1.0), x1, x2)
+    assert (x[0], x[1]) == (x2[0], 3.0) and rate[0] == x2[0]
+    assert searched and all(0 not in i for i in searched)
+
+
+@pytest.mark.parametrize("power", [10.0, 1e-3])
+def test_pair_rate_is_never_below_its_rate_at_either_optimum(power):
+    # every lane keeps the best of the search point and both single-user
+    # optima; at 1 mW one user often takes the whole split and an
+    # optimum wins outright
+    cfg = ScenarioConfig()
+    scn = build_scenario(cfg)
+    link = LinkModel(scn)
+    rng = np.random.default_rng(59)
+    u1, u2 = _random_pairs(rng, 400, cfg.d_x, cfg.d_y)
+    sigmas = (scn.noise[0], scn.noise[0] * rng.uniform(0.01, 100.0, 400))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some pairs under 1 m apart
+        sol = two_user_shared_position(u1, u2, link, power, sigmas)
+    for u in (u1, u2):
+        x, _ = optimal_position(u, link.wg, scn.alpha_a)
+        assert np.all(sol.sum_rate
+                      >= eq22_sum_rate(x, link, u1, u2, sigmas, power))
 
 
 def test_shared_position_batch_matches_single_calls():
