@@ -20,8 +20,6 @@ import os
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import repeat
-from operator import eq
 
 import numpy as np
 
@@ -70,8 +68,7 @@ class ExperimentResult:
 class _GridRows(Sequence):
     """The (x, y, intensity) rows of a field map, x fastest, read from
     its axes and grid on access: x and y rounded to 6 decimals and the
-    intensity to 4, as Python floats.  Equal to any sequence of the
-    same rows."""
+    intensity to 4, as Python floats."""
 
     def __init__(self, xs, ys, grid_db):
         self._xs = np.round(xs, 6).tolist()
@@ -82,20 +79,9 @@ class _GridRows(Sequence):
         return len(self._xs) * len(self._ys)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
         iy, ix = divmod(range(len(self))[index], len(self._xs))
         return (self._xs[ix], self._ys[iy],
                 float(np.round(self._grid[iy, ix], 4)))
-
-    def __iter__(self):
-        for y, line in zip(self._ys, self._grid):
-            yield from zip(self._xs, repeat(y), np.round(line, 4).tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
 
 
 @dataclass(kw_only=True)

@@ -35,16 +35,18 @@ from .waveguide import element_center, power_share
 @dataclass(frozen=True)
 class PortFactors:
     """The receive-policy-free factors of a scenario's channel, columns
-    in port order (element-major, mode-minor).  Its arrays are
-    read-only, so compositions under different receive vectors can
-    share them."""
+    in port order (element-major, mode-minor), and the centers of the
+    elements, the sources a receive policy looks back at (port p lies
+    on element p // Q).  Its arrays are read-only, so compositions
+    under different receive vectors can share them."""
 
     h_wp: np.ndarray        # QMN x QM complex
     h_pu: np.ndarray        # K x QMN complex
     directions: np.ndarray  # (K, QMN, 3) unit field directions
+    centers: np.ndarray     # (MN, 3) element centers
 
     def __post_init__(self):
-        for value in (self.h_wp, self.h_pu, self.directions):
+        for value in (self.h_wp, self.h_pu, self.directions, self.centers):
             value.flags.writeable = False
 
 
@@ -74,7 +76,8 @@ def port_responses(scenario: Scenario, x, aims: Orientation, rows):
 def port_factors(scenario: Scenario, x, aims: Orientation) -> PortFactors:
     """H_wp, H_pu and the unit field directions of the ports of elements
     at positions ``x`` (M, N), aimed by ``aims`` (pitch and roll arrays
-    (M, N, Q)), at the scenario's users.  Port (m, n, q) is row
+    (M, N, Q)), at the scenario's users, and the elements' centers as
+    the port responses place them.  Port (m, n, q) is row
     (m N + n) Q + q of H_wp and reaches mode input (m, q), column
     m Q + q, alone."""
     x = np.asarray(x, dtype=float)
@@ -94,7 +97,8 @@ def port_factors(scenario: Scenario, x, aims: Orientation) -> PortFactors:
     return PortFactors(
         h_wp=h_wp.reshape(n_wg * n_pas * n_modes, -1),
         h_pu=np.moveaxis(h_pu, 2, 0).reshape(n_users, -1),
-        directions=np.moveaxis(directions, 2, 0).reshape(n_users, -1, 3))
+        directions=np.moveaxis(directions, 2, 0).reshape(n_users, -1, 3),
+        centers=resps[0].center.reshape(-1, 3))
 
 
 def rx_world_vectors(num_users: int, rx_polarizations) -> np.ndarray:

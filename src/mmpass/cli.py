@@ -172,21 +172,28 @@ def cmd_validate(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = optimize_scenario(scn, "pa-mm")
-    lam_ok = True
+    lam_ok, match_gap = True, 0.0
     for s_idx, slot in enumerate(res.slots):
         # the mask the slot's channel was composed with
         if slot.lam.min() < 0 or slot.lam.max() > 1 + 1e-9:
             lam_ok = False
+        # matched: a user with a stream sees its serving port's field
+        # exactly, Lambda = 1 at that port
+        kept = slot.report.per_user_rate > 0
+        match_gap = float(np.max(1 - slot.lam[kept].max(axis=1),
+                                 initial=match_gap))
         # information, not a check: FP often stops at its cap
         print(f"INFO: slot {s_idx} FP ran {slot.iterations} iterations, "
               + ("converged" if slot.converged else "stopped at the cap"))
         # a slot carries at most QM streams (its ports are M N Q); FP
         # switches the other users off, and their rates are exactly 0
         streams = slot.lam.shape[1] // scn.num_pas
-        kept = int(np.count_nonzero(slot.report.per_user_rate > 0))
-        print(f"INFO: {kept} of {len(slot.user_indices)} users of slot "
-              f"{s_idx} kept a stream (QM = {streams})")
+        print(f"INFO: {np.count_nonzero(kept)} of {len(slot.user_indices)} "
+              f"users of slot {s_idx} kept a stream (QM = {streams})")
     _check(failures, "polarization mask entries within [0, 1]", lam_ok)
+    _check(failures, "PA-MM receive vectors matched: Lambda = 1 at a port "
+           f"of every user with a stream (worst gap {match_gap:.1e})",
+           match_gap <= 1e-12)
     _check(failures, "FP trace nondecreasing",
            bool(np.all(np.diff(res.trace) >= -1e-9)))
     _check(failures, "rates finite and nonnegative",

@@ -44,11 +44,11 @@ spaced codebook angles.
 Stages 1 and 2 and the splits W_p assume the matched policy whatever
 the scheme, so the schemes compare receive policies on one deployment.
 That deployment is shared: the grouping per scenario, and the
-assignment, the element arrays, W_p, the matched field directions and the
-channel's port factors per (scenario, mode count), so PA-MM, PI-MM and
-DP-MM share one and PA-SM and PI-SM another.  Each scheme runs only
-its receive policy, the composition of the port factors under it,
-stage 3 and the rate report.
+assignment, the element arrays, W_p and the channel's port factors per
+(scenario, mode count), so PA-MM, PI-MM and DP-MM share one and PA-SM
+and PI-SM another.  Each scheme runs only its receive policy on the
+served users' deployed ports, the composition of the port factors
+under it, stage 3 and the rate report.
 """
 
 from __future__ import annotations
@@ -145,23 +145,21 @@ def _two_opt(d2, pairs, singles):
     return pairs, singles
 
 
-def group_users(users, waveguide_ys, q: int = 2) -> list[tuple[int, ...]]:
-    """Partition users into groups of size ``q`` (1 or 2), returned as
-    a list of user-index tuples.
+def group_users(users, waveguide_ys) -> list[tuple[int, ...]]:
+    """Partition users into pairs, returned as a list of user-index
+    tuples.
 
-    q = 1 returns singletons ordered waveguide-major along x.  q = 2
-    pairs x-adjacent users within each waveguide cluster; odd cluster
-    leftovers are pooled and paired the same way along x, and one user
-    stays single when K is odd.  Up to eight users, the whole set or
-    the pool, the pairing is solved exactly by enumeration (pairwise
-    swap refinement cannot realize the three-cycle exchanges that small
-    instances sometimes need; a pool of P has (P - 1)!! matchings).
-    Every pairing is priced from one table of squared (x, y) distances.
+    Users are paired x-adjacently within each waveguide cluster; odd
+    cluster leftovers are pooled and paired the same way along x, and
+    one user stays single when K is odd.  Up to eight users, the whole
+    set or the pool, the pairing is solved exactly by enumeration
+    (pairwise swap refinement cannot realize the three-cycle exchanges
+    that small instances sometimes need; a pool of P has (P - 1)!!
+    matchings).  Every pairing is priced from one table of squared
+    (x, y) distances.
     """
     users = np.atleast_2d(np.asarray(users, dtype=float))
     ys = np.asarray(waveguide_ys, dtype=float)
-    if q not in (1, 2):
-        raise ValueError("group size must be 1 or 2")
 
     def along_x(ids):
         return sorted(ids, key=lambda k: (users[k, 0], k))
@@ -169,8 +167,6 @@ def group_users(users, waveguide_ys, q: int = 2) -> list[tuple[int, ...]]:
     nearest = np.argmin(np.abs(users[:, 1][:, None] - ys[None, :]), axis=1)
     clusters = [along_x(np.nonzero(nearest == m)[0].tolist())
                 for m in range(len(ys))]
-    if q == 1:
-        return [(k,) for cl in clusters for k in cl]
     xy = users[:, :2]
     d2 = ((xy[:, None] - xy[None]) ** 2).sum(axis=-1).tolist()
     if users.shape[0] <= _EXACT_USERS:
@@ -782,13 +778,13 @@ def _enforce_min_spacing(positions: dict, min_gap: float, length: float) -> dict
 class _SlotDeployment:
     """The scheme-free part of one time slot: the slot's scenario, the
     assignment, the element records, the port-resolved splits W_p (rows
-    (element, mode), columns the slot's users), the channel's port factors
-    on the deployed elements (H_wp, H_pu and every port's field direction
-    at every user) and, for each served user, the matched field direction
-    of its serving port and that element's center.  Every scheme of the
-    slot's mode count reads it, so its arrays are read-only and its records
-    tuples; a scheme adds only its receive vectors and the composition of
-    the factors under them."""
+    (element, mode), columns the slot's users) and the channel's port
+    factors on the deployed elements (H_wp, H_pu, every port's field
+    direction at every user and the element centers).  Every scheme of
+    the slot's mode count reads it, so its arrays are read-only and its
+    records tuples; a scheme adds only its receive vectors, read from
+    W_p and the factors, and the composition of the factors under
+    them."""
 
     scenario: Scenario
     user_indices: np.ndarray           # global ids of the slot's users
@@ -796,13 +792,9 @@ class _SlotDeployment:
     placements: tuple                  # [m][n] PaPlacement records
     w_p: np.ndarray
     factors: channel.PortFactors
-    served_users: np.ndarray           # (S,) their slot-local ids
-    fields: np.ndarray                 # (S, 3) matched field directions
-    sources: np.ndarray                # (S, 3) serving element centers
 
     def __post_init__(self):
-        for value in (self.user_indices, self.w_p, self.served_users,
-                      self.fields, self.sources):
+        for value in (self.user_indices, self.w_p):
             value.flags.writeable = False
 
 
@@ -841,12 +833,10 @@ def _deploy_slot(scenario: Scenario, slot_groups,
                                solver.aims.roll[m, j, :n_modes])
 
     w_p = np.zeros((solver.guide.size * n_modes, len(slot_users)))
-    serving = {}
     for i, m, j in served:
         for s in range(len(groups_local[j])):
-            k = int(solver.users[m, j, s])
-            w_p[i * n_modes + s, k] = np.sqrt(solver.splits[m, j, s])
-            serving.setdefault(k, (m, j, s))  # lowest element first
+            w_p[i * n_modes + s, solver.users[m, j, s]] = np.sqrt(
+                solver.splits[m, j, s])
     placements = tuple(
         tuple(PaPlacement(x_mn, tuple(map(Orientation, *aim)))
               for x_mn, aim in zip(x_m, aims_m))
@@ -855,26 +845,27 @@ def _deploy_slot(scenario: Scenario, slot_groups,
     return _SlotDeployment(
         scenario=slot_scn, user_indices=np.asarray(slot_users),
         assignment=assignment, placements=placements, w_p=w_p,
-        factors=channel.port_factors(slot_scn, x, Orientation(*angles)),
-        served_users=np.array(list(serving)),
-        fields=np.array([solver.rx[m, j, s] for m, j, s in serving.values()]),
-        sources=np.array([element_center(solver.x[m, j],
-                                         slot_scn.waveguides[m])
-                          for m, j, _ in serving.values()]))
+        factors=channel.port_factors(slot_scn, x, Orientation(*angles)))
 
 
 def _solve_slot(deployment: _SlotDeployment, rx_policy: str) -> SlotSolution:
     """Receive vectors, channel composition, FP precoding and rates of
-    one deployed slot under a receive policy."""
+    one deployed slot under a receive policy.  A served user (a nonzero
+    column of W_p) looks at its lowest serving port (the column's first
+    nonzero row): that port's field and its element's center."""
     scn = deployment.scenario
-    served = deployment.served_users
+    factors = deployment.factors
+    nonzero = deployment.w_p != 0
+    served = np.flatnonzero(nonzero.any(axis=0))
+    port = nonzero[:, served].argmax(axis=0)
     # unserved users keep any unit vector; no stream is mapped to them.
     # The matched vector is the serving field direction up to a sign,
     # and no policy depends on that sign.
     rx = np.tile([0.0, 0.0, 1.0], (scn.num_users, 1))
-    rx[served] = receive_polarization(rx_policy, deployment.fields,
-                                      scn.users[served], deployment.sources)
-    matrices = channel.assemble(deployment.factors, rx)
+    rx[served] = receive_polarization(
+        rx_policy, factors.directions[served, port], scn.users[served],
+        factors.centers[port // scn.num_modes])
+    matrices = channel.assemble(factors, rx)
     fact, trace = fp_precoding(matrices.h, deployment.w_p, scn.power,
                                scn.noise)
     report = channel.rate_report(matrices.h, fact.w, scn.power, scn.noise)
@@ -900,7 +891,7 @@ def _deployment(scenario: Scenario, num_modes: int) -> list[_SlotDeployment]:
     if entry is None:
         wg_ys = [wg.axis_y for wg in scenario.waveguides]
         entry = _DEPLOYMENTS[scenario] = (
-            group_users(scenario.users, wg_ys, q=2), {})
+            group_users(scenario.users, wg_ys), {})
     groups, by_modes = entry
     if num_modes not in by_modes:
         if num_modes == 1:
@@ -927,8 +918,8 @@ def optimize_scenario(scenario: Scenario, scheme_name: str) -> SchemeResult:
     computed once per scenario and mode count and kept while the
     scenario lives: the grouping once per scenario, and the pair solve,
     rate table, Hungarian assignment, greedy fill, element spacing,
-    splits W_p, matched field directions and the channel's port factors
-    (H_wp, H_pu and the field directions at the users) once for PA-MM,
+    splits W_p and the channel's port factors (H_wp, H_pu, the field
+    directions at the users and the element centers) once for PA-MM,
     PI-MM and DP-MM together and once for PA-SM and PI-SM.  Each scheme
     runs only its receive policy (one call over a slot's served users),
     the composition of the port factors into Lambda and H, FP and the

@@ -245,12 +245,13 @@ def bounded_minimize(fun, lo, hi):
     same x.  ``lo`` and ``hi`` are (L,) arrays; ``fun(x, lanes)``
     returns the objectives of lanes ``lanes`` (an index array) at the
     (L',) positions x.  Lanes that meet the tolerance drop out, and
-    after ``_MAXFUN`` evaluations every lane stops where it is.
+    after ``_MAXFUN`` evaluations every lane stops where it is.  Returns
+    the minimizers and the objectives there, as evaluated by the search.
     """
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
     lanes = np.arange(a.size)
-    x_min = np.empty_like(a)
+    x_min, f_min = np.empty_like(a), np.empty_like(a)
     xf = a + _GOLDEN_MEAN * (b - a)
     fx = fun(xf, lanes)
     nfc, fnfc, fulc, ffulc = xf, fx, xf, fx
@@ -264,8 +265,9 @@ def bounded_minimize(fun, lo, hi):
         if num >= _MAXFUN:
             go[:] = False
         x_min[lanes[~go]] = xf[~go]
+        f_min[lanes[~go]] = fx[~go]
         if not go.any():
-            return x_min
+            return x_min, f_min
         if not go.all():
             (lanes, a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, xm, tol1,
              tol2) = (v[go] for v in (lanes, a, b, xf, fx, nfc, fnfc, fulc,
@@ -314,18 +316,21 @@ def pair_search(objective, x1, x2):
     ``objective(x, lanes)`` returns the rates of lanes ``lanes`` (an
     index array, or ``slice(None)`` for all of them) at positions x.
     A lane wider than 1e-9 m runs ``bounded_minimize`` of the negated
-    rate on its bracket; a narrower lane keeps x1.  Every lane then
-    keeps the best of that point, x1 and x2, the point winning ties,
-    so no lane's rate is below its rate at either optimum.  Returns the
-    positions, their rates and the number of lanes searched.
+    rate on its bracket, which also gives the rate at its point; a
+    narrower lane keeps x1.  Every lane then keeps the best of that
+    point, x1 and x2, the point winning ties, so no lane's rate is
+    below its rate at either optimum.  Returns the positions, their
+    rates and the number of lanes searched.
     """
     lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
     search = np.nonzero(hi - lo > 1e-9)[0]
-    x = np.array(x1, dtype=float)
-    x[search] = bounded_minimize(
+    rate1, rate2 = objective(x1, slice(None)), objective(x2, slice(None))
+    x, rate = np.array(x1, dtype=float), np.array(rate1, dtype=float)
+    x[search], neg_rate = bounded_minimize(
         lambda x, lanes: -objective(x, search[lanes]), lo[search], hi[search])
+    rate[search] = -neg_rate
     tried = np.stack([x, x1, x2])
-    rates = np.stack([objective(v, slice(None)) for v in tried])
+    rates = np.stack([rate, rate1, rate2])
     best, lanes = np.argmax(rates, axis=0), np.arange(x.size)
     return tried[best, lanes], rates[best, lanes], search.size
 

@@ -94,6 +94,7 @@ class PortResponse:
     every guide shares.  ``r`` and ``pattern`` have one entry per lane
     and point, (P,) or (*S, P), and ``direction`` a unit 3-vector more.
 
+    ``center`` is kept as given (a receive policy looks back at it) and
     ``r`` is computed on construction.  ``pattern``, the signed
     S_q |Psi_q| / r, and ``direction``, the unit field direction in the
     GCS, are computed on first read.
@@ -103,7 +104,7 @@ class PortResponse:
                  wg: WaveguideSpec, center, orientation: Orientation, points):
         if mode.index not in (1, 2):
             raise ValueError(f"unsupported mode index {mode.index}")
-        self.med, self.mode, self.wg = med, mode, wg
+        self.med, self.mode, self.wg, self.center = med, mode, wg, center
         self.orientation = orientation
         self.local = local_direction(points, center, orientation)
         self.r = self.local.r

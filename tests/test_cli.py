@@ -71,6 +71,25 @@ def test_self_checks(tiny, command, capsys):
         # the pair rule is checked at the config power and at 1 mW
         for power in ("10", "0.001"):
             assert f"PASS: pair rule vs 1 mm search at {power} W" in out
+    else:
+        assert MATCHED in out
+
+
+MATCHED = ("PASS: PA-MM receive vectors matched: Lambda = 1 at a port of "
+           "every user with a stream")
+
+
+def test_validate_checks_the_matched_policy_on_a_spaced_element(tmp_path,
+                                                                capsys):
+    # both pairs' single-user optima clamp to the feed, x = 0, and
+    # element spacing moves one serving element to lambda0 / 2; the
+    # matched receive vectors read the deployed port all the same
+    path = tmp_path / "spaced.yaml"
+    path.write_text(TINY + "user_mode: explicit\nuser_positions: "
+                    "[[0.01, 1.0], [0.03, 5.0], [0.02, 2.0], [0.04, 4.0]]\n")
+    assert cli.main(["validate", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert MATCHED in out and "FAIL" not in out
 
 
 def test_validate_reports_each_slots_fp_stop(tiny, capsys):

@@ -147,6 +147,8 @@ READ_OUTSIDE = {
         "the perfbench tracer counts pair solves in which a lane ran the "
         "search",
     "geometry.SphericalBasis.upsilon": "it completes the orthonormal triad",
+    "multiuser.SlotSolution.rx":
+        "tests recompose a slot's channel from its receive vectors",
     "multiuser.PrecoderFactorization.chi":
         "tests read it; it belongs in a run record",
     "multiuser.fp_precoding(max_iter)":
@@ -162,17 +164,47 @@ def _is_dataclass(decorator):
     return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
 
 
-def _attributes_read(trees):
-    return {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
+class _Reads(ast.NodeVisitor):
+    """Attribute names read in some modules: ``self.<name>`` reads per
+    innermost enclosing class, every other read for all classes."""
+
+    def __init__(self):
+        self.anywhere = set()
+        self.by_class = {}   # ClassDef node -> names read on self
+        self.classes = []
+
+    def visit_ClassDef(self, node):
+        self.classes.append(node)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            if (self.classes and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                self.by_class.setdefault(self.classes[-1], set()).add(
+                    node.attr)
+            else:
+                self.anywhere.add(node.attr)
+        self.generic_visit(node)
+
+    def of(self, cls):
+        """The names a field or attribute of ``cls`` may be read by."""
+        return self.anywhere | self.by_class.get(cls, set())
 
 
-def _unread_fields():
-    """Fields of the package's dataclasses whose name no attribute
-    read in the package carries."""
-    trees = dict(_trees())
-    read = _attributes_read(trees)
+def _reads(trees):
+    reads = _Reads()
+    for tree in trees.values():
+        reads.visit(tree)
+    return reads
+
+
+def _unread_fields(trees):
+    """Fields of the dataclasses of ``trees`` (module file name -> AST)
+    that no attribute read carries: a read of ``self.<name>`` counts
+    only for the class it occurs in."""
+    reads = _reads(trees)
     return {f"{name[:-3]}.{cls.name}.{stmt.target.id}"
             for name, tree in trees.items() for cls in tree.body
             if isinstance(cls, ast.ClassDef)
@@ -180,15 +212,14 @@ def _unread_fields():
             for stmt in cls.body
             if isinstance(stmt, ast.AnnAssign)
             and isinstance(stmt.target, ast.Name)
-            and stmt.target.id not in read}
+            and stmt.target.id not in reads.of(cls)}
 
 
-def _unread_instance_attributes():
-    """Attributes that a method of a plain (non-dataclass) class of the
-    package sets on ``self`` and whose name no attribute read in the
-    package carries."""
-    trees = dict(_trees())
-    read = _attributes_read(trees)
+def _unread_instance_attributes(trees):
+    """Attributes that a method of a plain (non-dataclass) class of
+    ``trees`` sets on ``self`` and that no attribute read carries, with
+    ``self.<name>`` reads counted as in ``_unread_fields``."""
+    reads = _reads(trees)
     return sorted(
         f"{name[:-3]}.{cls.name}.{node.attr}"
         for name, tree in trees.items() for cls in ast.walk(tree)
@@ -198,7 +229,7 @@ def _unread_instance_attributes():
         for node in ast.walk(method)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
         and isinstance(node.value, ast.Name) and node.value.id == "self"
-        and node.attr not in read)
+        and node.attr not in reads.of(cls))
 
 
 class _Defaults(ast.NodeVisitor):
@@ -274,17 +305,47 @@ def _check_allowed(found, params, label):
 
 def test_every_dataclass_field_is_read_in_the_package():
     """A field that nothing reads is deleted.  Reads match by attribute
-    name, so a field sharing its name with an attribute read elsewhere
-    passes unseen."""
-    _check_allowed(_unread_fields(), False, "unread dataclass fields")
+    name, so a field sharing its name with an attribute read outside
+    ``self`` passes unseen; a read of ``self.<name>`` counts only for
+    its own class."""
+    _check_allowed(_unread_fields(dict(_trees())), False,
+                   "unread dataclass fields")
 
 
 def test_every_instance_attribute_is_read_in_the_package():
     """State that a plain class keeps on its instances (``_SlotSolver``,
     ``PortResponse``) and that nothing reads is deleted.  Reads match by
     attribute name, as for dataclass fields."""
-    unread = _unread_instance_attributes()
+    unread = _unread_instance_attributes(dict(_trees()))
     assert not unread, "unread instance attributes:\n" + "\n".join(unread)
+
+
+SELF_READS = """
+from dataclasses import dataclass
+
+
+@dataclass
+class Slot:
+    rx: float
+    gain: float
+    lam: float
+
+
+class Solver:
+    def __init__(self):
+        self.rx = self.gain = self.spare = 0.0
+
+    def rate(self, slot):
+        return self.rx * slot.gain
+"""
+
+
+def test_a_self_read_counts_only_for_its_own_class():
+    # Solver reads its own rx, which leaves Slot.rx unread; slot.gain is
+    # read outside self, so it counts for both classes
+    trees = {"synthetic.py": ast.parse(SELF_READS)}
+    assert _unread_fields(trees) == {"synthetic.Slot.rx", "synthetic.Slot.lam"}
+    assert _unread_instance_attributes(trees) == ["synthetic.Solver.spare"]
 
 
 def test_every_defaulted_parameter_is_set_in_the_package():

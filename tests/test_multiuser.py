@@ -51,14 +51,6 @@ def test_grouping_odd_count_leaves_singleton():
     assert set(k for p in groups for k in p) == {0, 1, 2}
 
 
-def test_grouping_singletons_mode():
-    users = np.array([[4, 1, 0], [2, 1, 0], [3, 5, 0]], float)
-    groups = group_users(users, [1.5, 4.5], q=1)
-    assert all(len(p) == 1 for p in groups)
-    # waveguide-major, sorted along x within each guide
-    assert [p[0] for p in groups] == [1, 0, 2]
-
-
 def _pairing_cost(users, groups):
     """Sum of the squared (x, y) distances inside the pairs of
     ``groups``; singletons cost nothing."""
@@ -933,6 +925,30 @@ def test_schemes_on_one_scenario_match_their_own_runs():
     assert shared["pa-mm"].slots[0].assignment.x.sum() == 6  # spares placed
 
 
+def _deployed_factors(scn, slot, num_modes):
+    """The slot's scenario and a fresh ``channel.port_factors`` on the
+    element arrays of its placement records."""
+    slot_scn = replace(scn.with_modes(num_modes),
+                       users=scn.users[slot.user_indices],
+                       noise=scn.noise[slot.user_indices])
+    x = np.array([[pa.x_position for pa in row] for row in slot.placements])
+    angles = np.array([[[(o.pitch, o.roll) for o in pa.orientations]
+                        for pa in row] for row in slot.placements])
+    assert angles.shape == x.shape + (num_modes, 2)
+    aims = Orientation(pitch=angles[..., 0], roll=angles[..., 1])
+    return slot_scn, channel.port_factors(slot_scn, x, aims)
+
+
+def _serving_ports(w_p):
+    """Each served user's lowest serving port, slot-local user id ->
+    row: the first nonzero row of its W_p column, found by a row-major
+    scan."""
+    ports = {}
+    for row, col in zip(*np.nonzero(w_p)):
+        ports.setdefault(int(col), int(row))
+    return ports
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_slot_channel_is_the_composition_on_the_deployed_slot(scheme,
                                                               monkeypatch):
@@ -958,22 +974,61 @@ def test_slot_channel_is_the_composition_on_the_deployed_slot(scheme,
             res = optimize_scenario(scn, scheme)
         assert len(built) == len(res.slots)
         for slot, cm in zip(res.slots, built):
-            slot_scn = replace(scn.with_modes(num_modes),
-                               users=scn.users[slot.user_indices],
-                               noise=scn.noise[slot.user_indices])
-            x = np.array([[pa.x_position for pa in row]
-                          for row in slot.placements])
-            angles = np.array([[[(o.pitch, o.roll) for o in pa.orientations]
-                                for pa in row] for row in slot.placements])
-            assert angles.shape == x.shape + (num_modes, 2)
-            aims = Orientation(pitch=angles[..., 0], roll=angles[..., 1])
-            fresh = assemble(channel.port_factors(slot_scn, x, aims), slot.rx)
+            _, factors = _deployed_factors(scn, slot, num_modes)
+            fresh = assemble(factors, slot.rx)
             assert np.array_equal(cm.h, fresh.h), (scheme, seed)
             assert np.array_equal(cm.lam, fresh.lam), (scheme, seed)
             assert slot.lam is cm.lam
             assert slot.iterations == len(slot.trace)
         if num_modes == 2:  # the spares are placed
             assert res.slots[0].assignment.x.sum() == 6
+
+
+def test_matched_receive_vectors_follow_a_spaced_serving_element():
+    # both pairs' candidates sit at the feed, x = 0, so spacing moves
+    # one serving element to lambda0 / 2; the matched vectors read the
+    # deployed ports, so every served user sees Lambda = 1 at its
+    # serving port, not only where its candidate was
+    cfg = ScenarioConfig(num_waveguides=1, pas_per_waveguide=2, num_users=4)
+    scn = build_scenario(cfg, users=[[0.01, 1.0, 0.0], [0.03, 5.0, 0.0],
+                                     [0.02, 2.0, 0.0], [0.04, 4.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        slot = optimize_scenario(scn, "pa-mm").slots[0]
+    assert sorted(pa.x_position for pa in slot.placements[0]) == [
+        0.0, scn.med.wavelength0 / 2]
+    ports = _serving_ports(multiuser._DEPLOYMENTS[scn][1][2][0].w_p)
+    assert sorted(ports) == [0, 1, 2, 3]
+    for k, port in ports.items():
+        assert abs(slot.lam[k, port] - 1.0) <= 1e-12, k
+
+
+@pytest.mark.parametrize("scheme", ["pa-mm", "pi-mm", "dp-mm"])
+def test_receive_vectors_read_each_users_lowest_serving_port(scheme):
+    # a drop of 16 users on 4x4 elements: greedy fill gives groups a
+    # second element, so some users have two serving ports.  Each served
+    # user's receive vector is the policy's on the field of the port of
+    # its lowest W_p row and that element's center, both recomputed
+    # from the placement records
+    cfg = ScenarioConfig(pas_per_waveguide=4, num_users=16)
+    xy = np.random.default_rng([202, 0]).uniform(
+        [0.0, 0.0], [cfg.d_x, cfg.d_y], size=(16, 2))
+    scn = build_scenario(cfg, users=np.column_stack([xy, np.zeros(16)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (slot,) = optimize_scenario(scn, scheme).slots
+    w_p = multiuser._DEPLOYMENTS[scn][1][2][0].w_p
+    assert (np.count_nonzero(w_p, axis=0) == 2).any()
+    slot_scn, factors = _deployed_factors(scn, slot, 2)
+    ports = _serving_ports(w_p)
+    assert len(ports) == 16
+    for k, port in ports.items():
+        m, n = divmod(port // 2, slot_scn.num_pas)
+        source = slot.placements[m][n].center(slot_scn.waveguides[m])
+        want = receive_polarization(parse_scheme(scheme).rx_policy,
+                                    factors.directions[k, port],
+                                    slot_scn.users[k], source)
+        assert np.array_equal(slot.rx[k], want), (scheme, k)
 
 
 def test_one_deployment_per_scenario_and_mode_count(monkeypatch):

@@ -360,7 +360,7 @@ def test_bounded_search_matches_scipy_bounded():
         x2, _ = optimal_position(u2, link.wg, scn.alpha_a)
         lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
         for rate in (eq22_sum_rate, tdma_sum_rate):
-            x = bounded_minimize(
+            x, _ = bounded_minimize(
                 lambda x, i: -rate(x, link, u1[i], u2[i], sigmas, scn.power),
                 lo, hi)
             for p in range(len(lo)):
@@ -377,7 +377,8 @@ def test_bounded_search_matches_scipy_bounded():
 def test_bounded_search_lanes_are_independent(monkeypatch):
     # a quadratic per lane: the minimizer (clamped to the bracket) to
     # the search tolerance, whichever other lanes share the call;
-    # maxfun stops every lane
+    # maxfun stops every lane.  The objective it returns is the one it
+    # evaluated at each minimizer
     rng = np.random.default_rng(2)
     centre = rng.uniform(-1, 2, 40)
     lo, hi = np.zeros(40), np.ones(40)
@@ -387,12 +388,13 @@ def test_bounded_search_lanes_are_independent(monkeypatch):
         calls.append(lanes.size)
         return (x - centre[lanes]) ** 2
 
-    x = bounded_minimize(fun, lo, hi)
+    x, f = bounded_minimize(fun, lo, hi)
     assert np.allclose(x, np.clip(centre, 0, 1), atol=1e-7)
+    assert np.array_equal(f, (x - centre) ** 2)
     assert calls[0] == 40 and calls[-1] < 40
     for k in (0, 7, 39):
-        alone = bounded_minimize(lambda x, i: fun(x, i + k), lo[k:k + 1],
-                                 hi[k:k + 1])
+        alone, _ = bounded_minimize(lambda x, i: fun(x, i + k), lo[k:k + 1],
+                                    hi[k:k + 1])
         assert alone[0] == x[k]
     calls.clear()
     monkeypatch.setattr(placement, "_MAXFUN", 5)
@@ -416,7 +418,7 @@ def test_bounded_search_matches_scipy_on_flat_and_kinked_objectives():
         return np.array([objectives[k](v) for v, k in zip(x, lanes)])
 
     n = len(objectives)
-    x = bounded_minimize(fun, np.zeros(n), np.ones(n))
+    x, _ = bounded_minimize(fun, np.zeros(n), np.ones(n))
     for k in range(n):
         res = minimize_scalar(lambda v: fun([v], [k])[0], bounds=(0.0, 1.0),
                               method="bounded", options={"xatol": 1e-9})
@@ -462,6 +464,10 @@ def test_pair_rate_is_never_below_its_rate_at_either_optimum(power):
         x, _ = optimal_position(u, link.wg, scn.alpha_a)
         assert np.all(sol.sum_rate
                       >= eq22_sum_rate(x, link, u1, u2, sigmas, power))
+    # a searched lane's rate is the one the search evaluated at its
+    # point, and it equals the rate evaluated there on all lanes
+    assert np.array_equal(sol.sum_rate, eq22_sum_rate(
+        sol.x_star, link, u1, u2, sigmas, power))
 
 
 def test_shared_position_batch_matches_single_calls():
