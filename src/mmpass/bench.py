@@ -16,6 +16,7 @@ tables as ASCII bytes, to the same text.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from collections.abc import Sequence
@@ -68,7 +69,7 @@ class ExperimentResult:
 class _GridRows(Sequence):
     """The (x, y, intensity) rows of a field map, x fastest, read from
     its axes and grid on access: x and y rounded to 6 decimals and the
-    intensity to 4, as Python floats."""
+    intensity to 4 where ``v * 1e4`` is finite, as Python floats."""
 
     def __init__(self, xs, ys, grid_db):
         self._xs = np.round(xs, 6).tolist()
@@ -80,8 +81,9 @@ class _GridRows(Sequence):
 
     def __getitem__(self, index):
         iy, ix = divmod(range(len(self))[index], len(self._xs))
+        v = float(self._grid[iy, ix])  # v * 1e4 overflows with no warning
         return (self._xs[ix], self._ys[iy],
-                float(np.round(self._grid[iy, ix], 4)))
+                float(np.round(v, 4)) if math.isfinite(v * 1e4) else v)
 
 
 @dataclass(kw_only=True)
@@ -142,17 +144,19 @@ def _spell_lines(xs, ys, grid) -> str:
     fraction of |k| / 10**4, and "00": the double nearest k / 10**4 is
     within 1e-12 of it.  Those are spelled from the digit tables; any
     other value (one that rounds to |v| >= 10**4 dB, inf or nan) gets
-    ``"%.6f"`` itself.  A normalized map never gets there: a float64
-    intensity ratio is above -3233 dB.
+    ``"%.6f"`` of k / 10**4, or of v itself where k is not finite.  A
+    normalized map never gets there: its intensities are above -3233 dB.
 
     Each line is laid out in a row of NUL-padded fields, and the rows
     are compacted by dropping the NULs.
     """
-    k = np.rint(grid * 1e4).ravel()
+    with np.errstate(over="ignore"):
+        k = np.rint(grid * 1e4).ravel()
     plain = np.abs(k) < 1e8
     whole, frac = np.divmod(np.where(plain, np.abs(k), 0.0).astype(np.intp),
                             10 ** 4)
-    other = _ascii(np.round(grid.ravel()[~plain], 4))
+    ko = k[~plain]
+    other = _ascii(np.where(np.isfinite(ko), ko / 1e4, grid.ravel()[~plain]))
     wx, wy = xs.shape[1], ys.shape[1]
     v0 = wx + wy + 2
     width = v0 + max(12, other.shape[1]) + 1

@@ -6,11 +6,13 @@ the floor plane z = 0.
 
 Each port carries a local Cartesian system (LCS) whose +z axis is the
 port boresight, so a target on the pointing axis sits at polar angle
-zero where the radiation formulas peak.  The frame is built from two
-angles: a roll ``xi`` about the x-axis followed by a pitch ``delta``
-about the y-axis.  Sign convention: positive pitch tilts the boresight
-toward +x, positive roll toward +y, and (0, 0) points straight down
-(local axes at rest: x_l = +x, y_l = -y, z_l = -z, right-handed).
+zero where the radiation formulas peak.  With c and s the cosines and
+sines of the pitch ``delta`` and roll ``xi``, its axes in the GCS are
+x_l = (c_delta, -s_xi s_delta, c_xi s_delta), y_l = (0, -c_xi, -s_xi)
+and z_l = (s_delta, s_xi c_delta, -c_xi c_delta): the columns of
+Rx(xi) Ry(delta)^T diag(1, -1, -1).  Sign convention: (0, 0) points
+straight down (x_l = +x, y_l = -y, z_l = -z, right-handed), positive
+pitch tilts the boresight toward +x and positive roll toward +y.
 
 Directions seen from a port are read in the LCS as direction cosines
 (Balanis, "Antenna Theory", ch. 12): for a point at distance r and
@@ -26,9 +28,9 @@ deterministic.  ``Orientation.to_gcs`` maps LCS vectors back to the
 GCS.
 
 An ``Orientation`` whose pitch and roll are arrays of one shape aims
-that many ports at once (lanes); every frame matrix is then a stack,
-built and applied per lane by the same matrix products as one port's,
-so a lane's results equal that port's bit for bit.
+that many ports at once (lanes); the frame matrix is then a stack,
+built entry by entry and applied per lane as one port's is, so a
+lane's results equal that port's bit for bit.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ import numpy as np
 # so that boresight evaluations are deterministic.
 _POLE_TOL = 1e-12
 
-# Local axes of an unrotated port (boresight down, right-handed).
-_REST_AXES = np.diag([1.0, -1.0, -1.0])
-
 
 def _matrix(rows):
     """(..., 3, 3) stack of the 3x3 matrix whose entries are given row
@@ -54,24 +53,6 @@ def _matrix(rows):
 
 def _transpose(m):
     return np.swapaxes(m, -1, -2)
-
-
-def rotation_x(angle) -> np.ndarray:
-    """Rotation matrix about the x-axis (right-handed): 3x3 for a scalar
-    angle, (..., 3, 3) for an array of angles."""
-    c, s = np.cos(angle), np.sin(angle)
-    return _matrix([[1.0, 0.0, 0.0],
-                    [0.0, c, -s],
-                    [0.0, s, c]])
-
-
-def rotation_y(angle) -> np.ndarray:
-    """Rotation matrix about the y-axis (right-handed), shaped as
-    :func:`rotation_x`'s."""
-    c, s = np.cos(angle), np.sin(angle)
-    return _matrix([[c, 0.0, s],
-                    [0.0, 1.0, 0.0],
-                    [-s, 0.0, c]])
 
 
 @dataclass(frozen=True)
@@ -94,14 +75,13 @@ class Orientation:
             raise ValueError(f"roll {self.roll} outside [-pi/2, pi/2]")
 
     def gcs_from_lcs(self) -> np.ndarray:
-        """Matrix whose columns are the LCS axes expressed in the GCS;
-        one per lane, stacked, for array angles."""
-        return (rotation_x(self.roll) @ _transpose(rotation_y(self.pitch))
-                @ _REST_AXES)
-
-    def lcs_from_gcs(self) -> np.ndarray:
-        return (_REST_AXES @ rotation_y(self.pitch)
-                @ _transpose(rotation_x(self.roll)))
+        """Matrix whose columns are the LCS axes expressed in the GCS
+        (module docstring); one per lane, stacked, for array angles."""
+        cp, sp = np.cos(self.pitch), np.sin(self.pitch)
+        cr, sr = np.cos(self.roll), np.sin(self.roll)
+        return _matrix([[cp, 0.0, sp],
+                        [-sr * sp, -cr, sr * cp],
+                        [cr * sp, -sr, -(cr * cp)]])
 
     def to_gcs(self, vectors) -> np.ndarray:
         """LCS vectors in the GCS: (..., 3) vectors of one port, or
@@ -130,6 +110,8 @@ def local_direction(points, center,
                     orientation: Orientation) -> LocalDirection:
     """Distance and direction of GCS points in a port frame.
 
+    A point's offset from ``center`` as a row vector times the
+    orthonormal frame ``orientation.gcs_from_lcs()`` is its LCS vector.
     One port: ``center`` is a 3-vector and ``points`` one point or a
     (P, 3) array; every field has one entry per point.  Ports in lanes
     (``orientation`` of lane shape S): ``center`` is (*S, 3) and
@@ -140,7 +122,7 @@ def local_direction(points, center,
     """
     local = ((np.atleast_2d(np.asarray(points, dtype=float))
               - np.asarray(center, dtype=float)[..., None, :])
-             @ _transpose(orientation.lcs_from_gcs()))
+             @ orientation.gcs_from_lcs())
     x, y, z = np.moveaxis(local, -1, 0)
     rho_sq = x * x + y * y
     r = np.sqrt(rho_sq + z * z)

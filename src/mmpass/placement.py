@@ -90,9 +90,12 @@ def optimal_position(user_pos, wg, alpha_a: float):
     """(x*, d*) for a single user on waveguide ``wg``, or arrays of
     them for a (K, 3) array of users.
 
-    x* is clamped to [0, min(x_user, guide length)]; the element never
-    overshoots the user because any position beyond it pays the same
-    free-space path at strictly more guided attenuation.
+    x* = x_user - d* is the first-order stationary point of the log gain
+    -alpha_w x - alpha_a r - 2 ln r, clamped to [0, min(x_user, guide
+    length)], or the feed end x = 0 where its log gain is higher (high
+    guided loss); the element never overshoots the user because any
+    position beyond it pays the same free-space path at strictly more
+    guided attenuation.
     """
     u = np.asarray(user_pos, dtype=float)
     rho = transverse_distance(u, wg)
@@ -100,6 +103,11 @@ def optimal_position(user_pos, wg, alpha_a: float):
     x_u = u.T[0]
     x_star = np.minimum(np.maximum(x_u - d_star, 0.0),
                         np.minimum(x_u, wg.length))
+
+    def log_gain(x):
+        r = np.hypot(x_u - x, rho)
+        return -wg.alpha_w * x - alpha_a * r - 2.0 * np.log(r)
+    x_star = np.where(log_gain(0.0) > log_gain(x_star), 0.0, x_star)
     return _scalar(x_star), _scalar(d_star)
 
 

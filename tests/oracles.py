@@ -11,6 +11,9 @@ slope of the log link gain along the guide, the reference for
 ``radiated_field`` evaluates the far-field formulas of one port at one
 point, with every constant written out, independently of
 ``radiation.PortResponse``.
+``port_frame`` is the port frame as the product of the rotations
+``rotation_x`` and ``rotation_y`` and the rest axes, the reference for
+the closed-form ``geometry.Orientation.gcs_from_lcs``.
 ``local_angles``, ``spherical_basis``, ``pattern_factor`` and
 ``polarization_components`` are the angle forms of the port frame, S_q
 and Psi_q: they read (theta, phi) through atan2 and sin/cos, the
@@ -47,6 +50,35 @@ MU_0 = 1.25663706127e-06
 POLE_TOL = 1e-12
 
 
+def rotation_x(angle) -> np.ndarray:
+    """Rotation matrix about the x-axis (right-handed): 3x3 for a scalar
+    angle, (..., 3, 3) for an array of angles."""
+    c, s = np.cos(angle), np.sin(angle)
+    one, zero = np.ones_like(c), np.zeros_like(c)
+    return np.moveaxis(np.array([[one, zero, zero],
+                                 [zero, c, -s],
+                                 [zero, s, c]]), (0, 1), (-2, -1))
+
+
+def rotation_y(angle) -> np.ndarray:
+    """Rotation matrix about the y-axis (right-handed), shaped as
+    ``rotation_x``'s."""
+    c, s = np.cos(angle), np.sin(angle)
+    one, zero = np.ones_like(c), np.zeros_like(c)
+    return np.moveaxis(np.array([[c, zero, s],
+                                 [zero, one, zero],
+                                 [-s, zero, c]]), (0, 1), (-2, -1))
+
+
+def port_frame(pitch, roll) -> np.ndarray:
+    """The LCS axes in the GCS as columns: roll about x after the inverse
+    pitch about y, applied to the rest axes of a port that points
+    straight down (x_l = +x, y_l = -y, z_l = -z).  One 3x3 matrix per
+    entry of the broadcast angles."""
+    return (rotation_x(roll) @ np.swapaxes(rotation_y(pitch), -1, -2)
+            @ np.diag([1.0, -1.0, -1.0]))
+
+
 def local_angles(points, center, orientation: Orientation):
     """Distance, polar angle and azimuth of GCS points in a port frame,
     shaped as the fields of ``geometry.local_direction``.  The polar
@@ -55,7 +87,7 @@ def local_angles(points, center, orientation: Orientation):
     ValueError if a point coincides with the port center."""
     rel = (np.atleast_2d(np.asarray(points, dtype=float))
            - np.asarray(center, dtype=float)[..., None, :])
-    local = rel @ np.swapaxes(orientation.lcs_from_gcs(), -1, -2)
+    local = rel @ orientation.gcs_from_lcs()
     x, y, z = np.moveaxis(local, -1, 0)
     rho = np.hypot(x, y)
     r = np.hypot(rho, z)

@@ -219,7 +219,7 @@ EDGE_VALUES = [
     -9.9999, -10.0, -99.9999, -100.0, -1000.0, -3233.0,
     5e-5, 0.00125, 1.23456, 12.3, 9999.5, *_ulps(9999.99994),
     *_ulps(-9999.99994), -10000.0, 10000.0,
-    -12345.6789, 1e300, -1e300, 1.7e308,
+    -12345.6789, 1e300, -1e300, 1.7e308, -1.7e308,
     -np.inf, np.inf, np.nan,
 ]
 
@@ -237,12 +237,12 @@ def _field_map(grid):
         ys=np.linspace(6.0, -0.5, grid.shape[0]), grid_db=grid)
 
 
-# np.round(1.7e308, 4) overflows in its multiply, in the rows as in
-# the spelled text
-OVERFLOW = "ignore:overflow encountered in multiply:RuntimeWarning"
+# np.round(1.7e308, 4) would overflow in its multiply; neither the rows
+# nor the spelled text may warn on it
+NO_WARNING = "error::RuntimeWarning"
 
 
-@pytest.mark.filterwarnings(OVERFLOW)
+@pytest.mark.filterwarnings(NO_WARNING)
 @pytest.mark.parametrize("block_rows", [1, 3, 100])
 def test_field_map_text_at_the_spelling_edges_matches_value_oracle(
         block_rows, monkeypatch, tmp_path):
@@ -261,13 +261,20 @@ def test_field_map_text_at_the_spelling_edges_matches_value_oracle(
     assert lines == csv_text(result).split("\n")
 
 
-@pytest.mark.filterwarnings(OVERFLOW)
+@pytest.mark.filterwarnings(NO_WARNING)
 @pytest.mark.parametrize("value", EDGE_VALUES)
 def test_field_map_spells_each_edge_value_as_the_rows_do(value, tmp_path):
-    # one value per map, so a wrong line names its value
+    # one value per map, so a wrong line names its value; a row rounds
+    # the value to 4 decimals unless v * 1e4 overflows, and then keeps it
     result = _field_map([[value, -1.0], [-2.0, value]])
     with open(result.write_csv(tmp_path)) as fh:
         assert fh.read() == csv_text(result)
+    want = float(value)
+    if np.isfinite(want * 1e4):
+        want = float(np.round(want, 4))
+    got = result.rows[0][2]
+    assert got == want or np.isnan(got) and np.isnan(want)
+    assert np.signbit(got) == np.signbit(want)
 
 
 @pytest.fixture(scope="module")

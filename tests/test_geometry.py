@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mmpass.geometry import (Orientation, local_direction, rotation_x,
-                             rotation_y)
-from oracles import local_angles, spherical_basis
+from mmpass.geometry import Orientation, local_direction
+from oracles import (local_angles, port_frame, rotation_x, rotation_y,
+                     spherical_basis)
 
 
 def _direction_of_local(p_local):
@@ -13,6 +13,8 @@ def _direction_of_local(p_local):
     d = local_direction(p_gcs, np.zeros(3), Orientation())
     return {k: v.item() for k, v in vars(d).items()}
 
+
+# the rotations of the oracle's product chain, the reference frame
 
 def test_rotation_x_identity():
     assert np.allclose(rotation_x(0.0), np.eye(3), atol=1e-15)
@@ -37,6 +39,30 @@ def test_rotations_orthogonal_det_one(rot):
         r = rot(angle)
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert abs(np.linalg.det(r) - 1.0) < 1e-12
+
+
+def test_frame_is_the_rotation_chain():
+    # the closed form equals the oracle's product of rotations entry by
+    # entry (a zero entry may differ in sign only), on stacked lanes and
+    # on the special angles, and each lane equals its scalar frame
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, np.pi / 2, -np.pi / 2])
+    pitch = np.concatenate([np.repeat(special, 4),
+                            rng.uniform(-np.pi / 2, np.pi / 2, 200)])
+    roll = np.concatenate([np.tile(special, 4),
+                           rng.uniform(-np.pi / 2, np.pi / 2, 200)])
+    frames = Orientation(pitch, roll).gcs_from_lcs()
+    assert frames.shape == (216, 3, 3)
+    assert np.array_equal(frames, port_frame(pitch, roll))
+    grid = Orientation(pitch.reshape(8, 27), roll.reshape(8, 27))
+    assert np.array_equal(grid.gcs_from_lcs(), frames.reshape(8, 27, 3, 3))
+    for lane in (0, 5, 10, 15, 100):
+        one = Orientation(pitch[lane], roll[lane]).gcs_from_lcs()
+        assert one.shape == (3, 3)
+        assert np.array_equal(one, frames[lane])
+    assert np.allclose(frames @ np.swapaxes(frames, -1, -2), np.eye(3),
+                       rtol=0, atol=1e-15)
+    assert np.allclose(np.linalg.det(frames), 1.0, rtol=0, atol=1e-15)
 
 
 def test_orientation_range_checks():

@@ -902,6 +902,23 @@ def _run_schemes(scn_for):
                 for scheme in SCHEMES}
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relabeling_users_keeps_every_sum_rate(seed):
+    # the same floor with the users listed in another order: every
+    # scheme's sum rate is unchanged up to rounding
+    cfg = ScenarioConfig(seed=seed)
+    scn = build_scenario(cfg)
+    want = _run_schemes(lambda scheme: scn)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        order = rng.permutation(cfg.num_users)
+        relabeled = build_scenario(cfg, users=scn.users[order])
+        got = _run_schemes(lambda scheme: relabeled)
+        for scheme in SCHEMES:
+            assert got[scheme].report.sum_rate == pytest.approx(
+                want[scheme].report.sum_rate, rel=1e-12, abs=0), scheme
+
+
 def test_schemes_on_one_scenario_match_their_own_runs():
     scn = _spare_scenario()
     shared = _run_schemes(lambda scheme: scn)

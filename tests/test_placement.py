@@ -180,6 +180,31 @@ def test_position_brute_force_bracket():
         assert xs[np.argmax(gains)] <= user[0] + 1e-9
 
 
+def test_position_rule_near_the_grid_optimum_over_losses():
+    # on guide 0 of the default floor, the rule's gain is within 0.9 of
+    # the best on a 1 mm grid for 30 random users per loss pair.  The
+    # last user, 3 m below the axis, has x_user - d* = 4.66 m at 2 dB/m
+    # guided loss, where the feed end x = 0 gains 2.1 times as much
+    rng = np.random.default_rng(0)
+    xs = np.arange(0.0, 10.0 + 5e-4, 1e-3)[:, None]
+    worst = {}
+    for alpha_w_db in (0.0, 0.08, 0.5, 2.0, 5.0):
+        for alpha_a_db in (0.0, 0.05, 0.5, 2.0):
+            cfg = ScenarioConfig(alpha_w_db=alpha_w_db, alpha_a_db=alpha_a_db)
+            users = np.column_stack([rng.uniform(0, cfg.d_x, 30),
+                                     rng.uniform(0, cfg.d_y, 30),
+                                     np.zeros(30)])
+            users = np.vstack([users, [6.73, 0.75, 0.0]])
+            scn = build_scenario(cfg, users=users)
+            link = LinkModel(scn)
+            assert link.wg.length == 10.0
+            x, _ = optimal_position(users, link.wg, scn.alpha_a)
+            best = link.gain(1, xs, users).max(axis=0)
+            worst[alpha_w_db, alpha_a_db] = np.min(link.gain(1, x, users)
+                                                   / best)
+    assert min(worst.values()) >= 0.9, worst
+
+
 # ---------------------------------------------------------------------------
 # log-gain derivative (the oracle of the single-user position rule)
 

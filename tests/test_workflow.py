@@ -2,7 +2,8 @@
 
 ``.github/workflows/tests.yml`` runs only on a push, so these checks
 read it instead: the tier-1 job runs on the ``requires-python`` floor
-of ``pyproject.toml``, its tier-1 step runs the ROADMAP's tier-1
+of ``pyproject.toml``, a second tier-1 job runs that floor with numpy
+at its declared floor, each tier-1 step runs the ROADMAP's tier-1
 command verbatim, the ``mmpass validate`` and ``mmpass oracle``
 self-checks are steps of their own, and every benchmark step names a
 workload of ``perfbench/workloads.py`` with a seed and a run time.
@@ -44,27 +45,58 @@ def workloads():
     return module
 
 
+def _floor(pattern):
+    """The version floor of ``pyproject.toml`` that ``pattern`` reads:
+    by a pattern, as tomllib is 3.11+ and the floor job runs this."""
+    floor = re.search(pattern, (ROOT / "pyproject.toml").read_text(),
+                      re.MULTILINE)
+    assert floor, f"pyproject.toml declares no floor for {pattern}"
+    return floor.group(1)
+
+
+def _python_floor():
+    return _floor(r'^requires-python\s*=\s*">=\s*([0-9.]+)"')
+
+
 def test_tier_one_job_runs_the_python_floor(workflow):
-    # read by a pattern: tomllib is 3.11+, and the floor job runs this
-    floor = re.search(r'^requires-python\s*=\s*">=\s*([0-9.]+)"',
-                      (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
-    assert floor, "pyproject.toml declares no requires-python floor"
     job = workflow["jobs"]["tier-1"]
     versions = job["strategy"]["matrix"]["python-version"]
     # an unquoted 3.10 would load as the float 3.1
     assert all(isinstance(v, str) for v in versions), versions
-    assert floor.group(1) in versions, versions
+    assert _python_floor() in versions, versions
     setup = [step for step in job["steps"]
              if step.get("uses", "").startswith("actions/setup-python")]
     assert [step["with"]["python-version"] for step in setup] == [
         "${{ matrix.python-version }}"]
 
 
-def test_tier_one_step_runs_the_roadmap_command(runs):
+def _tier_one_command():
     found = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
                       (ROOT / "ROADMAP.md").read_text())
     assert found, "ROADMAP.md names no tier-1 command"
-    assert found.group(1) in runs
+    return found.group(1)
+
+
+def test_tier_one_step_runs_the_roadmap_command(runs):
+    assert _tier_one_command() in runs
+
+
+def test_numpy_floor_job_pins_the_declared_floor(workflow):
+    # the tier-1 tests on the oldest Python with the oldest numpy that
+    # pyproject.toml accepts, so a call newer than the floor fails there
+    numpy_floor = _floor(r'^\s*"numpy>=([0-9.]+)"')
+    job = workflow["jobs"]["tier-1-numpy-floor"]
+    setup = [step for step in job["steps"]
+             if step.get("uses", "").startswith("actions/setup-python")]
+    assert [step["with"]["python-version"] for step in setup] == [
+        _python_floor()]
+    job_runs = [step["run"].strip() for step in job["steps"]
+                if "run" in step]
+    installs = [shlex.split(run) for run in job_runs
+                if run.startswith("pip install")]
+    assert len(installs) == 1 and f"numpy=={numpy_floor}" in installs[0], \
+        installs
+    assert _tier_one_command() in job_runs
 
 
 @pytest.mark.parametrize("command", ["mmpass validate", "mmpass oracle"])
