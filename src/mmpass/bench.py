@@ -334,6 +334,9 @@ def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
     transverse distance) is computed once, and both searches read it
     per lane at every evaluation.
     """
+    if cfg.num_modes != 2:
+        raise ValueError("outage serves a pair on two modes of one element; "
+                         f"config field 'num_modes' is {cfg.num_modes}")
     if trials < 100:
         raise ValueError("outage needs at least 100 trials")
     if not (np.isfinite(threshold_rate) and threshold_rate > 0):
@@ -347,17 +350,16 @@ def run_outage(cfg: ScenarioConfig, power_grid_dbw, threshold_rate: float = 1.0,
     pts = _trial_pairs(cfg, trials)
     u1, u2 = (np.column_stack([pts[:, i], np.zeros(trials)]) for i in (0, 1))
     geo1, geo2 = link.geometry(u1), link.geometry(u2)
-    modes = (1, min(2, scn.num_modes))
-    x1, _ = optimal_position(u1, link.wg, scn.alpha_a)
-    x2, _ = optimal_position(u2, link.wg, scn.alpha_a)
+    x1 = optimal_position(u1, link.wg, scn.alpha_a)
+    x2 = optimal_position(u2, link.wg, scn.alpha_a)
     p_nom = scn.power
     x_mm, _, _ = pair_search(
-        lambda x, i: eq22_sum_rate(x, link, geo1[i], geo2[i], sigmas, p_nom,
-                                   modes), x1, x2)
+        lambda x, i: eq22_sum_rate(x, link, geo1[i], geo2[i], sigmas, p_nom),
+        x1, x2)
     x_sm, _, _ = pair_search(
         lambda x, i: tdma_sum_rate(x, link, geo1[i], geo2[i], sigmas, p_nom),
         x1, x2)
-    g_mm = (link.gain(modes[0], x_mm, geo1), link.gain(modes[1], x_mm, geo2))
+    g_mm = (link.gain(1, x_mm, geo1), link.gain(2, x_mm, geo2))
     g_sm = (link.gain(1, x_sm, geo1), link.gain(1, x_sm, geo2))
 
     rows = []
@@ -476,7 +478,7 @@ def run_scaling(cfg: ScenarioConfig) -> ExperimentResult:
     gets no K sweep."""
     sizes = [("mn", replace(cfg, num_waveguides=m, pas_per_waveguide=n))
              for m in _SCALING_M for n in _SCALING_N]
-    counts = [] if cfg.user_mode == "explicit" else [
+    counts = [] if cfg.user_positions else [
         ("k", replace(cfg, num_users=k)) for k in _SCALING_K]
     rows = []
     for sweep, run_cfg in sizes + counts:

@@ -171,7 +171,8 @@ def cmd_validate(args) -> int:
     from .multiuser import optimize_scenario
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = optimize_scenario(scn, "pa-mm")
+        res = optimize_scenario(scn, "pa-mm" if cfg.num_modes == 2
+                                else "pa-sm")
     lam_ok, match_gap = True, 0.0
     for s_idx, slot in enumerate(res.slots):
         # the mask the slot's channel was composed with
@@ -183,7 +184,7 @@ def cmd_validate(args) -> int:
         match_gap = float(np.max(1 - slot.lam[kept].max(axis=1),
                                  initial=match_gap))
         # information, not a check: FP often stops at its cap
-        print(f"INFO: slot {s_idx} FP ran {slot.iterations} iterations, "
+        print(f"INFO: slot {s_idx} FP ran {len(slot.trace)} iterations, "
               + ("converged" if slot.converged else "stopped at the cap"))
         # a slot carries at most QM streams (its ports are M N Q); FP
         # switches the other users off, and their rates are exactly 0
@@ -191,8 +192,8 @@ def cmd_validate(args) -> int:
         print(f"INFO: {np.count_nonzero(kept)} of {len(slot.user_indices)} "
               f"users of slot {s_idx} kept a stream (QM = {streams})")
     _check(failures, "polarization mask entries within [0, 1]", lam_ok)
-    _check(failures, "PA-MM receive vectors matched: Lambda = 1 at a port "
-           f"of every user with a stream (worst gap {match_gap:.1e})",
+    _check(failures, f"{res.scheme} receive vectors matched: Lambda = 1 at "
+           f"a port of every user with a stream (worst gap {match_gap:.1e})",
            match_gap <= 1e-12)
     _check(failures, "FP trace nondecreasing",
            bool(np.all(np.diff(res.trace) >= -1e-9)))
@@ -232,7 +233,7 @@ def cmd_oracle(args) -> int:
     for _ in range(10):
         user = np.array([rng.uniform(2, wg.length - 1),
                          rng.uniform(0, cfg.d_y), 0.0])
-        x_star, _ = optimal_position(user, wg, scn.alpha_a)
+        x_star = optimal_position(user, wg, scn.alpha_a)
         xs = np.arange(0.0, user[0] + 1e-9, 0.001)
         gains = link.gain(1, xs, user)
         worst = max(worst, abs(x_star - xs[np.argmax(gains)]))
@@ -248,8 +249,9 @@ def cmd_oracle(args) -> int:
     u1, u2 = (np.array(u) for u in zip(*pairs))
     noise = float(scn.noise[0])
     xs = np.arange(0.0, wg.length + 1e-9, 0.001)
-    # 1 mW is the low-power regime where one user takes the whole split
-    for power in (scn.power, 1e-3):
+    # 1 mW is the low-power regime where one user takes the whole split;
+    # a one-mode config pairs no users
+    for power in (scn.power, 1e-3) if scn.num_modes == 2 else ():
         sol = two_user_shared_position(u1, u2, link, power, (noise, noise))
         worst = max(eq22_sum_rate(xs, link, a, b, (noise, noise), power).max()
                     - rate for a, b, rate in zip(u1, u2, sol.sum_rate))

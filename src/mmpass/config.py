@@ -11,8 +11,9 @@ users.
 Attenuations are entered in dB/m and converted to Np/m on load
 (Np = dB * ln 10 / 10); powers may be given in watts (``power_w``) or
 dBW (``power_dbw``); noise is in dBW.  Angles never appear in configs.
-Explicit user positions are lists of 2 or 3 numbers (x, y or x, y, z;
-z defaults to the floor and must lie below the guides).
+Listed ``user_positions`` replace the uniform draw of ``num_users``;
+each is 2 or 3 numbers (x, y or x, y, z; z defaults to the floor and
+must lie below the guides).
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ class ScenarioConfig:
     # run control
     seed: int = 1
     schemes: tuple = ("pa-mm", "pi-mm", "dp-mm", "pa-sm", "pi-sm")
-    user_mode: str = "uniform"  # or "explicit"
     user_positions: tuple = ()
 
     @property
@@ -145,14 +145,18 @@ class ScenarioConfig:
                              f"gives a noise power of {noise} W")
         if self.a <= self.b:
             raise ValueError("config fields 'a' and 'b' must satisfy a > b")
+        # the port response is a far-field pattern, D the port diagonal
+        diagonal = self.aperture_scale * math.hypot(self.a, self.b)
+        far = (2.0 * diagonal ** 2
+               / MediumConstants(self.frequency_hz).wavelength0)
+        if self.d_z < far:
+            raise ValueError(
+                f"config field 'd_z' = {self.d_z} m must be at least the "
+                f"far-field distance 2 D^2 / lambda0 = {far:.3g} m, where D "
+                f"= aperture_scale sqrt(a^2 + b^2) = {diagonal:.3g} m (config "
+                "fields 'aperture_scale', 'a', 'b' and 'frequency_hz')")
         if self.alpha_w_db < 0 or self.alpha_a_db < 0:
             raise ValueError("attenuation coefficients must be >= 0")
-        if self.user_mode not in ("uniform", "explicit"):
-            raise ValueError("config field 'user_mode' must be 'uniform' "
-                             "or 'explicit'")
-        if self.user_mode == "explicit" and not self.user_positions:
-            raise ValueError("config field 'user_positions' is required "
-                             "when user_mode is 'explicit'")
         seen = {}
         for i, pos in enumerate(self.user_positions):
             label = f"config field 'user_positions[{i}]'"
@@ -178,7 +182,10 @@ class ScenarioConfig:
                                  f"user_positions[{seen[xyz]}]")
             seen[xyz] = i
         for scheme in self.schemes:
-            parse_scheme(scheme)
+            if parse_scheme(scheme).num_modes > self.num_modes:
+                raise ValueError(f"scheme '{scheme}' in config field "
+                                 "'schemes' needs 2 modes, but config field "
+                                 "'num_modes' is 1")
         return self
 
 
@@ -266,7 +273,7 @@ def config_hash(cfg: ScenarioConfig) -> str:
 def draw_users(cfg: ScenarioConfig) -> np.ndarray:
     """User positions uniform over the floor region, or as listed in
     the config (a missing z puts the user on the floor)."""
-    if cfg.user_mode == "explicit":
+    if cfg.user_positions:
         return np.array([tuple(p) + (0.0,) * (3 - len(p))
                          for p in cfg.user_positions], dtype=float)
     rng = np.random.default_rng(cfg.seed)

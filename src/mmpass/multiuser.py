@@ -343,8 +343,7 @@ class _SlotSolver:
         # guide's problem is that of guide 0 moved to y = 0, with each
         # user given relative to its own guide's axis
         wg = scenario.waveguides[0]
-        self.link = LinkModel(scenario, replace(
-            wg, feed_point=np.array([wg.feed_point[0], 0.0, wg.axis_z])))
+        self.link = LinkModel(scenario, replace(wg, axis_y=0.0))
         self.frame_users = (scenario.users[None]
                             - [[[0.0, g.axis_y, 0.0]]
                                for g in scenario.waveguides])   # (M, K, 3)
@@ -518,8 +517,8 @@ class _SlotSolver:
 
 @dataclass
 class PrecoderFactorization:
-    """The precoder W = G W_p of the final FP iteration, its power
-    multiplier chi and the loop's stop.
+    """The precoder W = G W_p of the final FP iteration and its power
+    multiplier chi.
 
     W_p is port-resolved: row (i, q) carries the amplitude share of the
     user served by element i's mode-q port (two rows per element, one
@@ -532,8 +531,6 @@ class PrecoderFactorization:
 
     w: np.ndarray
     chi: float
-    iterations: int               # FP iterations run
-    converged: bool               # the tol rule stopped the loop
 
 
 def _secular(lam, d, chi):
@@ -643,10 +640,10 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
     and the rate as log2(1 + SINR_k) = log2(T_k / (T_k - S_k)).  The
     product sqrt(P) h U serves both U^H R and the next v, so W itself
     is formed once, after the loop.  The loop stops when the sum rate
-    gains less than ``_FP_TOL`` in one iteration (``converged``) or
-    after ``max_iter`` iterations; with none, W is the normalized
-    matched-filter start.  Returns the factorization and the
-    per-iteration sum-rate trace (1/2 log2 convention).
+    gains less than ``_FP_TOL`` in one iteration or after ``max_iter``
+    iterations; with none, W is the normalized matched-filter start.
+    Returns the factorization and the sum-rate trace (1/2 log2
+    convention), one entry per iteration.
     """
     h = np.asarray(h, dtype=complex)
     k_users, qm = h.shape
@@ -669,7 +666,6 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
     trace = []
     sum_rate_prev = -np.inf
     chi = 0.0
-    converged = False
     # the live users' columns of W are u_eig @ step; the received
     # amplitudes sqrt(P) h W are v
     hs = math.sqrt(power) * h[live]
@@ -697,7 +693,6 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
             sum_rate = 0.5 * float(np.log2(total / rest).sum())
             trace.append(sum_rate)
             if abs(sum_rate - sum_rate_prev) < _FP_TOL:
-                converged = True
                 break
             sum_rate_prev = sum_rate
         if it == max_iter:
@@ -717,9 +712,7 @@ def fp_precoding(h: np.ndarray, w_p: np.ndarray, power: float, noise,
 
     w = np.zeros((qm, k_users), dtype=complex)
     w[:, live] = u_eig @ step
-    final = PrecoderFactorization(w=w, chi=float(chi), iterations=len(trace),
-                                  converged=converged)
-    return final, np.asarray(trace)
+    return PrecoderFactorization(w=w, chi=float(chi)), np.asarray(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -733,9 +726,13 @@ class SlotSolution:
     rx: np.ndarray                     # (K_slot, 3) receive vectors
     lam: np.ndarray                    # K_slot x QMN polarization mask
     report: channel.RateReport
-    trace: np.ndarray
-    iterations: int                    # FP iterations run
-    converged: bool                    # FP stopped by its tolerance
+    trace: np.ndarray                  # FP sum rate, one per iteration
+
+    @property
+    def converged(self) -> bool:
+        """FP stopped by its tolerance, not by its iteration cap."""
+        return bool(len(self.trace) > 1
+                    and abs(self.trace[-1] - self.trace[-2]) < _FP_TOL)
 
 
 @dataclass
@@ -873,8 +870,7 @@ def _solve_slot(deployment: _SlotDeployment, rx_policy: str) -> SlotSolution:
                         assignment=deployment.assignment,
                         placements=list(map(list, deployment.placements)),
                         rx=rx, lam=matrices.lam, report=report,
-                        trace=trace,
-                        iterations=fact.iterations, converged=fact.converged)
+                        trace=trace)
 
 
 # The scheme-free deployment of every scenario a scheme has run on:

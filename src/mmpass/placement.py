@@ -87,8 +87,8 @@ def transverse_distance(user_pos, wg):
 
 
 def optimal_position(user_pos, wg, alpha_a: float):
-    """(x*, d*) for a single user on waveguide ``wg``, or arrays of
-    them for a (K, 3) array of users.
+    """The element position x* for a single user on waveguide ``wg``, or
+    an array of them for a (K, 3) array of users.
 
     x* = x_user - d* is the first-order stationary point of the log gain
     -alpha_w x - alpha_a r - 2 ln r, clamped to [0, min(x_user, guide
@@ -108,7 +108,7 @@ def optimal_position(user_pos, wg, alpha_a: float):
         r = np.hypot(x_u - x, rho)
         return -wg.alpha_w * x - alpha_a * r - 2.0 * np.log(r)
     x_star = np.where(log_gain(0.0) > log_gain(x_star), 0.0, x_star)
-    return _scalar(x_star), _scalar(d_star)
+    return _scalar(x_star)
 
 
 @dataclass(frozen=True)
@@ -187,13 +187,12 @@ def pair_rates(g1, g2, shares, sigmas, power):
                  for g, w, s in zip((g1, g2), shares, sigmas))
 
 
-def eq22_sum_rate(x, link: LinkModel, user1, user2, sigmas, power,
-                  modes=(1, 2)):
-    """Interference-free two-user sum rate at shared position x with the
-    per-x optimal split.  Vectorized over x; the users are positions or
-    their ``LaneGeometry``, as ``LinkModel.gain`` takes them."""
-    g1 = link.gain(modes[0], x, user1)
-    g2 = link.gain(modes[1], x, user2)
+def eq22_sum_rate(x, link: LinkModel, user1, user2, sigmas, power):
+    """Interference-free sum rate of users 1 and 2 on modes 1 and 2 at
+    shared position x with the per-x optimal split.  Vectorized over x;
+    the users are positions or their ``LaneGeometry``."""
+    g1 = link.gain(1, x, user1)
+    g2 = link.gain(2, x, user2)
     r1, r2 = pair_rates(g1, g2,
                         power_split(g1, g2, sigmas[0], sigmas[1], power),
                         sigmas, power)
@@ -222,7 +221,7 @@ def solve_single_user(user_pos, link: LinkModel) -> SingleUserSolution:
     """Closed-form orientation and position for one user, or for a
     (P, 3) batch of users on the guide of ``link``: the position rule
     and the boresight aim hold for every mode."""
-    x_star, _ = optimal_position(user_pos, link.wg, link.scenario.alpha_a)
+    x_star = optimal_position(user_pos, link.wg, link.scenario.alpha_a)
     aim = optimal_orientation(element_center(x_star, link.wg), user_pos)
     return SingleUserSolution(pitch=aim.pitch, roll=aim.roll, x_star=x_star)
 
@@ -375,8 +374,8 @@ def two_user_shared_position(user1, user2, link: LinkModel, power: float,
                       f"closer than {MIN_PAIR_SEPARATION:g} m, the closest "
                       f"{separation.min():.2f} m apart; the neglected "
                       "cross-mode interference may not be small", stacklevel=2)
-    x1, _ = optimal_position(u1, link.wg, link.scenario.alpha_a)
-    x2, _ = optimal_position(u2, link.wg, link.scenario.alpha_a)
+    x1 = optimal_position(u1, link.wg, link.scenario.alpha_a)
+    x2 = optimal_position(u2, link.wg, link.scenario.alpha_a)
     geo1, geo2 = link.geometry(u1), link.geometry(u2)
     x_star, sum_rate, searched = pair_search(
         lambda x, lanes: eq22_sum_rate(x, link, geo1[lanes], geo2[lanes],

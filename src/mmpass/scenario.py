@@ -140,10 +140,10 @@ def make_scenario(med: MediumConstants, *, region, num_waveguides: int,
     d_x, d_y, d_z = region
     ys = waveguide_y_positions(d_y, num_waveguides)
     waveguides = [
-        WaveguideSpec(a=a, b=b, feed_point=np.array([0.0, y, d_z]),
-                      length=d_x, alpha_w=alpha_w, num_pas=num_pas,
+        WaveguideSpec(a=a, b=b, axis_y=y, axis_z=float(d_z), length=d_x,
+                      alpha_w=alpha_w, num_pas=num_pas,
                       aperture_scale=aperture_scale)
-        for y in ys
+        for y in ys.tolist()
     ]
     modes = te_modes(waveguides[0], med, count=num_modes)
     users = np.atleast_2d(np.asarray(users, dtype=float))

@@ -60,19 +60,19 @@ class MediumConstants:
 
 @dataclass(frozen=True)
 class WaveguideSpec:
-    """One physical waveguide: cross section, feed point, loss and
-    element count.
+    """One physical waveguide: cross section, axis, loss and element
+    count.  It runs along x from its feed at x = 0 to ``length``.
 
     ``alpha_w`` is the internal power attenuation in Np/m (dB inputs are
     converted at config ingestion).  ``aperture_scale`` sets the size of
     the radiating aperture of each port relative to the guide cross
-    section; it does not alter the modal constants.  ``feed_point`` is
-    kept as a read-only copy.
+    section; it does not alter the modal constants.
     """
 
     a: float
     b: float
-    feed_point: np.ndarray
+    axis_y: float
+    axis_z: float
     length: float
     alpha_w: float = 0.0
     num_pas: int = 1
@@ -85,17 +85,6 @@ class WaveguideSpec:
             raise ValueError("alpha_w must be >= 0")
         if self.num_pas < 1:
             raise ValueError("num_pas must be >= 1")
-        feed_point = np.array(self.feed_point, dtype=float)
-        feed_point.flags.writeable = False
-        object.__setattr__(self, "feed_point", feed_point)
-
-    @property
-    def axis_y(self) -> float:
-        return float(self.feed_point[1])
-
-    @property
-    def axis_z(self) -> float:
-        return float(self.feed_point[2])
 
     @property
     def aperture_a(self) -> float:

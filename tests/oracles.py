@@ -7,7 +7,8 @@ port, the references for the array H_wp of ``channel.port_factors``.
 ``coupling_length`` is the equal-quota cascade behind the 1/N power
 share of ``waveguide.power_share``.  ``gain_log_derivative`` is the
 slope of the log link gain along the guide, the reference for
-``placement.optimal_position``, whose offset roots it to first order.
+``placement.optimal_position``, whose offset ``position_offset`` roots
+it to first order.
 ``radiated_field`` evaluates the far-field formulas of one port at one
 point, with every constant written out, independently of
 ``radiation.PortResponse``.
@@ -211,6 +212,17 @@ def gain_log_derivative(x_pa, user_pos, wg: WaveguideSpec, alpha_a: float):
     d = x_u - x_pa
     r = np.hypot(d, np.hypot(y - wg.axis_y, z - wg.axis_z))
     return -wg.alpha_w + alpha_a * d / r + 2.0 * d / r ** 2
+
+
+def position_offset(user_pos, wg: WaveguideSpec, alpha_a: float):
+    """d* = alpha_w rho^2 / (2 + alpha_a rho), rho the user's distance to
+    the guide axis: the root of ``gain_log_derivative`` to first order
+    in d / rho.  ``placement.optimal_position`` starts from x_user - d*
+    before its clamp and feed-end rule.  One user or a (K, 3) array of
+    them."""
+    _, y, z = np.asarray(user_pos, dtype=float).T
+    rho = np.hypot(y - wg.axis_y, z - wg.axis_z)
+    return wg.alpha_w * rho ** 2 / (2.0 + alpha_a * rho)
 
 
 @dataclass(frozen=True)

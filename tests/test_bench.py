@@ -62,9 +62,18 @@ def _outage_lanes(cfg, trials):
     sigmas = (scn.noise[0], scn.noise[0])
     pts = bench._trial_pairs(cfg, trials)
     u1, u2 = (np.column_stack([pts[:, i], np.zeros(trials)]) for i in (0, 1))
-    x1, _ = optimal_position(u1, link.wg, scn.alpha_a)
-    x2, _ = optimal_position(u2, link.wg, scn.alpha_a)
+    x1 = optimal_position(u1, link.wg, scn.alpha_a)
+    x2 = optimal_position(u2, link.wg, scn.alpha_a)
     return link, sigmas, u1, u2, x1, x2
+
+
+def test_outage_rejects_a_one_mode_config():
+    # both users of a pair on TE10 would be two modes that do not exist
+    cfg = ScenarioConfig(num_modes=1, schemes=("pa-sm", "pi-sm"))
+    with pytest.raises(ValueError, match="outage serves a pair on two modes "
+                                         "of one element; config field "
+                                         "'num_modes' is 1"):
+        bench.run_outage(cfg, [0.0], trials=100)
 
 
 def test_outage_positions_match_scipy_bounded(monkeypatch):
@@ -335,13 +344,12 @@ def test_scaling_rows_report_the_users_they_ran_with():
     # listed users fix K: every row carries their count, and there is no
     # user-count sweep to run
     cfg = ScenarioConfig(num_waveguides=1, pas_per_waveguide=2,
-                         user_mode="explicit", schemes=("pa-mm",),
+                         schemes=("pa-mm",),
                          user_positions=((1.0, 1.0), (3.0, 2.0),
                                          (6.0, 4.0), (8.5, 5.0)))
     rows = bench.run_scaling(cfg).rows
     assert len(rows) == 9
     assert {(r[0], r[3]) for r in rows} == {("mn", 4)}
-    uniform = bench.run_scaling(replace(cfg, user_mode="uniform",
-                                        user_positions=(), num_users=6))
+    uniform = bench.run_scaling(replace(cfg, user_positions=(), num_users=6))
     assert sorted({(r[0], r[3]) for r in uniform.rows}) == [
         ("k", 8), ("k", 16), ("k", 24), ("mn", 6)]

@@ -78,6 +78,39 @@ def test_self_checks(tiny, command, capsys):
 MATCHED = ("PASS: PA-MM receive vectors matched: Lambda = 1 at a port of "
            "every user with a stream")
 
+ONE_MODE = TINY + "num_modes: 1\n"
+
+
+@pytest.mark.parametrize("command", ["rate-vs-power", "outage", "convergence",
+                                     "scaling", "validate", "oracle"])
+def test_one_mode_config_with_multi_mode_schemes_exits_2(tmp_path, capsys,
+                                                         command):
+    # the default schemes include PA-MM, which a one-mode guide cannot run
+    path = tmp_path / "one.yaml"
+    path.write_text(ONE_MODE)
+    assert cli.main([command, "--config", str(path),
+                     "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: scheme 'pa-mm' in config field 'schemes' needs 2 modes, but "
+        "config field 'num_modes' is 1\n")
+
+
+def test_one_mode_config_runs_its_single_mode_schemes(tmp_path, capsys):
+    path = tmp_path / "one.yaml"
+    path.write_text(ONE_MODE + "schemes: [pa-sm, pi-sm]\n")
+    args = ["--config", str(path), "--out-dir", str(tmp_path)]
+    assert cli.main(["validate", *args]) == 0
+    out = capsys.readouterr().out
+    assert "PASS: PA-SM receive vectors matched" in out and "FAIL" not in out
+    assert cli.main(["oracle", *args]) == 0
+    out = capsys.readouterr().out
+    assert "pair rule" not in out and "FAIL" not in out
+    assert cli.main(["rate-vs-power", *args, "--powers", *POWERS]) == 0
+    assert len(_csv_rows(tmp_path / "rate_vs_power.csv")) == 2 * 2
+    # the outage experiment serves a pair on the two modes of one element
+    assert cli.main(["outage", *args, "--trials", "100"]) == 2
+    assert "config field 'num_modes' is 1" in capsys.readouterr().err
+
 
 def test_validate_checks_the_matched_policy_on_a_spaced_element(tmp_path,
                                                                 capsys):
@@ -85,7 +118,7 @@ def test_validate_checks_the_matched_policy_on_a_spaced_element(tmp_path,
     # element spacing moves one serving element to lambda0 / 2; the
     # matched receive vectors read the deployed port all the same
     path = tmp_path / "spaced.yaml"
-    path.write_text(TINY + "user_mode: explicit\nuser_positions: "
+    path.write_text(TINY + "user_positions: "
                     "[[0.01, 1.0], [0.03, 5.0], [0.02, 2.0], [0.04, 4.0]]\n")
     assert cli.main(["validate", "--config", str(path)]) == 0
     out = capsys.readouterr().out
@@ -140,7 +173,7 @@ def test_bad_number_in_config_exits_2_naming_the_field(tmp_path, capsys):
 
 def test_user_outside_the_floor_exits_2_naming_the_field(tmp_path, capsys):
     path = tmp_path / "off.yaml"
-    path.write_text(TINY + "user_mode: explicit\nuser_positions: "
+    path.write_text(TINY + "user_positions: "
                     "[[-1.0, 1.0], [4.0, 2.0], [6.0, 4.0], [8.0, 5.0]]\n")
     assert cli.main(["rate-vs-power", "--config", str(path),
                      "--out-dir", str(tmp_path)]) == 2

@@ -81,7 +81,8 @@ def test_attenuation_db_to_np(write):
 
 def test_integer_fields_coerced(write):
     cfg = load_config(write("num_waveguides: 2.0\npas_per_waveguide: '3'\n"
-                            "num_modes: 1.0\nnum_users: 8.0\nseed: 7.0\n"))
+                            "num_modes: 1.0\nnum_users: 8.0\nseed: 7.0\n"
+                            "schemes: [pa-sm, pi-sm]\n"))
     values = (cfg.num_waveguides, cfg.pas_per_waveguide, cfg.num_modes,
               cfg.num_users, cfg.seed)
     assert values == (2, 3, 1, 8, 7)
@@ -204,9 +205,60 @@ def test_gain_normalization_is_not_a_config_field(write):
         load_config(write("medium:\n  gain_normalization: none\n"))
 
 
+def test_one_mode_config_rejects_multi_mode_schemes(write):
+    # a one-mode scenario has no TE01 port to serve a pair's second user
+    for scheme in ("pa-mm", "PI-MMPASS", "dp_mm"):
+        with pytest.raises(ValueError, match=f"scheme '{scheme}' in config "
+                                             "field 'schemes' needs 2 modes, "
+                                             "but config field 'num_modes' "
+                                             "is 1"):
+            ScenarioConfig(num_modes=1, schemes=("pa-sm", scheme)).validate()
+    with pytest.raises(ValueError, match="scheme 'pa-mm' .* 'num_modes' is 1"):
+        load_config(write("num_modes: 1\n"))
+    cfg = load_config(write("num_modes: 1\nschemes: [pa-sm, pi-sm]\n"))
+    assert (cfg.num_modes, cfg.schemes) == (1, ("pa-sm", "pi-sm"))
+    assert ScenarioConfig(num_modes=2, schemes=("pa-sm",)).validate()
+
+
+# the default far-field distance 2 D^2 / lambda0, D = 15 sqrt(a^2 + b^2)
+FAR_FIELD_M = 2 * (15 * math.hypot(3e-3, 2e-3)) ** 2 / (299792458.0 / 100e9)
+
+
+@pytest.mark.parametrize("change", [
+    {"d_z": FAR_FIELD_M * (1 - 1e-9)}, {"d_z": 1.9},
+    {"aperture_scale": 30.0}, {"frequency_hz": 160e9},
+    {"a": 4e-3, "d_z": 2.5}])
+def test_guides_below_the_far_field_distance_are_rejected(change):
+    # the port response is a far-field pattern, valid beyond 2 D^2 / lambda0
+    with pytest.raises(ValueError, match=r"config field 'd_z' = .* must be "
+                                         r"at least the far-field distance "
+                                         r"2 D\^2 / lambda0 = .*'aperture_"
+                                         r"scale', 'a', 'b' and "
+                                         r"'frequency_hz'"):
+        replace(ScenarioConfig(), **change).validate()
+
+
+@pytest.mark.parametrize("change", [
+    {}, {"d_z": FAR_FIELD_M * (1 + 1e-9)}, {"d_z": 2.0},
+    {"frequency_hz": 120e9}, {"aperture_scale": 10.0, "d_z": 1.0}])
+def test_guides_at_or_beyond_the_far_field_distance_are_accepted(change):
+    assert FAR_FIELD_M == pytest.approx(1.951, abs=1e-3)
+    replace(ScenarioConfig(), **change).validate()
+
+
+def test_user_mode_is_not_a_config_field(write):
+    # listed users are the explicit ones; no switch restates that
+    with pytest.raises(ValueError, match="unknown config field 'user_mode'"):
+        load_config(write("user_mode: explicit\n"
+                          "user_positions: [[1, 2], [4, 3]]\n"))
+    cfg = load_config(write("num_users: 24\n"
+                            "user_positions: [[1, 2], [4, 3]]\n"))
+    assert build_scenario(cfg).num_users == 2
+    assert build_scenario(replace(cfg, user_positions=())).num_users == 24
+
+
 def test_explicit_user_positions_pad_z_to_the_floor(write):
-    cfg = load_config(write("user_mode: explicit\n"
-                            "user_positions: [[1, 2], [4.0, 3.5, 0.5]]\n"))
+    cfg = load_config(write("user_positions: [[1, 2], [4.0, 3.5, 0.5]]\n"))
     assert cfg.user_positions == ((1.0, 2.0), (4.0, 3.5, 0.5))
     scn = build_scenario(cfg)
     np.testing.assert_array_equal(scn.users, [[1.0, 2.0, 0.0],
@@ -235,12 +287,11 @@ def test_explicit_user_positions_pad_z_to_the_floor(write):
 ])
 def test_bad_user_positions_fail_at_load(write, positions, message):
     with pytest.raises(ValueError, match=message):
-        load_config(write(f"user_mode: explicit\n"
-                          f"user_positions: {positions}\n"))
+        load_config(write(f"user_positions: {positions}\n"))
 
 
 def test_user_positions_on_the_floor_edges_are_accepted(write):
-    cfg = load_config(write("user_mode: explicit\nd_x: 8\nd_y: 5\n"
+    cfg = load_config(write("d_x: 8\nd_y: 5\n"
                             "user_positions: [[0, 0], [8, 5], [0, 5, 1], "
                             "[8, 0]]\n"))
     assert cfg.user_positions == ((0.0, 0.0), (8.0, 5.0), (0.0, 5.0, 1.0),
@@ -248,8 +299,7 @@ def test_user_positions_on_the_floor_edges_are_accepted(write):
 
 
 def test_validate_checks_user_positions_of_a_built_config():
-    cfg = ScenarioConfig(user_mode="explicit",
-                         user_positions=((1.0, 2.0), (1.0, 2.0)))
+    cfg = ScenarioConfig(user_positions=((1.0, 2.0), (1.0, 2.0)))
     with pytest.raises(ValueError, match=r"user_positions\[1\]' repeats"):
         cfg.validate()
     with pytest.raises(ValueError, match=r"user_positions\[0\]' must sat"):

@@ -14,7 +14,7 @@ from mmpass.placement import (LinkModel, bounded_minimize, eq22_sum_rate,
                               tdma_sum_rate, two_user_shared_position)
 from mmpass.scenario import Scenario
 from mmpass.waveguide import PaPlacement
-from oracles import gain_log_derivative, radiated_field
+from oracles import gain_log_derivative, position_offset, radiated_field
 
 SIGMA = 10.0 ** -2.6  # -26 dBW
 ALPHA_W = 0.018420680743952365
@@ -149,22 +149,23 @@ def test_orientation_coincidence_boundary():
 
 def test_position_lossless_guide():
     scn = _scenario(alpha_w=0.0)
-    x, d = optimal_position([6.0, 3.0, 0.0], scn.waveguides[0], scn.alpha_a)
-    assert d == 0.0
-    assert x == pytest.approx(6.0)
+    user, wg = [6.0, 3.0, 0.0], scn.waveguides[0]
+    assert position_offset(user, wg, scn.alpha_a) == 0.0
+    assert optimal_position(user, wg, scn.alpha_a) == pytest.approx(6.0)
 
 
 def test_position_reference_offset():
     # rho = 3 m with the reference attenuations
     scn = _scenario()
-    x, d = optimal_position([6.0, 3.0, 0.0], scn.waveguides[0], scn.alpha_a)
+    user, wg = [6.0, 3.0, 0.0], scn.waveguides[0]
+    d = position_offset(user, wg, scn.alpha_a)
     assert d == pytest.approx(0.08148585252788107, rel=1e-12)
-    assert x == pytest.approx(6.0 - d)
+    assert optimal_position(user, wg, scn.alpha_a) == pytest.approx(6.0 - d)
 
 
 def test_position_near_feed_clamp():
     scn = _scenario()
-    x, d = optimal_position([0.01, 3.0, 0.0], scn.waveguides[0], scn.alpha_a)
+    x = optimal_position([0.01, 3.0, 0.0], scn.waveguides[0], scn.alpha_a)
     assert 0.0 <= x <= 0.01
 
 
@@ -198,7 +199,7 @@ def test_position_rule_near_the_grid_optimum_over_losses():
             scn = build_scenario(cfg, users=users)
             link = LinkModel(scn)
             assert link.wg.length == 10.0
-            x, _ = optimal_position(users, link.wg, scn.alpha_a)
+            x = optimal_position(users, link.wg, scn.alpha_a)
             best = link.gain(1, xs, users).max(axis=0)
             worst[alpha_w_db, alpha_a_db] = np.min(link.gain(1, x, users)
                                                    / best)
@@ -218,7 +219,7 @@ def test_derivative_zero_at_exact_root():
     assert abs(gain_log_derivative(root, user, wg, scn.alpha_a)) < 1e-9
     # the closed-form offset solves a first-order expansion of the same
     # condition: close to, but not exactly at, the root
-    x_star, _ = optimal_position(user, wg, scn.alpha_a)
+    x_star = optimal_position(user, wg, scn.alpha_a)
     assert abs(x_star - root) < 1e-4
 
 
@@ -314,7 +315,7 @@ def test_shared_position_stays_in_bracket():
         if np.linalg.norm((u1 - u2)[:2]) < 1.2:
             continue
         sol = two_user_shared_position(u1, u2, link, 10.0, (SIGMA, SIGMA))
-        singles = [optimal_position(u, link.wg, scn.alpha_a)[0]
+        singles = [optimal_position(u, link.wg, scn.alpha_a)
                    for u in (u1, u2)]
         assert min(singles) - 1e-12 <= sol.x_star <= max(singles) + 1e-12
 
@@ -381,8 +382,8 @@ def test_bounded_search_matches_scipy_bounded():
     for m in range(scn.num_waveguides):
         link = LinkModel(scn, scn.waveguides[m])
         u1, u2 = _random_pairs(rng, 250, cfg.d_x, cfg.d_y)
-        x1, _ = optimal_position(u1, link.wg, scn.alpha_a)
-        x2, _ = optimal_position(u2, link.wg, scn.alpha_a)
+        x1 = optimal_position(u1, link.wg, scn.alpha_a)
+        x2 = optimal_position(u2, link.wg, scn.alpha_a)
         lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
         for rate in (eq22_sum_rate, tdma_sum_rate):
             x, _ = bounded_minimize(
@@ -486,7 +487,7 @@ def test_pair_rate_is_never_below_its_rate_at_either_optimum(power):
         warnings.simplefilter("ignore")  # some pairs under 1 m apart
         sol = two_user_shared_position(u1, u2, link, power, sigmas)
     for u in (u1, u2):
-        x, _ = optimal_position(u, link.wg, scn.alpha_a)
+        x = optimal_position(u, link.wg, scn.alpha_a)
         assert np.all(sol.sum_rate
                       >= eq22_sum_rate(x, link, u1, u2, sigmas, power))
     # a searched lane's rate is the one the search evaluated at its
@@ -507,8 +508,8 @@ def test_shared_position_batch_matches_single_calls():
     batch = two_user_shared_position(u1, u2, link, 10.0, (SIGMA, sig2))
     assert batch.x_star.shape == (len(u1),)
     alpha_a = link.scenario.alpha_a
-    assert (optimal_position(u1[0], link.wg, alpha_a)[0]
-            == optimal_position(u2[0], link.wg, alpha_a)[0] == 0.0)
+    assert (optimal_position(u1[0], link.wg, alpha_a)
+            == optimal_position(u2[0], link.wg, alpha_a) == 0.0)
     fallbacks = []
     for p in range(len(u1)):
         one = two_user_shared_position(u1[p], u2[p], link, 10.0,
@@ -533,7 +534,7 @@ def test_shared_position_keeps_a_winning_endpoint():
         sol = two_user_shared_position(*users, link, 0.01, sigmas)
         assert sol.used_fallback
         assert sol.x_star == optimal_position(users[end], link.wg,
-                                              link.scenario.alpha_a)[0]
+                                              link.scenario.alpha_a)
 
 
 def test_shared_position_batch_rejects_and_warns_once():
@@ -558,9 +559,7 @@ def test_shared_position_lanes_in_guide_frames_match_per_guide_calls():
     cfg = ScenarioConfig()
     scn = build_scenario(cfg)
     rng = np.random.default_rng(41)
-    wg = scn.waveguides[0]
-    frame = LinkModel(scn, replace(wg, feed_point=np.array([0.0, 0.0,
-                                                            wg.axis_z])))
+    frame = LinkModel(scn, replace(scn.waveguides[0], axis_y=0.0))
     pairs = [_random_pairs(rng, 30, cfg.d_x, cfg.d_y)
              for _ in scn.waveguides]
     sigma = scn.noise[0]
@@ -600,8 +599,8 @@ def test_profile_unimodal_between_optima():
     scn = _scenario()
     link = LinkModel(scn)
     pair = (np.array([4.5, 3, 0]), np.array([5.5, 3, 0]))
-    x1, _ = optimal_position(pair[0], scn.waveguides[0], scn.alpha_a)
-    x2, _ = optimal_position(pair[1], scn.waveguides[0], scn.alpha_a)
+    x1 = optimal_position(pair[0], scn.waveguides[0], scn.alpha_a)
+    x2 = optimal_position(pair[1], scn.waveguides[0], scn.alpha_a)
     xs = np.linspace(x1, x2, 300)
     mm = eq22_sum_rate(xs, link, pair[0], pair[1], (SIGMA, SIGMA), 10.0)
     signs = np.sign(np.diff(mm))
@@ -630,9 +629,9 @@ def test_single_user_solution_fields():
     link = LinkModel(scn)
     user = np.array([6.0, 2.0, 0.0])
     sol = solve_single_user(user, link)
-    x_star, d_star = optimal_position(user, link.wg, scn.alpha_a)
+    x_star = optimal_position(user, link.wg, scn.alpha_a)
     assert sol.x_star == x_star and 0 <= sol.x_star <= 6.0
-    assert d_star >= 0
+    assert x_star == user[0] - position_offset(user, link.wg, scn.alpha_a)
     aim = optimal_orientation([x_star, link.wg.axis_y, link.wg.axis_z], user)
     assert (sol.pitch, sol.roll) == (aim.pitch, aim.roll)
 
@@ -646,11 +645,10 @@ def test_link_math_batched_over_users():
     users = np.column_stack([rng.uniform(0, 10, 50), rng.uniform(0, 6, 50),
                              np.zeros(50)])
     xs = rng.uniform(0, 10, 50)
-    x_batch, d_batch = optimal_position(users, wg, scn.alpha_a)
+    x_batch = optimal_position(users, wg, scn.alpha_a)
     gains = {q: link.gain(q, xs, users) for q in (1, 2)}
     for k, user in enumerate(users):
-        assert (x_batch[k], d_batch[k]) == optimal_position(user, wg,
-                                                             scn.alpha_a)
+        assert x_batch[k] == optimal_position(user, wg, scn.alpha_a)
         for q in (1, 2):
             assert gains[q][k] == pytest.approx(link.gain(q, xs[k], user),
                                                 rel=1e-14)

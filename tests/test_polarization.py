@@ -86,7 +86,7 @@ def _field_for(mode, med, wg, pa, orientation, user):
 
 def _setup():
     med = MediumConstants(frequency=100e9, n_core=2.0)
-    wg = WaveguideSpec(a=3e-3, b=2e-3, feed_point=np.array([0.0, 3.0, 3.0]),
+    wg = WaveguideSpec(a=3e-3, b=2e-3, axis_y=3.0, axis_z=3.0,
                        length=10.0, aperture_scale=15.0)
     return med, wg, te_modes(wg, med)
 

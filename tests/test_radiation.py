@@ -22,8 +22,8 @@ def _medium():
 
 
 def _guide(aperture_scale=1.0, alpha_w=0.0, num_pas=1):
-    return WaveguideSpec(a=A, b=B, feed_point=np.array([0.0, 3.0, 3.0]),
-                         length=10.0, alpha_w=alpha_w, num_pas=num_pas,
+    return WaveguideSpec(a=A, b=B, axis_y=3.0, axis_z=3.0, length=10.0,
+                         alpha_w=alpha_w, num_pas=num_pas,
                          aperture_scale=aperture_scale)
 
 

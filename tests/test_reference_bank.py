@@ -81,8 +81,9 @@ def test_bank_fp_calls_match_g_space_oracle(workloads, name, drop,
         _, _, want, _ = fp_precoding_g(*args, **kwargs)
         # the oracle stops at the first gain below its tol of 1e-6
         stopped = want.size > 1 and abs(want[-1] - want[-2]) < 1e-6
-        assert fact.iterations == len(trace) == len(want), n
-        assert fact.converged == stopped, n
+        assert len(trace) == len(want), n
+        assert (trace.size > 1
+                and abs(trace[-1] - trace[-2]) < 1e-6) == stopped, n
         np.testing.assert_allclose(trace, want, rtol=1e-9, atol=0.0,
                                    err_msg=f"call {n}")
 

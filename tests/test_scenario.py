@@ -109,7 +109,7 @@ def test_per_mode_normalization_at_the_reference_distance():
                                              {"aperture_scale": 10.0}),
     ("num_pas", {"num_pas": 4}), ("length", {"length": 9.0}),
     ("alpha_w", {"alpha_w": 0.1}),
-    ("axis_z", {"feed_point": np.array([0.0, 4.5, 2.5])})])
+    ("axis_z", {"axis_z": 2.5})])
 def test_scenario_rejects_guides_that_differ_beyond_axis_y(name, change):
     scn = build_scenario(ScenarioConfig(num_users=2))
     guides = list(scn.waveguides)
@@ -118,8 +118,7 @@ def test_scenario_rejects_guides_that_differ_beyond_axis_y(name, change):
                                          f"in {name} "):
         replace(scn, waveguides=guides)
     # a guide moved along y only is the layout every scenario has
-    guides[2] = replace(scn.waveguides[2], feed_point=np.array([0.0, 5.9,
-                                                                3.0]))
+    guides[2] = replace(scn.waveguides[2], axis_y=5.9)
     assert replace(scn, waveguides=guides).waveguides[2].axis_y == 5.9
 
 
@@ -129,8 +128,8 @@ def test_scenario_fields_cannot_be_reassigned():
         scn.power = 1.0
     with pytest.raises(TypeError):
         scn.waveguides[0] = scn.waveguides[1]
-    with pytest.raises(ValueError):
-        scn.waveguides[0].feed_point[1] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        scn.waveguides[0].axis_y = 0.0
 
 
 @pytest.mark.parametrize("name", ["users", "noise"])

@@ -25,7 +25,7 @@ def _medium():
 
 
 def _guide(alpha_w=ALPHA_W, num_pas=1):
-    return WaveguideSpec(a=3e-3, b=2e-3, feed_point=np.array([0.0, 0.0, 3.0]),
+    return WaveguideSpec(a=3e-3, b=2e-3, axis_y=0.0, axis_z=3.0,
                          length=10.0, alpha_w=alpha_w, num_pas=num_pas)
 
 
@@ -157,7 +157,7 @@ def test_h_magnitude_monotone_in_x():
 
 
 def test_assemble_block_diagonal():
-    wgs = [WaveguideSpec(a=3e-3, b=2e-3, feed_point=np.array([0.0, y, 3.0]),
+    wgs = [WaveguideSpec(a=3e-3, b=2e-3, axis_y=y, axis_z=3.0,
                          length=10.0, alpha_w=ALPHA_W, num_pas=1)
            for y in (1.0, 5.0)]
     h = _h_wp(wgs, [[3.0], [7.0]])
@@ -170,7 +170,7 @@ def test_assemble_block_diagonal():
 
 
 def test_assemble_column_norms():
-    wg = WaveguideSpec(a=3e-3, b=2e-3, feed_point=np.array([0.0, 1.0, 3.0]),
+    wg = WaveguideSpec(a=3e-3, b=2e-3, axis_y=1.0, axis_z=3.0,
                        length=10.0, alpha_w=ALPHA_W, num_pas=3)
     xs = [1.0, 4.0, 8.5]
     h = _h_wp([wg], [xs])

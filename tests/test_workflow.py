@@ -81,6 +81,11 @@ def test_tier_one_step_runs_the_roadmap_command(runs):
     assert _tier_one_command() in runs
 
 
+def _job_runs(workflow, name):
+    return [step["run"].strip() for step in workflow["jobs"][name]["steps"]
+            if "run" in step]
+
+
 def test_numpy_floor_job_pins_the_declared_floor(workflow):
     # the tier-1 tests on the oldest Python with the oldest numpy that
     # pyproject.toml accepts, so a call newer than the floor fails there
@@ -90,8 +95,7 @@ def test_numpy_floor_job_pins_the_declared_floor(workflow):
              if step.get("uses", "").startswith("actions/setup-python")]
     assert [step["with"]["python-version"] for step in setup] == [
         _python_floor()]
-    job_runs = [step["run"].strip() for step in job["steps"]
-                if "run" in step]
+    job_runs = _job_runs(workflow, "tier-1-numpy-floor")
     installs = [shlex.split(run) for run in job_runs
                 if run.startswith("pip install")]
     assert len(installs) == 1 and f"numpy=={numpy_floor}" in installs[0], \
@@ -102,6 +106,21 @@ def test_numpy_floor_job_pins_the_declared_floor(workflow):
 @pytest.mark.parametrize("command", ["mmpass validate", "mmpass oracle"])
 def test_self_check_steps_exist(runs, command):
     assert command in runs
+
+
+def test_numpy_floor_job_runs_the_self_checks_and_the_reference(workflow,
+                                                                workloads):
+    # the reference of every workload is checked at the numpy floor too,
+    # by the tier-1 job's own steps
+    floor = _job_runs(workflow, "tier-1-numpy-floor")
+    for command in ("mmpass validate", "mmpass oracle"):
+        assert command in floor, command
+    checks = [run for run in _job_runs(workflow, "tier-1")
+              if "perfbench/run.py" in run]
+    names = [shlex.split(run)[3] for run in checks]
+    assert sorted(names) == sorted(workloads.WORKLOADS), names
+    for run in checks:
+        assert run in floor, run
 
 
 def test_benchmark_steps_name_a_workload_seed_and_run_time(runs, workloads):
